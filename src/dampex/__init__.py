@@ -21,9 +21,10 @@ from .initial_data import (Box, Gaussian, GaussianMonomial, InitialDatum,
 from .norms import (FrequencyRegion, LowerBoundConstants, RegionNorm,
                     gaussian_monomial_integral, heat_increment_norm,
                     increment_lower_constant, increment_lower_constant_1d,
-                    lower_bound_constants, poly_gaussian_l2_norm,
+                    lower_bound_constants, norm_curve, poly_gaussian_l2_norm,
                     radial_factor_1d, region_l2_norm, residual_norm,
-                    symbol_gap_sup_ratio, taylor_remainder_sup_ratio)
+                    residual_norm_curve, symbol_gap_sup_ratio,
+                    taylor_remainder_sup_ratio)
 from .spectral import (REPRESENTATIONS, LowFrequencySymbol, SpectralSolution,
                        evaluate_heat, stable_heat_difference)
 

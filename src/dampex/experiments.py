@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -23,9 +21,9 @@ from .errors import ConfigError, DegenerateDataError
 from .expansion import (build_expansion, check_property_A, check_property_B,
                         check_property_C, heat_partial_sum)
 from .initial_data import InitialDatum, moment_table, pair_from_config
-from .norms import (FrequencyRegion, heat_increment_norm, poly_gaussian_l2_norm,
-                    region_l2_norm, residual_norm)
-from .spectral import SpectralSolution
+from .norms import (FrequencyRegion, heat_increment_norm, norm_curve,
+                    poly_gaussian_l2_norm, residual_norm_curve)
+from .spectral import LowFrequencySymbol, SpectralSolution
 
 DEGENERACY_FLOOR = 1e-12
 
@@ -133,10 +131,9 @@ def _moment_scale(v: InitialDatum, k: int) -> float:
 @lru_cache(maxsize=None)
 def _residual_curve(u0: InitialDatum, u1: InitialDatum, k: int,
                     grid: TimeGrid, tol: float):
-    sol = _solution(u0, u1)
     ts = grid.values()
-    norms = np.array([residual_norm(sol, float(t), k, tol=tol).value for t in ts])
-    return ts, norms
+    curve = residual_norm_curve(_solution(u0, u1), ts, k, tol=tol)
+    return ts, np.array([nrm.value for nrm in curve])
 
 
 def fit_decay_rate(u0: InitialDatum, u1: InitialDatum, k: int, grid: TimeGrid,
@@ -216,31 +213,26 @@ def vanishing_limit_check(v: InitialDatum, grid: TimeGrid, *, variant="heat",
         partial = heat_partial_sum(table, m)
         region = FrequencyRegion.full(n)
 
-        def gap(pts, t):
-            s = np.sum(pts * pts, axis=-1)
-            base = v.fourier_transform(pts) - partial(pts)
-            return _ell_weight(s, ell) * base * np.exp(-t * s)
+        def base(pts):
+            return v.fourier_transform(pts) - partial(pts)
     elif variant == "low_frequency":
         exponent = n / 4.0 + k / 2.0 + ell / 2.0
         table = moment_table(v, k)
         profile = build_expansion("A", k, table)
         region = FrequencyRegion.ball(0.5, n)
-        from .spectral import LowFrequencySymbol
         symbol = LowFrequencySymbol(v)
 
-        def gap(pts, t):
-            s = np.sum(pts * pts, axis=-1)
-            base = symbol(pts) - profile(pts)
-            return _ell_weight(s, ell) * base * np.exp(-t * s)
+        def base(pts):
+            return symbol(pts) - profile(pts)
     else:
         raise ValueError("variant must be 'heat' or 'low_frequency'")
 
-    scaled = []
-    for t in ts:
-        nrm = region_l2_norm(lambda pts: gap(pts, float(t)), region, tol,
-                             inner_scale=1.0 / math.sqrt(float(t)))
-        scaled.append(float(t) ** exponent * nrm.value)
-    scaled = np.array(scaled)
+    def gap(ts, pts):
+        s = np.sum(pts * pts, axis=-1)
+        return _ell_weight(s, ell) * base(pts) * np.exp(-ts[:, None] * s)
+
+    curve = norm_curve(gap, region, ts, tol, inner_scales=1.0 / np.sqrt(ts))
+    scaled = ts ** exponent * np.array([nrm.value for nrm in curve])
     tail = ts >= ts[-1] / 10.0
     tail_vals = scaled[tail]
     decreasing = bool(np.all(np.diff(tail_vals) < 0.0)) if len(tail_vals) > 1 else False
@@ -284,17 +276,15 @@ def heat_comparison(v: InitialDatum, k: int, grid: TimeGrid, tol=1e-9) -> HeatCo
     region = FrequencyRegion.full(n)
     rate = expected_decay_slope(n, k)
     ts = grid.values()
-    ratios = []
-    for t in ts:
-        def f(pts, t=float(t)):
-            s = np.sum(pts * pts, axis=-1)
-            return (v.fourier_transform(pts) - partial(pts)) * np.exp(-t * s)
 
-        nrm = region_l2_norm(f, region, tol,
-                             inner_scale=1.0 / math.sqrt(float(t)))
-        denom = heat_full * float(t) ** rate
-        ratios.append(nrm.value / denom if denom > 0 else math.inf)
-    ratios = np.array(ratios)
+    def f(ts, pts):
+        s = np.sum(pts * pts, axis=-1)
+        return (v.fourier_transform(pts) - partial(pts)) * np.exp(-ts[:, None] * s)
+
+    curve = norm_curve(f, region, ts, tol, inner_scales=1.0 / np.sqrt(ts))
+    denom = heat_full * ts ** rate
+    ratios = np.array([nrm.value / d if d > 0 else math.inf
+                       for nrm, d in zip(curve, denom)])
     delta = _first_stable_time(ts, ratios, 0.5) if heat_full > 0 else None
     return HeatComparisonReport(k=k, increment_constant=inc,
                                 heat_constant=heat_half, relative_gap=gap,
@@ -418,12 +408,7 @@ class ReportBundle:
 
 
 def run_report(cfg: dict, out_dir) -> ReportBundle:
-    """Execute a campaign and write summary.json plus per-case curve files.
-
-    Case items are independent; they may run on a small thread pool sized by
-    the DAMPEX_THREADS environment variable, but assembly order always
-    follows the config sequence.
-    """
+    """Execute a campaign and write summary.json plus per-case curve files."""
     validate_config(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -436,19 +421,13 @@ def run_report(cfg: dict, out_dir) -> ReportBundle:
     fraction = float(cfg.get("decay_fraction", 0.1))
     seed = int(cfg.get("seed", 0))
 
-    items = []
+    entries = []
+    files = []
     for case in cfg["cases"]:
         checks = tuple(case.get("checks", _DEFAULT_CHECKS))
-        items.append((case, checks))
-
-    workers = max(1, int(os.environ.get("DAMPEX_THREADS", "1")))
-
-    def run_case(case_checks):
-        case, checks = case_checks
         u0, u1 = pair_from_config(case["data"])
         sol = _solution(u0, u1)
         v = sol.v
-        entries = []
         curves = {}
         for k in case.get("k_values", [0]):
             if "rate" in checks:
@@ -487,27 +466,14 @@ def run_report(cfg: dict, out_dir) -> ReportBundle:
                     "max_deviation": rep.max_deviation,
                     "tolerance": rep.tolerance,
                 })
-        return entries, curves
-
-    if workers == 1:
-        results = [run_case(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_case, items))
-
-    all_entries = []
-    files = []
-    for (case, _), (entries, curves) in zip(items, results):
-        all_entries.extend(entries)
         for label, (ts, vals) in curves.items():
-            stem = f"{label}_{case['name']}"
-            files.append(_write_csv(out_dir / f"{stem}.csv", ("t", label), ts, vals))
-            files.append(_write_dat(out_dir / f"{stem}.dat", ts, vals))
+            path = out_dir / f"{label}_{case['name']}.csv"
+            files.append(_write_csv(path, ("t", label), ts, vals))
 
-    n_failed = sum(1 for e in all_entries if e["status"] == "fail")
+    n_failed = sum(1 for e in entries if e["status"] == "fail")
     summary = {
         "config": cfg,
-        "entries": all_entries,
+        "entries": entries,
         "n_failed": n_failed,
         "passed": n_failed == 0,
     }
@@ -579,11 +545,5 @@ def _vanishing_entry(name, rep, params):
 def _write_csv(path: Path, header, ts, vals):
     lines = [",".join(header)]
     lines += [f"{float(t)!r},{float(v)!r}" for t, v in zip(ts, vals)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
-def _write_dat(path: Path, ts, vals):
-    lines = [f"{float(t)!r} {float(v)!r}" for t, v in zip(ts, vals)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

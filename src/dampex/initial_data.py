@@ -464,7 +464,7 @@ def quadrature_raw_moment(v: InitialDatum, alpha, tol=1e-10, *,
         total = v.amplitude
         for j, m in enumerate(alpha):
             lo, hi = v.axis_interval(j)
-            res = adaptive_1d(lambda y, j=j, m=m: y**m * float(v.axis_value(j, y)),
+            res = adaptive_1d(lambda y, j=j, m=m: y**m * v.axis_value(j, y),
                               lo, hi, tol / (v.dimension + 1), abs_floor=abs_floor,
                               breakpoints=(0.0,))
             total *= res.value
@@ -497,7 +497,7 @@ def _weighted_integral(v: InitialDatum, gamma: float, weight: str, tol: float) -
         lo, hi = v.axis_interval(0)
 
         def f(y):
-            return w(abs(y)) * abs(float(v.values(np.array([y]))))
+            return w(np.abs(y)) * np.abs(v.values(y[:, None]))
 
         return adaptive_1d(f, lo, hi, tol, breakpoints=(0.0,)).value
 

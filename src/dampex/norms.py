@@ -22,11 +22,9 @@ from .errors import InsufficientOrderError
 from .expansion import ExpansionPolynomial, build_expansion
 from .indices import Alpha, degree, indices_of_degree
 from .initial_data import InitialDatum, MomentTable, absolute_moment, moment_table
-from .quadrature import (QuadResult, adaptive_1d, integrate_radial,
+from .quadrature import (adaptive_1d, angular_sums, integrate_radial,
                          radial_breakpoints, truncation_radius)
 from .spectral import LowFrequencySymbol, SpectralSolution
-
-_BAND_RADII = ()  # populated per-call from the solution's band
 
 
 @dataclass(frozen=True)
@@ -77,57 +75,78 @@ class RegionNorm:
     region: FrequencyRegion
 
 
-def region_l2_norm(f, region: FrequencyRegion, tol=1e-9, *,
-                   inner_scale=None, breakpoints=(),
-                   value_floor=1e-14) -> RegionNorm:
-    """(integral_region |f(xi)|^2 dxi)^{1/2} by adaptive quadrature.
+# the two points of the "unit sphere" of the line and their counting weights
+_LINE_DIRS = np.array([[1.0], [-1.0]])
+_LINE_WEIGHTS = np.ones(2)
 
-    ``f`` must accept an (m, n) array of points and return complex values of
-    shape (m,).  ``inner_scale`` marks the width of an integrand concentrated
-    near the origin (1/sqrt(t) for heat-type weights) so the radial splitting
-    cannot step over it; ``breakpoints`` lists radii where f has kinks.
-    Norm values below ``value_floor`` are reported as converged at zero (the
-    relative target is meaningless there); the floor squared acts as the
-    absolute tolerance of the underlying integral.
+
+def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
+               inner_scales=None, breakpoints=(),
+               value_floor=1e-14) -> list[RegionNorm]:
+    """(integral_region |f(t, xi)|^2 dxi)^{1/2} for every t of ``ts`` at once.
+
+    ``f(ts, pts)`` receives the times as a 1-D array and an (m, n) array of
+    points and returns complex values of shape (len(ts), m), one row per
+    time.  All times share one truncation radius (the largest any of them
+    needs), one angular rule (stable for every time) and one set of radial
+    panels, each sampled once for all times; every time still converges to
+    its own relative target ``tol``.  ``inner_scales`` gives per time the
+    width of an integrand concentrated near the origin (1/sqrt(t) for
+    heat-type weights); the radial split points are the union of their
+    geometric ladders plus the kinks in ``breakpoints``.  Norms below
+    ``value_floor`` are reported as converged at zero (the relative target
+    is meaningless there); the floor squared acts as the absolute
+    tolerance of the underlying integrals.  Returns one RegionNorm per time,
+    each carrying the evaluation count of the whole curve.
     """
+    ts = np.asarray(ts, dtype=float)
     n = region.dimension
+    scales = [None] * len(ts) if inner_scales is None else list(inner_scales)
     abs_floor = max(value_floor * value_floor, 1e-300)
 
     def field(pts):
-        val = np.asarray(f(pts))
-        return np.abs(val) ** 2
+        return np.abs(np.asarray(f(ts, pts))) ** 2
 
     lo, hi = region.r_lo, region.r_hi
-    tail = 0.0
+    tail = np.zeros(len(ts))
     if not region.bounded:
-        start = max(4.0, 2.0 * lo if lo > 0 else 4.0)
-        if inner_scale:
-            start = max(start, 4.0 * inner_scale)
+        start = max([4.0, 2.0 * lo] + [4.0 * s for s in scales if s])
         hi, tail = truncation_radius(field, n, start)
         if hi <= lo:
-            return RegionNorm(0.0, math.sqrt(tail), 0, region)
+            return [RegionNorm(0.0, math.sqrt(e), 0, region) for e in tail]
 
-    brk = radial_breakpoints(lo, hi, inner_scale, breakpoints)
+    brk = sorted(set().union(
+        *(radial_breakpoints(lo, hi, s, breakpoints) for s in scales)))
     if n == 1:
-        count = [0]
-
-        def g(r):
-            count[0] += 1
-            pts = np.array([[r], [-r]])
-            return float(np.sum(field(pts)))
-
-        res = adaptive_1d(g, lo, hi, tol, abs_floor=abs_floor, breakpoints=brk)
-        res = QuadResult(res.value, res.error_estimate, 2 * count[0])
+        res = adaptive_1d(
+            lambda r: angular_sums(field, r, _LINE_DIRS, _LINE_WEIGHTS, len(ts)),
+            lo, hi, tol, abs_floor=abs_floor, breakpoints=brk)
+        evaluations = 2 * res.evaluations
     else:
-        res = integrate_radial(field, n, lo, hi, tol,
-                               inner_scale=inner_scale,
-                               extra_breakpoints=breakpoints,
+        res = integrate_radial(field, n, lo, hi, tol, extra_breakpoints=brk,
                                abs_floor=abs_floor)
-    total = max(res.value, 0.0)
-    value = math.sqrt(total)
-    err2 = res.error_estimate + tail
-    err = err2 / (2.0 * value) if value > 0 else math.sqrt(err2)
-    return RegionNorm(value, err, res.evaluations, region)
+        evaluations = res.evaluations
+    out = []
+    for total, err2 in zip(res.value, res.error_estimate + tail):
+        value = math.sqrt(max(total, 0.0))
+        err = err2 / (2.0 * value) if value > 0 else math.sqrt(err2)
+        out.append(RegionNorm(value, float(err), evaluations, region))
+    return out
+
+
+def region_l2_norm(f, region: FrequencyRegion, tol=1e-9, *,
+                   inner_scale=None, breakpoints=(),
+                   value_floor=1e-14) -> RegionNorm:
+    """(integral_region |f(xi)|^2 dxi)^{1/2}: ``norm_curve`` at one time.
+
+    ``f`` must accept an (m, n) array of points and return complex values of
+    shape (m,); ``inner_scale``, ``breakpoints`` and ``value_floor`` act as
+    in ``norm_curve``.
+    """
+    (norm,) = norm_curve(lambda ts, pts: np.asarray(f(pts))[None], region,
+                         (math.nan,), tol, inner_scales=(inner_scale,),
+                         breakpoints=breakpoints, value_floor=value_floor)
+    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +341,30 @@ def residual_norm(sol: SpectralSolution, t: float, k: int,
                   region: FrequencyRegion | None = None, tol=1e-9) -> RegionNorm:
     """|| u_hat(t) - A_{k-1} e^{-t |xi|^2} ||_{L2(region)} (full space default).
 
-    This is the quantity sandwiched between the two t^{-n/4-k/2} bounds.
+    This is the quantity sandwiched between the two t^{-n/4-k/2} bounds;
+    ``residual_norm_curve`` at the single time t.
     """
-    if t <= 0:
+    return residual_norm_curve(sol, (t,), k, region, tol)[0]
+
+
+def residual_norm_curve(sol: SpectralSolution, ts, k: int,
+                        region: FrequencyRegion | None = None,
+                        tol=1e-9) -> list[RegionNorm]:
+    """``residual_norm`` at every t of ``ts``, integrated on shared panels.
+
+    Each time's inner ladder starts at its heat width 1/sqrt(max(t, 1));
+    the kinks are the radii where the solution switches representation.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if np.any(ts <= 0):
         raise ValueError("t must be positive")
     poly = profile_polynomial(sol, k - 1)
     region = region or FrequencyRegion.full(sol.dimension)
-
-    def f(pts):
-        return sol.residual(t, pts, poly)
-
     eps = sol.band_halfwidth
-    brk = (sol.low_radius, 1.0 - eps, 1.0, 1.0 + eps, sol.high_radius)
-    return region_l2_norm(f, region, tol,
-                          inner_scale=1.0 / math.sqrt(max(t, 1.0)),
-                          breakpoints=brk)
+    kinks = (sol.low_radius, 1.0 - eps, 1.0, 1.0 + eps, sol.high_radius)
+    return norm_curve(lambda ts, pts: sol.residual_curve(ts, pts, poly), region,
+                      ts, tol, inner_scales=1.0 / np.sqrt(np.maximum(ts, 1.0)),
+                      breakpoints=kinks)
 
 
 # ---------------------------------------------------------------------------

@@ -46,22 +46,36 @@ def _phi(z):
     return np.where(z == 0.0, 1.0, np.expm1(safe) / safe)
 
 
-def stable_heat_difference(t: float, s):
+def stable_heat_difference(t, s):
     """(e^{-t s} - e^{-t}) / (1 - s), continued across s = 1.
 
     Uses t e^{-t} phi(t (1 - s)) where the subtraction would cancel and the
     direct quotient elsewhere (where the two exponentials are well separated).
+    ``t`` may be an array that broadcasts against ``s`` (a column of times).
     """
-    s = np.asarray(s, dtype=float)
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float),
+                               np.asarray(s, dtype=float))
     z = t * (1.0 - s)
-    out = np.empty_like(s)
+    out = np.empty_like(z)
     small = np.abs(z) <= PHI_SWITCH
     if np.any(small):
-        out[small] = t * np.exp(-t) * _phi(z[small])
+        ts = t[small]
+        out[small] = ts * np.exp(-ts) * _phi(z[small])
     big = ~small
     if np.any(big):
-        out[big] = (np.exp(-t * s[big]) - np.exp(-t)) / (1.0 - s[big])
+        out[big] = (np.exp(-t[big] * s[big]) - np.exp(-t[big])) / (1.0 - s[big])
     return out
+
+
+def _points(xi, dimension):
+    """Points of shape (..., n) as floats, their squared norms, and whether
+    a single point of shape (n,) was given."""
+    pts = np.asarray(xi, dtype=float)
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    if pts.shape[-1] != dimension:
+        raise ValueError(f"points must have trailing dimension {dimension}")
+    return pts, np.sum(pts * pts, axis=-1), single
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,22 +106,23 @@ class SpectralSolution:
 
     # -- evaluation -----------------------------------------------------------
 
-    def evaluate(self, t: float, xi, rep: str | None = None):
+    def evaluate(self, t, xi, rep: str | None = None):
         """Transformed solution at time t >= 0 on points of shape (..., n).
 
-        ``rep`` forces one representation id; the default policy switches by
+        ``t`` may also be a 1-D array of times: the transforms are taken once
+        and the result gains a leading axis, one row per time.  ``rep``
+        forces one representation id; the default policy switches by
         frequency region and is continuous across the unit sphere.
         """
-        if t < 0:
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0):
             raise ValueError("t must be nonnegative")
-        pts = np.asarray(xi, dtype=float)
-        scalar_in = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        if pts.shape[-1] != self.dimension:
-            raise ValueError(f"points must have trailing dimension {self.dimension}")
-        s = np.sum(pts * pts, axis=-1)
+        pts, s, single = _points(xi, self.dimension)
+        shape = t.shape + s.shape
+        pts, s = pts.reshape(-1, self.dimension), s.ravel()
         f0 = self.u0.fourier_transform(pts)
         f1 = self.u1.fourier_transform(pts)
+        t = t[:, None] if t.ndim else t
         if rep is None:
             out = self._auto(t, s, f0, f1)
         else:
@@ -119,20 +134,23 @@ class SpectralSolution:
                     f"representation {rep} is singular at |xi| = 1 "
                     f"(requested |xi| = {bad!r})", radius=bad)
             out = _REP_FORMULAS[rep](t, s, f0, f1)
-        return out[0] if scalar_in else out
+        out = out.reshape(shape)
+        # [()] turns the 0-d result of one point at one time into a scalar
+        return out[..., 0][()] if single else out
 
     def _auto(self, t, s, f0, f1):
+        """The default policy; ``t`` is a scalar or a column of times."""
         eps = self.band_halfwidth
         low = s <= (1.0 - eps) ** 2
         high = s >= (1.0 + eps) ** 2
         band = ~(low | high)
-        out = np.empty(s.shape, dtype=complex)
+        out = np.empty(np.broadcast_shapes(np.shape(t), s.shape), dtype=complex)
         if np.any(low):
-            out[low] = _rep_21(t, s[low], f0[low], f1[low])
+            out[..., low] = _rep_21(t, s[low], f0[low], f1[low])
         if np.any(high):
-            out[high] = _rep_23(t, s[high], f0[high], f1[high])
+            out[..., high] = _rep_23(t, s[high], f0[high], f1[high])
         if np.any(band):
-            out[band] = _rep_24(t, s[band], f0[band], f1[band])
+            out[..., band] = _rep_24(t, s[band], f0[band], f1[band])
         return out
 
     # -- helpers --------------------------------------------------------------
@@ -143,12 +161,20 @@ class SpectralSolution:
         ``poly`` is any callable on points (an expansion polynomial); this is
         the integrand of every region norm used in the decay estimates.
         """
-        pts = np.asarray(xi, dtype=float)
-        scalar_in = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        s = np.sum(pts * pts, axis=-1)
-        out = self.evaluate(t, pts) - poly(pts) * np.exp(-t * s)
-        return out[0] if scalar_in else out
+        pts, _, single = _points(xi, self.dimension)
+        out = self.residual_curve((t,), pts, poly)[0]
+        return out[0] if single else out
+
+    def residual_curve(self, ts, xi, poly):
+        """``residual`` at every t of ``ts`` on points of shape (..., n): one
+        row per time, shape (len(ts), ...).
+
+        The transforms, |xi|^2 and ``poly`` are evaluated once per point set;
+        only the time factors are broadcast over ``ts``.
+        """
+        ts = np.asarray(ts, dtype=float)
+        pts, s, _ = _points(xi, self.dimension)
+        return self.evaluate(ts, pts) - poly(pts) * np.exp(-np.multiply.outer(ts, s))
 
 
 def _rep_21(t, s, f0, f1):
@@ -184,10 +210,7 @@ class LowFrequencySymbol:
     guard: float = SINGULAR_GUARD
 
     def __call__(self, xi):
-        pts = np.asarray(xi, dtype=float)
-        scalar_in = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        s = np.sum(pts * pts, axis=-1)
+        pts, s, single = _points(xi, self.v.dimension)
         bad = np.abs(s - 1.0) <= self.guard
         if np.any(bad):
             radius = float(np.sqrt(s[bad][0]))
@@ -195,16 +218,13 @@ class LowFrequencySymbol:
                 f"the symbol is undefined on |xi| = 1 (requested |xi| = {radius!r})",
                 radius=radius)
         out = self.v.fourier_transform(pts) / (1.0 - s)
-        return out[0] if scalar_in else out
+        return out[0] if single else out
 
 
 def evaluate_heat(v: InitialDatum, t: float, xi):
     """Transformed heat flow e^{-t |xi|^2} v_hat(xi)."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    pts = np.asarray(xi, dtype=float)
-    scalar_in = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    s = np.sum(pts * pts, axis=-1)
+    pts, s, single = _points(xi, v.dimension)
     out = np.exp(-t * s) * v.fourier_transform(pts)
-    return out[0] if scalar_in else out
+    return out[0] if single else out

@@ -189,21 +189,14 @@ class TestRunReport:
         names = sorted(p.name for p in (tmp_path / "out").iterdir())
         assert "summary.json" in names
         assert "norms_k0_g1.csv" in names
-        assert "ratios_k0_g1.dat" in names
+        assert "ratios_k0_g1.csv" in names
+        assert not [name for name in names if name.endswith(".dat")]
 
     def test_summary_is_bitwise_deterministic(self, small_config, tmp_path):
         run_report(small_config, tmp_path / "a")
         run_report(small_config, tmp_path / "b")
         assert (tmp_path / "a" / "summary.json").read_bytes() == \
             (tmp_path / "b" / "summary.json").read_bytes()
-
-    def test_thread_pool_does_not_change_results(self, small_config, tmp_path,
-                                                 monkeypatch):
-        run_report(small_config, tmp_path / "serial")
-        monkeypatch.setenv("DAMPEX_THREADS", "4")
-        run_report(small_config, tmp_path / "pooled")
-        assert (tmp_path / "serial" / "summary.json").read_bytes() == \
-            (tmp_path / "pooled" / "summary.json").read_bytes()
 
     def test_exit_contract_failure_is_reported(self, small_config, tmp_path):
         bad = json.loads(json.dumps(small_config))

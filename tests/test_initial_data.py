@@ -80,7 +80,7 @@ class TestMoments:
         # when an integrand defeats the subdivision budget
         from dampex.quadrature import adaptive_1d
         with pytest.raises(QuadratureError) as err:
-            adaptive_1d(lambda x: math.sin(1.0 / (x + 1e-12)), 0.0, 1.0, 1e-13)
+            adaptive_1d(lambda x: np.sin(1.0 / (x + 1e-12)), 0.0, 1.0, 1e-13)
         assert err.value.error_estimate is not None
         assert err.value.error_estimate > 0
 
@@ -169,9 +169,9 @@ def quadrature_transform(v, xi):
     """Brute-force 1-D Fourier transform oracle."""
     from dampex.quadrature import adaptive_1d
     lo, hi = v.axis_interval(0)
-    re = adaptive_1d(lambda y: math.cos(-y * xi[0]) * float(v.values(np.array([y]))),
+    re = adaptive_1d(lambda y: np.cos(-y * xi[0]) * v.values(y[:, None]),
                      lo, hi, 1e-11, abs_floor=1e-12, breakpoints=(0.0,)).value
-    im = adaptive_1d(lambda y: math.sin(-y * xi[0]) * float(v.values(np.array([y]))),
+    im = adaptive_1d(lambda y: np.sin(-y * xi[0]) * v.values(y[:, None]),
                      lo, hi, 1e-11, abs_floor=1e-12, breakpoints=(0.0,)).value
     return complex(re, im)
 

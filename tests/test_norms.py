@@ -14,7 +14,10 @@ from dampex import (Box, FrequencyRegion, Gaussian, GaussianMonomial,
                     moment_table, poly_gaussian_l2_norm, radial_factor_1d,
                     region_l2_norm, residual_norm, symbol_gap_sup_ratio,
                     taylor_remainder_sup_ratio, zero_datum)
-from dampex.quadrature import integrate_radial
+from dampex.expansion import heat_partial_sum
+from dampex.norms import norm_curve, residual_norm_curve
+from dampex.quadrature import (BATCH_POINTS, adaptive_1d, angular_sums,
+                               integrate_radial, sphere_nodes)
 
 from conftest import catalog_1d, catalog_2d, catalog_3d
 
@@ -100,6 +103,122 @@ class TestRegionEngine:
         res = region_l2_norm(lambda pts: sol.evaluate(t, pts),
                              FrequencyRegion.exterior(2.0, 1), 1e-9)
         assert abs(res.value - ref) <= res.error_estimate
+
+
+def _shifted_gaussian(n):
+    return Shifted(base=Gaussian(dimension=n, scale=1.0),
+                   center=(0.5, -0.3, 0.2)[:n], dilation=1.0)
+
+
+def _heat_weighted(poly):
+    return lambda ts, pts: poly(pts) * np.exp(-ts[:, None] * np.sum(pts * pts, axis=-1))
+
+
+class TestPanelEngine:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_increment_curve_follows_homogeneity(self, n, k):
+        # B_k is homogeneous of degree k, so substituting xi = eta/sqrt(t)
+        # gives ||B_k e^{-t|xi|^2}|| = t^{-n/4-k/2} ||B_k e^{-|eta|^2}||
+        poly = build_expansion("B", k, moment_table(_shifted_gaussian(n), k))
+        exact = poly_gaussian_l2_norm(poly)
+        assert exact > 0
+        ts = np.geomspace(1.0, 1e4, 9)
+        curve = norm_curve(_heat_weighted(poly), FrequencyRegion.full(n), ts,
+                           1e-11, inner_scales=1.0 / np.sqrt(ts))
+        assert len(curve) == len(ts)
+        for nrm, t in zip(curve, ts):
+            assert nrm.value == pytest.approx(t ** (-n / 4 - k / 2) * exact,
+                                              rel=1e-9)
+
+    def test_curve_batches_its_integrand_calls(self):
+        # in 1-D a refinement round stays far below the batch cap, so the
+        # call count shows the batching over t alone; in 2-D/3-D the cap
+        # splits rounds by design, in proportion to the number of times
+        n = 1
+        v = _shifted_gaussian(n)
+        partial = heat_partial_sum(moment_table(v, 1), 1)
+        calls = []
+
+        def gap(ts, pts):
+            calls.append(len(pts))
+            s = np.sum(pts * pts, axis=-1)
+            return (v.fourier_transform(pts) - partial(pts)) * np.exp(-ts[:, None] * s)
+
+        ts = np.geomspace(1.0, 1e4, 17)
+        region = FrequencyRegion.full(n)
+        curve = norm_curve(gap, region, ts, 1e-9, inner_scales=1.0 / np.sqrt(ts))
+        curve_calls = len(calls)
+        calls.clear()
+        (first,) = norm_curve(gap, region, ts[:1], 1e-9,
+                              inner_scales=1.0 / np.sqrt(ts[:1]))
+        assert curve_calls <= 3 * len(calls)
+        assert curve[0].value == pytest.approx(first.value, rel=1e-9)
+
+    def test_field_calls_stay_under_the_batch_cap(self):
+        # 17 times on the finest sphere rule: one shell alone is 1152 x 17
+        # values, more than the cap, so its directions go out in slices
+        ts = np.geomspace(1.0, 1e4, 17)
+        sizes = []
+
+        def field(pts):
+            sizes.append(len(pts))
+            return np.exp(-np.multiply.outer(ts, np.sum(pts * pts, axis=-1)))
+
+        dirs, weights = sphere_nodes(24, 48)
+        radii = np.array([0.01, 0.1, 0.5])
+        expected = np.exp(-np.multiply.outer(ts, radii ** 2)) * weights.sum()
+        for rows in (None, len(ts)):
+            sizes.clear()
+            sums = angular_sums(field, radii, dirs, weights, rows)
+            assert max(sizes) * len(ts) <= BATCH_POINTS
+            assert sum(sizes) == len(radii) * len(dirs)
+            np.testing.assert_allclose(sums, expected, rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_residual_curve_matches_single_times(self, n):
+        sol = SpectralSolution(u0=_shifted_gaussian(n),
+                               u1=Box(dimension=n, half_width=0.8))
+        poly = build_expansion("A", 0, moment_table(sol.v, 0))
+        ts = np.geomspace(1.0, 1e3, 5)
+        pts = np.random.default_rng(3).uniform(-2.0, 2.0, (200, n))
+        rows = sol.residual_curve(ts, pts, poly)
+        for row, t in zip(rows, ts):
+            assert np.array_equal(row, sol.residual(t, pts, poly))
+        curve = residual_norm_curve(sol, ts, 1)
+        for nrm, t in zip(curve, ts):
+            assert nrm.value == pytest.approx(residual_norm(sol, t, 1).value,
+                                              rel=1e-9)
+
+    def test_evaluations_count_the_abscissae_received(self):
+        received = []
+
+        def rows(x):
+            received.append(len(x))
+            return np.stack([np.exp(-x * x), np.exp(-100.0 * x * x), np.abs(x)])
+
+        for f, brk in ((lambda x: rows(x)[0], ()), (rows, (0.0,)),
+                       (lambda x: rows(x)[2], (0.3,))):
+            received.clear()
+            res = adaptive_1d(f, -5.0, 5.0, 1e-12, breakpoints=brk)
+            assert res.evaluations == sum(received)
+        assert res.value == pytest.approx(25.0, rel=1e-12)
+
+    def test_accepted_stall_is_flagged(self):
+        # a ripple of amplitude delta that no panel of the budget resolves:
+        # on a flat integrand each panel's estimate is its mean deviation,
+        # so the total floors at about 0.6 delta, between tol and 100 tol
+        tol, delta = 1e-10, 2e-9
+        res = adaptive_1d(lambda x: 1.0 + delta * np.sin(1e5 * x), 0.0, 1.0, tol)
+        assert res.stalled
+        assert tol < res.error_estimate < 100.0 * tol
+        assert res.value == pytest.approx(1.0, rel=1e-10)
+        smooth = adaptive_1d(lambda x: np.exp(-2.0 * x * x), -5.0, 5.0, tol)
+        assert not smooth.stalled
+        gaussian = lambda pts: np.exp(-2.0 * np.sum(pts * pts, axis=-1))
+        radial = integrate_radial(gaussian, 2, 0.0, 8.0, tol)
+        assert not radial.stalled
+        assert radial.value == pytest.approx(math.pi / 2.0, rel=1e-9)
 
 
 class TestGaussianMonomialIntegrals:
