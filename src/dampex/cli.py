@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -40,6 +42,16 @@ def _parse_floats(text):
         raise ConfigError(f"bad float list {text!r}") from exc
 
 
+def _parse_times(text, positive):
+    """The ``--t`` list: finite times, each > 0 if ``positive`` else >= 0."""
+    ts = _parse_floats(text)
+    for t in ts:
+        if not (math.isfinite(t) and (t > 0 if positive else t >= 0)):
+            raise ConfigError(f"bad time {t!r} in {text!r}: times must be "
+                              f"finite and {'> 0' if positive else '>= 0'}")
+    return ts
+
+
 def _parse_region(text, dimension):
     kind, _, rest = text.partition(":")
     try:
@@ -68,7 +80,17 @@ def _parse_xi_grid(text, dimension):
     except ValueError as exc:
         raise ConfigError(f"bad xi grid {text!r}: {exc}") from exc
     grids = np.meshgrid(*([axis] * dimension), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return axis, np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def _grid_coordinates(axis, dimension):
+    """The CSV text of every point of ``_parse_xi_grid``, in its ``ij`` order
+    (first axis slowest).  Each axis value is formatted once."""
+    values = [repr(c) for c in axis.tolist()]
+    coords = values
+    for _ in range(dimension - 1):
+        coords = [f"{head},{c}" for head in coords for c in values]
+    return coords
 
 
 def cmd_moments(args):
@@ -91,21 +113,24 @@ def cmd_moments(args):
 def cmd_solve(args):
     u0, u1 = pair_from_config(_read_json(args.data))
     sol = SpectralSolution(u0=u0, u1=u1)
-    ts = _parse_floats(args.t)
-    pts = _parse_xi_grid(args.xi_grid, sol.dimension)
+    ts = _parse_times(args.t, positive=False)
+    axis, pts = _parse_xi_grid(args.xi_grid, sol.dimension)
     rep = None if args.rep == "auto" else args.rep
-    rows = ["t," + ",".join(f"xi{j + 1}" for j in range(sol.dimension))
-            + ",re,im"]
-    for t in ts:
-        vals = sol.evaluate(t, pts, rep=rep)
-        for p, val in zip(pts, vals):
-            coords = ",".join(repr(float(c)) for c in p)
-            rows.append(f"{t!r},{coords},{float(val.real)!r},{float(val.imag)!r}")
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    # every value is computed before the first byte is written, so a failed
+    # evaluation leaves no partial output; without times nothing is
+    # evaluated and the header is written alone
+    vals = sol.evaluate(np.asarray(ts), pts, rep=rep) if ts else ()
+    coords = _grid_coordinates(axis, sol.dimension)
+    header = ("t," + ",".join(f"xi{j + 1}" for j in range(sol.dimension))
+              + ",re,im\n")
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as handle:
+        handle.write(header)
+        for t, row in zip(ts, vals):
+            head = repr(t)
+            handle.write("".join([
+                f"{head},{c},{re!r},{im!r}\n" for c, re, im
+                in zip(coords, row.real.tolist(), row.imag.tolist())]))
     return 0
 
 
@@ -137,7 +162,7 @@ def cmd_norm(args):
     sol = SpectralSolution(u0=u0, u1=u1)
     region = _parse_region(args.region, sol.dimension)
     rows = []
-    for t in _parse_floats(args.t):
+    for t in _parse_times(args.t, positive=True):
         res = residual_norm(sol, t, args.k, region, tol=args.tol)
         rows.append({"t": t, "norm": res.value,
                      "error_estimate": res.error_estimate,

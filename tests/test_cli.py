@@ -1,10 +1,14 @@
 """CLI surface: every subcommand exercised end to end."""
 
 import json
+import sys
 
+import numpy as np
 import pytest
 
 from dampex.cli import main
+from dampex.initial_data import pair_from_config
+from dampex.spectral import SpectralSolution
 
 
 @pytest.fixture()
@@ -73,6 +77,106 @@ def test_solve_regular_representation_covers_band(pair_cfg, tmp_path):
     rc = main(["solve", "--data", pair_cfg, "--t", "1.0",
                "--xi-grid", "lin:-1,1,3", "--rep", "2.4", "--out", str(out)])
     assert rc == 0
+
+
+def _reference_solve_csv(pair, ts, grid, rep):
+    """The ``solve`` CSV as the original row loop wrote it: one ``evaluate``
+    call per time, every coordinate and value formatted row by row."""
+    u0, u1 = pair_from_config(pair)
+    sol = SpectralSolution(u0=u0, u1=u1)
+    lo, hi, count = grid.partition(":")[2].split(",")
+    axis = np.linspace(float(lo), float(hi), int(count))
+    grids = np.meshgrid(*([axis] * sol.dimension), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    rows = ["t," + ",".join(f"xi{j + 1}" for j in range(sol.dimension))
+            + ",re,im"]
+    for t in ts:
+        vals = sol.evaluate(t, pts, rep=None if rep == "auto" else rep)
+        for p, val in zip(pts, vals):
+            coords = ",".join(repr(float(c)) for c in p)
+            rows.append(f"{t!r},{coords},{float(val.real)!r},{float(val.imag)!r}")
+    return ("\n".join(rows) + "\n").encode("utf-8")
+
+
+# 0.0 and negative coordinates on every grid; t = 720 drives e^{-t} terms
+# into subnormals and e^{-t|xi|^2} to 0.0 away from the origin
+_SOLVE_GRIDS = {1: "lin:-2,2,41", 2: "lin:-2,2,11", 3: "lin:-1.5,1.5,7"}
+_SOLVE_TIMES = [0.0, 0.37, 5.0, 720.0]
+
+
+@pytest.mark.parametrize("rep", ["auto", "2.4"])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_solve_csv_is_byte_identical_to_the_row_loop(dimension, rep, tmp_path,
+                                                     capsys):
+    center = [0.4, -0.3, 0.25][:dimension]
+    pair = {"dimension": dimension,
+            "u0": {"family": "shifted", "center": center,
+                   "base": {"family": "gaussian", "scale": 1.0}},
+            "u1": {"family": "gaussian", "scale": 0.7, "amplitude": 1.3}}
+    cfg = tmp_path / "pair.json"
+    cfg.write_text(json.dumps(pair), encoding="utf-8")
+    grid = _SOLVE_GRIDS[dimension]
+    argv = ["solve", "--data", str(cfg), "--t", ",".join(map(repr, _SOLVE_TIMES)),
+            "--xi-grid", grid, "--rep", rep]
+    expected = _reference_solve_csv(pair, _SOLVE_TIMES, grid, rep)
+    rows = [line.split(",") for line in expected.decode().splitlines()[1:]]
+    coords = {float(c) for row in rows for c in row[1:1 + dimension]}
+    values = [float(x) for row in rows for x in row[-2:]]
+    assert 0.0 in coords and min(coords) < 0
+    assert any(float(row[-1]) != 0.0 for row in rows)
+    assert 0.0 in values
+    assert any(0 < abs(v) < sys.float_info.min for v in values)
+
+    out = tmp_path / "sol.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+def test_solve_without_times_writes_the_header_alone(pair_cfg, tmp_path):
+    out = tmp_path / "sol.csv"
+    rc = main(["solve", "--data", pair_cfg, "--t", "",
+               "--xi-grid", "lin:-1,1,3", "--rep", "2.2", "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == b"t,xi1,re,im\n"
+
+
+def test_solve_singular_representation_leaves_no_output(pair_cfg, tmp_path,
+                                                        capsys):
+    out = tmp_path / "x.csv"
+    argv = ["solve", "--data", pair_cfg, "--t", "0.5,1.0",
+            "--xi-grid", "lin:-1,1,3", "--rep", "2.2"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("times", ["-1", "nan", "inf", "1.0,-0.5"])
+def test_solve_rejects_bad_times_before_writing(pair_cfg, tmp_path, capsys,
+                                                times):
+    out = tmp_path / "x.csv"
+    rc = main(["solve", "--data", pair_cfg, "--t", times,
+               "--xi-grid", "lin:-1,1,3", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "bad time" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("times", ["0", "-1", "nan", "inf", "10,0"])
+def test_norm_rejects_bad_times_before_writing(pair_cfg, tmp_path, capsys,
+                                               times):
+    out = tmp_path / "norms.csv"
+    argv = ["norm", "--data", pair_cfg, "--t", times, "--k", "0"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad time" in captured.err
 
 
 def test_expansion_subcommand_terms_and_canonical(datum_cfg, capsys):
