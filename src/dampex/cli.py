@@ -76,7 +76,10 @@ def _parse_xi_grid(text, dimension):
         raise ConfigError(f"bad xi grid {text!r}; use lin:lo,hi,count")
     try:
         lo, hi, count = rest.split(",")
-        axis = np.linspace(float(lo), float(hi), int(count))
+        lo, hi = float(lo), float(hi)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("bounds must be finite")
+        axis = np.linspace(lo, hi, int(count))
     except ValueError as exc:
         raise ConfigError(f"bad xi grid {text!r}: {exc}") from exc
     grids = np.meshgrid(*([axis] * dimension), indexing="ij")
@@ -248,6 +251,10 @@ def main(argv=None) -> int:
         return 2
     except DampexError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except OSError as exc:
+        # reading inputs raises ConfigError, so this is an output failing
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
         return 2
 
 

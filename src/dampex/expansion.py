@@ -45,6 +45,41 @@ class Term:
         return self.radial_power + degree(self.monomial)
 
 
+class PointSample:
+    """Points (m, n) with the factors every compensated evaluation over
+    them shares, each computed once and rounded as the scalar arithmetic
+    ``float(p @ p)`` and ``float ** int`` round it.  numpy's ``**`` and
+    ``np.sum(p * p)`` can differ from those in the last bit."""
+
+    def __init__(self, points):
+        pts = self.points = np.asarray(points, dtype=float)
+        # one BLAS dot per row, as ``p @ p``
+        self.norm_sq = np.matmul(pts[:, None, :], pts[:, :, None])[:, 0, 0]
+        self._tables = {}
+
+    def _powers(self, axis, exponents, absolute=False):
+        """x**e at every point (columns) for each e of ``exponents`` (rows),
+        x the coordinate ``axis`` or, for axis -1, |xi|^2."""
+        table = self._tables.get((axis, absolute), ())
+        top = exponents.max(initial=0)
+        if len(table) <= top:
+            base = (self.norm_sq if axis < 0 else self.points[:, axis])
+            base = base.tolist()
+            if absolute:
+                base = [abs(x) for x in base]
+            table = self._tables[axis, absolute] = np.array(
+                [[x ** e for x in base] for e in range(top + 1)])
+        return table[exponents]
+
+    def factors(self, half_powers, exponents, absolute=False):
+        """|xi|^(2h) and xi^alpha (|xi|^alpha if ``absolute``) for each term
+        (h, alpha), at every point; the axis factors multiply in axis order."""
+        mono = self._powers(0, exponents[:, 0], absolute)
+        for j in range(1, exponents.shape[1]):
+            mono = mono * self._powers(j, exponents[:, j], absolute)
+        return self._powers(-1, half_powers), mono
+
+
 @dataclass(frozen=True, eq=False)
 class ExpansionPolynomial:
     kind: str
@@ -57,7 +92,7 @@ class ExpansionPolynomial:
         batch (shape (m, n), vectorized)."""
         pts = np.asarray(xi, dtype=float)
         if pts.ndim == 1:
-            return self._eval_point(pts)
+            return self.compensated(self._one_point(pts))[0]
         s = np.sum(pts * pts, axis=-1)
         acc = np.zeros(pts.shape[:-1], dtype=complex)
         for t in self.terms:
@@ -68,31 +103,48 @@ class ExpansionPolynomial:
             acc = acc + t.coefficient * s ** (t.radial_power // 2) * mono
         return acc
 
-    def _eval_point(self, pt) -> complex:
-        if pt.shape != (self.dimension,):
-            raise ValueError("point length must equal the dimension")
-        s = float(pt @ pt)
-        re, im = [], []
-        for t in self.terms:
-            mono = 1.0
-            for j, a in enumerate(t.monomial):
-                if a:
-                    mono *= float(pt[j]) ** a
-            val = t.coefficient * s ** (t.radial_power // 2) * mono
-            re.append(val.real)
-            im.append(val.imag)
-        return complex(math.fsum(re), math.fsum(im))
-
     def magnitude(self, xi) -> float:
         """Sum of absolute term values at a point: the roundoff unit of an
         evaluation, robust against cancellation across terms."""
+        return self.magnitudes(self._one_point(xi))[0]
+
+    def _one_point(self, xi) -> PointSample:
         pt = np.asarray(xi, dtype=float)
-        s = float(pt @ pt)
-        return math.fsum(
-            abs(t.coefficient) * s ** (t.radial_power // 2)
-            * math.prod(abs(float(pt[j])) ** a
-                        for j, a in enumerate(t.monomial) if a)
-            for t in self.terms)
+        if pt.shape != (self.dimension,):
+            raise ValueError("point length must equal the dimension")
+        return PointSample(pt[None, :])
+
+    def compensated(self, sample: PointSample) -> list[complex]:
+        """The value at every point of ``sample``: real and imaginary parts
+        are each the correctly rounded sum (``math.fsum``) of the term
+        values coefficient * |xi|^p * xi^alpha at that point."""
+        re, im, _, half, exps = self._layout
+        radial, mono = sample.factors(half, exps)
+        # real arithmetic per part, in the order of the complex scalar
+        # product (coefficient * |xi|^p) * xi^alpha
+        return [complex(math.fsum(r), math.fsum(i)) for r, i in zip(
+            ((re[:, None] * radial) * mono).T.tolist(),
+            ((im[:, None] * radial) * mono).T.tolist())]
+
+    def magnitudes(self, sample: PointSample) -> list[float]:
+        """``magnitude`` at every point of ``sample``."""
+        _, _, absolute, half, exps = self._layout
+        radial, mono = sample.factors(half, exps, absolute=True)
+        return [math.fsum(col)
+                for col in ((absolute[:, None] * radial) * mono).T.tolist()]
+
+    @cached_property
+    def _layout(self):
+        """Per-term real and imaginary coefficient parts, absolute
+        coefficients, half radial powers and monomial exponents
+        (terms x dimension)."""
+        coeffs = [complex(t.coefficient) for t in self.terms]
+        return (np.array([c.real for c in coeffs]),
+                np.array([c.imag for c in coeffs]),
+                np.array([abs(c) for c in coeffs]),
+                np.array([t.radial_power // 2 for t in self.terms], dtype=int),
+                np.array([t.monomial for t in self.terms],
+                         dtype=int).reshape(len(self.terms), self.dimension))
 
     @cached_property
     def canonical(self) -> tuple[tuple[Alpha, complex], ...]:
@@ -208,18 +260,15 @@ def _sample_matrix(xi_sample, dimension):
 def check_property_A(table: MomentTable, k: int, xi_sample,
                      tolerance=1e-12) -> PropertyReport:
     """Additivity: profile_k(xi) == profile_{k-1}(xi) + increment_k(xi)."""
-    pts = _sample_matrix(xi_sample, table.dimension)
+    sample = PointSample(_sample_matrix(xi_sample, table.dimension))
     a_k = build_expansion("A", k, table)
     a_prev = build_expansion("A", k - 1, table)
     b_k = build_expansion("B", k, table)
-    devs, scales = [], [1.0]
-    for p in pts:
-        lhs = a_k(p)
-        rhs = a_prev(p) + b_k(p)
-        devs.append(abs(lhs - rhs))
-        scales.append(a_k.magnitude(p))
-    scale = max(scales)
-    return PropertyReport(name="additivity", order=k, sample_size=len(pts),
+    devs = [abs(lhs - (prev + inc)) for lhs, prev, inc in zip(
+        a_k.compensated(sample), a_prev.compensated(sample),
+        b_k.compensated(sample))]
+    scale = max([1.0] + a_k.magnitudes(sample))
+    return PropertyReport(name="additivity", order=k, sample_size=len(devs),
                           max_deviation=max(devs) / scale, scale=scale,
                           tolerance=tolerance)
 
@@ -229,18 +278,15 @@ def check_property_B(table: MomentTable, k: int, xi_sample,
     """Recurrence: increment_k(xi) == |xi|^2 increment_{k-2}(xi) + top layer."""
     if k < 2:
         raise ValueError("the recurrence needs k >= 2")
-    pts = _sample_matrix(xi_sample, table.dimension)
+    sample = PointSample(_sample_matrix(xi_sample, table.dimension))
     b_k = build_expansion("B", k, table)
     b_prev = build_expansion("B", k - 2, table)
     top = build_expansion("C", k, table)
-    devs, scales = [], [1.0]
-    for p in pts:
-        lhs = b_k(p)
-        rhs = float(p @ p) * b_prev(p) + top(p)
-        devs.append(abs(lhs - rhs))
-        scales.append(b_k.magnitude(p))
-    scale = max(scales)
-    return PropertyReport(name="recurrence", order=k, sample_size=len(pts),
+    devs = [abs(lhs - (s * prev + flat)) for lhs, s, prev, flat in zip(
+        b_k.compensated(sample), sample.norm_sq.tolist(),
+        b_prev.compensated(sample), top.compensated(sample))]
+    scale = max([1.0] + b_k.magnitudes(sample))
+    return PropertyReport(name="recurrence", order=k, sample_size=len(devs),
                           max_deviation=max(devs) / scale, scale=scale,
                           tolerance=tolerance)
 
@@ -253,14 +299,12 @@ def check_property_C(poly: ExpansionPolynomial, c: float, xi_sample,
     if c <= 0:
         raise ValueError("c must be positive")
     pts = _sample_matrix(xi_sample, poly.dimension)
-    devs, scales = [], [1e-300]
-    for p in pts:
-        lhs = poly(p / c)
-        rhs = c ** (-poly.order) * poly(p)
-        devs.append(abs(lhs - rhs))
-        scales.append(max(poly.magnitude(p / c),
-                          c ** (-poly.order) * poly.magnitude(p)))
-    scale = max(scales)
+    sample, scaled = PointSample(pts), PointSample(pts / c)
+    factor = c ** (-poly.order)
+    devs = [abs(lhs - factor * val) for lhs, val in zip(
+        poly.compensated(scaled), poly.compensated(sample))]
+    scale = max([1e-300] + [max(lhs, factor * val) for lhs, val in zip(
+        poly.magnitudes(scaled), poly.magnitudes(sample))])
     return PropertyReport(name="homogeneity", order=poly.order,
                           sample_size=len(pts), max_deviation=max(devs) / scale,
                           scale=scale, tolerance=tolerance)

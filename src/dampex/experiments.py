@@ -373,8 +373,11 @@ def default_config() -> dict:
 
 
 def load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        cfg = json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            cfg = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read JSON config {path}: {exc}") from exc
     validate_config(cfg)
     return cfg
 

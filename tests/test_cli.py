@@ -179,6 +179,45 @@ def test_norm_rejects_bad_times_before_writing(pair_cfg, tmp_path, capsys,
     assert captured.out == "" and "bad time" in captured.err
 
 
+@pytest.mark.parametrize("grid", ["lin:-1,nan,3", "lin:-inf,1,3"])
+def test_solve_rejects_non_finite_grid_bounds(pair_cfg, tmp_path, capsys,
+                                              grid):
+    out = tmp_path / "x.csv"
+    argv = ["solve", "--data", pair_cfg, "--t", "1.0", "--xi-grid", grid]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bounds must be finite" in captured.err
+
+
+@pytest.mark.parametrize("command", ["moments", "solve", "expansion", "norm"])
+def test_unwritable_out_exits_2(command, datum_cfg, pair_cfg, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    argv = {"moments": ["--data", datum_cfg, "--max-order", "1"],
+            "solve": ["--data", pair_cfg, "--t", "1.0",
+                      "--xi-grid", "lin:-1,1,3"],
+            "expansion": ["--data", datum_cfg, "--kind", "A", "--k", "1"],
+            "norm": ["--data", pair_cfg, "--t", "100", "--k", "0"]}[command]
+    assert main([command, *argv, "--out", str(out)]) == 2
+    assert not out.parent.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output: ")
+    assert str(out) in captured.err and captured.err.count("\n") == 1
+
+
+def test_report_unreadable_config_or_out_dir_exits_2(tmp_path, capsys):
+    assert main(["report", "--config", str(tmp_path / "missing.json"),
+                 "--out-dir", str(tmp_path / "r")]) == 2
+    assert "config error" in capsys.readouterr().err
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["report", "--out-dir", str(blocker / "r")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+
 def test_expansion_subcommand_terms_and_canonical(datum_cfg, capsys):
     rc = main(["expansion", "--data", datum_cfg, "--kind", "B", "--k", "2",
                "--print", "canonical"])

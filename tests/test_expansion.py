@@ -1,5 +1,7 @@
 """Expansion polynomials: builders, identities, canonical structure."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 from dampex import (Box, Gaussian, InsufficientOrderError, Shifted,
                     build_expansion, check_property_A, check_property_B,
                     check_property_C, combine, heat_partial_sum,
-                    inverse_transform_terms, moment_table, sample_ball)
+                    inverse_transform_terms, moment_table, property_suite,
+                    sample_ball)
+from dampex.expansion import ExpansionPolynomial, PointSample, PropertyReport
 
 from conftest import catalog_1d, catalog_2d, catalog_3d
 
@@ -149,6 +153,151 @@ def test_homogeneity_for_random_scales(c, k, seed):
     pts = _sample(2, 25, seed=seed)
     rep = check_property_C(poly, c, pts, tolerance=1e-12)
     assert rep.passed, rep.max_deviation
+
+
+# The per-point evaluation the compensated batch replaced, kept as the
+# reference: one point at a time, term by term, then math.fsum.
+
+def _ref_value(poly, pt):
+    s = float(pt @ pt)
+    re, im = [], []
+    for t in poly.terms:
+        mono = 1.0
+        for j, a in enumerate(t.monomial):
+            if a:
+                mono *= float(pt[j]) ** a
+        val = t.coefficient * s ** (t.radial_power // 2) * mono
+        re.append(val.real)
+        im.append(val.imag)
+    return complex(math.fsum(re), math.fsum(im))
+
+
+def _ref_magnitude(poly, pt):
+    s = float(pt @ pt)
+    return math.fsum(
+        abs(t.coefficient) * s ** (t.radial_power // 2)
+        * math.prod(abs(float(pt[j])) ** a
+                    for j, a in enumerate(t.monomial) if a)
+        for t in poly.terms)
+
+
+def _ref_check_A(table, k, pts, tolerance):
+    a_k = build_expansion("A", k, table)
+    a_prev = build_expansion("A", k - 1, table)
+    b_k = build_expansion("B", k, table)
+    devs, scales = [], [1.0]
+    for p in pts:
+        lhs = _ref_value(a_k, p)
+        rhs = _ref_value(a_prev, p) + _ref_value(b_k, p)
+        devs.append(abs(lhs - rhs))
+        scales.append(_ref_magnitude(a_k, p))
+    scale = max(scales)
+    return PropertyReport(name="additivity", order=k, sample_size=len(pts),
+                          max_deviation=max(devs) / scale, scale=scale,
+                          tolerance=tolerance)
+
+
+def _ref_check_B(table, k, pts, tolerance):
+    b_k = build_expansion("B", k, table)
+    b_prev = build_expansion("B", k - 2, table)
+    top = build_expansion("C", k, table)
+    devs, scales = [], [1.0]
+    for p in pts:
+        lhs = _ref_value(b_k, p)
+        rhs = float(p @ p) * _ref_value(b_prev, p) + _ref_value(top, p)
+        devs.append(abs(lhs - rhs))
+        scales.append(_ref_magnitude(b_k, p))
+    scale = max(scales)
+    return PropertyReport(name="recurrence", order=k, sample_size=len(pts),
+                          max_deviation=max(devs) / scale, scale=scale,
+                          tolerance=tolerance)
+
+
+def _ref_check_C(poly, c, pts, tolerance):
+    devs, scales = [], [1e-300]
+    for p in pts:
+        lhs = _ref_value(poly, p / c)
+        rhs = c ** (-poly.order) * _ref_value(poly, p)
+        devs.append(abs(lhs - rhs))
+        scales.append(max(_ref_magnitude(poly, p / c),
+                          c ** (-poly.order) * _ref_magnitude(poly, p)))
+    scale = max(scales)
+    return PropertyReport(name="homogeneity", order=poly.order,
+                          sample_size=len(pts), max_deviation=max(devs) / scale,
+                          scale=scale, tolerance=tolerance)
+
+
+def _identity_sample(dimension):
+    """Points near the origin and out to |xi| = 20: the origin, +-20 on the
+    axes, and points with one exact 0.0 coordinate."""
+    near = _sample(dimension, 12, seed=11, radius=2.0)
+    far = _sample(dimension, 12, seed=12, radius=20.0)
+    zeroed = np.concatenate([near[:dimension], far[:dimension]])
+    for j in range(dimension):
+        zeroed[j, j] = zeroed[dimension + j, j] = 0.0
+    axes = np.zeros((3, dimension))
+    axes[0, 0], axes[1, -1] = 20.0, -20.0
+    return np.concatenate([near, far, zeroed, axes])
+
+
+class TestCompensatedBatch:
+    @pytest.mark.parametrize("v", catalog_1d() + catalog_2d() + catalog_3d(),
+                             ids=lambda v: f"{v.family}{v.dimension}d")
+    def test_checks_are_bitwise_the_per_point_loops(self, v):
+        table = moment_table(v, 6)
+        pts = _identity_sample(v.dimension)
+        sample = PointSample(pts)
+        for k in range(7):
+            for kind in ("A", "B", "C"):
+                poly = build_expansion(kind, k, table)
+                values = [_ref_value(poly, p) for p in pts]
+                magnitudes = [_ref_magnitude(poly, p) for p in pts]
+                assert poly.compensated(sample) == values, (kind, k)
+                assert poly.magnitudes(sample) == magnitudes, (kind, k)
+                assert [poly(p) for p in pts] == values, (kind, k)
+                assert [poly.magnitude(p) for p in pts] == magnitudes, (kind, k)
+            assert check_property_A(table, k, pts, 1e-12) == \
+                _ref_check_A(table, k, pts, 1e-12)
+            if k >= 2:
+                assert check_property_B(table, k, pts, 1e-12) == \
+                    _ref_check_B(table, k, pts, 1e-12)
+            b_k = build_expansion("B", k, table)
+            for c in (0.1, 2.0, 10.0):
+                assert check_property_C(b_k, c, pts, 1e-12) == \
+                    _ref_check_C(b_k, c, pts, 1e-12), (k, c)
+
+    def test_single_points_must_match_the_dimension(self, gaussian_1d):
+        poly = build_expansion("A", 2, moment_table(gaussian_1d, 2))
+        for method in (poly, poly.magnitude):
+            with pytest.raises(ValueError, match="dimension"):
+                method(np.array([1.0, 2.0]))
+
+    def test_property_suite_evaluations_do_not_grow_with_the_sample(
+            self, monkeypatch):
+        calls = {"batch": 0, "call": 0}
+
+        def counting(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        for attr in ("compensated", "magnitudes"):
+            monkeypatch.setattr(ExpansionPolynomial, attr, counting(
+                "batch", getattr(ExpansionPolynomial, attr)))
+        monkeypatch.setattr(ExpansionPolynomial, "__call__", counting(
+            "call", ExpansionPolynomial.__call__))
+        v = Shifted(base=Gaussian(dimension=2, scale=1.0), center=(0.4, -0.3),
+                    dilation=1.0)
+        counts = []
+        for size in (100, 1000):
+            calls.update(batch=0, call=0)
+            reports = property_suite(v, 4, np.random.default_rng(3),
+                                     sample_size=size)
+            assert all(r.sample_size == size for r in reports)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["batch"] > 0 and counts[0]["call"] == 0
 
 
 class TestStructure:
