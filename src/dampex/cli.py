@@ -52,6 +52,11 @@ def _parse_times(text, positive):
     return ts
 
 
+def _check_order(value, least, flag):
+    if value < least:
+        raise ConfigError(f"bad {flag} {value}: must be >= {least}")
+
+
 def _parse_region(text, dimension):
     kind, _, rest = text.partition(":")
     try:
@@ -97,6 +102,7 @@ def _grid_coordinates(axis, dimension):
 
 
 def cmd_moments(args):
+    _check_order(args.max_order, 0, "--max-order")
     datum = datum_or_pair_sum(_read_json(args.data))
     gammas = _parse_floats(args.gammas) if args.gammas else []
     table = moment_table(datum, args.max_order, gammas=gammas)
@@ -138,6 +144,8 @@ def cmd_solve(args):
 
 
 def cmd_expansion(args):
+    # A_{-1} is the zero polynomial; every other order starts at 0
+    _check_order(args.k, -1 if args.kind == "A" else 0, "--k")
     datum = datum_or_pair_sum(_read_json(args.data))
     table = moment_table(datum, max(args.k, 0))
     poly = build_expansion(args.kind, args.k, table)
@@ -161,6 +169,9 @@ def cmd_expansion(args):
 
 
 def cmd_norm(args):
+    _check_order(args.k, 0, "--k")
+    if not (math.isfinite(args.tol) and 0.0 < args.tol < 1.0):
+        raise ConfigError(f"bad --tol {args.tol!r}: must be finite, > 0 and < 1")
     u0, u1 = pair_from_config(_read_json(args.data))
     sol = SpectralSolution(u0=u0, u1=u1)
     region = _parse_region(args.region, sol.dimension)

@@ -41,6 +41,8 @@ class FrequencyRegion:
             raise ValueError("unknown region kind")
         if self.dimension not in (1, 2, 3):
             raise ValueError("supported dimensions are 1, 2, 3")
+        if math.isnan(self.r_lo) or math.isnan(self.r_hi):
+            raise ValueError("radii must not be NaN")
         if self.r_lo < 0 or self.r_hi <= self.r_lo:
             raise ValueError("radii must be positive and ordered")
 
@@ -111,7 +113,7 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
     tail = np.zeros(len(ts))
     if not region.bounded:
         start = max([4.0, 2.0 * lo] + [4.0 * s for s in scales if s])
-        hi, tail = truncation_radius(field, n, start)
+        hi, tail = truncation_radius(field, n, start, rows=len(ts))
         if hi <= lo:
             return [RegionNorm(0.0, math.sqrt(e), 0, region) for e in tail]
 
@@ -124,7 +126,7 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
         evaluations = 2 * res.evaluations
     else:
         res = integrate_radial(field, n, lo, hi, tol, extra_breakpoints=brk,
-                               abs_floor=abs_floor)
+                               abs_floor=abs_floor, rows=len(ts))
         evaluations = res.evaluations
     out = []
     for total, err2 in zip(res.value, res.error_estimate + tail):

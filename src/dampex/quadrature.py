@@ -21,6 +21,13 @@ that is sampled in slices of its directions.  This keeps memory flat.  A
 bare 1-D integrand receives the 21 nodes of at most QUAD_LIMIT panels per
 call.
 
+Each angular rule and each set of truncation probe directions is built
+once per process, on first use, and kept as read-only arrays; a rule
+choice builds only the levels it visits.  A caller that knows how many
+rows its field returns passes ``rows`` down, so the shell sampler batches
+from the first call; without it, the first shell is probed at a single
+point to learn the row count.
+
 Only the nested tensor integration behind weighted L1 norms and
 brute-force oracles still runs scipy's scalar adaptive ``quad``.
 """
@@ -28,6 +35,7 @@ brute-force oracles still runs scipy's scalar adaptive ``quad``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy import integrate
@@ -234,13 +242,32 @@ def sphere_nodes(m_polar, m_azim):
     return dirs, weights
 
 
+# the angular rules of each dimension, coarsest first: circle node counts,
+# sphere (polar, azimuthal) node counts
+_LEVEL_SIZES = {2: (16, 32, 64, 128, 256, 512),
+                3: ((6, 12), (8, 16), (12, 24), (16, 32), (24, 48))}
+
+
+def _level_count(dimension):
+    if dimension not in _LEVEL_SIZES:
+        raise ValueError("angular rules exist for dimension 2 and 3 only")
+    return len(_LEVEL_SIZES[dimension])
+
+
+@cache
+def _angular_rule(dimension, level):
+    """(dirs, weights) of angular rule ``level`` (0 the coarsest)."""
+    size = _LEVEL_SIZES[dimension][level]
+    rule = circle_nodes(size) if dimension == 2 else sphere_nodes(*size)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
+
+
 def _angular_levels(dimension):
-    if dimension == 2:
-        return [circle_nodes(m) for m in (16, 32, 64, 128, 256, 512)]
-    if dimension == 3:
-        return [sphere_nodes(mp, ma) for mp, ma in
-                ((6, 12), (8, 16), (12, 24), (16, 32), (24, 48))]
-    raise ValueError("angular rules exist for dimension 2 and 3 only")
+    """Every angular rule of ``dimension``, coarsest first."""
+    return [_angular_rule(dimension, level)
+            for level in range(_level_count(dimension))]
 
 
 def _sample(field, pts, rows):
@@ -285,47 +312,46 @@ def angular_sums(field, radii, dirs, weights, rows=None):
     return _on_shells(field, radii, dirs, lambda vals: vals @ weights, rows)
 
 
-def choose_angular_rule(field, dimension, probe_radii, tol):
+def choose_angular_rule(field, dimension, probe_radii, tol, *, rows=None):
     """Pick the coarsest angular rule whose shell integrals have stabilised.
 
     ``field`` maps an (m, n) array of points to nonnegative reals of shape
     (m,), or (T, m) for T fields at once; every row must have stabilised.
     The rule is fixed for the whole subsequent radial integration, keeping
     the radial integrand smooth and the result deterministic.  Returns
-    (dirs, weights, stabilisation_error), the error per row.
+    (dirs, weights, stabilisation_error), the error per row.  ``rows`` is
+    the row count of ``field`` when the caller knows it.
     """
-    levels = _angular_levels(dimension)
+    levels = range(_level_count(dimension))
     prev = None
-    prev_rule = levels[0]
     delta = 0.0
-    rows = None
-    for rule in levels:
-        dirs, weights = rule
+    for level in levels:
+        dirs, weights = _angular_rule(dimension, level)
         shell = angular_sums(field, probe_radii, dirs, weights, rows)
         rows = _rows(shell)
         if prev is not None:
             scale = np.maximum(np.max(np.abs(shell), axis=-1), 1e-300)
             delta = _scalar_or_rows(np.max(np.abs(shell - prev), axis=-1))
             if np.all(delta <= np.maximum(tol * scale, 1e-306)):
-                return prev_rule[0], prev_rule[1], delta
+                return *_angular_rule(dimension, level - 1), delta
         prev = shell
-        prev_rule = rule
     # never stabilised: keep the finest rule and report the last gap
-    dirs, weights = levels[-1]
-    return dirs, weights, delta
+    return *_angular_rule(dimension, levels[-1]), delta
 
 
 # ---------------------------------------------------------------------------
 # truncation of unbounded domains
 
 
+@cache
 def _probe_directions(dimension):
     if dimension == 1:
-        return np.array([[1.0], [-1.0]])
-    if dimension == 2:
+        dirs = np.array([[1.0], [-1.0]])
+    elif dimension == 2:
         dirs, _ = circle_nodes(8)
-        return dirs
-    dirs, _ = sphere_nodes(4, 6)
+    else:
+        dirs, _ = sphere_nodes(4, 6)
+    dirs.setflags(write=False)
     return dirs
 
 
@@ -333,8 +359,8 @@ def _surface(dimension, r):
     return {1: 2.0, 2: 2.0 * np.pi * r, 3: 4.0 * np.pi * r**2}[dimension]
 
 
-def truncation_radius(field, dimension, start, *, rel_floor=TRUNCATION_FLOOR,
-                      growth=1.5, cap=512.0):
+def truncation_radius(field, dimension, start, *, rows=None,
+                      rel_floor=TRUNCATION_FLOOR, growth=1.5, cap=512.0):
     """Radius beyond which ``field`` is negligible relative to its peak.
 
     Probes geometric shells along fixed directions; also returns a crude
@@ -343,10 +369,10 @@ def truncation_radius(field, dimension, start, *, rel_floor=TRUNCATION_FLOOR,
     integrands (sinc-type transforms) cannot hide a crest between probes.
     A field with T rows is probed for every row in one call per shell; the
     radius is the largest any row needs and the tail bound has one entry
-    per row.
+    per row.  ``rows`` is the row count of ``field`` when the caller knows
+    it.
     """
     dirs = _probe_directions(dimension)
-    rows = None
 
     def shell_max(radii):
         nonlocal rows
@@ -379,16 +405,18 @@ def truncation_radius(field, dimension, start, *, rel_floor=TRUNCATION_FLOOR,
 
 
 def integrate_radial(field, dimension, lo, hi, tol, *, extra_breakpoints=(),
-                     abs_floor=1e-300) -> QuadResult:
+                     abs_floor=1e-300, rows=None) -> QuadResult:
     """Integral of ``field`` over the shell lo <= |x| <= hi in R^2 or R^3.
 
     ``field`` must accept an (m, n) array of points and return (m,) values,
-    or (T, m) for T integrals on shared panels.  Each panel round samples
-    its radial nodes x angular directions together.
+    or (T, m) for T integrals on shared panels, T = ``rows`` when the
+    caller knows it.  Each panel round samples its radial nodes x angular
+    directions together.
     """
     brk = radial_breakpoints(lo, hi, extra=extra_breakpoints)
     probe_radii = _probe_list(lo, hi, brk)
-    dirs, weights, angular_delta = choose_angular_rule(field, dimension, probe_radii, tol / 5.0)
+    dirs, weights, angular_delta = choose_angular_rule(
+        field, dimension, probe_radii, tol / 5.0, rows=rows)
     rows = np.size(angular_delta)
 
     def shell(r):
@@ -444,9 +472,3 @@ def nested_cartesian(field, bounds, tol, *, breakpoints=None, abs_floor=1e-300) 
     total = level(0, ())
     # the per-level tolerance compounds roughly linearly with the depth
     return QuadResult(total, abs(total) * tol * n + abs_floor, count[0])
-
-
-def geometric_grid(lo, hi, points):
-    if not (hi > lo > 0.0):
-        raise ValueError("geometric grid needs 0 < lo < hi")
-    return np.geomspace(lo, hi, points)

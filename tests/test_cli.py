@@ -248,6 +248,51 @@ def test_norm_bad_region_spec(pair_cfg):
                  "--region", "cube:1"]) == 2
 
 
+@pytest.mark.parametrize("region", ["ball:nan", "ext:nan", "annulus:0.1,nan",
+                                    "annulus:nan,1"])
+def test_norm_rejects_nan_radii(pair_cfg, capsys, region):
+    # NaN compared False against every bound: ball:nan used to print the
+    # full-space norm and annulus:0.1,nan the exterior norm, with exit 0
+    assert main(["norm", "--data", pair_cfg, "--t", "10", "--k", "0",
+                 "--region", region]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "NaN" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "1", "inf", "nan"])
+def test_norm_rejects_bad_tolerance_before_writing(pair_cfg, tmp_path, capsys,
+                                                   tol):
+    out = tmp_path / "norms.csv"
+    argv = ["norm", "--data", pair_cfg, "--t", "10", "--k", "0", "--tol", tol]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad --tol" in captured.err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("norm", "--k", "-1"), ("moments", "--max-order", "-1"),
+    ("expansion-B", "--k", "-1"), ("expansion-B", "--k", "-2"),
+    ("expansion-A", "--k", "-2")])
+def test_negative_orders_exit_2(datum_cfg, pair_cfg, capsys, command, flag,
+                                value):
+    argv = {"norm": ["norm", "--data", pair_cfg, "--t", "10"],
+            "moments": ["moments", "--data", datum_cfg],
+            "expansion-B": ["expansion", "--data", datum_cfg, "--kind", "B"],
+            "expansion-A": ["expansion", "--data", datum_cfg, "--kind", "A"],
+            }[command]
+    assert main(argv + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"bad {flag} {value}" in captured.err
+
+
+def test_expansion_a_minus_one_is_the_zero_polynomial(datum_cfg, capsys):
+    assert main(["expansion", "--data", datum_cfg, "--kind", "A",
+                 "--k", "-1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["order"] == -1 and payload["terms"] == []
+
+
 def test_report_subcommand(tmp_path):
     cfg = {
         "t_grid": {"t_min": 100.0, "t_max": 1e3, "points": 3},

@@ -14,10 +14,12 @@ from dampex import (Box, FrequencyRegion, Gaussian, GaussianMonomial,
                     moment_table, poly_gaussian_l2_norm, radial_factor_1d,
                     region_l2_norm, residual_norm, symbol_gap_sup_ratio,
                     taylor_remainder_sup_ratio, zero_datum)
+from dampex import quadrature
 from dampex.expansion import heat_partial_sum
 from dampex.norms import norm_curve, residual_norm_curve
 from dampex.quadrature import (BATCH_POINTS, adaptive_1d, angular_sums,
-                               integrate_radial, sphere_nodes)
+                               choose_angular_rule, integrate_radial,
+                               sphere_nodes)
 
 from conftest import catalog_1d, catalog_2d, catalog_3d
 
@@ -76,6 +78,16 @@ class TestRegionEngine:
             FrequencyRegion.annulus(2.0, 1.0, 1)
         with pytest.raises(ValueError):
             FrequencyRegion.ball(1.0, 4)
+
+    def test_nan_radii_are_rejected(self):
+        # every comparison with NaN is False, so without the check ball(nan)
+        # passed as the full space and annulus(r, nan) as an exterior
+        for make in (lambda: FrequencyRegion.ball(math.nan, 2),
+                     lambda: FrequencyRegion.exterior(math.nan, 2),
+                     lambda: FrequencyRegion.annulus(0.1, math.nan, 2),
+                     lambda: FrequencyRegion.annulus(math.nan, 1.0, 2)):
+            with pytest.raises(ValueError, match="NaN"):
+                make()
 
     def test_cross_terms_vanish_by_quadrature(self):
         fld = lambda pts: pts[:, 0] * pts[:, 1] * np.exp(-2 * np.sum(pts * pts, axis=-1))
@@ -219,6 +231,95 @@ class TestPanelEngine:
         radial = integrate_radial(gaussian, 2, 0.0, 8.0, tol)
         assert not radial.stalled
         assert radial.value == pytest.approx(math.pi / 2.0, rel=1e-9)
+
+
+def _pinned_pair(n):
+    u1 = (Box(dimension=2, half_width=0.8) if n == 2
+          else Gaussian(dimension=3, scale=0.5, amplitude=0.7))
+    return SpectralSolution(u0=_shifted_gaussian(n), u1=u1)
+
+
+def _heat_region(kind, n, t):
+    w = 1.0 / math.sqrt(t)
+    return {"full": lambda: FrequencyRegion.full(n),
+            "ball": lambda: FrequencyRegion.ball(2.0 * w, n),
+            "annulus": lambda: FrequencyRegion.annulus(0.5 * w, 3.0 * w, n),
+            "ext": lambda: FrequencyRegion.exterior(w, n)}[kind]()
+
+
+def _count_rule_builds(monkeypatch):
+    """Empty the rule caches and record every circle/sphere rule built."""
+    built = []
+    for name in ("circle_nodes", "sphere_nodes"):
+        real = getattr(quadrature, name)
+        monkeypatch.setattr(quadrature, name,
+                            lambda *size, real=real: built.append(size) or real(*size))
+    quadrature._angular_rule.cache_clear()
+    quadrature._probe_directions.cache_clear()
+    return built
+
+
+class TestAngularRuleReuse:
+    # (n, region, k, t, norm, evaluations) as computed when every call
+    # rebuilt its angular rules and probed the row count with one point;
+    # reusing the rules and passing the row count down changes no bit
+    PINNED = [
+        (2, "full", 0, 10.0, 6.056485491628974, 2856),
+        (2, "ball", 1, 30.0, 0.15305760852371306, 714),
+        (2, "annulus", 2, 100.0, 0.0013637565261636643, 714),
+        (2, "ext", 0, 50.0, 0.9910031172133901, 2499),
+        (2, "full", 1, 300.0, 0.015305885760095212, 4284),
+        (2, "ext", 2, 10.0, 0.08014523477348881, 3570),
+        (3, "full", 2, 10.0, 0.24863850223397158, 12264),
+        (3, "ball", 0, 100.0, 2.466062285515298, 3066),
+        (3, "annulus", 1, 30.0, 0.26975842522090554, 4599),
+        (3, "ext", 1, 1000.0, 0.0025392765922862, 21462),
+        (3, "ball", 2, 20.0, 0.04304450575899152, 3066),
+        (3, "annulus", 0, 1000.0, 0.39251886092442867, 3066),
+    ]
+
+    @pytest.mark.parametrize("n, kind, k, t, value, evaluations", PINNED)
+    def test_residual_norms_are_pinned(self, n, kind, k, t, value, evaluations):
+        res = residual_norm(_pinned_pair(n), t, k, _heat_region(kind, n, t))
+        assert res.value == value
+        assert res.evaluations == evaluations
+
+    def test_each_sphere_level_is_built_once(self, monkeypatch):
+        built = _count_rule_builds(monkeypatch)
+        sol = _pinned_pair(3)
+        first = residual_norm(sol, 10.0, 2)
+        second = residual_norm(sol, 30.0, 1, _heat_region("annulus", 3, 30.0))
+        assert first.value > 0 and second.value > 0
+        assert built and len(built) == len(set(built))
+
+    @pytest.mark.parametrize("n, expected", [(2, [(16,), (32,)]),
+                                             (3, [(6, 12), (8, 16)])])
+    def test_coarsest_choice_builds_two_levels(self, monkeypatch, n, expected):
+        # a radial field has the same shell integral under every rule, so
+        # the first comparison stops the choice at level 0
+        built = _count_rule_builds(monkeypatch)
+        field = lambda pts: np.exp(-np.sum(pts * pts, axis=-1))
+        dirs, weights, _ = choose_angular_rule(field, n, [0.5, 1.0], 1e-10)
+        assert built == expected
+        assert len(weights) == {2: 16, 3: 72}[n]
+        assert not dirs.flags.writeable and not weights.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("times", [1, 5])
+    def test_norm_curve_never_probes_a_single_point(self, n, times):
+        sizes = []
+        sol = _pinned_pair(n)
+        poly = build_expansion("A", 0, moment_table(sol.v, 0))
+
+        def residual(ts, pts):
+            sizes.append(len(pts))
+            return sol.residual_curve(ts, pts, poly)
+
+        ts = np.geomspace(10.0, 1e3, times)
+        for region in (FrequencyRegion.full(n), FrequencyRegion.ball(0.5, n)):
+            sizes.clear()
+            norm_curve(residual, region, ts, inner_scales=1.0 / np.sqrt(ts))
+            assert sizes and min(sizes) > 1
 
 
 class TestGaussianMonomialIntegrals:
