@@ -4,11 +4,11 @@ for a wave equation carrying both frictional and viscoelastic damping."""
 from .errors import (ConfigError, DampexError, DegenerateDataError,
                      InsufficientOrderError, QuadratureError,
                      SingularEvaluationError)
-from .expansion import (ExpansionPolynomial, HeatKernelTerm, PropertyReport,
+from .expansion import (ExpansionPolynomial, PointSample, PropertyReport,
                         Term, build_expansion, check_property_A,
                         check_property_B, check_property_C, combine,
-                        heat_partial_sum, inverse_transform_terms)
-from .experiments import (HeatComparisonReport, RateFit, SandwichReport,
+                        heat_partial_sum)
+from .experiments import (Case, HeatComparisonReport, RateFit, SandwichReport,
                           TimeGrid, VanishingReport, default_config,
                           expected_decay_slope, fit_decay_rate,
                           heat_comparison, property_suite, run_report,
@@ -26,6 +26,6 @@ from .norms import (FrequencyRegion, LowerBoundConstants, RegionNorm,
                     residual_norm_curve, symbol_gap_sup_ratio,
                     taylor_remainder_sup_ratio)
 from .spectral import (REPRESENTATIONS, LowFrequencySymbol, SpectralSolution,
-                       evaluate_heat, stable_heat_difference)
+                       stable_heat_difference)
 
 __version__ = "0.1.0"

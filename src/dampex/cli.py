@@ -19,14 +19,6 @@ from .norms import FrequencyRegion, residual_norm
 from .spectral import REPRESENTATIONS, SpectralSolution
 
 
-def _read_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read JSON config {path}: {exc}") from exc
-
-
 def _emit(payload, out):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
@@ -103,7 +95,7 @@ def _grid_coordinates(axis, dimension):
 
 def cmd_moments(args):
     _check_order(args.max_order, 0, "--max-order")
-    datum = datum_or_pair_sum(_read_json(args.data))
+    datum = datum_or_pair_sum(load_config(args.data))
     gammas = _parse_floats(args.gammas) if args.gammas else []
     table = moment_table(datum, args.max_order, gammas=gammas)
     entries = [{"alpha": list(alpha),
@@ -120,7 +112,7 @@ def cmd_moments(args):
 
 
 def cmd_solve(args):
-    u0, u1 = pair_from_config(_read_json(args.data))
+    u0, u1 = pair_from_config(load_config(args.data))
     sol = SpectralSolution(u0=u0, u1=u1)
     ts = _parse_times(args.t, positive=False)
     axis, pts = _parse_xi_grid(args.xi_grid, sol.dimension)
@@ -146,7 +138,7 @@ def cmd_solve(args):
 def cmd_expansion(args):
     # A_{-1} is the zero polynomial; every other order starts at 0
     _check_order(args.k, -1 if args.kind == "A" else 0, "--k")
-    datum = datum_or_pair_sum(_read_json(args.data))
+    datum = datum_or_pair_sum(load_config(args.data))
     table = moment_table(datum, max(args.k, 0))
     poly = build_expansion(args.kind, args.k, table)
     if args.print == "terms":
@@ -172,7 +164,7 @@ def cmd_norm(args):
     _check_order(args.k, 0, "--k")
     if not (math.isfinite(args.tol) and 0.0 < args.tol < 1.0):
         raise ConfigError(f"bad --tol {args.tol!r}: must be finite, > 0 and < 1")
-    u0, u1 = pair_from_config(_read_json(args.data))
+    u0, u1 = pair_from_config(load_config(args.data))
     sol = SpectralSolution(u0=u0, u1=u1)
     region = _parse_region(args.region, sol.dimension)
     rows = []

@@ -74,6 +74,8 @@ class PointSample:
     def factors(self, half_powers, exponents, absolute=False):
         """|xi|^(2h) and xi^alpha (|xi|^alpha if ``absolute``) for each term
         (h, alpha), at every point; the axis factors multiply in axis order."""
+        if exponents.shape[1] != self.points.shape[1]:
+            raise ValueError("sample points must match the dimension")
         mono = self._powers(0, exponents[:, 0], absolute)
         for j in range(1, exponents.shape[1]):
             mono = mono * self._powers(j, exponents[:, j], absolute)
@@ -109,10 +111,8 @@ class ExpansionPolynomial:
         return self.magnitudes(self._one_point(xi))[0]
 
     def _one_point(self, xi) -> PointSample:
-        pt = np.asarray(xi, dtype=float)
-        if pt.shape != (self.dimension,):
-            raise ValueError("point length must equal the dimension")
-        return PointSample(pt[None, :])
+        # ``factors`` rejects a point whose length is not the dimension
+        return PointSample(np.reshape(np.asarray(xi, dtype=float), (1, -1)))
 
     def compensated(self, sample: PointSample) -> list[complex]:
         """The value at every point of ``sample``: real and imaginary parts
@@ -248,96 +248,47 @@ class PropertyReport:
         return self.max_deviation <= self.tolerance
 
 
-def _sample_matrix(xi_sample, dimension):
-    pts = np.asarray(xi_sample, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[-1] != dimension:
-        raise ValueError("sample points must match the dimension")
-    return pts
-
-
-def check_property_A(table: MomentTable, k: int, xi_sample,
+def check_property_A(a_k: ExpansionPolynomial, a_prev: ExpansionPolynomial,
+                     b_k: ExpansionPolynomial, sample: PointSample,
                      tolerance=1e-12) -> PropertyReport:
     """Additivity: profile_k(xi) == profile_{k-1}(xi) + increment_k(xi)."""
-    sample = PointSample(_sample_matrix(xi_sample, table.dimension))
-    a_k = build_expansion("A", k, table)
-    a_prev = build_expansion("A", k - 1, table)
-    b_k = build_expansion("B", k, table)
     devs = [abs(lhs - (prev + inc)) for lhs, prev, inc in zip(
         a_k.compensated(sample), a_prev.compensated(sample),
         b_k.compensated(sample))]
     scale = max([1.0] + a_k.magnitudes(sample))
-    return PropertyReport(name="additivity", order=k, sample_size=len(devs),
-                          max_deviation=max(devs) / scale, scale=scale,
-                          tolerance=tolerance)
+    return PropertyReport(name="additivity", order=a_k.order,
+                          sample_size=len(devs), max_deviation=max(devs) / scale,
+                          scale=scale, tolerance=tolerance)
 
 
-def check_property_B(table: MomentTable, k: int, xi_sample,
+def check_property_B(b_k: ExpansionPolynomial, b_prev: ExpansionPolynomial,
+                     top: ExpansionPolynomial, sample: PointSample,
                      tolerance=1e-12) -> PropertyReport:
     """Recurrence: increment_k(xi) == |xi|^2 increment_{k-2}(xi) + top layer."""
-    if k < 2:
+    if b_k.order < 2:
         raise ValueError("the recurrence needs k >= 2")
-    sample = PointSample(_sample_matrix(xi_sample, table.dimension))
-    b_k = build_expansion("B", k, table)
-    b_prev = build_expansion("B", k - 2, table)
-    top = build_expansion("C", k, table)
     devs = [abs(lhs - (s * prev + flat)) for lhs, s, prev, flat in zip(
         b_k.compensated(sample), sample.norm_sq.tolist(),
         b_prev.compensated(sample), top.compensated(sample))]
     scale = max([1.0] + b_k.magnitudes(sample))
-    return PropertyReport(name="recurrence", order=k, sample_size=len(devs),
-                          max_deviation=max(devs) / scale, scale=scale,
-                          tolerance=tolerance)
+    return PropertyReport(name="recurrence", order=b_k.order,
+                          sample_size=len(devs), max_deviation=max(devs) / scale,
+                          scale=scale, tolerance=tolerance)
 
 
-def check_property_C(poly: ExpansionPolynomial, c: float, xi_sample,
+def check_property_C(poly: ExpansionPolynomial, c: float, sample: PointSample,
                      tolerance=1e-12) -> PropertyReport:
     """Homogeneity: increment_k(xi/c) == c^{-k} increment_k(xi)."""
     if poly.kind != "B":
         raise ValueError("homogeneity holds for kind 'B' polynomials")
     if c <= 0:
         raise ValueError("c must be positive")
-    pts = _sample_matrix(xi_sample, poly.dimension)
-    sample, scaled = PointSample(pts), PointSample(pts / c)
+    scaled = PointSample(sample.points / c)
     factor = c ** (-poly.order)
     devs = [abs(lhs - factor * val) for lhs, val in zip(
         poly.compensated(scaled), poly.compensated(sample))]
     scale = max([1e-300] + [max(lhs, factor * val) for lhs, val in zip(
         poly.magnitudes(scaled), poly.magnitudes(sample))])
     return PropertyReport(name="homogeneity", order=poly.order,
-                          sample_size=len(pts), max_deviation=max(devs) / scale,
+                          sample_size=len(devs), max_deviation=max(devs) / scale,
                           scale=scale, tolerance=tolerance)
-
-
-# ---------------------------------------------------------------------------
-# Physical-space reading of P(xi) e^{-t |xi|^2}
-
-
-@dataclass(frozen=True)
-class HeatKernelTerm:
-    """moment * (-Laplacian)^laplacian_power  d^derivative  G(t, x)."""
-    moment: float
-    laplacian_power: int
-    derivative: Alpha
-
-
-def inverse_transform_terms(poly: ExpansionPolynomial, t: float):
-    """Describe P(xi) e^{-t|xi|^2} as a sum of heat-kernel derivatives.
-
-    Purely structural metadata; no numeric inverse transform is performed.
-    Radial powers are even by construction, so the Laplacian powers are
-    integers.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    out = []
-    for term in poly.terms:
-        if term.radial_power % 2:
-            raise ValueError("radial powers must be even")
-        d = degree(term.monomial)
-        moment = term.coefficient * i_power(d).conjugate()
-        out.append(HeatKernelTerm(moment=float(moment.real),
-                                  laplacian_power=term.radial_power // 2,
-                                  derivative=term.monomial))
-    return tuple(out)

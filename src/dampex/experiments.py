@@ -9,18 +9,20 @@ JSON output byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
-from .expansion import (build_expansion, check_property_A, check_property_B,
-                        check_property_C, heat_partial_sum)
-from .initial_data import InitialDatum, moment_table, pair_from_config
+from .expansion import (PointSample, build_expansion, check_property_A,
+                        check_property_B, check_property_C, heat_partial_sum)
+from .indices import degree
+from .initial_data import InitialDatum, MomentTable, moment_table, pair_from_config
 from .norms import (FrequencyRegion, heat_increment_norm, norm_curve,
                     poly_gaussian_l2_norm, residual_norm_curve)
 from .spectral import LowFrequencySymbol, SpectralSolution
@@ -57,6 +59,8 @@ class RateFit:
     t_hi: float
     expected_slope: float
     k: int
+    ts: tuple[float, ...]           # the whole residual curve
+    norms: tuple[float, ...]
 
     def within(self, tolerance: float) -> bool:
         return abs(self.slope - self.expected_slope) <= tolerance
@@ -110,47 +114,102 @@ def expected_decay_slope(dimension: int, k: int) -> float:
     return -dimension / 4.0 - k / 2.0
 
 
-@lru_cache(maxsize=None)
-def _solution(u0: InitialDatum, u1: InitialDatum) -> SpectralSolution:
-    return SpectralSolution(u0=u0, u1=u1)
+_CHECKS = ("rate", "sandwich", "heat", "vanishing_heat",
+           "vanishing_low_frequency", "properties")
+_DEFAULT_CHECKS = ("rate", "sandwich", "heat", "properties")
 
 
-@lru_cache(maxsize=None)
-def _increment_constant(v: InitialDatum, k: int) -> float:
-    """Half-ball norm of the order-k increment, by the exact monomial algebra."""
-    table = moment_table(v, k)
-    poly = build_expansion("B", k, table)
-    return poly_gaussian_l2_norm(poly, radius=0.5)
+@dataclass(eq=False)
+class Case:
+    """One campaign case: the data pair, its checks and the work they share
+    (moment table, polynomials, increment constants, residual curves), each
+    computed on first use and kept as long as the case."""
+
+    name: str
+    u0: InitialDatum
+    u1: InitialDatum
+    checks: tuple[str, ...] = _DEFAULT_CHECKS
+    k_values: tuple[int, ...] = (0,)
+    gammas: tuple[float, ...] = (0.0,)
+    ells: tuple[float, ...] = (0.0,)
+    _memo: dict = field(init=False, default_factory=dict, repr=False)
+
+    @classmethod
+    def from_config(cls, cfg) -> Case:
+        """Parse and check one entry of a campaign's "cases" list."""
+        if not isinstance(cfg, dict) or "name" not in cfg or "data" not in cfg:
+            raise ConfigError('every case needs "name" and "data"')
+        u0, u1 = pair_from_config(cfg["data"])
+        # gammas and ells stay as given: the summary echoes them
+        return cls(name=cfg["name"], u0=u0, u1=u1,
+                   checks=_listed(cfg, "checks", _DEFAULT_CHECKS, _known_check),
+                   k_values=_listed(cfg, "k_values", (0,), _integer),
+                   gammas=_listed(cfg, "gammas", (0.0,), _nonnegative),
+                   ells=_listed(cfg, "ells", (0.0,), _nonnegative))
+
+    @cached_property
+    def solution(self) -> SpectralSolution:
+        return SpectralSolution(u0=self.u0, u1=self.u1)
+
+    @property
+    def property_order(self) -> int:
+        """The highest order the property suite checks."""
+        return max(self.k_values, default=0) + 2
+
+    @cached_property
+    def table(self) -> MomentTable:
+        """Moments up to the largest order any of the checks reads."""
+        orders = [0]
+        if {"rate", "sandwich", "heat", "vanishing_low_frequency"} & set(self.checks):
+            orders += self.k_values
+        if "vanishing_heat" in self.checks:
+            orders += [math.floor(g) for g in self.gammas]
+        if "properties" in self.checks:
+            orders.append(self.property_order)
+        return moment_table(self.solution.v, max(orders))
+
+    def _once(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def expansion(self, kind: str, k: int):
+        """The kind/order polynomial of v = u0 + u1, built once."""
+        return self._once(("expansion", kind, k),
+                          lambda: build_expansion(kind, k, self.table))
+
+    def increment_constant(self, k: int) -> float:
+        """Half-ball norm of the order-k increment, by the exact monomial algebra."""
+        return self._once(("increment", k), lambda: poly_gaussian_l2_norm(
+            self.expansion("B", k), radius=0.5))
+
+    def moment_scale(self, k: int) -> float:
+        """The largest |moment| of order at most k, and at least 1."""
+        return max(1.0, max(abs(m) for alpha, m in self.table.entries.items()
+                            if degree(alpha) <= k))
+
+    def residual_curve(self, k: int, grid: TimeGrid, tol: float):
+        """Grid times and the full-space residual norms for A_{k-1}."""
+        def compute():
+            ts = grid.values()
+            curve = residual_norm_curve(self.solution, ts, k, tol=tol)
+            return ts, np.array([nrm.value for nrm in curve])
+        return self._once(("curve", k, grid, tol), compute)
 
 
-def _moment_scale(v: InitialDatum, k: int) -> float:
-    table = moment_table(v, k)
-    return max(1.0, max(abs(m) for m in table.entries.values()))
-
-
-@lru_cache(maxsize=None)
-def _residual_curve(u0: InitialDatum, u1: InitialDatum, k: int,
-                    grid: TimeGrid, tol: float):
-    ts = grid.values()
-    curve = residual_norm_curve(_solution(u0, u1), ts, k, tol=tol)
-    return ts, np.array([nrm.value for nrm in curve])
-
-
-def fit_decay_rate(u0: InitialDatum, u1: InitialDatum, k: int, grid: TimeGrid,
-                   tol=1e-9) -> RateFit:
+def fit_decay_rate(case: Case, k: int, grid: TimeGrid, tol=1e-9) -> RateFit:
     """Least-squares slope of log residual norm against log t.
 
     Fitted over the upper half of the grid, where the transient terms are
     dead.  Rejects data whose order-k increment vanishes: the decay is then
     strictly faster and the stated exponent does not apply.
     """
-    sol = _solution(u0, u1)
-    L = _increment_constant(sol.v, k)
-    if L <= DEGENERACY_FLOOR * _moment_scale(sol.v, k):
+    L = case.increment_constant(k)
+    if L <= DEGENERACY_FLOOR * case.moment_scale(k):
         raise DegenerateDataError(
             f"order-{k} increment vanishes (constant {L:.3e}); "
             "the residual decays faster than the fitted exponent")
-    ts, norms = _residual_curve(u0, u1, k, grid, tol)
+    ts, norms = case.residual_curve(k, grid, tol)
     half = len(ts) // 2
     x = np.log(ts[half:])
     y = np.log(norms[half:])
@@ -158,24 +217,24 @@ def fit_decay_rate(u0: InitialDatum, u1: InitialDatum, k: int, grid: TimeGrid,
     resid = float(np.max(np.abs(y - (slope * x + intercept))))
     return RateFit(slope=float(slope), intercept=float(intercept),
                    residual=resid, t_lo=float(ts[half]), t_hi=float(ts[-1]),
-                   expected_slope=expected_decay_slope(sol.dimension, k), k=k)
+                   expected_slope=expected_decay_slope(case.solution.dimension, k),
+                   k=k,
+                   ts=tuple(map(float, ts)), norms=tuple(map(float, norms)))
 
 
-def sandwich_check(u0: InitialDatum, u1: InitialDatum, k: int, grid: TimeGrid,
-                   tol=1e-9) -> SandwichReport:
+def sandwich_check(case: Case, k: int, grid: TimeGrid, tol=1e-9) -> SandwichReport:
     """Two-sided decay check: L/2 <= norm(t) * t^{n/4+k/2} <= C.
 
     The lower constant L is the half-ball norm of the order-k increment;
     ``empirical_delta`` is the first grid time after which the ratio stays
     at or above 1/2 (the estimates only assert such a time exists).
     """
-    sol = _solution(u0, u1)
-    L = _increment_constant(sol.v, k)
-    if L <= DEGENERACY_FLOOR * _moment_scale(sol.v, k):
+    L = case.increment_constant(k)
+    if L <= DEGENERACY_FLOOR * case.moment_scale(k):
         raise DegenerateDataError(
             f"order-{k} increment vanishes; the sandwich is vacuous")
-    ts, norms = _residual_curve(u0, u1, k, grid, tol)
-    rate = expected_decay_slope(sol.dimension, k)
+    ts, norms = case.residual_curve(k, grid, tol)
+    rate = expected_decay_slope(case.solution.dimension, k)
     ratios = norms / (L * ts ** rate)
     delta = _first_stable_time(ts, ratios, 0.5)
     return SandwichReport(k=k, lower_constant=L, ts=tuple(map(float, ts)),
@@ -186,14 +245,13 @@ def sandwich_check(u0: InitialDatum, u1: InitialDatum, k: int, grid: TimeGrid,
 
 
 def _first_stable_time(ts, ratios, threshold):
-    ok = np.asarray(ratios) >= threshold
-    for i in range(len(ts)):
-        if ok[i:].all():
-            return float(ts[i])
-    return None
+    """The first time from which on every ratio is >= threshold, or None."""
+    bad = np.flatnonzero(~(np.asarray(ratios) >= threshold))
+    start = bad[-1] + 1 if len(bad) else 0
+    return float(ts[start]) if start < len(ts) else None
 
 
-def vanishing_limit_check(v: InitialDatum, grid: TimeGrid, *, variant="heat",
+def vanishing_limit_check(case: Case, grid: TimeGrid, *, variant="heat",
                           gamma=0.0, k=0, ell=0.0, target_fraction=0.1,
                           tol=1e-9) -> VanishingReport:
     """Decay proxy for the two scaled-remainder limits.
@@ -204,21 +262,20 @@ def vanishing_limit_check(v: InitialDatum, grid: TimeGrid, *, variant="heat",
     A literal limit is not testable; the proxy asserts strict decrease over
     the last decade of the grid plus a small terminal-to-initial fraction.
     """
+    v = case.solution.v
     n = v.dimension
     ts = grid.values()
     if variant == "heat":
         m = math.floor(gamma)
         exponent = n / 4.0 + gamma / 2.0 + ell / 2.0
-        table = moment_table(v, m)
-        partial = heat_partial_sum(table, m)
+        partial = heat_partial_sum(case.table, m)
         region = FrequencyRegion.full(n)
 
         def base(pts):
             return v.fourier_transform(pts) - partial(pts)
     elif variant == "low_frequency":
         exponent = n / 4.0 + k / 2.0 + ell / 2.0
-        table = moment_table(v, k)
-        profile = build_expansion("A", k, table)
+        profile = case.expansion("A", k)
         region = FrequencyRegion.ball(0.5, n)
         symbol = LowFrequencySymbol(v)
 
@@ -229,7 +286,7 @@ def vanishing_limit_check(v: InitialDatum, grid: TimeGrid, *, variant="heat",
 
     def gap(ts, pts):
         s = np.sum(pts * pts, axis=-1)
-        return _ell_weight(s, ell) * base(pts) * np.exp(-ts[:, None] * s)
+        return s ** (ell / 2.0) * base(pts) * np.exp(-ts[:, None] * s)
 
     curve = norm_curve(gap, region, ts, tol, inner_scales=1.0 / np.sqrt(ts))
     scaled = ts ** exponent * np.array([nrm.value for nrm in curve])
@@ -251,13 +308,8 @@ def vanishing_limit_check(v: InitialDatum, grid: TimeGrid, *, variant="heat",
                            target_fraction=target_fraction)
 
 
-def _ell_weight(s, ell):
-    if ell == 0.0:
-        return 1.0
-    return s ** (ell / 2.0)
-
-
-def heat_comparison(v: InitialDatum, k: int, grid: TimeGrid, tol=1e-9) -> HeatComparisonReport:
+def heat_comparison(case: Case, k: int, grid: TimeGrid,
+                    tol=1e-9) -> HeatComparisonReport:
     """Side-by-side lower-bound constants for the damped flow and the heat
     flow, plus the heat-flow sandwich ratios.
 
@@ -265,9 +317,9 @@ def heat_comparison(v: InitialDatum, k: int, grid: TimeGrid, tol=1e-9) -> HeatCo
     the canonical Gaussian shows a vanishing damped increment against a
     positive heat increment there.
     """
+    v, table = case.solution.v, case.table
     n = v.dimension
-    table = moment_table(v, k)
-    inc = _increment_constant(v, k)
+    inc = case.increment_constant(k)
     heat_half = heat_increment_norm(k, table, radius=0.5)
     heat_full = heat_increment_norm(k, table, radius=None)
     scale = max(inc, heat_half, 1e-300)
@@ -303,27 +355,31 @@ def sample_ball(rng: np.random.Generator, dimension: int, count: int,
     return g * r[:, None]
 
 
-def property_suite(v: InitialDatum, k_max: int, rng: np.random.Generator,
-                   tolerance=1e-12, sample_size=100):
-    """Run the three polynomial identities for every order up to k_max."""
-    table = moment_table(v, k_max)
+def property_suite(case: Case, rng: np.random.Generator, tolerance=1e-12,
+                   sample_size=100):
+    """Run the three polynomial identities for every order up to the
+    case's ``property_order``, each order on one fresh sample of the ball.
+
+    Per order the draws are the points, then the scale ``c``."""
     reports = []
-    for k in range(k_max + 1):
-        pts = sample_ball(rng, v.dimension, sample_size)
-        reports.append(check_property_A(table, k, pts, tolerance))
+    for k in range(case.property_order + 1):
+        sample = PointSample(sample_ball(rng, case.solution.dimension,
+                                         sample_size))
+        b_k = case.expansion("B", k)
+        reports.append(check_property_A(case.expansion("A", k),
+                                        case.expansion("A", k - 1), b_k,
+                                        sample, tolerance))
         if k >= 2:
-            reports.append(check_property_B(table, k, pts, tolerance))
+            reports.append(check_property_B(b_k, case.expansion("B", k - 2),
+                                            case.expansion("C", k), sample,
+                                            tolerance))
         c = float(rng.uniform(0.1, 10.0))
-        poly = build_expansion("B", k, table)
-        reports.append(check_property_C(poly, c, pts, tolerance))
+        reports.append(check_property_C(b_k, c, sample, tolerance))
     return reports
 
 
 # ---------------------------------------------------------------------------
 # Campaign driver
-
-
-_DEFAULT_CHECKS = ("rate", "sandwich", "heat", "properties")
 
 
 def default_config() -> dict:
@@ -373,30 +429,88 @@ def default_config() -> dict:
 
 
 def load_config(path) -> dict:
+    """Read a JSON config (a campaign, a datum or a pair); ``run_report``
+    checks a campaign before any output."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            cfg = json.load(handle)
+            return json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read JSON config {path}: {exc}") from exc
-    validate_config(cfg)
-    return cfg
 
 
-def validate_config(cfg: dict) -> None:
-    if not isinstance(cfg, dict):
-        raise ConfigError("campaign config must be a JSON object")
-    if not isinstance(cfg.get("cases"), list):
-        raise ConfigError('campaign config needs a "cases" list')
-    TimeGrid(**cfg.get("t_grid", {"t_min": 100.0, "t_max": 1e4, "points": 9}))
-    TimeGrid(**cfg.get("vanishing_t_grid", {"t_min": 1.0, "t_max": 1e4, "points": 17}))
-    for case in cfg["cases"]:
-        if "name" not in case or "data" not in case:
-            raise ConfigError('every case needs "name" and "data"')
-        pair_from_config(case["data"])
-        for chk in case.get("checks", _DEFAULT_CHECKS):
-            if chk not in ("rate", "sandwich", "heat", "vanishing_heat",
-                           "vanishing_low_frequency", "properties"):
-                raise ConfigError(f"unknown check {chk!r}")
+@dataclass(frozen=True)
+class Campaign:
+    """A checked campaign config: the shared settings and one Case per case."""
+
+    grid: TimeGrid
+    vanishing_grid: TimeGrid
+    tol: float
+    rate_tol: float
+    prop_tol: float
+    fraction: float
+    seed: int
+    cases: tuple[Case, ...]
+
+
+def validate_config(cfg: dict) -> Campaign:
+    """Check a campaign config by the rules of ``config-schema.json`` and
+    parse it; every violation raises ConfigError."""
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("cases"), list):
+        raise ConfigError('campaign config must be an object with a "cases" list')
+
+    def setting(key, default, top=math.inf):
+        x = _nonnegative(cfg.get(key, default), key)
+        if not 0 < x <= top:
+            raise ConfigError(f"{key} must lie in (0, {top:g}], got {x!r}")
+        return float(x)
+
+    return Campaign(
+        grid=_grid(cfg, "t_grid", {"t_min": 100.0, "t_max": 1e4, "points": 9}),
+        vanishing_grid=_grid(cfg, "vanishing_t_grid",
+                             {"t_min": 1.0, "t_max": 1e4, "points": 17}),
+        tol=setting("quad_tol", 1e-9),
+        rate_tol=setting("rate_tolerance", 0.05),
+        prop_tol=setting("property_tolerance", 1e-12),
+        fraction=setting("decay_fraction", 0.1, top=1.0),
+        seed=_integer(cfg.get("seed", 0), "seed"),
+        cases=tuple(Case.from_config(case) for case in cfg["cases"]))
+
+
+def _grid(cfg, key, default) -> TimeGrid:
+    try:
+        return TimeGrid(**cfg.get(key, default))
+    except TypeError as exc:
+        raise ConfigError(f"bad {key}: {exc}") from exc
+
+
+def _integer(x, what) -> int:
+    """``x`` as an int if it is an integer >= 0."""
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
+        raise ConfigError(f"{what} must be an integer >= 0, got {x!r}")
+    return x
+
+
+def _nonnegative(x, what):
+    """``x`` if it is a finite number >= 0."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not 0 <= x < math.inf:
+        raise ConfigError(f"{what} must be a finite number >= 0, got {x!r}")
+    return x
+
+
+def _known_check(name, what):
+    if name not in _CHECKS:
+        raise ConfigError(f"unknown check {name!r}")
+    return name
+
+
+def _listed(cfg, key, default, item) -> tuple:
+    """The list under ``key``, each entry checked by ``item(entry, what)``."""
+    values = cfg.get(key, default)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {values!r}")
+    return tuple(item(x, f"{key} entry") for x in values)
 
 
 @dataclass
@@ -412,65 +526,45 @@ class ReportBundle:
 
 def run_report(cfg: dict, out_dir) -> ReportBundle:
     """Execute a campaign and write summary.json plus per-case curve files."""
-    validate_config(cfg)
+    run = validate_config(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = TimeGrid(**cfg.get("t_grid", {"t_min": 100.0, "t_max": 1e4, "points": 9}))
-    vanishing_grid = TimeGrid(**cfg.get("vanishing_t_grid",
-                                    {"t_min": 1.0, "t_max": 1e4, "points": 17}))
-    tol = float(cfg.get("quad_tol", 1e-9))
-    rate_tol = float(cfg.get("rate_tolerance", 0.05))
-    prop_tol = float(cfg.get("property_tolerance", 1e-12))
-    fraction = float(cfg.get("decay_fraction", 0.1))
-    seed = int(cfg.get("seed", 0))
-
     entries = []
     files = []
-    for case in cfg["cases"]:
-        checks = tuple(case.get("checks", _DEFAULT_CHECKS))
-        u0, u1 = pair_from_config(case["data"])
-        sol = _solution(u0, u1)
-        v = sol.v
+    for case in run.cases:
         curves = {}
-        for k in case.get("k_values", [0]):
-            if "rate" in checks:
-                entries.append(_rate_entry(case["name"], u0, u1, k, grid,
-                                           tol, rate_tol, curves))
-            if "sandwich" in checks:
-                entries.append(_sandwich_entry(case["name"], u0, u1, k, grid,
-                                               tol, curves))
-            if "heat" in checks:
-                entries.append(_heat_entry(case["name"], v, k, grid, tol))
-        if "vanishing_heat" in checks:
-            for gamma in case.get("gammas", [0.0]):
-                for ell in case.get("ells", [0.0]):
-                    rep = vanishing_limit_check(v, vanishing_grid, variant="heat",
-                                                gamma=float(gamma), ell=float(ell),
-                                                target_fraction=fraction, tol=tol)
-                    entries.append(_vanishing_entry(case["name"], rep,
-                                                    {"gamma": gamma, "ell": ell}))
-        if "vanishing_low_frequency" in checks:
-            for k in case.get("k_values", [0]):
-                for ell in case.get("ells", [0.0]):
-                    rep = vanishing_limit_check(v, vanishing_grid,
-                                                variant="low_frequency",
-                                                k=k, ell=float(ell),
-                                                target_fraction=fraction, tol=tol)
-                    entries.append(_vanishing_entry(case["name"], rep,
-                                                    {"k": k, "ell": ell}))
-        if "properties" in checks:
-            k_max = max(case.get("k_values", [0]), default=0) + 2
-            rng = np.random.default_rng(seed)
-            for rep in property_suite(v, k_max, rng, prop_tol):
-                entries.append({
-                    "case": case["name"], "check": "property",
-                    "status": "pass" if rep.passed else "fail",
-                    "name": rep.name, "k": rep.order,
-                    "max_deviation": rep.max_deviation,
-                    "tolerance": rep.tolerance,
-                })
+        for k in case.k_values:
+            if "rate" in case.checks:
+                entries.append(_rate_entry(case, k, run, curves))
+            if "sandwich" in case.checks:
+                entries.append(_sandwich_entry(case, k, run, curves))
+            if "heat" in case.checks:
+                entries.append(_heat_entry(case, k, run))
+        shared = {"target_fraction": run.fraction, "tol": run.tol}
+        if "vanishing_heat" in case.checks:
+            for gamma, ell in itertools.product(case.gammas, case.ells):
+                rep = vanishing_limit_check(
+                    case, run.vanishing_grid, variant="heat",
+                    gamma=float(gamma), ell=float(ell), **shared)
+                entries.append(_vanishing_entry(case.name, rep,
+                                                {"gamma": gamma, "ell": ell}))
+        if "vanishing_low_frequency" in case.checks:
+            for k, ell in itertools.product(case.k_values, case.ells):
+                rep = vanishing_limit_check(
+                    case, run.vanishing_grid, variant="low_frequency",
+                    k=k, ell=float(ell), **shared)
+                entries.append(_vanishing_entry(case.name, rep,
+                                                {"k": k, "ell": ell}))
+        if "properties" in case.checks:
+            rng = np.random.default_rng(run.seed)
+            entries += [{"case": case.name, "check": "property",
+                         "status": "pass" if rep.passed else "fail",
+                         "name": rep.name, "k": rep.order,
+                         "max_deviation": rep.max_deviation,
+                         "tolerance": rep.tolerance}
+                        for rep in property_suite(case, rng, run.prop_tol)]
         for label, (ts, vals) in curves.items():
-            path = out_dir / f"{label}_{case['name']}.csv"
+            path = out_dir / f"{label}_{case.name}.csv"
             files.append(_write_csv(path, ("t", label), ts, vals))
 
     n_failed = sum(1 for e in entries if e["status"] == "fail")
@@ -487,29 +581,28 @@ def run_report(cfg: dict, out_dir) -> ReportBundle:
     return ReportBundle(summary=summary, out_dir=out_dir, files=files)
 
 
-def _rate_entry(name, u0, u1, k, grid, tol, rate_tol, curves):
+def _rate_entry(case, k, run, curves):
     try:
-        fit = fit_decay_rate(u0, u1, k, grid, tol)
+        fit = fit_decay_rate(case, k, run.grid, run.tol)
     except DegenerateDataError as exc:
-        return {"case": name, "check": "rate", "k": k,
+        return {"case": case.name, "check": "rate", "k": k,
                 "status": "rejected", "diagnostic": str(exc)}
-    ts, norms = _residual_curve(u0, u1, k, grid, tol)
-    curves[f"norms_k{k}"] = (ts, norms)
-    return {"case": name, "check": "rate", "k": k,
-            "status": "pass" if fit.within(rate_tol) else "fail",
+    curves[f"norms_k{k}"] = (fit.ts, fit.norms)
+    return {"case": case.name, "check": "rate", "k": k,
+            "status": "pass" if fit.within(run.rate_tol) else "fail",
             "slope": fit.slope, "expected_slope": fit.expected_slope,
             "intercept": fit.intercept, "fit_residual": fit.residual,
-            "t_lo": fit.t_lo, "t_hi": fit.t_hi, "tolerance": rate_tol}
+            "t_lo": fit.t_lo, "t_hi": fit.t_hi, "tolerance": run.rate_tol}
 
 
-def _sandwich_entry(name, u0, u1, k, grid, tol, curves):
+def _sandwich_entry(case, k, run, curves):
     try:
-        rep = sandwich_check(u0, u1, k, grid, tol)
+        rep = sandwich_check(case, k, run.grid, run.tol)
     except DegenerateDataError as exc:
-        return {"case": name, "check": "sandwich", "k": k,
+        return {"case": case.name, "check": "sandwich", "k": k,
                 "status": "skipped", "diagnostic": str(exc)}
-    curves[f"ratios_k{k}"] = (np.asarray(rep.ts), np.asarray(rep.ratios))
-    return {"case": name, "check": "sandwich", "k": k,
+    curves[f"ratios_k{k}"] = (rep.ts, rep.ratios)
+    return {"case": case.name, "check": "sandwich", "k": k,
             "status": "pass" if rep.satisfied else "fail",
             "lower_constant": rep.lower_constant,
             "empirical_delta": rep.empirical_delta,
@@ -517,15 +610,15 @@ def _sandwich_entry(name, u0, u1, k, grid, tol, curves):
             "min_ratio": min(rep.ratios)}
 
 
-def _heat_entry(name, v, k, grid, tol):
-    rep = heat_comparison(v, k, grid, tol)
+def _heat_entry(case, k, run):
+    rep = heat_comparison(case, k, run.grid, run.tol)
     # the two increments coincide for k <= 1; from k = 2 on they may differ
     # in either direction, so only the heat-flow sandwich itself is asserted
     ok = rep.relative_gap <= 1e-12 if k <= 1 else True
     sandwich_ok = (rep.heat_full_constant == 0.0
                    or rep.empirical_delta is not None)
     status = "pass" if ok and sandwich_ok else "fail"
-    return {"case": name, "check": "heat", "k": k, "status": status,
+    return {"case": case.name, "check": "heat", "k": k, "status": status,
             "increment_constant": rep.increment_constant,
             "heat_constant": rep.heat_constant,
             "relative_gap": rep.relative_gap,

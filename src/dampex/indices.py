@@ -8,7 +8,6 @@ decreasing, which keeps every consumer deterministic.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 Alpha = tuple[int, ...]
 
@@ -24,7 +23,6 @@ def multi_factorial(alpha: Alpha) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
 def indices_of_degree(dimension: int, deg: int) -> tuple[Alpha, ...]:
     """All multi-indices of the given dimension with |alpha| == deg."""
     if dimension < 1:
@@ -40,7 +38,6 @@ def indices_of_degree(dimension: int, deg: int) -> tuple[Alpha, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def indices_up_to(dimension: int, deg: int) -> tuple[Alpha, ...]:
     """All multi-indices with |alpha| <= deg, grouped by increasing degree."""
     out = []

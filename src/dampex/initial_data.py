@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -418,9 +417,6 @@ class MomentTable:
     def is_exact_zero(self, alpha: Alpha) -> bool:
         return tuple(alpha) in self.exact_zeros
 
-    def weighted_norm(self, gamma: float) -> float:
-        return self.weighted_norms[float(gamma)]
-
     def indices(self):
         return indices_up_to(self.dimension, self.order)
 
@@ -481,17 +477,15 @@ def quadrature_raw_moment(v: InitialDatum, alpha, tol=1e-10, *,
     return nested_cartesian(f, bounds, tol, breakpoints=brk, abs_floor=abs_floor).value
 
 
-@lru_cache(maxsize=256)
-def _weighted_integral(v: InitialDatum, gamma: float, weight: str, tol: float) -> float:
+def _weighted_integral(v: InitialDatum, gamma: float, shift: float,
+                       tol: float) -> float:
+    """integral (shift + |x|)^gamma |v(x)| dx."""
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     n = v.dimension
-    if weight == "shifted":         # (1 + |x|)^gamma
-        def w(r):
-            return (1.0 + r) ** gamma
-    else:                           # |x|^gamma
-        def w(r):
-            return r ** gamma
+
+    def w(r):
+        return (shift + r) ** gamma
 
     if n == 1:
         lo, hi = v.axis_interval(0)
@@ -513,12 +507,12 @@ def _weighted_integral(v: InitialDatum, gamma: float, weight: str, tol: float) -
 
 def weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10) -> float:
     """integral (1 + |x|)^gamma |v(x)| dx."""
-    return _weighted_integral(v, float(gamma), "shifted", float(tol))
+    return _weighted_integral(v, float(gamma), 1.0, float(tol))
 
 
 def absolute_moment(v: InitialDatum, gamma: float, tol=1e-10) -> float:
     """integral |x|^gamma |v(x)| dx (denominator of the Taylor-remainder ratio)."""
-    return _weighted_integral(v, float(gamma), "plain", float(tol))
+    return _weighted_integral(v, float(gamma), 0.0, float(tol))
 
 
 # ---------------------------------------------------------------------------

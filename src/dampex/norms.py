@@ -19,9 +19,10 @@ import numpy as np
 from scipy import special
 
 from .errors import InsufficientOrderError
-from .expansion import ExpansionPolynomial, build_expansion
+from .expansion import ExpansionPolynomial, build_expansion, heat_partial_sum
 from .indices import Alpha, degree, indices_of_degree
-from .initial_data import InitialDatum, MomentTable, absolute_moment, moment_table
+from .initial_data import (InitialDatum, MomentTable, absolute_moment,
+                           moment_table, weighted_l1_norm)
 from .quadrature import (adaptive_1d, angular_sums, integrate_radial,
                          radial_breakpoints, truncation_radius)
 from .spectral import LowFrequencySymbol, SpectralSolution
@@ -329,16 +330,6 @@ def heat_increment_norm(k: int, table: MomentTable, radius=None) -> float:
 # Residual norms
 
 
-@lru_cache(maxsize=None)
-def _cached_table(v: InitialDatum, order: int) -> MomentTable:
-    return moment_table(v, max(order, 0))
-
-
-def profile_polynomial(sol: SpectralSolution, k: int) -> ExpansionPolynomial:
-    """The order-k profile polynomial of v = u0 + u1 (k = -1 gives zero)."""
-    return build_expansion("A", k, _cached_table(sol.v, max(k, 0)))
-
-
 def residual_norm(sol: SpectralSolution, t: float, k: int,
                   region: FrequencyRegion | None = None, tol=1e-9) -> RegionNorm:
     """|| u_hat(t) - A_{k-1} e^{-t |xi|^2} ||_{L2(region)} (full space default).
@@ -360,7 +351,7 @@ def residual_norm_curve(sol: SpectralSolution, ts, k: int,
     ts = np.asarray(ts, dtype=float)
     if np.any(ts <= 0):
         raise ValueError("t must be positive")
-    poly = profile_polynomial(sol, k - 1)
+    poly = build_expansion("A", k - 1, moment_table(sol.v, max(k - 1, 0)))
     region = region or FrequencyRegion.full(sol.dimension)
     eps = sol.band_halfwidth
     kinks = (sol.low_radius, 1.0 - eps, 1.0, 1.0 + eps, sol.high_radius)
@@ -395,9 +386,8 @@ def taylor_remainder_sup_ratio(v: InitialDatum, gamma: float, radii,
     The bound behind the expansion machinery asserts this ratio is finite;
     stability of the grid supremum under refinement is the checkable proxy.
     """
-    from .expansion import heat_partial_sum  # local import to stay cycle-free
     m = math.floor(gamma)
-    table = _cached_table(v, m)
+    table = moment_table(v, m)
     partial = heat_partial_sum(table, m)
     denom_weight = absolute_moment(v, gamma, tol=tol)
     pts = _ray_grid(v.dimension, radii)
@@ -409,10 +399,9 @@ def taylor_remainder_sup_ratio(v: InitialDatum, gamma: float, radii,
 def symbol_gap_sup_ratio(v: InitialDatum, gamma: float, radii,
                          tol=1e-10) -> float:
     """sup over a grid (inside |xi| <= 1/2) of |F^v - A_{[gamma]}| / (|xi|^gamma ||v||_{1,gamma})."""
-    from .initial_data import weighted_l1_norm
     radii = [r for r in radii if 0.0 < r <= 0.5]
     m = math.floor(gamma)
-    table = _cached_table(v, m)
+    table = moment_table(v, m)
     profile = build_expansion("A", m, table)
     symbol = LowFrequencySymbol(v)
     denom_weight = weighted_l1_norm(v, gamma, tol=tol)

@@ -155,21 +155,13 @@ class SpectralSolution:
 
     # -- helpers --------------------------------------------------------------
 
-    def residual(self, t: float, xi, poly):
-        """Pointwise gap u_hat(t, xi) - poly(xi) e^{-t |xi|^2}.
+    def residual_curve(self, ts, xi, poly):
+        """Gap u_hat(t, xi) - poly(xi) e^{-t |xi|^2} at every t of ``ts`` on
+        points of shape (..., n): one row per time, shape (len(ts), ...).
 
         ``poly`` is any callable on points (an expansion polynomial); this is
-        the integrand of every region norm used in the decay estimates.
-        """
-        pts, _, single = _points(xi, self.dimension)
-        out = self.residual_curve((t,), pts, poly)[0]
-        return out[0] if single else out
-
-    def residual_curve(self, ts, xi, poly):
-        """``residual`` at every t of ``ts`` on points of shape (..., n): one
-        row per time, shape (len(ts), ...).
-
-        The transforms, |xi|^2 and ``poly`` are evaluated once per point set;
+        the integrand of every residual norm in the decay estimates.  The
+        transforms, |xi|^2 and ``poly`` are evaluated once per point set;
         only the time factors are broadcast over ``ts``.
         """
         ts = np.asarray(ts, dtype=float)
@@ -219,12 +211,3 @@ class LowFrequencySymbol:
                 radius=radius)
         out = self.v.fourier_transform(pts) / (1.0 - s)
         return out[0] if single else out
-
-
-def evaluate_heat(v: InitialDatum, t: float, xi):
-    """Transformed heat flow e^{-t |xi|^2} v_hat(xi)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    pts, s, single = _points(xi, v.dimension)
-    out = np.exp(-t * s) * v.fourier_transform(pts)
-    return out[0] if single else out

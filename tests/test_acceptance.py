@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from dampex import (Box, Gaussian, REPRESENTATIONS, Shifted, SpectralSolution,
-                    TimeGrid, build_expansion, check_property_A,
+from dampex import (Box, Case, Gaussian, PointSample, REPRESENTATIONS, Shifted,
+                    SpectralSolution, TimeGrid, build_expansion, check_property_A,
                     check_property_B, check_property_C, fit_decay_rate,
                     heat_comparison, heat_increment_norm,
                     increment_lower_constant, increment_lower_constant_1d,
@@ -170,9 +170,11 @@ def decay_grid():
 @pytest.fixture(scope="module")
 def decay_fits(decay_grid):
     t0 = time.monotonic()
-    fits = {name: (fit_decay_rate(u0, u1, k, decay_grid),
-                   sandwich_check(u0, u1, k, decay_grid))
-            for name, u0, u1, k in DECAY_CASES}
+    cases = {name: (Case(name, u0, u1, k_values=(k,)), k)
+             for name, u0, u1, k in DECAY_CASES}
+    fits = {name: (fit_decay_rate(case, k, decay_grid),
+                   sandwich_check(case, k, decay_grid))
+            for name, (case, k) in cases.items()}
     return fits, time.monotonic() - t0
 
 
@@ -203,12 +205,15 @@ def test_scaled_remainders_decay():
     t0 = time.monotonic()
     v = Gaussian(dimension=1, scale=1.0)
     grid = TimeGrid(1.0, 1.0e4, 25)
+    case = Case("gauss", v, zero_datum(1), k_values=(0, 1, 2),
+                checks=("vanishing_heat", "vanishing_low_frequency"),
+                gammas=(0.0, 1.0, 2.0, 2.5))
     for gamma in (0.0, 1.0, 2.0, 2.5):
-        rep = vanishing_limit_check(v, grid, variant="heat", gamma=gamma)
+        rep = vanishing_limit_check(case, grid, variant="heat", gamma=gamma)
         assert rep.tail_decreasing, gamma
         assert rep.terminal_fraction < 0.1, (gamma, rep.terminal_fraction)
     for k in (0, 1, 2):
-        rep = vanishing_limit_check(v, grid, variant="low_frequency", k=k)
+        rep = vanishing_limit_check(case, grid, variant="low_frequency", k=k)
         assert rep.tail_decreasing, k
         assert rep.terminal_fraction < 0.1, (k, rep.terminal_fraction)
     elapsed = _stamp("scaled-remainder-decay", t0)
@@ -221,11 +226,13 @@ def test_heat_flow_increment_comparison():
     t0 = time.monotonic()
     grid = TimeGrid(100.0, 1.0e4, 3)
     for v in catalog_all():
+        case = Case("catalog", v, zero_datum(v.dimension), k_values=(0, 1))
         for k in (0, 1):
-            rep = heat_comparison(v, k, grid)
+            rep = heat_comparison(case, k, grid)
             assert rep.relative_gap <= 1e-12, (v.family, v.dimension, k)
     gauss = Gaussian(dimension=1, scale=1.0)
-    rep = heat_comparison(gauss, 2, grid)
+    rep = heat_comparison(Case("gauss", gauss, zero_datum(1), k_values=(2,)),
+                          2, grid)
     mass = abs(moment_table(gauss, 0).moment((0,)))
     assert rep.increment_constant == 0.0
     assert rep.heat_constant > 1e-2 * mass
@@ -245,14 +252,18 @@ def test_property_suite_under_fixed_seed():
               Gaussian(dimension=3, scale=1.0)]:
         k_max = 6 if v.dimension < 3 else 4
         table = moment_table(v, k_max)
-        pts = sample_ball(rng, v.dimension, 100, 2.0)
+        sample = PointSample(sample_ball(rng, v.dimension, 100, 2.0))
         for k in range(k_max + 1):
-            assert check_property_A(table, k, pts, 1e-12).passed, (v.family, k)
-            if k >= 2:
-                assert check_property_B(table, k, pts, 1e-12).passed, (v.family, k)
             poly = build_expansion("B", k, table)
+            assert check_property_A(build_expansion("A", k, table),
+                                    build_expansion("A", k - 1, table), poly,
+                                    sample, 1e-12).passed, (v.family, k)
+            if k >= 2:
+                assert check_property_B(poly, build_expansion("B", k - 2, table),
+                                        build_expansion("C", k, table),
+                                        sample, 1e-12).passed, (v.family, k)
             c = float(rng.uniform(0.1, 10.0))
-            assert check_property_C(poly, c, pts, 1e-12).passed, (v.family, k)
+            assert check_property_C(poly, c, sample, 1e-12).passed, (v.family, k)
             # increments and flat layers are homogeneous of exact degree k
             for kind in ("B", "C"):
                 for term in build_expansion(kind, k, table).terms:

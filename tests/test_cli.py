@@ -332,3 +332,35 @@ def test_config_error_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     assert main(["moments", "--data", str(bad), "--max-order", "1"]) == 2
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("case", "k_values", ["x"]), ("case", "k_values", [1.5]),
+    ("case", "k_values", [-1]), ("case", "k_values", 2),
+    ("case", "gammas", [-1]), ("case", "gammas", [float("nan")]),
+    ("case", "ells", ["x"]), ("case", "ells", [float("inf")]),
+    ("top", "seed", "abc"), ("top", "seed", 1.5), ("top", "seed", True),
+    ("top", "seed", -1), ("top", "quad_tol", -1), ("top", "quad_tol", 0),
+    ("top", "rate_tolerance", float("nan")),
+    ("top", "property_tolerance", float("inf")),
+    ("top", "decay_fraction", 5), ("top", "decay_fraction", 0)])
+def test_report_rejects_bad_config_values_before_output(tmp_path, capsys,
+                                                        where, key, value):
+    case = {"name": "g", "data": {"dimension": 1,
+                                  "u0": {"family": "gaussian", "scale": 1.0},
+                                  "u1": {"family": "zero"}},
+            "k_values": [0], "gammas": [0.0], "ells": [0.0],
+            "checks": ["rate", "vanishing_heat", "properties"]}
+    cfg = {"t_grid": {"t_min": 100.0, "t_max": 1e3, "points": 3},
+           "vanishing_t_grid": {"t_min": 1.0, "t_max": 1e2, "points": 3},
+           "cases": [case]}
+    (case if where == "case" else cfg)[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out_dir = tmp_path / "report"
+    assert main(["report", "--config", str(cfg_path),
+                 "--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ")
+    assert key in captured.err
+    assert not out_dir.exists()

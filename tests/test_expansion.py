@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dampex import (Box, Gaussian, InsufficientOrderError, Shifted,
+from dampex import (Box, Case, Gaussian, InsufficientOrderError, Shifted,
                     build_expansion, check_property_A, check_property_B,
-                    check_property_C, combine, heat_partial_sum,
-                    inverse_transform_terms, moment_table, property_suite,
-                    sample_ball)
+                    check_property_C, combine, heat_partial_sum, moment_table,
+                    property_suite, sample_ball, zero_datum)
 from dampex.expansion import ExpansionPolynomial, PointSample, PropertyReport
 
 from conftest import catalog_1d, catalog_2d, catalog_3d
@@ -20,6 +19,24 @@ from conftest import catalog_1d, catalog_2d, catalog_3d
 def _sample(dimension, count=100, seed=7, radius=2.0):
     rng = np.random.default_rng(seed)
     return sample_ball(rng, dimension, count, radius)
+
+
+def _check_A(table, k, pts, tolerance=1e-12):
+    return check_property_A(build_expansion("A", k, table),
+                            build_expansion("A", k - 1, table),
+                            build_expansion("B", k, table), PointSample(pts),
+                            tolerance)
+
+
+def _check_B(table, k, pts, tolerance=1e-12):
+    return check_property_B(build_expansion("B", k, table),
+                            build_expansion("B", k - 2, table),
+                            build_expansion("C", k, table), PointSample(pts),
+                            tolerance)
+
+
+def _check_C(poly, c, pts, tolerance=1e-12):
+    return check_property_C(poly, c, PointSample(pts), tolerance)
 
 
 class TestBuilders:
@@ -96,7 +113,7 @@ class TestIdentities:
         table = moment_table(v, k_max)
         pts = _sample(v.dimension)
         for k in range(k_max + 1):
-            rep = check_property_A(table, k, pts, tolerance=1e-12)
+            rep = _check_A(table, k, pts, tolerance=1e-12)
             assert rep.passed, (k, rep.max_deviation)
 
     @pytest.mark.parametrize("v", catalog_1d() + catalog_2d(),
@@ -105,7 +122,7 @@ class TestIdentities:
         table = moment_table(v, 6)
         pts = _sample(v.dimension)
         for k in range(2, 7):
-            rep = check_property_B(table, k, pts, tolerance=1e-12)
+            rep = _check_B(table, k, pts, tolerance=1e-12)
             assert rep.passed, (k, rep.max_deviation)
 
     def test_recurrence_with_only_mass(self):
@@ -125,21 +142,20 @@ class TestIdentities:
         table = moment_table(gaussian_1d, 2)
         b0 = build_expansion("B", 0, table)
         pts = _sample(1, 20)
-        rep = check_property_C(b0, 2.0, pts, tolerance=1e-13)
+        rep = _check_C(b0, 2.0, pts, tolerance=1e-13)
         assert rep.passed
 
     def test_homogeneity_requires_increment_kind(self, gaussian_1d):
         table = moment_table(gaussian_1d, 2)
         a = build_expansion("A", 2, table)
         with pytest.raises(ValueError):
-            check_property_C(a, 2.0, _sample(1, 5))
+            _check_C(a, 2.0, _sample(1, 5))
 
     def test_zero_data_identities_hold_vacuously(self):
-        from dampex import zero_datum
         table = moment_table(zero_datum(2), 4)
         pts = _sample(2, 20)
-        assert check_property_A(table, 2, pts).passed
-        assert check_property_B(table, 2, pts).passed
+        assert _check_A(table, 2, pts).passed
+        assert _check_B(table, 2, pts).passed
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -151,7 +167,7 @@ def test_homogeneity_for_random_scales(c, k, seed):
     table = moment_table(v, 4)
     poly = build_expansion("B", k, table)
     pts = _sample(2, 25, seed=seed)
-    rep = check_property_C(poly, c, pts, tolerance=1e-12)
+    rep = _check_C(poly, c, pts, tolerance=1e-12)
     assert rep.passed, rep.max_deviation
 
 
@@ -256,14 +272,14 @@ class TestCompensatedBatch:
                 assert poly.magnitudes(sample) == magnitudes, (kind, k)
                 assert [poly(p) for p in pts] == values, (kind, k)
                 assert [poly.magnitude(p) for p in pts] == magnitudes, (kind, k)
-            assert check_property_A(table, k, pts, 1e-12) == \
+            assert _check_A(table, k, pts, 1e-12) == \
                 _ref_check_A(table, k, pts, 1e-12)
             if k >= 2:
-                assert check_property_B(table, k, pts, 1e-12) == \
+                assert _check_B(table, k, pts, 1e-12) == \
                     _ref_check_B(table, k, pts, 1e-12)
             b_k = build_expansion("B", k, table)
             for c in (0.1, 2.0, 10.0):
-                assert check_property_C(b_k, c, pts, 1e-12) == \
+                assert _check_C(b_k, c, pts, 1e-12) == \
                     _ref_check_C(b_k, c, pts, 1e-12), (k, c)
 
     def test_single_points_must_match_the_dimension(self, gaussian_1d):
@@ -292,7 +308,9 @@ class TestCompensatedBatch:
         counts = []
         for size in (100, 1000):
             calls.update(batch=0, call=0)
-            reports = property_suite(v, 4, np.random.default_rng(3),
+            case = Case("shifted", v, zero_datum(2), checks=("properties",),
+                        k_values=(2,))
+            reports = property_suite(case, np.random.default_rng(3),
                                      sample_size=size)
             assert all(r.sample_size == size for r in reports)
             counts.append(dict(calls))
@@ -355,41 +373,3 @@ class TestStructure:
         pts = _sample(1, 10)
         expected = table.moment((0,)) + table.moment((2,)) * (1j * pts[:, 0]) ** 2
         assert np.max(np.abs(partial(pts) - expected)) < 1e-14
-
-
-class TestInverseTransformDescription:
-    def test_zero_order_increment_is_the_kernel_itself(self, gaussian_1d):
-        table = moment_table(gaussian_1d, 0)
-        b0 = build_expansion("B", 0, table)
-        terms = inverse_transform_terms(b0, t=1.0)
-        assert len(terms) == 1
-        assert terms[0].moment == pytest.approx(table.moment((0,)))
-        assert terms[0].laplacian_power == 0
-        assert terms[0].derivative == (0,)
-
-    def test_profile_order_one_lists_first_layers(self):
-        v = Shifted(base=Gaussian(dimension=1, scale=1.0), center=(0.6,),
-                    dilation=1.0)
-        table = moment_table(v, 1)
-        a1 = build_expansion("A", 1, table)
-        terms = inverse_transform_terms(a1, t=2.0)
-        keyed = {t.derivative: t for t in terms}
-        assert keyed[(0,)].moment == pytest.approx(table.moment((0,)))
-        assert keyed[(1,)].moment == pytest.approx(table.moment((1,)))
-        assert all(t.laplacian_power == 0 for t in terms)
-
-    def test_laplacian_powers_are_integer_halves_of_radial_powers(self):
-        v = Box(dimension=2, half_width=1.0)
-        table = moment_table(v, 4)
-        a4 = build_expansion("A", 4, table)
-        for structural, term in zip(inverse_transform_terms(a4, 1.0), a4.terms):
-            assert structural.laplacian_power * 2 == term.radial_power
-
-    def test_empty_polynomial_gives_empty_description(self, gaussian_1d):
-        a = build_expansion("A", -1, moment_table(gaussian_1d, 0))
-        assert inverse_transform_terms(a, 1.0) == ()
-
-    def test_requires_positive_time(self, gaussian_1d):
-        b0 = build_expansion("B", 0, moment_table(gaussian_1d, 0))
-        with pytest.raises(ValueError):
-            inverse_transform_terms(b0, 0.0)

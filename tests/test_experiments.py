@@ -6,12 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from dampex import (ConfigError, DegenerateDataError, Gaussian, Shifted,
+from dampex import (Case, ConfigError, DegenerateDataError, Gaussian, Shifted,
                     TimeGrid, default_config, expected_decay_slope,
                     fit_decay_rate, heat_comparison, property_suite,
                     run_report, sandwich_check, vanishing_limit_check,
                     zero_datum)
 from dampex.experiments import load_config, validate_config
+
+
+def _case(v, **options):
+    """A case for datum ``v`` (u1 = 0) with the given checks and orders."""
+    return Case("case", v, zero_datum(v.dimension), **options)
 
 
 @pytest.fixture(scope="module")
@@ -35,16 +40,15 @@ class TestTimeGrid:
 
 class TestRateFit:
     def test_gaussian_leading_order(self, grid):
-        fit = fit_decay_rate(Gaussian(dimension=1, scale=1.0), zero_datum(1),
-                             0, grid)
+        fit = fit_decay_rate(_case(Gaussian(dimension=1, scale=1.0)), 0, grid)
         assert fit.expected_slope == -0.25
         assert fit.within(0.05)
         assert fit.residual < 1e-3
 
     def test_degenerate_increment_is_rejected(self, grid):
         with pytest.raises(DegenerateDataError):
-            fit_decay_rate(Gaussian(dimension=1, scale=1.0), zero_datum(1),
-                           2, grid)
+            fit_decay_rate(_case(Gaussian(dimension=1, scale=1.0),
+                                 k_values=(2,)), 2, grid)
 
     def test_expected_slopes_table(self):
         assert expected_decay_slope(1, 0) == -0.25
@@ -54,8 +58,7 @@ class TestRateFit:
 
 class TestSandwich:
     def test_ratios_bracketed(self, grid):
-        rep = sandwich_check(Gaussian(dimension=1, scale=1.0), zero_datum(1),
-                             0, grid)
+        rep = sandwich_check(_case(Gaussian(dimension=1, scale=1.0)), 0, grid)
         assert rep.empirical_delta == grid.t_min
         assert all(r >= 0.5 for r in rep.ratios)
         assert math.isfinite(rep.upper_envelope)
@@ -63,47 +66,51 @@ class TestSandwich:
 
     def test_reruns_are_identical(self, grid):
         u0 = Gaussian(dimension=1, scale=1.0)
-        u1 = zero_datum(1)
-        first = sandwich_check(u0, u1, 0, grid)
-        second = sandwich_check(u0, u1, 0, grid)
+        first = sandwich_check(_case(u0), 0, grid)
+        second = sandwich_check(_case(u0), 0, grid)
         assert first.ratios == second.ratios
 
     def test_zero_data_is_degenerate(self, grid):
         with pytest.raises(DegenerateDataError):
-            sandwich_check(zero_datum(1), zero_datum(1), 0, grid)
+            sandwich_check(_case(zero_datum(1)), 0, grid)
 
 
 class TestVanishingChecks:
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, 2.5])
     def test_heat_variant_decays(self, gamma):
-        rep = vanishing_limit_check(Gaussian(dimension=1, scale=1.0),
-                                    TimeGrid(1.0, 1e4, 13), variant="heat",
-                                    gamma=gamma)
+        case = _case(Gaussian(dimension=1, scale=1.0),
+                     checks=("vanishing_heat",), gammas=(gamma,))
+        rep = vanishing_limit_check(case, TimeGrid(1.0, 1e4, 13),
+                                    variant="heat", gamma=gamma)
         assert rep.passed, rep
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_low_frequency_variant_decays(self, k):
-        rep = vanishing_limit_check(Gaussian(dimension=1, scale=1.0),
-                                    TimeGrid(1.0, 1e4, 13),
+        case = _case(Gaussian(dimension=1, scale=1.0),
+                     checks=("vanishing_low_frequency",), k_values=(k,))
+        rep = vanishing_limit_check(case, TimeGrid(1.0, 1e4, 13),
                                     variant="low_frequency", k=k)
         assert rep.passed, rep
 
     def test_zero_data_is_vacuous(self):
-        rep = vanishing_limit_check(zero_datum(1), TimeGrid(1.0, 100.0, 5),
+        case = _case(zero_datum(1), checks=("vanishing_heat",), gammas=(1.0,))
+        rep = vanishing_limit_check(case, TimeGrid(1.0, 100.0, 5),
                                     variant="heat", gamma=1.0)
         assert rep.passed and rep.terminal_fraction == 0.0
 
     def test_ell_weight_variant(self):
-        rep = vanishing_limit_check(Gaussian(dimension=1, scale=1.0),
-                                    TimeGrid(1.0, 1e4, 9), variant="heat",
-                                    gamma=1.0, ell=1.0)
+        case = _case(Gaussian(dimension=1, scale=1.0),
+                     checks=("vanishing_heat",), gammas=(1.0,), ells=(1.0,))
+        rep = vanishing_limit_check(case, TimeGrid(1.0, 1e4, 9),
+                                    variant="heat", gamma=1.0, ell=1.0)
         assert rep.passed
 
     def test_uncentered_data_decays_too(self):
         v = Shifted(base=Gaussian(dimension=2, scale=1.0), center=(0.5, -0.3),
                     dilation=1.0)
-        rep = vanishing_limit_check(v, TimeGrid(1.0, 1e4, 13), variant="heat",
-                                    gamma=1.0)
+        case = _case(v, checks=("vanishing_heat",), gammas=(1.0,))
+        rep = vanishing_limit_check(case, TimeGrid(1.0, 1e4, 13),
+                                    variant="heat", gamma=1.0)
         assert rep.passed
 
     def test_head_fraction_is_transient_sensitive(self):
@@ -112,18 +119,19 @@ class TestVanishingChecks:
         # peak-relative diagnostic and a later grid start both clear it
         v = Shifted(base=Gaussian(dimension=2, scale=1.0), center=(0.5, -0.3),
                     dilation=1.0)
-        early = vanishing_limit_check(v, TimeGrid(1.0, 1e4, 13),
+        case = _case(v, checks=("vanishing_low_frequency",), k_values=(1,))
+        early = vanishing_limit_check(case, TimeGrid(1.0, 1e4, 13),
                                       variant="low_frequency", k=1)
         assert early.tail_decreasing
         assert not early.passed
         assert early.peak_fraction < 0.1 < early.terminal_fraction
-        later = vanishing_limit_check(v, TimeGrid(10.0, 1e4, 13),
+        later = vanishing_limit_check(case, TimeGrid(10.0, 1e4, 13),
                                       variant="low_frequency", k=1)
         assert later.passed
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            vanishing_limit_check(Gaussian(dimension=1, scale=1.0),
+            vanishing_limit_check(_case(Gaussian(dimension=1, scale=1.0)),
                                   TimeGrid(1.0, 10.0, 3), variant="bogus")
 
 
@@ -132,24 +140,25 @@ class TestHeatComparison:
         for v in (Gaussian(dimension=1, scale=1.0),
                   Shifted(base=Gaussian(dimension=1, scale=1.0),
                           center=(0.6,), dilation=1.0)):
+            case = _case(v, k_values=(0, 1))
             for k in (0, 1):
-                rep = heat_comparison(v, k, TimeGrid(100.0, 1e4, 3))
+                rep = heat_comparison(case, k, TimeGrid(100.0, 1e4, 3))
                 assert rep.relative_gap <= 1e-12
 
     def test_gaussian_splits_at_order_two(self):
-        rep = heat_comparison(Gaussian(dimension=1, scale=1.0), 2,
-                              TimeGrid(100.0, 1e4, 3))
+        rep = heat_comparison(_case(Gaussian(dimension=1, scale=1.0),
+                                    k_values=(2,)), 2, TimeGrid(100.0, 1e4, 3))
         assert rep.increment_constant == 0.0
         assert rep.heat_constant > 1e-2
 
     def test_heat_sandwich_holds(self):
-        rep = heat_comparison(Gaussian(dimension=1, scale=1.0), 0,
+        rep = heat_comparison(_case(Gaussian(dimension=1, scale=1.0)), 0,
                               TimeGrid(100.0, 1e4, 5))
         assert rep.empirical_delta == 100.0
         assert all(r >= 0.5 for r in rep.heat_ratios)
 
     def test_zero_data_constants_both_vanish(self):
-        rep = heat_comparison(zero_datum(1), 0, TimeGrid(100.0, 1e3, 3))
+        rep = heat_comparison(_case(zero_datum(1)), 0, TimeGrid(100.0, 1e3, 3))
         assert rep.increment_constant == 0.0
         assert rep.heat_constant == 0.0
         assert rep.relative_gap == 0.0
@@ -159,7 +168,9 @@ class TestPropertySuite:
     def test_all_pass_for_catalog_case(self, rng):
         v = Shifted(base=Gaussian(dimension=2, scale=1.0), center=(0.4, -0.3),
                     dilation=1.0)
-        reports = property_suite(v, 4, rng)
+        case = _case(v, checks=("properties",), k_values=(2,))
+        assert case.property_order == 4
+        reports = property_suite(case, rng)
         assert reports and all(r.passed for r in reports)
 
 
@@ -258,3 +269,72 @@ class TestRunReport:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(small_config), encoding="utf-8")
         assert load_config(p) == small_config
+
+
+def _counting(calls, key, fn):
+    def wrapper(*args, **kwargs):
+        calls[key(*args, **kwargs)] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestCampaignState:
+    """Every campaign does its own work: per-case state, no module caches."""
+
+    DEFAULT_SUMMARY_SHA256 = (
+        "fc17eaa3575082ab08ec770e88f814655d68dc4dc1efd6d79ac778f885fe73db")
+
+    def test_two_campaigns_do_the_same_quadrature_work(self, tmp_path,
+                                                      monkeypatch):
+        from collections import Counter
+        from dampex import initial_data, norms, quadrature
+        calls, evals = Counter(), Counter()
+        real = quadrature.adaptive_1d
+
+        def counted(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls["run"] += 1
+            evals["run"] += res.evaluations
+            return res
+
+        for module in (quadrature, norms, initial_data):
+            monkeypatch.setattr(module, "adaptive_1d", counted)
+        work, outputs = [], []
+        for run in ("a", "b"):
+            calls.clear()
+            evals.clear()
+            bundle = run_report(default_config(), tmp_path / run)
+            work.append((calls["run"], evals["run"]))
+            outputs.append({p.name: p.read_bytes() for p in bundle.files})
+        assert work == [(13, 21231), (13, 21231)]
+        assert outputs[0] == outputs[1]
+
+    def test_default_summary_bytes_and_build_counts(self, tmp_path,
+                                                    monkeypatch):
+        import hashlib
+        from collections import Counter
+        from dampex import expansion, experiments
+        builds, samples = Counter(), Counter()
+        monkeypatch.setattr(experiments, "build_expansion", _counting(
+            builds, lambda kind, k, table: (id(table), kind, k),
+            expansion.build_expansion))
+
+        class CountedSample(expansion.PointSample):
+            def __init__(self, points):
+                samples["all"] += 1
+                super().__init__(points)
+
+        for module in (expansion, experiments):
+            monkeypatch.setattr(module, "PointSample", CountedSample)
+        cfg = default_config()
+        bundle = run_report(cfg, tmp_path / "out")
+        digest = hashlib.sha256(
+            (tmp_path / "out" / "summary.json").read_bytes()).hexdigest()
+        assert digest == self.DEFAULT_SUMMARY_SHA256
+        # each (case, kind, order) polynomial is built once per campaign
+        assert builds and max(builds.values()) == 1
+        # one sample per order shared by the A and B checks, plus C's scaled one
+        orders = sum(max(case["k_values"]) + 3 for case in cfg["cases"]
+                     if "properties" in case["checks"])
+        assert samples["all"] == 2 * orders
+        assert bundle.passed
