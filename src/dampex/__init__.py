@@ -14,17 +14,12 @@ from .experiments import (Case, HeatComparisonReport, RateFit, SandwichReport,
                           heat_comparison, property_suite, run_report,
                           sample_ball, sandwich_check, vanishing_limit_check)
 from .initial_data import (Box, Gaussian, GaussianMonomial, InitialDatum,
-                           MomentTable, Shifted, SumDatum, absolute_moment,
-                           add_data, datum_from_config, gauss_kernel,
-                           moment_table, pair_from_config,
-                           quadrature_raw_moment, weighted_l1_norm, zero_datum)
-from .norms import (FrequencyRegion, LowerBoundConstants, RegionNorm,
-                    gaussian_monomial_integral, heat_increment_norm,
-                    increment_lower_constant, increment_lower_constant_1d,
-                    lower_bound_constants, norm_curve, poly_gaussian_l2_norm,
-                    radial_factor_1d, region_l2_norm, residual_norm,
-                    residual_norm_curve, symbol_gap_sup_ratio,
-                    taylor_remainder_sup_ratio)
+                           MomentTable, Shifted, SumDatum, add_data,
+                           datum_from_config, gauss_kernel, moment_table,
+                           pair_from_config, weighted_l1_norm, zero_datum)
+from .norms import (FrequencyRegion, RegionNorm, gaussian_monomial_integral,
+                    heat_increment_norm, norm_curve, poly_gaussian_l2_norm,
+                    region_l2_norm, residual_norm, residual_norm_curve)
 from .spectral import (REPRESENTATIONS, LowFrequencySymbol, SpectralSolution,
                        stable_heat_difference)
 

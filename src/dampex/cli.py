@@ -14,7 +14,8 @@ import numpy as np
 from .errors import ConfigError, DampexError
 from .expansion import build_expansion
 from .experiments import default_config, load_config, run_report
-from .initial_data import (datum_or_pair_sum, moment_table, pair_from_config)
+from .initial_data import (datum_or_pair_sum, moment_table, pair_from_config,
+                           weighted_l1_norm)
 from .norms import FrequencyRegion, residual_norm
 from .spectral import REPRESENTATIONS, SpectralSolution
 
@@ -95,9 +96,14 @@ def _grid_coordinates(axis, dimension):
 
 def cmd_moments(args):
     _check_order(args.max_order, 0, "--max-order")
-    datum = datum_or_pair_sum(load_config(args.data))
     gammas = _parse_floats(args.gammas) if args.gammas else []
-    table = moment_table(datum, args.max_order, gammas=gammas)
+    for g in gammas:
+        if not (math.isfinite(g) and g >= 0):
+            raise ConfigError(f"bad weight {g!r} in --gammas {args.gammas!r}: "
+                              "weights must be finite and >= 0")
+    datum = datum_or_pair_sum(load_config(args.data))
+    table = moment_table(datum, args.max_order)
+    norms = {g: weighted_l1_norm(datum, g) for g in gammas}
     entries = [{"alpha": list(alpha),
                 "value": table.moment(alpha),
                 "raw": table.raw(alpha),
@@ -105,8 +111,7 @@ def cmd_moments(args):
                for alpha in table.indices()]
     _emit({"dimension": table.dimension, "order": table.order,
            "entries": entries,
-           "weighted_norms": {str(g): val for g, val in
-                              sorted(table.weighted_norms.items())}},
+           "weighted_norms": {str(g): val for g, val in sorted(norms.items())}},
           args.out)
     return 0
 

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InsufficientOrderError
-from .indices import Alpha, degree, i_power, indices_of_degree, multi_factorial
+from .indices import Alpha, i_power, indices_of_degree, multi_factorial
 from .initial_data import MomentTable
 
 KINDS = ("A", "B", "C")
@@ -39,10 +39,6 @@ class Term:
     coefficient: complex
     radial_power: int
     monomial: Alpha
-
-    @property
-    def total_degree(self) -> int:
-        return self.radial_power + degree(self.monomial)
 
 
 class PointSample:
@@ -94,7 +90,10 @@ class ExpansionPolynomial:
         batch (shape (m, n), vectorized)."""
         pts = np.asarray(xi, dtype=float)
         if pts.ndim == 1:
-            return self.compensated(self._one_point(pts))[0]
+            # ``factors`` rejects a point whose length is not the dimension
+            return self.compensated(PointSample(pts[None]))[0]
+        if pts.ndim == 0 or pts.shape[-1] != self.dimension:
+            raise ValueError(f"points must have trailing dimension {self.dimension}")
         s = np.sum(pts * pts, axis=-1)
         acc = np.zeros(pts.shape[:-1], dtype=complex)
         for t in self.terms:
@@ -104,15 +103,6 @@ class ExpansionPolynomial:
                     mono = mono * pts[..., j] ** a
             acc = acc + t.coefficient * s ** (t.radial_power // 2) * mono
         return acc
-
-    def magnitude(self, xi) -> float:
-        """Sum of absolute term values at a point: the roundoff unit of an
-        evaluation, robust against cancellation across terms."""
-        return self.magnitudes(self._one_point(xi))[0]
-
-    def _one_point(self, xi) -> PointSample:
-        # ``factors`` rejects a point whose length is not the dimension
-        return PointSample(np.reshape(np.asarray(xi, dtype=float), (1, -1)))
 
     def compensated(self, sample: PointSample) -> list[complex]:
         """The value at every point of ``sample``: real and imaginary parts
@@ -127,7 +117,9 @@ class ExpansionPolynomial:
             ((im[:, None] * radial) * mono).T.tolist())]
 
     def magnitudes(self, sample: PointSample) -> list[float]:
-        """``magnitude`` at every point of ``sample``."""
+        """The sum of absolute term values at every point of ``sample``:
+        the roundoff unit of an evaluation, robust against cancellation
+        across terms."""
         _, _, absolute, half, exps = self._layout
         radial, mono = sample.factors(half, exps, absolute=True)
         return [math.fsum(col)
@@ -162,10 +154,6 @@ class ExpansionPolynomial:
     @property
     def is_structurally_zero(self) -> bool:
         return not self.canonical
-
-    @property
-    def total_degree(self) -> int:
-        return max((t.total_degree for t in self.terms), default=0)
 
 
 def _layers(kind: str, k: int):
@@ -208,7 +196,7 @@ def build_expansion(kind: str, k: int, table: MomentTable) -> ExpansionPolynomia
                                terms=tuple(terms))
 
 
-def combine(polys, kind="sum") -> ExpansionPolynomial:
+def combine(polys) -> ExpansionPolynomial:
     """Plain term-list sum of polynomials over one dimension."""
     polys = list(polys)
     if not polys:
@@ -218,7 +206,7 @@ def combine(polys, kind="sum") -> ExpansionPolynomial:
         raise ValueError("polynomials must share one dimension")
     terms = tuple(t for p in polys for t in p.terms)
     order = max(p.order for p in polys)
-    return ExpansionPolynomial(kind=kind, order=order, dimension=dims.pop(),
+    return ExpansionPolynomial(kind="sum", order=order, dimension=dims.pop(),
                                terms=terms)
 
 

@@ -39,6 +39,10 @@ class TimeGrid:
     points: int
 
     def __post_init__(self):
+        _nonnegative(self.t_min, "t_min")
+        _nonnegative(self.t_max, "t_max")
+        # 9.0 reads as 9, as JSON Schema's "integer" reads it
+        object.__setattr__(self, "points", _integer(self.points, "points"))
         if self.t_min < 1.0:
             raise ConfigError("t_min must be at least 1")
         if self.t_max <= self.t_min:
@@ -479,7 +483,7 @@ def validate_config(cfg: dict) -> Campaign:
 def _grid(cfg, key, default) -> TimeGrid:
     try:
         return TimeGrid(**cfg.get(key, default))
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"bad {key}: {exc}") from exc
 
 

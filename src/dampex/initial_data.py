@@ -77,8 +77,9 @@ class InitialDatum:
     def axis_moment_is_zero(self, j, m) -> bool:
         raise NotImplementedError
 
-    def axis_interval(self, j, eps=_SUPPORT_EPS):
-        """Interval outside which the axis profile is below eps * peak."""
+    def axis_interval(self, j):
+        """Interval outside which the axis profile is below
+        _SUPPORT_EPS times its peak."""
         raise NotImplementedError
 
     @property
@@ -130,11 +131,6 @@ class InitialDatum:
             return True
         return any(self.axis_moment_is_zero(j, a) for j, a in enumerate(alpha))
 
-    def support_radius(self, eps=_SUPPORT_EPS) -> float:
-        corners = [max(abs(lo), abs(hi)) for lo, hi in
-                   (self.axis_interval(j, eps) for j in range(self.dimension))]
-        return math.sqrt(sum(c * c for c in corners))
-
     def _check_alpha(self, alpha) -> Alpha:
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.dimension:
@@ -174,8 +170,8 @@ class Gaussian(InitialDatum):
     def axis_moment_is_zero(self, j, m):
         return m % 2 == 1
 
-    def axis_interval(self, j, eps=_SUPPORT_EPS):
-        r = math.sqrt(4.0 * self.scale * math.log(1.0 / eps)) + 1.0
+    def axis_interval(self, j):
+        r = math.sqrt(4.0 * self.scale * math.log(1.0 / _SUPPORT_EPS)) + 1.0
         return (-r, r)
 
 
@@ -223,8 +219,8 @@ class GaussianMonomial(InitialDatum):
     def axis_moment_is_zero(self, j, m):
         return (m + self.exponents[j]) % 2 == 1
 
-    def axis_interval(self, j, eps=_SUPPORT_EPS):
-        r = (math.sqrt(4.0 * self.scale * math.log(1.0 / eps))
+    def axis_interval(self, j):
+        r = (math.sqrt(4.0 * self.scale * math.log(1.0 / _SUPPORT_EPS))
              + 3.0 * math.sqrt(self.scale) * (1 + self.exponents[j]))
         return (-r, r)
 
@@ -260,7 +256,7 @@ class Box(InitialDatum):
     def axis_moment_is_zero(self, j, m):
         return m % 2 == 1
 
-    def axis_interval(self, j, eps=_SUPPORT_EPS):
+    def axis_interval(self, j):
         return (-self.half_width, self.half_width)
 
 
@@ -315,8 +311,8 @@ class Shifted(InitialDatum):
             return self.base.axis_moment_is_zero(j, m)
         return all(self.base.axis_moment_is_zero(j, q) for q in range(m + 1))
 
-    def axis_interval(self, j, eps=_SUPPORT_EPS):
-        lo, hi = self.base.axis_interval(j, eps)
+    def axis_interval(self, j):
+        lo, hi = self.base.axis_interval(j)
         c, s = self.center[j], self.dilation
         return (c + s * lo, c + s * hi)
 
@@ -361,11 +357,8 @@ class SumDatum(InitialDatum):
         alpha = self._check_alpha(alpha)
         return all(t.moment_is_exact_zero(alpha) for t in self.terms)
 
-    def support_radius(self, eps=_SUPPORT_EPS):
-        return max(t.support_radius(eps) for t in self.terms)
-
-    def axis_interval(self, j, eps=_SUPPORT_EPS):
-        los, his = zip(*(t.axis_interval(j, eps) for t in self.terms))
+    def axis_interval(self, j):
+        los, his = zip(*(t.axis_interval(j) for t in self.terms))
         return (min(los), max(his))
 
 
@@ -398,15 +391,14 @@ def add_data(*data: InitialDatum) -> InitialDatum:
 
 @dataclass(frozen=True, eq=False)
 class MomentTable:
-    """Normalized moments M_alpha for all |alpha| <= order, with raw values,
-    exact-zero flags and any requested weighted L1 norms."""
+    """Normalized moments M_alpha for all |alpha| <= order, with raw values
+    and exact-zero flags."""
 
     dimension: int
     order: int
     entries: dict
     raw_entries: dict
     exact_zeros: frozenset
-    weighted_norms: dict
 
     def moment(self, alpha: Alpha) -> float:
         return self.entries[tuple(alpha)]
@@ -421,7 +413,7 @@ class MomentTable:
         return indices_up_to(self.dimension, self.order)
 
 
-def moment_table(v: InitialDatum, order: int, gammas=(), tol=1e-10) -> MomentTable:
+def moment_table(v: InitialDatum, order: int) -> MomentTable:
     if order < 0:
         raise ValueError("order must be nonnegative")
     entries = {}
@@ -435,57 +427,21 @@ def moment_table(v: InitialDatum, order: int, gammas=(), tol=1e-10) -> MomentTab
         else:
             raw_entries[alpha] = v.raw_moment(alpha)
             entries[alpha] = v.moment(alpha)
-    norms = {float(g): weighted_l1_norm(v, g, tol=tol) for g in gammas}
     return MomentTable(dimension=v.dimension, order=order, entries=entries,
-                       raw_entries=raw_entries, exact_zeros=frozenset(zeros),
-                       weighted_norms=norms)
+                       raw_entries=raw_entries, exact_zeros=frozenset(zeros))
 
 
 # ---------------------------------------------------------------------------
-# Quadrature oracles and weighted norms
+# Weighted norms
 
 
-def quadrature_raw_moment(v: InitialDatum, alpha, tol=1e-10, *,
-                          nested=False, abs_floor=1e-300) -> float:
-    """Brute-force integral x^alpha v dx, independent of the closed forms.
-
-    Separable data integrates per axis with the adaptive Gauss-Kronrod rule
-    and multiplies; ``nested=True`` (or a non-separable datum) forces a full
-    tensor integration instead.
-    """
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != v.dimension:
-        raise ValueError("multi-index length must equal the dimension")
-    if not nested and v.separable:
-        total = v.amplitude
-        for j, m in enumerate(alpha):
-            lo, hi = v.axis_interval(j)
-            res = adaptive_1d(lambda y, j=j, m=m: y**m * v.axis_value(j, y),
-                              lo, hi, tol / (v.dimension + 1), abs_floor=abs_floor,
-                              breakpoints=(0.0,))
-            total *= res.value
-        return total
-    bounds = [v.axis_interval(j) for j in range(v.dimension)]
-    brk = [(0.0,)] * v.dimension
-
-    def f(x):
-        val = float(v.values(np.asarray(x)))
-        for xj, m in zip(x, alpha):
-            val *= xj**m
-        return val
-
-    return nested_cartesian(f, bounds, tol, breakpoints=brk, abs_floor=abs_floor).value
-
-
-def _weighted_integral(v: InitialDatum, gamma: float, shift: float,
-                       tol: float) -> float:
-    """integral (shift + |x|)^gamma |v(x)| dx."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+def weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10) -> float:
+    """integral (1 + |x|)^gamma |v(x)| dx, for a finite gamma >= 0."""
+    gamma, tol = float(gamma), float(tol)
     n = v.dimension
 
     def w(r):
-        return (shift + r) ** gamma
+        return (1.0 + r) ** gamma
 
     if n == 1:
         lo, hi = v.axis_interval(0)
@@ -503,16 +459,6 @@ def _weighted_integral(v: InitialDatum, gamma: float, shift: float,
         return w(r) * abs(float(v.values(np.asarray(x))))
 
     return nested_cartesian(f, bounds, tol, breakpoints=brk).value
-
-
-def weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10) -> float:
-    """integral (1 + |x|)^gamma |v(x)| dx."""
-    return _weighted_integral(v, float(gamma), 1.0, float(tol))
-
-
-def absolute_moment(v: InitialDatum, gamma: float, tol=1e-10) -> float:
-    """integral |x|^gamma |v(x)| dx (denominator of the Taylor-remainder ratio)."""
-    return _weighted_integral(v, float(gamma), 0.0, float(tol))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Region-restricted L2 norms in frequency and their closed-form twins.
 
-The quadrature route (`region_l2_norm`) integrates |f|^2 over balls,
-annuli, exteriors or all of R^n (n <= 3) and never looks inside f.  The
+The quadrature route (`norm_curve`) integrates |f|^2 over balls, annuli,
+exteriors or all of R^n (n <= 3) and never looks inside f.  The
 closed-form route evaluates the same norms for polynomial-times-Gaussian
 integrands through exact sphere moments and incomplete-gamma radial
-factors.  Keeping both routes independent is the point: each lower-bound
-constant below is checked against the generic quadrature of the very
-polynomial it summarises.
+factors.  Keeping both routes independent is the point: the tests check
+each closed form against the generic quadrature of the very polynomial it
+summarises.
 """
 
 from __future__ import annotations
@@ -19,13 +19,15 @@ import numpy as np
 from scipy import special
 
 from .errors import InsufficientOrderError
-from .expansion import ExpansionPolynomial, build_expansion, heat_partial_sum
+from .expansion import ExpansionPolynomial, build_expansion
 from .indices import Alpha, degree, indices_of_degree
-from .initial_data import (InitialDatum, MomentTable, absolute_moment,
-                           moment_table, weighted_l1_norm)
+from .initial_data import MomentTable, moment_table
 from .quadrature import (adaptive_1d, angular_sums, integrate_radial,
                          radial_breakpoints, truncation_radius)
-from .spectral import LowFrequencySymbol, SpectralSolution
+from .spectral import BAND_HALFWIDTH, SpectralSolution
+
+LOW_RADIUS = 0.5            # residual-norm split radii inside and outside
+HIGH_RADIUS = 2.0           # the unit sphere
 
 
 @dataclass(frozen=True)
@@ -205,104 +207,6 @@ def poly_gaussian_l2_norm(poly: ExpansionPolynomial, radius=None) -> float:
     return math.sqrt(max(total, 0.0))
 
 
-# ---------------------------------------------------------------------------
-# Closed-form lower-bound constants
-
-
-def increment_lower_constant_1d(k: int, table: MomentTable) -> float:
-    """|| B_k e^{-|xi|^2} ||_{L2(|xi| <= 1/2)} in dimension one.
-
-    The increment collapses to (alternating moment sum) * xi^k, so the norm
-    is the k-th radial factor times |sum_j (-1)^j M_{2j}| (even k) or
-    |sum_j (-1)^j M_{2j+1}| (odd k).
-    """
-    if table.dimension != 1:
-        raise ValueError("this closed form is one-dimensional")
-    if table.order < k:
-        raise InsufficientOrderError(f"need moments to order {k}")
-    if k % 2 == 0:
-        coeff = math.fsum((-1.0) ** j * table.moment((2 * j,))
-                          for j in range(k // 2 + 1))
-    else:
-        coeff = math.fsum((-1.0) ** j * table.moment((2 * j + 1,))
-                          for j in range((k - 1) // 2 + 1))
-    radial = radial_factor_1d(k)
-    return radial * abs(coeff)
-
-
-def radial_factor_1d(k: int) -> float:
-    """(2 integral_0^{1/2} xi^{2k} e^{-2 xi^2} dxi)^{1/2}."""
-    return math.sqrt(2.0 * radial_gaussian_integral(2 * k, 2.0, 0.5))
-
-
-@dataclass(frozen=True)
-class LowerBoundConstants:
-    """Ball-restricted Gaussian moments and the raw-moment functionals that
-    enter the order-two increment norm in dimensions n >= 2."""
-
-    dimension: int
-    c1: float                      # integral_{|xi|<=1/2} xi_1^4 e^{-2|xi|^2}
-    c12: float                     # integral_{|xi|<=1/2} xi_1^2 xi_2^2 e^{-2|xi|^2}
-    v_values: tuple[float, ...]    # V_j = integral v - (1/2) integral x_j^2 v
-    w_values: dict                 # (j, k) -> integral x_j x_k v,  j < k
-
-
-def lower_bound_constants(table: MomentTable) -> LowerBoundConstants:
-    n = table.dimension
-    if n < 2:
-        raise ValueError("these constants are defined for n >= 2")
-    if table.order < 2:
-        raise InsufficientOrderError("need moments to order 2")
-    e = lambda j: tuple(2 if i == j else 0 for i in range(n))
-    pair = lambda j, k: tuple(1 if i in (j, k) else 0 for i in range(n))
-    raw0 = table.raw((0,) * n)
-    v_values = tuple(raw0 - 0.5 * table.raw(e(j)) for j in range(n))
-    w_values = {(j, k): table.raw(pair(j, k))
-                for j in range(n) for k in range(j + 1, n)}
-    c1_alpha = tuple(2 if i == 0 else 0 for i in range(n))
-    c12_alpha = tuple(1 if i <= 1 else 0 for i in range(n))
-    return LowerBoundConstants(
-        dimension=n,
-        c1=gaussian_monomial_integral(c1_alpha, 2.0, 0.5),
-        c12=gaussian_monomial_integral(c12_alpha, 2.0, 0.5),
-        v_values=v_values,
-        w_values=w_values,
-    )
-
-
-def increment_lower_constant(k: int, table: MomentTable) -> float:
-    """|| B_k e^{-|xi|^2} ||_{L2(|xi| <= 1/2)} for n >= 2 and k in {0, 1, 2}.
-
-    k = 0: |M_0| times the ball norm of e^{-|xi|^2};
-    k = 1: (sum of squared first moments)^{1/2} times the xi_1^2 factor;
-    k = 2: the V/W quadratic form with the two ball constants above.
-    Higher k has no closed form here; use region_l2_norm on the built
-    polynomial instead.
-    """
-    n = table.dimension
-    if n < 2:
-        raise ValueError("use increment_lower_constant_1d in dimension one")
-    if k == 0:
-        zero = (0,) * n
-        ball = gaussian_monomial_integral(zero, 2.0, 0.5)
-        return abs(table.moment(zero)) * math.sqrt(ball)
-    if k == 1:
-        if table.order < 1:
-            raise InsufficientOrderError("need moments to order 1")
-        sq = math.fsum(table.moment(a) ** 2 for a in indices_of_degree(n, 1))
-        c_alpha = tuple(1 if i == 0 else 0 for i in range(n))
-        return math.sqrt(gaussian_monomial_integral(c_alpha, 2.0, 0.5) * sq)
-    if k == 2:
-        c = lower_bound_constants(table)
-        quad = c.c1 * math.fsum(v * v for v in c.v_values)
-        quad += c.c12 * math.fsum(2.0 * c.v_values[j] * c.v_values[kk]
-                                  + c.w_values[(j, kk)] ** 2
-                                  for j in range(n) for kk in range(j + 1, n))
-        return math.sqrt(max(quad, 0.0))
-    raise ValueError("closed forms exist for k in {0, 1, 2} only; "
-                     "use region_l2_norm on the built polynomial")
-
-
 def heat_increment_norm(k: int, table: MomentTable, radius=None) -> float:
     """|| C_k e^{-|xi|^2} ||_{L2} over R^n (default) or a ball.
 
@@ -346,66 +250,16 @@ def residual_norm_curve(sol: SpectralSolution, ts, k: int,
     """``residual_norm`` at every t of ``ts``, integrated on shared panels.
 
     Each time's inner ladder starts at its heat width 1/sqrt(max(t, 1));
-    the kinks are the radii where the solution switches representation.
+    the kinks are the radii where the solution switches representation,
+    bracketed by LOW_RADIUS and HIGH_RADIUS.
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts <= 0):
         raise ValueError("t must be positive")
     poly = build_expansion("A", k - 1, moment_table(sol.v, max(k - 1, 0)))
     region = region or FrequencyRegion.full(sol.dimension)
-    eps = sol.band_halfwidth
-    kinks = (sol.low_radius, 1.0 - eps, 1.0, 1.0 + eps, sol.high_radius)
+    kinks = (LOW_RADIUS, 1.0 - BAND_HALFWIDTH, 1.0, 1.0 + BAND_HALFWIDTH,
+             HIGH_RADIUS)
     return norm_curve(lambda ts, pts: sol.residual_curve(ts, pts, poly), region,
                       ts, tol, inner_scales=1.0 / np.sqrt(np.maximum(ts, 1.0)),
                       breakpoints=kinks)
-
-
-# ---------------------------------------------------------------------------
-# Grid-based remainder ratios (boundedness proxies for the two key bounds)
-
-
-def _ray_grid(dimension: int, radii) -> np.ndarray:
-    """Deterministic direction x radius grid, no duplicate origin points."""
-    if dimension == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    elif dimension == 2:
-        ang = np.arange(8) * (math.pi / 4.0)
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    else:
-        base = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),
-                (0, 1, 1), (1, 1, 1), (1, -1, 0), (0, 1, -1), (1, 1, -1)]
-        dirs = np.array([d / np.linalg.norm(d) for d in np.asarray(base, float)])
-    radii = np.asarray(list(radii), dtype=float)
-    return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dimension)
-
-
-def taylor_remainder_sup_ratio(v: InitialDatum, gamma: float, radii,
-                               tol=1e-10) -> float:
-    """sup over a grid of |v_hat - partial sum| / (|xi|^gamma integral |x|^gamma |v|).
-
-    The bound behind the expansion machinery asserts this ratio is finite;
-    stability of the grid supremum under refinement is the checkable proxy.
-    """
-    m = math.floor(gamma)
-    table = moment_table(v, m)
-    partial = heat_partial_sum(table, m)
-    denom_weight = absolute_moment(v, gamma, tol=tol)
-    pts = _ray_grid(v.dimension, radii)
-    gaps = np.abs(v.fourier_transform(pts) - partial(pts))
-    r = np.linalg.norm(pts, axis=1)
-    return float(np.max(gaps / (r ** gamma * denom_weight)))
-
-
-def symbol_gap_sup_ratio(v: InitialDatum, gamma: float, radii,
-                         tol=1e-10) -> float:
-    """sup over a grid (inside |xi| <= 1/2) of |F^v - A_{[gamma]}| / (|xi|^gamma ||v||_{1,gamma})."""
-    radii = [r for r in radii if 0.0 < r <= 0.5]
-    m = math.floor(gamma)
-    table = moment_table(v, m)
-    profile = build_expansion("A", m, table)
-    symbol = LowFrequencySymbol(v)
-    denom_weight = weighted_l1_norm(v, gamma, tol=tol)
-    pts = _ray_grid(v.dimension, radii)
-    gaps = np.abs(symbol(pts) - profile(pts))
-    r = np.linalg.norm(pts, axis=1)
-    return float(np.max(gaps / (r ** gamma * denom_weight)))

@@ -28,8 +28,8 @@ rows its field returns passes ``rows`` down, so the shell sampler batches
 from the first call; without it, the first shell is probed at a single
 point to learn the row count.
 
-Only the nested tensor integration behind weighted L1 norms and
-brute-force oracles still runs scipy's scalar adaptive ``quad``.
+Only the nested tensor integration behind weighted L1 norms in 2-D and
+3-D still runs scipy's scalar adaptive ``quad``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,9 @@ from .errors import QuadratureError
 QUAD_LIMIT = 200            # panels per 1-D integral (subintervals in quad)
 BATCH_POINTS = 1 << 12      # values (points x rows) one field call on shells may hold
 STALL_SLACK = 100.0         # a stalled integral is accepted within this x tol
-TRUNCATION_FLOOR = 1e-18
+TRUNCATION_FLOOR = 1e-18   # a shell below this x the running peak is negligible
+TRUNCATION_GROWTH = 1.5    # ratio of successive truncation probe radii
+TRUNCATION_CAP = 512.0     # largest truncation radius
 _LADDER_FACTOR = 10.0
 
 # Kronrod abscissae on [0, 1], descending (odd positions are the Gauss
@@ -359,8 +361,7 @@ def _surface(dimension, r):
     return {1: 2.0, 2: 2.0 * np.pi * r, 3: 4.0 * np.pi * r**2}[dimension]
 
 
-def truncation_radius(field, dimension, start, *, rows=None,
-                      rel_floor=TRUNCATION_FLOOR, growth=1.5, cap=512.0):
+def truncation_radius(field, dimension, start, *, rows=None):
     """Radius beyond which ``field`` is negligible relative to its peak.
 
     Probes geometric shells along fixed directions; also returns a crude
@@ -390,14 +391,15 @@ def truncation_radius(field, dimension, start, *, rows=None,
     peak = shell_max(r * np.array([1e-3, 1e-2, 0.1, 0.5, 1.0]))
     if np.all(peak <= 0.0):
         return r, _scalar_or_rows(np.zeros_like(peak))
-    while r < cap:
+    while r < TRUNCATION_CAP:
         top = bundle_max(r)
         peak = np.maximum(peak, top)
-        if np.all(top <= rel_floor * peak):
+        if np.all(top <= TRUNCATION_FLOOR * peak):
             return r, _scalar_or_rows(top * _surface(dimension, r) * r)
-        r *= growth
-    top = bundle_max(cap)
-    return cap, _scalar_or_rows(top * _surface(dimension, cap) * cap)
+        r *= TRUNCATION_GROWTH
+    top = bundle_max(TRUNCATION_CAP)
+    return TRUNCATION_CAP, _scalar_or_rows(
+        top * _surface(dimension, TRUNCATION_CAP) * TRUNCATION_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +440,7 @@ def _probe_list(lo, hi, breakpoints):
 
 
 # ---------------------------------------------------------------------------
-# nested cartesian integration (weighted L1 norms, brute-force oracles)
+# nested cartesian integration (weighted L1 norms in 2-D and 3-D)
 
 
 def nested_cartesian(field, bounds, tol, *, breakpoints=None, abs_floor=1e-300) -> QuadResult:

@@ -19,7 +19,7 @@ well-posed.  Representation ids:
 
 with K(t,s) = (e^{-ts} - e^{-t})/(1 - s), continued by t e^{-t} at s = 1.
 The default policy uses "2.1" inside |xi| <= 1 - eps, "2.3" outside
-|xi| >= 1 + eps and "2.4" on the band in between, evaluated through the
+|xi| >= 1 + eps and "2.4" on the band in between (eps = BAND_HALFWIDTH), evaluated through the
 cancellation-safe factorization K = t e^{-t} phi(t (1 - s)) with
 phi(z) = (e^z - 1)/z.
 """
@@ -36,6 +36,7 @@ from .initial_data import InitialDatum, add_data
 
 REPRESENTATIONS = ("2.1", "2.2", "2.3", "2.4")
 SINGULAR_GUARD = 1e-12      # forced split forms must stay this far from s = 1
+BAND_HALFWIDTH = 1e-3       # eps of the default policy's band 1 - eps < |xi| < 1 + eps
 PHI_SWITCH = 0.5            # |z| below which the expm1 factorization is used
 
 
@@ -84,17 +85,10 @@ class SpectralSolution:
 
     u0: InitialDatum
     u1: InitialDatum
-    band_halfwidth: float = 1e-3
-    low_radius: float = 0.5
-    high_radius: float = 2.0
 
     def __post_init__(self):
         if self.u0.dimension != self.u1.dimension:
             raise ValueError("u0 and u1 must share one dimension")
-        if not (0.0 < self.band_halfwidth < 0.5):
-            raise ValueError("band halfwidth must lie in (0, 0.5)")
-        if not (0.0 < self.low_radius < 1.0 < self.high_radius):
-            raise ValueError("region thresholds must bracket the unit sphere")
 
     @property
     def dimension(self) -> int:
@@ -140,9 +134,8 @@ class SpectralSolution:
 
     def _auto(self, t, s, f0, f1):
         """The default policy; ``t`` is a scalar or a column of times."""
-        eps = self.band_halfwidth
-        low = s <= (1.0 - eps) ** 2
-        high = s >= (1.0 + eps) ** 2
+        low = s <= (1.0 - BAND_HALFWIDTH) ** 2
+        high = s >= (1.0 + BAND_HALFWIDTH) ** 2
         band = ~(low | high)
         out = np.empty(np.broadcast_shapes(np.shape(t), s.shape), dtype=complex)
         if np.any(low):
@@ -199,11 +192,10 @@ class LowFrequencySymbol:
     profile polynomials approximate on |xi| <= 1/2."""
 
     v: InitialDatum
-    guard: float = SINGULAR_GUARD
 
     def __call__(self, xi):
         pts, s, single = _points(xi, self.v.dimension)
-        bad = np.abs(s - 1.0) <= self.guard
+        bad = np.abs(s - 1.0) <= SINGULAR_GUARD
         if np.any(bad):
             radius = float(np.sqrt(s[bad][0]))
             raise SingularEvaluationError(

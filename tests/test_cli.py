@@ -41,6 +41,17 @@ def test_moments_subcommand(datum_cfg, tmp_path, capsys):
     assert "2.0" in payload["weighted_norms"]
 
 
+@pytest.mark.parametrize("gammas", ["-1", "nan", "inf", "0,-inf"])
+def test_moments_rejects_bad_weights_before_writing(datum_cfg, tmp_path, capsys,
+                                                    gammas):
+    out = tmp_path / "table.json"
+    assert main(["moments", "--data", datum_cfg, "--max-order", "1",
+                 f"--gammas={gammas}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and "--gammas" in captured.err
+    assert not out.exists()
+
+
 def test_solve_subcommand(pair_cfg, tmp_path):
     out = tmp_path / "sol.csv"
     rc = main(["solve", "--data", pair_cfg, "--t", "0.0,1.0",
@@ -343,7 +354,11 @@ def test_config_error_exits_2(tmp_path):
     ("top", "seed", -1), ("top", "quad_tol", -1), ("top", "quad_tol", 0),
     ("top", "rate_tolerance", float("nan")),
     ("top", "property_tolerance", float("inf")),
-    ("top", "decay_fraction", 5), ("top", "decay_fraction", 0)])
+    ("top", "decay_fraction", 5), ("top", "decay_fraction", 0),
+    ("top", "t_grid", {"t_min": 100.0, "t_max": 1e3, "points": 2.5}),
+    ("top", "vanishing_t_grid", {"t_min": 1.0, "t_max": float("nan"),
+                                 "points": 3}),
+    ("top", "t_grid", {"t_min": float("inf"), "t_max": 1e3, "points": 3})])
 def test_report_rejects_bad_config_values_before_output(tmp_path, capsys,
                                                         where, key, value):
     case = {"name": "g", "data": {"dimension": 1,

@@ -271,7 +271,6 @@ class TestCompensatedBatch:
                 assert poly.compensated(sample) == values, (kind, k)
                 assert poly.magnitudes(sample) == magnitudes, (kind, k)
                 assert [poly(p) for p in pts] == values, (kind, k)
-                assert [poly.magnitude(p) for p in pts] == magnitudes, (kind, k)
             assert _check_A(table, k, pts, 1e-12) == \
                 _ref_check_A(table, k, pts, 1e-12)
             if k >= 2:
@@ -284,9 +283,15 @@ class TestCompensatedBatch:
 
     def test_single_points_must_match_the_dimension(self, gaussian_1d):
         poly = build_expansion("A", 2, moment_table(gaussian_1d, 2))
-        for method in (poly, poly.magnitude):
+        with pytest.raises(ValueError, match="dimension"):
+            poly(np.array([1.0, 2.0]))
+
+    def test_batches_must_match_the_dimension(self):
+        poly = build_expansion("A", 2, moment_table(Gaussian(dimension=2), 2))
+        for shape in ((3, 3), (3, 1), (2, 3, 1)):
             with pytest.raises(ValueError, match="dimension"):
-                method(np.array([1.0, 2.0]))
+                poly(np.ones(shape))
+        assert poly(np.ones((2, 3, 2))).shape == (2, 3)
 
     def test_property_suite_evaluations_do_not_grow_with_the_sample(
             self, monkeypatch):
@@ -327,14 +332,14 @@ class TestStructure:
             for kind in ("B", "C"):
                 poly = build_expansion(kind, k, table)
                 for term in poly.terms:
-                    assert term.total_degree == k
+                    assert term.radial_power + sum(term.monomial) == k
 
     def test_profile_terms_bounded_by_order(self, gaussian_1d):
         table = moment_table(gaussian_1d, 6)
         for k in range(7):
             poly = build_expansion("A", k, table)
-            assert all(t.total_degree <= k for t in poly.terms)
-            assert poly.total_degree <= k
+            assert all(t.radial_power + sum(t.monomial) <= k
+                       for t in poly.terms)
 
     def test_flat_layer_is_zero_iff_its_moments_vanish(self):
         # monomial data x1 x2 g has no nonzero order-one moments but a

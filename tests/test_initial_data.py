@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dampex import (Box, ConfigError, Gaussian, GaussianMonomial,
-                    QuadratureError, Shifted, SumDatum, absolute_moment,
-                    add_data, datum_from_config, gauss_kernel, moment_table,
-                    pair_from_config, quadrature_raw_moment, weighted_l1_norm,
-                    zero_datum)
+                    QuadratureError, Shifted, SumDatum, add_data,
+                    datum_from_config, gauss_kernel, moment_table,
+                    pair_from_config, weighted_l1_norm, zero_datum)
 from dampex.indices import indices_up_to
 
 from conftest import catalog_all
+from oracles import absolute_moment, quadrature_raw_moment
 
 SQRT_PI = math.sqrt(math.pi)
 

@@ -9,11 +9,8 @@ from scipy.special import erf
 from dampex import (Box, FrequencyRegion, Gaussian, GaussianMonomial,
                     MomentTable, Shifted, SpectralSolution, add_data,
                     build_expansion, gaussian_monomial_integral,
-                    heat_increment_norm, increment_lower_constant,
-                    increment_lower_constant_1d, lower_bound_constants,
-                    moment_table, poly_gaussian_l2_norm, radial_factor_1d,
-                    region_l2_norm, residual_norm, symbol_gap_sup_ratio,
-                    taylor_remainder_sup_ratio, zero_datum)
+                    heat_increment_norm, moment_table, poly_gaussian_l2_norm,
+                    region_l2_norm, residual_norm, zero_datum)
 from dampex import quadrature
 from dampex.expansion import heat_partial_sum
 from dampex.norms import norm_curve, residual_norm_curve
@@ -22,6 +19,9 @@ from dampex.quadrature import (BATCH_POINTS, adaptive_1d, angular_sums,
                                sphere_nodes)
 
 from conftest import catalog_1d, catalog_2d, catalog_3d
+from oracles import (increment_lower_constant, increment_lower_constant_1d,
+                     lower_bound_constants, radial_factor_1d,
+                     symbol_gap_sup_ratio, taylor_remainder_sup_ratio)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -397,8 +397,7 @@ class TestClosedFormsVsQuadrature:
         raw[(1, 1)] = w
         entries[(1, 1)] = w     # (+1/1!1!) raw
         table = MomentTable(dimension=2, order=2, entries=entries,
-                            raw_entries=raw, exact_zeros=frozenset(),
-                            weighted_norms={})
+                            raw_entries=raw, exact_zeros=frozenset())
         closed = increment_lower_constant(2, table)
         c12 = gaussian_monomial_integral((1, 1), 2.0, 0.5)
         assert closed == pytest.approx(math.sqrt(c12) * w, rel=1e-13)

@@ -11,6 +11,7 @@ from dampex import (Gaussian, LowFrequencySymbol, REPRESENTATIONS,
                     SingularEvaluationError, SpectralSolution, add_data,
                     build_expansion, gauss_kernel, moment_table,
                     stable_heat_difference, zero_datum)
+from dampex.spectral import BAND_HALFWIDTH
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +107,7 @@ def test_representations_agree_for_arbitrary_points(t, radius, angle):
 
 class TestBand:
     def test_continuity_windows_around_critical_radii(self, sol_1d):
-        eps = sol_1d.band_halfwidth
+        eps = BAND_HALFWIDTH
         for t in (0.5, 1.0, 2.0, 5.0, 50.0):
             for center in (1.0 - eps, 1.0, 1.0 + eps):
                 radii = np.linspace(center - 5e-7, center + 5e-7, 1001)
@@ -114,7 +115,7 @@ class TestBand:
                 assert float(np.max(np.abs(np.diff(vals)))) <= 1e-8
 
     def test_band_lipschitz_bound(self, sol_1d):
-        eps = sol_1d.band_halfwidth
+        eps = BAND_HALFWIDTH
         radii = np.linspace(1 - 1.5 * eps, 1 + 1.5 * eps, 20001)
         vals = sol_1d.evaluate(1.0, radii[:, None])
         spacing = radii[1] - radii[0]
