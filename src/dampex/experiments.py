@@ -288,9 +288,9 @@ def vanishing_limit_check(case: Case, grid: TimeGrid, *, variant="heat",
     else:
         raise ValueError("variant must be 'heat' or 'low_frequency'")
 
-    def gap(ts, pts):
-        s = np.sum(pts * pts, axis=-1)
-        return s ** (ell / 2.0) * base(pts) * np.exp(-ts[:, None] * s)
+    def gap(ts, radii, dirs):
+        weight = radii ** ell * np.exp(-np.multiply.outer(ts, radii * radii))
+        return weight[..., None] * base(radii[:, None, None] * dirs)
 
     curve = norm_curve(gap, region, ts, tol, inner_scales=1.0 / np.sqrt(ts))
     scaled = ts ** exponent * np.array([nrm.value for nrm in curve])
@@ -333,9 +333,10 @@ def heat_comparison(case: Case, k: int, grid: TimeGrid,
     rate = expected_decay_slope(n, k)
     ts = grid.values()
 
-    def f(ts, pts):
-        s = np.sum(pts * pts, axis=-1)
-        return (v.fourier_transform(pts) - partial(pts)) * np.exp(-ts[:, None] * s)
+    def f(ts, radii, dirs):
+        pts = radii[:, None, None] * dirs
+        heat = np.exp(-np.multiply.outer(ts, radii * radii))
+        return heat[..., None] * (v.fourier_transform(pts) - partial(pts))
 
     curve = norm_curve(f, region, ts, tol, inner_scales=1.0 / np.sqrt(ts))
     denom = heat_full * ts ** rate

@@ -29,6 +29,7 @@ from .indices import Alpha, degree, indices_up_to, multi_factorial
 from .quadrature import adaptive_1d, nested_cartesian
 
 _SUPPORT_EPS = 1e-18
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def _double_factorial(m: int) -> float:
@@ -414,8 +415,17 @@ class MomentTable:
 
 
 def moment_table(v: InitialDatum, order: int) -> MomentTable:
+    """Every moment of ``v`` up to ``order``.
+
+    The normalised moments divide by alpha!, which is largest at
+    alpha = (order, 0, ...); an order whose order! overflows a float
+    (order > 170) raises ConfigError.
+    """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    if math.lgamma(order + 1) > _LOG_FLOAT_MAX:
+        raise ConfigError(f"moment order {order} is too high: "
+                          f"{order}! overflows a float")
     entries = {}
     raw_entries = {}
     zeros = set()

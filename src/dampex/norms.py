@@ -1,10 +1,13 @@
 """Region-restricted L2 norms in frequency and their closed-form twins.
 
 The quadrature route (`norm_curve`) integrates |f|^2 over balls, annuli,
-exteriors or all of R^n (n <= 3) and never looks inside f.  The
-closed-form route evaluates the same norms for polynomial-times-Gaussian
-integrands through exact sphere moments and incomplete-gamma radial
-factors.  Keeping both routes independent is the point: the tests check
+exteriors or all of R^n (n <= 3) and never looks inside f.  It samples f
+shell by shell: f receives the times, R radii and m unit directions (the
+two directions +-1 on the line) and returns the (T, R, m) values at the
+points r * d, so whatever depends only on (t, |xi|) is computed once per
+(time, radius).  The closed-form route evaluates the same norms for
+polynomial-times-Gaussian integrands through exact sphere moments and
+incomplete-gamma radial factors.  Keeping both routes independent is the point: the tests check
 each closed form against the generic quadrature of the very polynomial it
 summarises.
 """
@@ -90,27 +93,28 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
                value_floor=1e-14) -> list[RegionNorm]:
     """(integral_region |f(t, xi)|^2 dxi)^{1/2} for every t of ``ts`` at once.
 
-    ``f(ts, pts)`` receives the times as a 1-D array and an (m, n) array of
-    points and returns complex values of shape (len(ts), m), one row per
-    time.  All times share one truncation radius (the largest any of them
-    needs), one angular rule (stable for every time) and one set of radial
-    panels, each sampled once for all times; every time still converges to
-    its own relative target ``tol``.  ``inner_scales`` gives per time the
-    width of an integrand concentrated near the origin (1/sqrt(t) for
-    heat-type weights); the radial split points are the union of their
-    geometric ladders plus the kinks in ``breakpoints``.  Norms below
-    ``value_floor`` are reported as converged at zero (the relative target
-    is meaningless there); the floor squared acts as the absolute
-    tolerance of the underlying integrals.  Returns one RegionNorm per time,
-    each carrying the evaluation count of the whole curve.
+    ``f(ts, radii, dirs)`` receives the times as a 1-D array, R radii and an
+    (m, n) array of unit directions and returns the complex values at the
+    points r * d, of shape (len(ts), R, m): one row per time, one column
+    per shell.  All times share one truncation radius (the largest any of
+    them needs), one angular rule (stable for every time) and one set of
+    radial panels, each sampled once for all times; every time still
+    converges to its own relative target ``tol``.  ``inner_scales`` gives
+    per time the width of an integrand concentrated near the origin
+    (1/sqrt(t) for heat-type weights); the radial split points are the
+    union of their geometric ladders plus the kinks in ``breakpoints``.
+    Norms below ``value_floor`` are reported as converged at zero (the
+    relative target is meaningless there); the floor squared acts as the
+    absolute tolerance of the underlying integrals.  Returns one RegionNorm
+    per time, each carrying the evaluation count of the whole curve.
     """
     ts = np.asarray(ts, dtype=float)
     n = region.dimension
     scales = [None] * len(ts) if inner_scales is None else list(inner_scales)
     abs_floor = max(value_floor * value_floor, 1e-300)
 
-    def field(pts):
-        return np.abs(np.asarray(f(ts, pts))) ** 2
+    def field(radii, dirs):
+        return np.abs(f(ts, radii, dirs)) ** 2
 
     lo, hi = region.r_lo, region.r_hi
     tail = np.zeros(len(ts))
@@ -145,12 +149,16 @@ def region_l2_norm(f, region: FrequencyRegion, tol=1e-9, *,
     """(integral_region |f(xi)|^2 dxi)^{1/2}: ``norm_curve`` at one time.
 
     ``f`` must accept an (m, n) array of points and return complex values of
-    shape (m,); ``inner_scale``, ``breakpoints`` and ``value_floor`` act as
-    in ``norm_curve``.
+    shape (m,); it is sampled on the shells' points.  ``inner_scale``,
+    ``breakpoints`` and ``value_floor`` act as in ``norm_curve``.
     """
-    (norm,) = norm_curve(lambda ts, pts: np.asarray(f(pts))[None], region,
-                         (math.nan,), tol, inner_scales=(inner_scale,),
-                         breakpoints=breakpoints, value_floor=value_floor)
+    def on_shells(ts, radii, dirs):
+        pts = (radii[:, None, None] * dirs).reshape(-1, region.dimension)
+        return np.asarray(f(pts)).reshape(1, len(radii), len(dirs))
+
+    (norm,) = norm_curve(on_shells, region, (math.nan,), tol,
+                         inner_scales=(inner_scale,), breakpoints=breakpoints,
+                         value_floor=value_floor)
     return norm
 
 
@@ -260,6 +268,7 @@ def residual_norm_curve(sol: SpectralSolution, ts, k: int,
     region = region or FrequencyRegion.full(sol.dimension)
     kinks = (LOW_RADIUS, 1.0 - BAND_HALFWIDTH, 1.0, 1.0 + BAND_HALFWIDTH,
              HIGH_RADIUS)
-    return norm_curve(lambda ts, pts: sol.residual_curve(ts, pts, poly), region,
-                      ts, tol, inner_scales=1.0 / np.sqrt(np.maximum(ts, 1.0)),
-                      breakpoints=kinks)
+    return norm_curve(
+        lambda ts, radii, dirs: sol.residual_shells(ts, radii, dirs, poly),
+        region, ts, tol, inner_scales=1.0 / np.sqrt(np.maximum(ts, 1.0)),
+        breakpoints=kinks)

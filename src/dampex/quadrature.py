@@ -10,23 +10,25 @@ every row converges to its own tolerance on the shared panels.
 
 Integrals over R^2 / R^3 pair a fixed angular rule (trapezoid on the
 circle, Gauss-Legendre x trapezoid product rule on the sphere) with the
-panel engine in the radius, sampling radial nodes x angular directions
-together.  The angular resolution is chosen once per call by doubling
+panel engine in the radius.  Their integrands are fields on shells:
+``field(radii, dirs)`` receives R radii and an (m, n) array of unit
+directions and returns the (T, R, m) values at the points r * d, one row
+per integral (T = ``rows``, which every caller passes).  So a field can
+compute whatever depends only on the radius once per radius and not once
+per point.  The angular resolution is chosen once per call by doubling
 until probed shell averages stabilise, so repeated runs are
-deterministic.  Unbounded domains are truncated where the integrand falls
-below a relative floor of its running peak; the truncation estimate is
-folded into the reported error.  No call of a field sampled on shells
-holds more than BATCH_POINTS values (points x rows); a shell larger than
-that is sampled in slices of its directions.  This keeps memory flat.  A
-bare 1-D integrand receives the 21 nodes of at most QUAD_LIMIT panels per
+deterministic; the two coarsest rules are probed in one field call.
+Unbounded domains are truncated where the integrand falls below a
+relative floor of its running peak; the truncation estimate is folded
+into the reported error.  A field call holds whole shells up to
+BATCH_POINTS values (points x rows); only a shell larger than that is
+sampled in slices of its directions.  This keeps memory flat.  A bare
+1-D integrand receives the 21 nodes of at most QUAD_LIMIT panels per
 call.
 
 Each angular rule and each set of truncation probe directions is built
 once per process, on first use, and kept as read-only arrays; a rule
-choice builds only the levels it visits.  A caller that knows how many
-rows its field returns passes ``rows`` down, so the shell sampler batches
-from the first call; without it, the first shell is probed at a single
-point to learn the row count.
+choice builds only the levels it visits.
 
 Only the nested tensor integration behind weighted L1 norms in 2-D and
 3-D still runs scipy's scalar adaptive ``quad``.
@@ -98,10 +100,6 @@ class QuadResult:
 
 def _scalar_or_rows(x):
     return float(x) if np.ndim(x) == 0 else x
-
-
-def _rows(values) -> int:
-    return values.shape[0] if values.ndim == 2 else 1
 
 
 def _gk21(f, a, b):
@@ -272,73 +270,80 @@ def _angular_levels(dimension):
             for level in range(_level_count(dimension))]
 
 
-def _sample(field, pts, rows):
-    """``field`` on the (m, n) points ``pts``, in slices of at most
-    BATCH_POINTS values (points x ``rows``); while the row count is unknown
-    the first slice is a single point."""
+def _on_shells(field, radii, dirs, reduce, rows):
+    """``reduce`` of ``field`` on every shell r * dirs, one column per radius.
+
+    ``reduce`` collapses the trailing direction axis of (T, R, m) values.
+    The radii go out in chunks of whole shells that fit BATCH_POINTS values
+    (points x ``rows``); a shell larger than that is sampled in slices of
+    its directions, joined before ``reduce``.
+    """
+    radii = np.asarray(radii, dtype=float)
+    m = len(dirs)
+    per_call = max(1, BATCH_POINTS // rows)     # points one call may hold
+    step = max(1, per_call // m)
     parts = []
-    start = 0
-    while start < len(pts):
-        step = 1 if rows is None else max(1, BATCH_POINTS // rows)
-        vals = np.asarray(field(pts[start:start + step]))
-        rows = _rows(vals)
-        parts.append(vals)
-        start += step
+    for start in range(0, len(radii), step):
+        r = radii[start:start + step]
+        if m <= per_call:
+            vals = field(r, dirs)
+        else:
+            vals = np.concatenate([field(r, dirs[j:j + per_call])
+                                   for j in range(0, m, per_call)],
+                                  axis=-1)
+        parts.append(reduce(vals))
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
-def _on_shells(field, radii, dirs, reduce, rows=None):
-    """``reduce`` of ``field`` on every shell r * dirs, one column per radius.
-
-    ``reduce`` collapses the trailing direction axis.  The radii go out in
-    chunks of whole shells that fit BATCH_POINTS values (points x ``rows``);
-    a shell larger than that is sampled in slices of its directions.
-    """
-    radii = np.asarray(radii, dtype=float)
-    m, n = dirs.shape
-    parts = []
-    start = 0
-    while start < len(radii):
-        step = 1 if rows is None else max(1, BATCH_POINTS // (m * rows))
-        r = radii[start:start + step]
-        vals = _sample(field, (r[:, None, None] * dirs).reshape(-1, n), rows)
-        rows = _rows(vals)
-        parts.append(reduce(vals.reshape(vals.shape[:-1] + (len(r), m))))
-        start += step
-    return np.concatenate(parts, axis=-1)
-
-
-def angular_sums(field, radii, dirs, weights, rows=None):
-    """sum_d weights_d field(r dirs_d) for every r in ``radii``: shape (m,)
-    or (T, m) after the rows of ``field``."""
+def angular_sums(field, radii, dirs, weights, rows):
+    """sum_d weights_d field(r, dirs)_d for every r in ``radii``: shape
+    (T, R) for a field of ``rows`` = T rows."""
     return _on_shells(field, radii, dirs, lambda vals: vals @ weights, rows)
 
 
-def choose_angular_rule(field, dimension, probe_radii, tol, *, rows=None):
+def _sums_and_roundoff(vals, weights):
+    """The shell sums ``vals @ weights`` and their roundoff bound
+    m eps sum_d weights_d |vals_d|, stacked."""
+    return np.stack([vals @ weights,
+                     len(weights) * _EPS * (np.abs(vals) @ weights)])
+
+
+def choose_angular_rule(field, dimension, probe_radii, tol, *, rows):
     """Pick the coarsest angular rule whose shell integrals have stabilised.
 
-    ``field`` maps an (m, n) array of points to nonnegative reals of shape
-    (m,), or (T, m) for T fields at once; every row must have stabilised.
-    The rule is fixed for the whole subsequent radial integration, keeping
-    the radial integrand smooth and the result deterministic.  Returns
-    (dirs, weights, stabilisation_error), the error per row.  ``rows`` is
-    the row count of ``field`` when the caller knows it.
+    ``field`` is a field on shells whose ``rows`` rows are nonnegative
+    reals; every row must have stabilised.  The rule is fixed for the whole
+    subsequent radial integration, keeping the radial integrand smooth and
+    the result deterministic.  Returns (dirs, weights, stabilisation_error),
+    the error per row: the largest gap between the last two rules' shell
+    sums, floored at the sum of their roundoff bounds, since a gap below
+    that only follows the summation order.  Every request visits the two
+    coarsest rules, so they are sampled in one field call.
     """
-    levels = range(_level_count(dimension))
-    prev = None
-    delta = 0.0
-    for level in levels:
+    last = _level_count(dimension) - 1
+    (dirs0, w0), (dirs1, w1) = _angular_rule(dimension, 0), _angular_rule(dimension, 1)
+
+    def coarsest_two(vals):
+        return np.stack([_sums_and_roundoff(vals[..., :len(w0)], w0),
+                         _sums_and_roundoff(vals[..., len(w0):], w1)])
+
+    prev, shell = _on_shells(field, probe_radii, np.concatenate([dirs0, dirs1]),
+                             coarsest_two, rows)
+    level = 1
+    while True:
+        scale = np.maximum(np.max(np.abs(shell[0]), axis=-1), 1e-300)
+        gap = np.max(np.abs(shell[0] - prev[0]), axis=-1)
+        stable = np.all(gap <= np.maximum(tol * scale, 1e-306))
+        if stable or level == last:
+            # a choice that never stabilised keeps the finest rule
+            roundoff = np.max(shell[1] + prev[1], axis=-1)
+            return (*_angular_rule(dimension, level - 1 if stable else level),
+                    np.maximum(gap, roundoff))
+        level += 1
         dirs, weights = _angular_rule(dimension, level)
-        shell = angular_sums(field, probe_radii, dirs, weights, rows)
-        rows = _rows(shell)
-        if prev is not None:
-            scale = np.maximum(np.max(np.abs(shell), axis=-1), 1e-300)
-            delta = _scalar_or_rows(np.max(np.abs(shell - prev), axis=-1))
-            if np.all(delta <= np.maximum(tol * scale, 1e-306)):
-                return *_angular_rule(dimension, level - 1), delta
-        prev = shell
-    # never stabilised: keep the finest rule and report the last gap
-    return *_angular_rule(dimension, levels[-1]), delta
+        prev, shell = shell, _on_shells(
+            field, probe_radii, dirs,
+            lambda vals: _sums_and_roundoff(vals, weights), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -361,25 +366,22 @@ def _surface(dimension, r):
     return {1: 2.0, 2: 2.0 * np.pi * r, 3: 4.0 * np.pi * r**2}[dimension]
 
 
-def truncation_radius(field, dimension, start, *, rows=None):
+def truncation_radius(field, dimension, start, *, rows):
     """Radius beyond which ``field`` is negligible relative to its peak.
 
     Probes geometric shells along fixed directions; also returns a crude
     upper bound for the discarded tail, to be folded into error estimates.
     Each shell is sampled at a bundle of nearby radii so oscillatory
     integrands (sinc-type transforms) cannot hide a crest between probes.
-    A field with T rows is probed for every row in one call per shell; the
-    radius is the largest any row needs and the tail bound has one entry
-    per row.  ``rows`` is the row count of ``field`` when the caller knows
-    it.
+    ``field`` is a field on shells with ``rows`` rows, probed for every row
+    in one call per bundle; the radius is the largest any row needs and the
+    tail bound has one entry per row.
     """
     dirs = _probe_directions(dimension)
 
     def shell_max(radii):
-        nonlocal rows
-        out = _on_shells(field, radii, dirs, lambda vals: vals.max(axis=-1), rows)
-        rows = _rows(out)
-        return out.max(axis=-1)
+        return _on_shells(field, radii, dirs, lambda vals: vals.max(axis=-1),
+                          rows).max(axis=-1)
 
     def bundle_max(r):
         # bundle spacing grows with r to straddle unit-period oscillations
@@ -390,36 +392,33 @@ def truncation_radius(field, dimension, start, *, rows=None):
     # integrands concentrated near the origin
     peak = shell_max(r * np.array([1e-3, 1e-2, 0.1, 0.5, 1.0]))
     if np.all(peak <= 0.0):
-        return r, _scalar_or_rows(np.zeros_like(peak))
+        return r, np.zeros_like(peak)
     while r < TRUNCATION_CAP:
         top = bundle_max(r)
         peak = np.maximum(peak, top)
         if np.all(top <= TRUNCATION_FLOOR * peak):
-            return r, _scalar_or_rows(top * _surface(dimension, r) * r)
+            return r, top * _surface(dimension, r) * r
         r *= TRUNCATION_GROWTH
     top = bundle_max(TRUNCATION_CAP)
-    return TRUNCATION_CAP, _scalar_or_rows(
-        top * _surface(dimension, TRUNCATION_CAP) * TRUNCATION_CAP)
+    return TRUNCATION_CAP, top * _surface(dimension, TRUNCATION_CAP) * TRUNCATION_CAP
 
 
 # ---------------------------------------------------------------------------
 # radial-shell integration for n >= 2
 
 
-def integrate_radial(field, dimension, lo, hi, tol, *, extra_breakpoints=(),
-                     abs_floor=1e-300, rows=None) -> QuadResult:
+def integrate_radial(field, dimension, lo, hi, tol, *, rows, extra_breakpoints=(),
+                     abs_floor=1e-300) -> QuadResult:
     """Integral of ``field`` over the shell lo <= |x| <= hi in R^2 or R^3.
 
-    ``field`` must accept an (m, n) array of points and return (m,) values,
-    or (T, m) for T integrals on shared panels, T = ``rows`` when the
-    caller knows it.  Each panel round samples its radial nodes x angular
+    ``field`` is a field on shells with ``rows`` rows, one integral per row
+    on shared panels.  Each panel round samples its radial nodes x angular
     directions together.
     """
     brk = radial_breakpoints(lo, hi, extra=extra_breakpoints)
     probe_radii = _probe_list(lo, hi, brk)
     dirs, weights, angular_delta = choose_angular_rule(
         field, dimension, probe_radii, tol / 5.0, rows=rows)
-    rows = np.size(angular_delta)
 
     def shell(r):
         return r ** (dimension - 1) * angular_sums(field, r, dirs, weights, rows)

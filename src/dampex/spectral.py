@@ -19,9 +19,16 @@ well-posed.  Representation ids:
 
 with K(t,s) = (e^{-ts} - e^{-t})/(1 - s), continued by t e^{-t} at s = 1.
 The default policy uses "2.1" inside |xi| <= 1 - eps, "2.3" outside
-|xi| >= 1 + eps and "2.4" on the band in between (eps = BAND_HALFWIDTH), evaluated through the
-cancellation-safe factorization K = t e^{-t} phi(t (1 - s)) with
-phi(z) = (e^z - 1)/z.
+|xi| >= 1 + eps and "2.4" on the band in between (eps = BAND_HALFWIDTH),
+evaluated through the cancellation-safe factorization
+K = t e^{-t} phi(t (1 - s)) with phi(z) = (e^z - 1)/z.
+
+The solution operator is a radial Fourier multiplier:
+u_hat = (e^{-t} + K) u0_hat + K u1_hat.  The residual integrand of the
+norms, ``residual_shells``, is sampled on shells xi = r d and takes these
+multipliers and the heat weight e^{-t r^2} once per (t, r) from the 2.4
+form, the transforms once per point.  ``evaluate`` keeps the policy above
+and serves the ``solve`` grids.
 """
 
 from __future__ import annotations
@@ -54,17 +61,16 @@ def stable_heat_difference(t, s):
     direct quotient elsewhere (where the two exponentials are well separated).
     ``t`` may be an array that broadcasts against ``s`` (a column of times).
     """
-    t, s = np.broadcast_arrays(np.asarray(t, dtype=float),
-                               np.asarray(s, dtype=float))
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
     z = t * (1.0 - s)
-    out = np.empty_like(z)
+    # the quotient everywhere, as an array even for scalars; its 0/0 at
+    # s = 1 lies among the small |z| entries overwritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray((np.exp(-t * s) - np.exp(-t)) / (1.0 - s))
     small = np.abs(z) <= PHI_SWITCH
-    if np.any(small):
-        ts = t[small]
+    if small.any():
+        ts = np.broadcast_to(t, z.shape)[small]
         out[small] = ts * np.exp(-ts) * _phi(z[small])
-    big = ~small
-    if np.any(big):
-        out[big] = (np.exp(-t[big] * s[big]) - np.exp(-t[big])) / (1.0 - s[big])
     return out
 
 
@@ -146,20 +152,28 @@ class SpectralSolution:
             out[..., band] = _rep_24(t, s[band], f0[band], f1[band])
         return out
 
-    # -- helpers --------------------------------------------------------------
+    # -- residual on shells ---------------------------------------------------
 
-    def residual_curve(self, ts, xi, poly):
+    def residual_shells(self, ts, radii, dirs, poly):
         """Gap u_hat(t, xi) - poly(xi) e^{-t |xi|^2} at every t of ``ts`` on
-        points of shape (..., n): one row per time, shape (len(ts), ...).
+        the shells xi = r d, r in ``radii``, d a row of the (m, n) array
+        ``dirs``: shape (len(ts), len(radii), m).
 
         ``poly`` is any callable on points (an expansion polynomial); this is
         the integrand of every residual norm in the decay estimates.  The
-        transforms, |xi|^2 and ``poly`` are evaluated once per point set;
-        only the time factors are broadcast over ``ts``.
+        transforms and ``poly`` are evaluated once per point; the radial
+        multipliers e^{-t} + K(t, r^2), K(t, r^2) and e^{-t r^2} of
+        representation 2.4, once per (t, r).  Continuous across the unit
+        sphere, and equal to ``evaluate`` up to rounding.
         """
-        ts = np.asarray(ts, dtype=float)
-        pts, s, _ = _points(xi, self.dimension)
-        return self.evaluate(ts, pts) - poly(pts) * np.exp(-np.multiply.outer(ts, s))
+        ts = np.asarray(ts, dtype=float)[:, None]
+        radii = np.asarray(radii, dtype=float)
+        pts = radii[:, None, None] * dirs
+        s = radii * radii
+        k = stable_heat_difference(ts, s)[..., None]
+        heat = np.exp(-ts * s)[..., None]
+        return ((np.exp(-ts)[..., None] + k) * self.u0.fourier_transform(pts)
+                + k * self.u1.fourier_transform(pts) - heat * poly(pts))
 
 
 def _rep_21(t, s, f0, f1):

@@ -6,6 +6,8 @@ number the package computes another way:
 * the closed-form twins of the half-ball increment constant, which the
   campaign takes from ``poly_gaussian_l2_norm`` of the built increment;
 * brute-force raw moments by quadrature, against the catalog's closed forms;
+* the residual integrand evaluated point by point through
+  ``SpectralSolution.evaluate``, against the shell route of the norms;
 * grid suprema of the Taylor-remainder and symbol-gap ratios, the
   boundedness proxies for the two key estimates behind the expansions.
 """
@@ -18,11 +20,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from dampex import (InitialDatum, InsufficientOrderError, LowFrequencySymbol,
-                    MomentTable, build_expansion, gaussian_monomial_integral,
-                    heat_partial_sum, moment_table, weighted_l1_norm)
+                    MomentTable, SpectralSolution, build_expansion,
+                    gaussian_monomial_integral, heat_partial_sum, moment_table,
+                    weighted_l1_norm)
 from dampex.indices import indices_of_degree
 from dampex.norms import radial_gaussian_integral
 from dampex.quadrature import adaptive_1d, nested_cartesian
+
+# ---------------------------------------------------------------------------
+# Pointwise residual
+
+
+def residual_curve(sol: SpectralSolution, ts, xi, poly) -> np.ndarray:
+    """Gap u_hat(t, xi) - poly(xi) e^{-t |xi|^2} at every t of ``ts`` on
+    points of shape (m, n): one row per time, shape (len(ts), m).
+
+    Each point takes |xi|^2 from its own coordinates and the solution from
+    ``evaluate``'s region policy (split forms off the band, the regular
+    form on it).
+    """
+    ts = np.asarray(ts, dtype=float)
+    pts = np.asarray(xi, dtype=float)
+    s = np.sum(pts * pts, axis=-1)
+    return sol.evaluate(ts, pts) - poly(pts) * np.exp(-np.multiply.outer(ts, s))
+
 
 # ---------------------------------------------------------------------------
 # Closed-form lower-bound constants

@@ -297,6 +297,24 @@ def test_negative_orders_exit_2(datum_cfg, pair_cfg, capsys, command, flag,
     assert captured.out == "" and f"bad {flag} {value}" in captured.err
 
 
+@pytest.mark.parametrize("command, order", [("moments", "172"),
+                                            ("expansion", "180"),
+                                            ("norm", "200")])
+def test_orders_whose_factorial_overflows_exit_2(datum_cfg, pair_cfg, tmp_path,
+                                                 capsys, command, order):
+    # the moments divide by alpha!, and 171! is beyond the largest float
+    out = tmp_path / "out.json"
+    argv = {"moments": ["moments", "--data", datum_cfg, "--max-order", order],
+            "expansion": ["expansion", "--data", datum_cfg, "--kind", "A",
+                          "--k", order],
+            "norm": ["norm", "--data", pair_cfg, "--t", "10", "--k", order],
+            }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "overflows a float" in captured.err
+    assert not out.exists()
+
+
 def test_expansion_a_minus_one_is_the_zero_polynomial(datum_cfg, capsys):
     assert main(["expansion", "--data", datum_cfg, "--kind", "A",
                  "--k", "-1"]) == 0

@@ -75,6 +75,14 @@ class TestMoments:
             assert s.raw_moment(alpha) == pytest.approx(
                 a.raw_moment(alpha) + b.raw_moment(alpha), rel=1e-15)
 
+    def test_orders_up_to_170_fit_a_float(self):
+        # 170! is below the largest float and 171! above it
+        table = moment_table(Gaussian(dimension=1, scale=1.0), 170)
+        assert math.isfinite(table.moment((170,)))
+        for n in (1, 2):
+            with pytest.raises(ConfigError, match="171! overflows"):
+                moment_table(Gaussian(dimension=n, scale=1.0), 171)
+
     def test_quadrature_nonconvergence_is_diagnosed(self):
         # the engine used by the moment oracle reports the achieved error
         # when an integrand defeats the subdivision budget

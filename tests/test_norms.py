@@ -15,8 +15,8 @@ from dampex import quadrature
 from dampex.expansion import heat_partial_sum
 from dampex.norms import norm_curve, residual_norm_curve
 from dampex.quadrature import (BATCH_POINTS, adaptive_1d, angular_sums,
-                               choose_angular_rule, integrate_radial,
-                               sphere_nodes)
+                               choose_angular_rule, circle_nodes,
+                               integrate_radial, sphere_nodes)
 
 from conftest import catalog_1d, catalog_2d, catalog_3d
 from oracles import (increment_lower_constant, increment_lower_constant_1d,
@@ -28,6 +28,11 @@ SQRT_PI = math.sqrt(math.pi)
 
 def _weighted(poly):
     return lambda pts: poly(pts) * np.exp(-np.sum(pts * pts, axis=-1))
+
+
+def _shell_field(point_field):
+    """A field on points of shape (..., n) as a one-row field on shells."""
+    return lambda radii, dirs: point_field(radii[:, None, None] * dirs)[None]
 
 
 class TestRegionEngine:
@@ -90,9 +95,10 @@ class TestRegionEngine:
                 make()
 
     def test_cross_terms_vanish_by_quadrature(self):
-        fld = lambda pts: pts[:, 0] * pts[:, 1] * np.exp(-2 * np.sum(pts * pts, axis=-1))
-        res = integrate_radial(fld, 2, 0.0, 0.5, 1e-12, abs_floor=1e-15)
-        assert abs(res.value) <= 1e-14
+        fld = lambda pts: pts[..., 0] * pts[..., 1] * np.exp(-2 * np.sum(pts * pts, axis=-1))
+        res = integrate_radial(_shell_field(fld), 2, 0.0, 0.5, 1e-12, rows=1,
+                               abs_floor=1e-15)
+        assert abs(res.value[0]) <= 1e-14
 
     def test_truncation_estimate_covers_oscillatory_tails(self):
         # a box transform decays like 1/|xi|, so the exterior tail is only
@@ -123,7 +129,10 @@ def _shifted_gaussian(n):
 
 
 def _heat_weighted(poly):
-    return lambda ts, pts: poly(pts) * np.exp(-ts[:, None] * np.sum(pts * pts, axis=-1))
+    def f(ts, radii, dirs):
+        heat = np.exp(-np.multiply.outer(ts, radii * radii))
+        return heat[..., None] * poly(radii[:, None, None] * dirs)
+    return f
 
 
 class TestPanelEngine:
@@ -152,10 +161,11 @@ class TestPanelEngine:
         partial = heat_partial_sum(moment_table(v, 1), 1)
         calls = []
 
-        def gap(ts, pts):
-            calls.append(len(pts))
-            s = np.sum(pts * pts, axis=-1)
-            return (v.fourier_transform(pts) - partial(pts)) * np.exp(-ts[:, None] * s)
+        def gap(ts, radii, dirs):
+            calls.append(len(radii) * len(dirs))
+            pts = radii[:, None, None] * dirs
+            heat = np.exp(-np.multiply.outer(ts, radii * radii))
+            return heat[..., None] * (v.fourier_transform(pts) - partial(pts))
 
         ts = np.geomspace(1.0, 1e4, 17)
         region = FrequencyRegion.full(n)
@@ -173,19 +183,18 @@ class TestPanelEngine:
         ts = np.geomspace(1.0, 1e4, 17)
         sizes = []
 
-        def field(pts):
-            sizes.append(len(pts))
+        def field(radii, dirs):
+            sizes.append(len(radii) * len(dirs))
+            pts = radii[:, None, None] * dirs
             return np.exp(-np.multiply.outer(ts, np.sum(pts * pts, axis=-1)))
 
         dirs, weights = sphere_nodes(24, 48)
         radii = np.array([0.01, 0.1, 0.5])
         expected = np.exp(-np.multiply.outer(ts, radii ** 2)) * weights.sum()
-        for rows in (None, len(ts)):
-            sizes.clear()
-            sums = angular_sums(field, radii, dirs, weights, rows)
-            assert max(sizes) * len(ts) <= BATCH_POINTS
-            assert sum(sizes) == len(radii) * len(dirs)
-            np.testing.assert_allclose(sums, expected, rtol=1e-13)
+        sums = angular_sums(field, radii, dirs, weights, len(ts))
+        assert max(sizes) * len(ts) <= BATCH_POINTS
+        assert sum(sizes) == len(radii) * len(dirs)
+        np.testing.assert_allclose(sums, expected, rtol=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_residual_curve_matches_single_times(self, n):
@@ -193,12 +202,11 @@ class TestPanelEngine:
                                u1=Box(dimension=n, half_width=0.8))
         poly = build_expansion("A", 0, moment_table(sol.v, 0))
         ts = np.geomspace(1.0, 1e3, 5)
-        pts = np.random.default_rng(3).uniform(-2.0, 2.0, (200, n))
-        rows = sol.residual_curve(ts, pts, poly)
-        s = np.sum(pts * pts, axis=-1)
+        radii = np.random.default_rng(3).uniform(0.0, 2.0, 100)
+        dirs = np.array([[1.0], [-1.0]]) if n == 1 else circle_nodes(16)[0]
+        rows = sol.residual_shells(ts, radii, dirs, poly)
         for row, t in zip(rows, ts):
-            gap = sol.evaluate(t, pts) - poly(pts) * np.exp(-t * s)
-            assert np.array_equal(row, gap)
+            assert np.array_equal(row, sol.residual_shells((t,), radii, dirs, poly)[0])
         curve = residual_norm_curve(sol, ts, 1)
         for nrm, t in zip(curve, ts):
             assert nrm.value == pytest.approx(residual_norm(sol, t, 1).value,
@@ -230,7 +238,7 @@ class TestPanelEngine:
         smooth = adaptive_1d(lambda x: np.exp(-2.0 * x * x), -5.0, 5.0, tol)
         assert not smooth.stalled
         gaussian = lambda pts: np.exp(-2.0 * np.sum(pts * pts, axis=-1))
-        radial = integrate_radial(gaussian, 2, 0.0, 8.0, tol)
+        radial = integrate_radial(_shell_field(gaussian), 2, 0.0, 8.0, tol, rows=1)
         assert not radial.stalled
         assert radial.value == pytest.approx(math.pi / 2.0, rel=1e-9)
 
@@ -262,9 +270,9 @@ def _count_rule_builds(monkeypatch):
 
 
 class TestAngularRuleReuse:
-    # (n, region, k, t, norm, evaluations) as computed when every call
-    # rebuilt its angular rules and probed the row count with one point;
-    # reusing the rules and passing the row count down changes no bit
+    # (n, region, k, t, norm, evaluations) as computed when the residual was
+    # evaluated point by point through evaluate's region policy; reusing the
+    # rules and passing the row count down changed no bit of these
     PINNED = [
         (2, "full", 0, 10.0, 6.056485491628974, 2856),
         (2, "ball", 1, 30.0, 0.15305760852371306, 714),
@@ -279,11 +287,29 @@ class TestAngularRuleReuse:
         (3, "ball", 2, 20.0, 0.04304450575899152, 3066),
         (3, "annulus", 0, 1000.0, 0.39251886092442867, 3066),
     ]
+    # the same norms, bit for bit, from the shell route (radial multipliers
+    # once per (t, r)); it moved them by at most 6.4e-15 relative
+    SHELL_VALUES = {
+        (2, "full", 0, 10.0): 6.056485491628974,
+        (2, "ball", 1, 30.0): 0.15305760852371306,
+        (2, "annulus", 2, 100.0): 0.0013637565261636557,
+        (2, "ext", 0, 50.0): 0.9910031172133901,
+        (2, "full", 1, 300.0): 0.015305885760095212,
+        (2, "ext", 2, 10.0): 0.0801452347734888,
+        (3, "full", 2, 10.0): 0.2486385022339716,
+        (3, "ball", 0, 100.0): 2.4660622855152976,
+        (3, "annulus", 1, 30.0): 0.2697584252209055,
+        (3, "ext", 1, 1000.0): 0.0025392765922861997,
+        (3, "ball", 2, 20.0): 0.0430445057589916,
+        (3, "annulus", 0, 1000.0): 0.39251886092442867,
+    }
 
-    @pytest.mark.parametrize("n, kind, k, t, value, evaluations", PINNED)
-    def test_residual_norms_are_pinned(self, n, kind, k, t, value, evaluations):
+    @pytest.mark.parametrize("n, kind, k, t, pointwise, evaluations", PINNED)
+    def test_residual_norms_are_pinned(self, n, kind, k, t, pointwise,
+                                       evaluations):
         res = residual_norm(_pinned_pair(n), t, k, _heat_region(kind, n, t))
-        assert res.value == value
+        assert res.value == self.SHELL_VALUES[(n, kind, k, t)]
+        assert res.value == pytest.approx(pointwise, rel=1e-12, abs=0.0)
         assert res.evaluations == evaluations
 
     def test_each_sphere_level_is_built_once(self, monkeypatch):
@@ -300,8 +326,8 @@ class TestAngularRuleReuse:
         # a radial field has the same shell integral under every rule, so
         # the first comparison stops the choice at level 0
         built = _count_rule_builds(monkeypatch)
-        field = lambda pts: np.exp(-np.sum(pts * pts, axis=-1))
-        dirs, weights, _ = choose_angular_rule(field, n, [0.5, 1.0], 1e-10)
+        field = _shell_field(lambda pts: np.exp(-np.sum(pts * pts, axis=-1)))
+        dirs, weights, _ = choose_angular_rule(field, n, [0.5, 1.0], 1e-10, rows=1)
         assert built == expected
         assert len(weights) == {2: 16, 3: 72}[n]
         assert not dirs.flags.writeable and not weights.flags.writeable
@@ -313,15 +339,74 @@ class TestAngularRuleReuse:
         sol = _pinned_pair(n)
         poly = build_expansion("A", 0, moment_table(sol.v, 0))
 
-        def residual(ts, pts):
-            sizes.append(len(pts))
-            return sol.residual_curve(ts, pts, poly)
+        def residual(ts, radii, dirs):
+            sizes.append(len(radii) * len(dirs))
+            return sol.residual_shells(ts, radii, dirs, poly)
 
         ts = np.geomspace(10.0, 1e3, times)
         for region in (FrequencyRegion.full(n), FrequencyRegion.ball(0.5, n)):
             sizes.clear()
             norm_curve(residual, region, ts, inner_scales=1.0 / np.sqrt(ts))
             assert sizes and min(sizes) > 1
+
+
+class TestShellFieldCalls:
+    """Norm integrands are sampled shell by shell, in few field calls."""
+
+    @pytest.mark.parametrize("n, coarsest, second", [(2, 16, 32), (3, 72, 128)])
+    def test_first_two_rules_share_one_field_call(self, n, coarsest, second):
+        # a radial field stops the choice at the coarsest rule
+        calls = []
+
+        def field(radii, dirs):
+            calls.append(len(dirs))
+            return np.exp(-radii * radii)[None, :, None] * np.ones(len(dirs))
+
+        dirs, weights, _ = choose_angular_rule(field, n, [0.5, 1.0], 1e-10, rows=1)
+        assert calls == [coarsest + second]
+        assert len(weights) == coarsest
+
+    def test_full_space_3d_request_makes_pinned_field_calls(self, monkeypatch):
+        calls = []
+        real = SpectralSolution.residual_shells
+
+        def counted(self, ts, radii, dirs, poly):
+            calls.append(len(radii) * len(dirs))
+            return real(self, ts, radii, dirs, poly)
+
+        monkeypatch.setattr(SpectralSolution, "residual_shells", counted)
+        res = residual_norm(_pinned_pair(3), 10.0, 2)
+        # three truncation bundles, one rule choice, three panel rounds
+        assert len(calls) == 7
+        assert res.evaluations == 12264
+
+
+class TestAngularErrorTerm:
+    @pytest.mark.parametrize("n, kind, k, t", [(2, "ext", 0, 50.0),
+                                               (3, "full", 0, 1000.0)])
+    def test_estimate_does_not_follow_the_probe_batching(self, monkeypatch,
+                                                         n, kind, k, t):
+        # one probe shell per call sums each shell in another BLAS order;
+        # with the gap unfloored these estimates moved by 0.8 % and 78 %
+        region = _heat_region(kind, n, t)
+        batched = residual_norm(_pinned_pair(n), t, k, region)
+        real_choose, real_shells = quadrature.choose_angular_rule, quadrature._on_shells
+
+        def one_shell_per_call(field, radii, dirs, reduce, rows):
+            return np.concatenate([real_shells(field, [r], dirs, reduce, rows)
+                                   for r in radii], axis=-1)
+
+        def choose(*args, **kwargs):
+            with monkeypatch.context() as patch:
+                patch.setattr(quadrature, "_on_shells", one_shell_per_call)
+                return real_choose(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "choose_angular_rule", choose)
+        single = residual_norm(_pinned_pair(n), t, k, region)
+        assert single.value == batched.value
+        assert single.evaluations == batched.evaluations
+        assert single.error_estimate == pytest.approx(batched.error_estimate,
+                                                      rel=1e-12, abs=0.0)
 
 
 class TestGaussianMonomialIntegrals:

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dampex import (Gaussian, LowFrequencySymbol, REPRESENTATIONS,
+from dampex import (Box, Gaussian, LowFrequencySymbol, REPRESENTATIONS, Shifted,
                     SingularEvaluationError, SpectralSolution, add_data,
                     build_expansion, gauss_kernel, moment_table,
                     stable_heat_difference, zero_datum)
+from dampex.quadrature import circle_nodes, sphere_nodes
 from dampex.spectral import BAND_HALFWIDTH
+
+from oracles import residual_curve
 
 
 @pytest.fixture(scope="module")
@@ -210,20 +213,23 @@ class TestHeatFlow:
             complex(gauss_kernel(2, 2.0).fourier_transform(xi)), rel=1e-13)
 
 
+_LINE = np.array([[1.0], [-1.0]])
+
+
 class TestResidual:
     def test_zero_data_residual_vanishes(self):
         sol = SpectralSolution(u0=zero_datum(1), u1=zero_datum(1))
         table = moment_table(sol.v, 0)
         poly = build_expansion("A", 0, table)
-        pts = np.linspace(-2, 2, 9)[:, None]
-        assert np.all(sol.residual_curve((3.0,), pts, poly) == 0)
+        radii = np.linspace(0.0, 2.0, 5)
+        assert np.all(sol.residual_shells((3.0,), radii, _LINE, poly) == 0)
 
     def test_time_zero_residual_at_origin_is_minus_second_mass(self):
         u0 = Gaussian(dimension=1, scale=1.0)
         u1 = Gaussian(dimension=1, scale=0.5, amplitude=0.3)
         sol = SpectralSolution(u0=u0, u1=u1)
         poly = build_expansion("A", 0, moment_table(sol.v, 0))
-        val = complex(sol.residual_curve((0.0,), np.zeros(1), poly)[0, 0])
+        val = complex(sol.residual_shells((0.0,), np.zeros(1), _LINE, poly)[0, 0, 0])
         assert val == pytest.approx(-u1.raw_moment((0,)), rel=1e-12)
 
     def test_against_high_precision_rederivation(self):
@@ -240,5 +246,31 @@ class TestResidual:
         u0 = Gaussian(dimension=1, scale=1.0)
         sol = SpectralSolution(u0=u0, u1=zero_datum(1))
         poly = build_expansion("A", 2, moment_table(sol.v, 2))
-        got = complex(sol.residual_curve((10.0,), np.array([0.1]), poly)[0, 0])
-        assert got == pytest.approx(expected, rel=1e-12)
+        got = sol.residual_shells((10.0,), np.array([0.1]), _LINE, poly)[0, 0]
+        assert complex(got[0]) == pytest.approx(expected, rel=1e-12)
+        assert got[1] == got[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shell_route_matches_the_pointwise_oracle(self, n):
+        # the shells take the 2.4 multipliers and the heat weight once per
+        # (t, r); the oracle takes evaluate's region policy and |xi|^2 per
+        # point.  Radii straddle the norms' kinks, where the policy switches
+        # form; the split forms lose up to about 1/(t (1 - s)) ulps there
+        u0 = Shifted(base=Gaussian(dimension=n, scale=1.0),
+                     center=(0.5, -0.3, 0.2)[:n], dilation=1.0)
+        sol = SpectralSolution(u0=u0, u1=Box(dimension=n, half_width=0.8))
+        dirs = {1: _LINE, 2: circle_nodes(16)[0], 3: sphere_nodes(6, 12)[0]}[n]
+        radii = np.array([p * f for p in (0.5, 1.0 - BAND_HALFWIDTH, 1.0,
+                                          1.0 + BAND_HALFWIDTH, 2.0)
+                          for f in (1.0 - 1e-9, 1.0 + 1e-9)])
+        ts = np.array([1.0, 1e2, 1e4])
+        pts = (radii[:, None, None] * dirs).reshape(-1, n)
+        s = np.sum(pts * pts, axis=-1)
+        for k in (0, 1, 2):
+            poly = build_expansion("A", k, moment_table(sol.v, k))
+            got = sol.residual_shells(ts, radii, dirs, poly).reshape(len(ts), -1)
+            ref = residual_curve(sol, ts, pts, poly)
+            scale = (np.abs(sol.evaluate(ts, pts))
+                     + np.abs(poly(pts) * np.exp(-np.multiply.outer(ts, s))))
+            assert np.all(np.abs(got - ref) <= 2e-13 * scale)
+            assert np.any(got != 0)
