@@ -27,9 +27,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InsufficientOrderError
+from .errors import ConfigError, InsufficientOrderError
 from .indices import Alpha, i_power, indices_of_degree, multi_factorial
-from .initial_data import MomentTable
+from .initial_data import MAX_MOMENT_ORDER, InitialDatum, MomentTable
+from .quadrature import BATCH_POINTS
 
 KINDS = ("A", "B", "C")
 
@@ -216,6 +217,89 @@ def heat_partial_sum(table: MomentTable, order: int) -> ExpansionPolynomial:
         return ExpansionPolynomial(kind="sum", order=-1,
                                    dimension=table.dimension, terms=())
     return combine([build_expansion("C", j, table) for j in range(order + 1)])
+
+
+def heat_series_tail(table: MomentTable, order: int, top: int):
+    """The series tail sum_{order < |alpha| <= top} M_alpha (i xi)^alpha as a
+    field on shells: ``tail(radii, dirs)`` returns the (R, m) values at the
+    points r * d.
+
+    Where the moment series has reached roundoff by ``top`` (see
+    ``series_order``), the tail is v_hat - heat_partial_sum(table, order)
+    without the cancellation of that difference near xi = 0.  Layer
+    |alpha| = j is homogeneous of degree j, so it is summed once at each set
+    of unit directions the field receives (a norm visits a few angular
+    rules) and scaled by r^j.
+    """
+    terms, degrees, layer_of = [], [], []   # the nonzero layers, in order
+    for j in range(order + 1, top + 1):
+        layer = build_expansion("C", j, table).terms
+        if layer:
+            layer_of += [len(degrees)] * len(layer)
+            degrees.append(j)
+            terms.extend(layer)
+    exps = np.array([t.monomial for t in terms],
+                    dtype=int).reshape(len(terms), table.dimension)
+    coeffs = np.array([t.coefficient for t in terms], dtype=complex)
+    degrees, layer_of = np.array(degrees, dtype=int), np.array(layer_of, dtype=int)
+    exponents = np.arange(top + 1)[:, None]
+    at_dirs = {}
+
+    def layers(dirs):
+        # the term values go in blocks of at most BATCH_POINTS, so memory
+        # stays flat for wide n-D data, whose tails hold many terms
+        powers = [dirs[:, axis] ** exponents for axis in range(table.dimension)]
+        out = np.zeros((len(degrees), len(dirs)), dtype=complex)
+        step = max(1, BATCH_POINTS // len(dirs))
+        for start in range(0, len(terms), step):
+            block = slice(start, start + step)
+            values = coeffs[block, None]
+            for axis, power in enumerate(powers):
+                values = values * power[exps[block, axis]]
+            np.add.at(out, layer_of[block], values)
+        return out
+
+    def tail(radii, dirs):
+        key = dirs.tobytes()
+        if key not in at_dirs:
+            at_dirs[key] = layers(dirs)
+        # einsum, not a complex matmul: the complex BLAS kernels this would
+        # load cost about 0.4 MiB of resident memory in a campaign
+        return np.einsum("rj,jm->rm", np.asarray(radii)[:, None] ** degrees,
+                         at_dirs[key])
+    return tail
+
+
+def series_order(v: InitialDatum, order: int, radius: float) -> int:
+    """The order N by which the moment series of v_hat past ``order``,
+    sum_{|alpha| > order} M_alpha (i xi)^alpha, has reached roundoff on the
+    ball |xi| <= radius.
+
+    Layer j is at most sum_{|alpha| = j} |M_alpha| radius^j there.  N is the
+    first order at which two consecutive layers (one parity class of layers
+    may vanish) are at most eps times the sum of the layers from order + 1
+    to N, the size of the tail.  A series that needs an order beyond
+    MAX_MOMENT_ORDER, where alpha! overflows, or whose moments overflow
+    first, raises ConfigError.
+    """
+    eps = np.finfo(float).eps
+    size, previous = 0.0, math.inf
+    for j in range(order + 1, MAX_MOMENT_ORDER + 1):
+        try:
+            layer = math.fsum(abs(v.moment(alpha)) for alpha
+                              in indices_of_degree(v.dimension, j)) * radius ** j
+        except OverflowError:       # a raw moment beyond the largest float
+            break
+        size += layer
+        if not math.isfinite(size):
+            break
+        if max(previous, layer) <= eps * size:
+            return j
+        previous = layer
+    raise ConfigError(
+        f"the moment series past order {order} does not reach roundoff on "
+        f"|xi| <= {radius} by order {MAX_MOMENT_ORDER}; a higher order's "
+        "factorial overflows a float")
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,13 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
 from .expansion import (PointSample, build_expansion, check_property_A,
-                        check_property_B, check_property_C, heat_partial_sum)
+                        check_property_B, check_property_C, heat_partial_sum,
+                        heat_series_tail, series_order)
 from .indices import degree
-from .initial_data import InitialDatum, MomentTable, moment_table, pair_from_config
-from .norms import (FrequencyRegion, heat_increment_norm, norm_curve,
-                    poly_gaussian_l2_norm, residual_norm_curve)
+from .initial_data import (MAX_MOMENT_ORDER, InitialDatum, MomentTable,
+                           moment_table, pair_from_config)
+from .norms import (LOW_RADIUS, FrequencyRegion, heat_increment_norm,
+                    norm_curve, poly_gaussian_l2_norm, residual_norm_curve)
 from .spectral import LowFrequencySymbol, SpectralSolution
 
 DEGENERACY_FLOOR = 1e-12
@@ -126,8 +128,9 @@ _DEFAULT_CHECKS = ("rate", "sandwich", "heat", "properties")
 @dataclass(eq=False)
 class Case:
     """One campaign case: the data pair, its checks and the work they share
-    (moment table, polynomials, increment constants, residual curves), each
-    computed on first use and kept as long as the case."""
+    (moment table, polynomials, increment constants, residual and
+    vanishing curves), each computed on first use and kept as long as the
+    case."""
 
     name: str
     u0: InitialDatum
@@ -145,11 +148,16 @@ class Case:
             raise ConfigError('every case needs "name" and "data"')
         u0, u1 = pair_from_config(cfg["data"])
         # gammas and ells stay as given: the summary echoes them
-        return cls(name=cfg["name"], u0=u0, u1=u1,
+        case = cls(name=cfg["name"], u0=u0, u1=u1,
                    checks=_listed(cfg, "checks", _DEFAULT_CHECKS, _known_check),
                    k_values=_listed(cfg, "k_values", (0,), _integer),
                    gammas=_listed(cfg, "gammas", (0.0,), _nonnegative),
                    ells=_listed(cfg, "ells", (0.0,), _nonnegative))
+        if case.moment_order > MAX_MOMENT_ORDER:
+            raise ConfigError(
+                f"case {case.name!r} reads moments to order "
+                f"{case.moment_order}, whose factorial overflows a float")
+        return case
 
     @cached_property
     def solution(self) -> SpectralSolution:
@@ -161,16 +169,22 @@ class Case:
         return max(self.k_values, default=0) + 2
 
     @cached_property
-    def table(self) -> MomentTable:
-        """Moments up to the largest order any of the checks reads."""
+    def moment_order(self) -> int:
+        """The largest moment order any of the checks reads; the
+        heat-vanishing check reads its moment series to ``tail_order``."""
         orders = [0]
         if {"rate", "sandwich", "heat", "vanishing_low_frequency"} & set(self.checks):
             orders += self.k_values
         if "vanishing_heat" in self.checks:
-            orders += [math.floor(g) for g in self.gammas]
+            orders += [self.tail_order(math.floor(g)) for g in self.gammas]
         if "properties" in self.checks:
             orders.append(self.property_order)
-        return moment_table(self.solution.v, max(orders))
+        return max(orders)
+
+    @cached_property
+    def table(self) -> MomentTable:
+        """Moments up to ``moment_order``."""
+        return moment_table(self.solution.v, self.moment_order)
 
     def _once(self, key, compute):
         if key not in self._memo:
@@ -199,6 +213,42 @@ class Case:
             curve = residual_norm_curve(self.solution, ts, k, tol=tol)
             return ts, np.array([nrm.value for nrm in curve])
         return self._once(("curve", k, grid, tol), compute)
+
+    def tail_order(self, m: int) -> int:
+        """The order by which the moment series of v_hat past m has reached
+        roundoff on the ball |xi| <= LOW_RADIUS."""
+        return self._once(("tail order", m), lambda: series_order(
+            self.solution.v, m, LOW_RADIUS))
+
+    def vanishing_curve(self, m: int, ell: float, grid: TimeGrid, tol: float):
+        """Grid times and the norms || |xi|^ell (v_hat - P_m) e^{-t|xi|^2} ||
+        over R^n, P_m the moment series to order m.  Every gamma with
+        floor m shares the curve.
+
+        On the ball |xi| <= LOW_RADIUS the gap is the series tail past m,
+        which has no cancellation near xi = 0; outside it is the direct
+        difference, and LOW_RADIUS is a panel breakpoint.
+        """
+        def compute():
+            v = self.solution.v
+            head = heat_partial_sum(self.table, m)
+            tail = heat_series_tail(self.table, m, self.tail_order(m))
+
+            def gap(ts, radii, dirs):
+                inner = radii <= LOW_RADIUS
+                base = np.empty((len(radii), len(dirs)), dtype=complex)
+                base[inner] = tail(radii[inner], dirs)
+                pts = radii[~inner, None, None] * dirs
+                base[~inner] = v.fourier_transform(pts) - head(pts)
+                weight = radii ** ell * np.exp(-np.multiply.outer(ts, radii * radii))
+                return weight[..., None] * base
+
+            ts = grid.values()
+            curve = norm_curve(gap, FrequencyRegion.full(v.dimension), ts, tol,
+                               inner_scales=1.0 / np.sqrt(ts),
+                               breakpoints=(LOW_RADIUS,))
+            return ts, np.array([nrm.value for nrm in curve])
+        return self._once(("vanishing", m, ell, grid, tol), compute)
 
 
 def fit_decay_rate(case: Case, k: int, grid: TimeGrid, tol=1e-9) -> RateFit:
@@ -261,39 +311,34 @@ def vanishing_limit_check(case: Case, grid: TimeGrid, *, variant="heat",
     """Decay proxy for the two scaled-remainder limits.
 
     variant "heat":  t^{n/4+gamma/2+ell/2} |||xi|^ell (v_hat - partial sum)
-    e^{-t|xi|^2}||_{L2(R^n)};  variant "low_frequency": the same scaling with
+    e^{-t|xi|^2}||_{L2(R^n)}, the partial sum to order floor(gamma) (the
+    case's ``vanishing_curve``);  variant "low_frequency": the same scaling with
     the symbol gap F^v - A_k on the half ball and exponent n/4+k/2+ell/2.
     A literal limit is not testable; the proxy asserts strict decrease over
     the last decade of the grid plus a small terminal-to-initial fraction.
     """
     v = case.solution.v
     n = v.dimension
-    ts = grid.values()
     if variant == "heat":
-        m = math.floor(gamma)
         exponent = n / 4.0 + gamma / 2.0 + ell / 2.0
-        partial = heat_partial_sum(case.table, m)
-        region = FrequencyRegion.full(n)
-
-        def base(pts):
-            return v.fourier_transform(pts) - partial(pts)
+        ts, norms = case.vanishing_curve(math.floor(gamma), ell, grid, tol)
     elif variant == "low_frequency":
         exponent = n / 4.0 + k / 2.0 + ell / 2.0
         profile = case.expansion("A", k)
-        region = FrequencyRegion.ball(0.5, n)
         symbol = LowFrequencySymbol(v)
 
-        def base(pts):
-            return symbol(pts) - profile(pts)
+        def gap(ts, radii, dirs):
+            pts = radii[:, None, None] * dirs
+            weight = radii ** ell * np.exp(-np.multiply.outer(ts, radii * radii))
+            return weight[..., None] * (symbol(pts) - profile(pts))
+
+        ts = grid.values()
+        curve = norm_curve(gap, FrequencyRegion.ball(0.5, n), ts, tol,
+                           inner_scales=1.0 / np.sqrt(ts))
+        norms = np.array([nrm.value for nrm in curve])
     else:
         raise ValueError("variant must be 'heat' or 'low_frequency'")
-
-    def gap(ts, radii, dirs):
-        weight = radii ** ell * np.exp(-np.multiply.outer(ts, radii * radii))
-        return weight[..., None] * base(radii[:, None, None] * dirs)
-
-    curve = norm_curve(gap, region, ts, tol, inner_scales=1.0 / np.sqrt(ts))
-    scaled = ts ** exponent * np.array([nrm.value for nrm in curve])
+    scaled = ts ** exponent * norms
     tail = ts >= ts[-1] / 10.0
     tail_vals = scaled[tail]
     decreasing = bool(np.all(np.diff(tail_vals) < 0.0)) if len(tail_vals) > 1 else False

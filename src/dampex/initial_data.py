@@ -29,7 +29,9 @@ from .indices import Alpha, degree, indices_up_to, multi_factorial
 from .quadrature import adaptive_1d, nested_cartesian
 
 _SUPPORT_EPS = 1e-18
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+# the highest moment order whose factorial, the divisor of M_alpha at
+# alpha = (order, 0, ...), stays below the float maximum (170! ~ 7.3e306)
+MAX_MOMENT_ORDER = 170
 
 
 def _double_factorial(m: int) -> float:
@@ -419,11 +421,11 @@ def moment_table(v: InitialDatum, order: int) -> MomentTable:
 
     The normalised moments divide by alpha!, which is largest at
     alpha = (order, 0, ...); an order whose order! overflows a float
-    (order > 170) raises ConfigError.
+    (order > MAX_MOMENT_ORDER) raises ConfigError.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if math.lgamma(order + 1) > _LOG_FLOAT_MAX:
+    if order > MAX_MOMENT_ORDER:
         raise ConfigError(f"moment order {order} is too high: "
                           f"{order}! overflows a float")
     entries = {}

@@ -315,6 +315,29 @@ def test_orders_whose_factorial_overflows_exit_2(datum_cfg, pair_cfg, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("data, key, value", [
+    ({"family": "box", "half_width": 1.0}, "k_values", [200]),
+    # property order 171 = k + 2
+    ({"family": "box", "half_width": 1.0}, "k_values", [169]),
+    ({"family": "gaussian", "scale": 1.0}, "gammas", [171.0]),
+    # a moment series that does not reach roundoff on the ball by order 170
+    ({"family": "box", "half_width": 1000.0}, "gammas", [0.0])])
+def test_report_rejects_moment_orders_that_overflow(tmp_path, capsys, data,
+                                                    key, value):
+    case = {"name": "c", "data": {"dimension": 1, "u0": data,
+                                  "u1": {"family": "zero"}},
+            "k_values": [0], "gammas": [0.0],
+            "checks": ["rate", "vanishing_heat", "properties"], key: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"cases": [case]}), encoding="utf-8")
+    out_dir = tmp_path / "report"
+    assert main(["report", "--config", str(cfg_path),
+                 "--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "overflows a float" in captured.err
+    assert not out_dir.exists()
+
+
 def test_expansion_a_minus_one_is_the_zero_polynomial(datum_cfg, capsys):
     assert main(["expansion", "--data", datum_cfg, "--kind", "A",
                  "--k", "-1"]) == 0

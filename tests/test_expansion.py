@@ -378,3 +378,27 @@ class TestStructure:
         pts = _sample(1, 10)
         expected = table.moment((0,)) + table.moment((2,)) * (1j * pts[:, 0]) ** 2
         assert np.max(np.abs(partial(pts) - expected)) < 1e-14
+
+
+class TestSeriesTail:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tail_on_shells_matches_its_layer_polynomials(self, n):
+        # 3-D on the 1152-direction rule: the term values go in blocks
+        # of a few terms each, summed into their layers across blocks
+        from dampex.expansion import heat_series_tail
+        from dampex.quadrature import circle_nodes, sphere_nodes
+        v = Shifted(base=Gaussian(dimension=n, scale=1.0),
+                    center=(0.5, -0.3, 0.2)[:n], dilation=1.0)
+        top = 12
+        table = moment_table(v, top)
+        dirs = {1: np.array([[1.0], [-1.0]]), 2: circle_nodes(64)[0],
+                3: sphere_nodes(24, 48)[0]}[n]
+        radii = np.array([1e-3, 0.1, 0.5])
+        got = heat_series_tail(table, 2, top)(radii, dirs)
+        layers = combine([build_expansion("C", j, table)
+                          for j in range(3, top + 1)])
+        pts = radii[:, None, None] * dirs
+        # the layers' magnitude bound sum_{|alpha| > 2} |M_alpha| r^|alpha|
+        scale = sum(abs(m) * radii ** sum(alpha)
+                    for alpha, m in table.entries.items() if sum(alpha) > 2)
+        assert np.all(np.abs(got - layers(pts)) <= 1e-13 * scale[:, None])

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from dampex import (Case, ConfigError, DegenerateDataError, Gaussian, Shifted,
-                    TimeGrid, default_config, expected_decay_slope,
+from dampex import (Box, Case, ConfigError, DegenerateDataError, Gaussian,
+                    Shifted, TimeGrid, default_config, expected_decay_slope,
                     fit_decay_rate, heat_comparison, property_suite,
                     run_report, sandwich_check, vanishing_limit_check,
                     zero_datum)
@@ -133,6 +133,102 @@ class TestVanishingChecks:
         with pytest.raises(ValueError):
             vanishing_limit_check(_case(Gaussian(dimension=1, scale=1.0)),
                                   TimeGrid(1.0, 10.0, 3), variant="bogus")
+
+    def test_gammas_with_one_floor_share_one_curve(self, monkeypatch):
+        from dampex import experiments
+        calls = []
+        real = experiments.norm_curve
+        monkeypatch.setattr(experiments, "norm_curve",
+                            lambda *args, **kwargs: calls.append(1)
+                            or real(*args, **kwargs))
+        gammas = (0.0, 0.5, 2.0, 2.5)
+        case = _case(Gaussian(dimension=1, scale=1.0),
+                     checks=("vanishing_heat",), gammas=gammas)
+        reports = [vanishing_limit_check(case, TimeGrid(1.0, 1e4, 5),
+                                         variant="heat", gamma=g)
+                   for g in gammas]
+        assert len(calls) == 2
+        # one raw curve, scaled by each gamma's own exponent
+        ts = np.array(reports[0].ts)
+        assert np.allclose(np.array(reports[1].scaled),
+                           np.array(reports[0].scaled) * ts ** 0.25,
+                           rtol=1e-14, atol=0.0)
+
+
+# 40-digit references for the heat-vanishing norms: each datum's transform
+# and its Taylor coefficients in xi (1-D) or in r = |xi| (radial 2-D data)
+def _gaussian_series(mp, amplitude, scale, degree):
+    """Taylor coefficients of amplitude 2 sqrt(pi scale) e^{-scale x^2}."""
+    out = [mp.mpf(0)] * (degree + 1)
+    for k in range(degree // 2 + 1):
+        out[2 * k] = (amplitude * 2 * mp.sqrt(mp.pi * scale) * (-scale) ** k
+                      / mp.factorial(k))
+    return out
+
+
+def _heat_gap_reference(mp, name):
+    """(datum pair, transform, Taylor coefficients to degree 3, dimension)."""
+    half, degree = mp.mpf(1) / 2, 3
+    if name == "gauss-1d":
+        u1_amp = mp.mpf(2) / 5
+        coeffs = [a + b for a, b in zip(
+            _gaussian_series(mp, 1, 1, degree),
+            _gaussian_series(mp, u1_amp, half, degree))]
+        return ((Gaussian(1, 1.0), Gaussian(1, 0.5, 0.4)),
+                lambda x: (2 * mp.sqrt(mp.pi) * mp.exp(-x * x) + u1_amp * 2
+                           * mp.sqrt(mp.pi * half) * mp.exp(-half * x * x)),
+                coeffs, 1)
+    if name == "box":
+        coeffs = [2 * (-1) ** (j // 2) / mp.factorial(j + 1) if j % 2 == 0
+                  else mp.mpf(0) for j in range(degree + 1)]
+        return ((Box(1, 1.0), zero_datum(1)),
+                lambda x: 2 * mp.sin(x) / x if x else mp.mpf(2), coeffs, 1)
+    if name == "shifted-gauss-1d":
+        # e^{-i c xi} times the Gaussian's series, multiplied out
+        phase = [(-1j * half) ** j / mp.factorial(j) for j in range(degree + 1)]
+        gauss = _gaussian_series(mp, 1, 1, degree)
+        coeffs = [mp.fsum(phase[i] * gauss[j - i] for i in range(j + 1))
+                  for j in range(degree + 1)]
+        return ((Shifted(base=Gaussian(1, 1.0), center=(0.5,), dilation=1.0),
+                 zero_datum(1)),
+                lambda x: mp.exp(-1j * half * x) * 2 * mp.sqrt(mp.pi)
+                * mp.exp(-x * x), coeffs, 1)
+    # the 2-D unit Gaussian is radial: 4 pi e^{-r^2}
+    coeffs = [2 * mp.sqrt(mp.pi) * c for c in _gaussian_series(mp, 1, 1, degree)]
+    return ((Gaussian(2, 1.0), zero_datum(2)),
+            lambda r: 4 * mp.pi * mp.exp(-r * r), coeffs, 2)
+
+
+def _heat_gap_norm(mp, transform, coeffs, m, t, dimension):
+    """|| (v_hat - P_m) e^{-t|xi|^2} ||_{L2(R^n)}: the Taylor remainder
+    subtracted at the working precision.  |remainder|^2 is even in 1-D
+    (real data) and radial in 2-D."""
+    def remainder_sq(x):
+        return abs(transform(x) - mp.polyval(coeffs[:m + 1][::-1], x)) ** 2
+
+    weight = 2 if dimension == 1 else 2 * mp.pi
+    width = 1 / mp.sqrt(t)
+    splits = [0] + [width * 4 ** j for j in range(-2, 4)] + [mp.inf]
+    total = mp.quad(lambda x: weight * x ** (dimension - 1) * remainder_sq(x)
+                    * mp.exp(-2 * t * x * x), splits)
+    return mp.sqrt(total)
+
+
+@pytest.mark.parametrize("name", ["gauss-1d", "box", "shifted-gauss-1d",
+                                  "gauss-2d"])
+def test_heat_gap_norms_match_the_taylor_remainder(name):
+    # the moment-series tail on the low-frequency ball has no cancellation:
+    # at gamma >= 2 and t = 1e4 the direct difference was off by up to 7.5e-8
+    mp = pytest.importorskip("mpmath")
+    grid = TimeGrid(1.0, 1e4, 3)
+    with mp.workdps(40):
+        (u0, u1), transform, coeffs, n = _heat_gap_reference(mp, name)
+        case = Case(name, u0, u1, checks=("vanishing_heat",), gammas=(0.0, 2.0))
+        for m in (0, 2):
+            ts, norms = case.vanishing_curve(m, 0.0, grid, 1e-9)
+            for t, norm in zip(ts, norms):
+                ref = _heat_gap_norm(mp, transform, coeffs, m, mp.mpf(float(t)), n)
+                assert abs(norm - ref) <= 1e-12 * ref, (m, t, norm, ref)
 
 
 class TestHeatComparison:
@@ -281,35 +377,45 @@ def _counting(calls, key, fn):
 class TestCampaignState:
     """Every campaign does its own work: per-case state, no module caches."""
 
-    # the shell-by-shell residual moved the norm-derived fields (rate
-    # slope, intercept and fit residual, sandwich ratios) in their last bits
+    # the heat-vanishing gap from the moment-series tail moved only the
+    # vanishing_heat terminal_fraction and peak_fraction fields: by 6.6e-13
+    # relative at gamma 0 and 0.5, by 4.8e-9 at gamma 2 and 2.5
     DEFAULT_SUMMARY_SHA256 = (
-        "d99431b8271c0644f65cf06103b01bde9f67782359eb24877ab0bfea64872709")
+        "6150677f6cf92bdee0cf3c1003a56fa1b2e61ce47d36b031a07efac35b96bc1b")
 
-    def test_two_campaigns_do_the_same_quadrature_work(self, tmp_path,
-                                                      monkeypatch):
-        from collections import Counter
+    @staticmethod
+    def _count_quadratures(monkeypatch):
+        """Record (evaluations, stalled) of every adaptive_1d result."""
         from dampex import initial_data, norms, quadrature
-        calls, evals = Counter(), Counter()
+        results = []
         real = quadrature.adaptive_1d
 
         def counted(*args, **kwargs):
             res = real(*args, **kwargs)
-            calls["run"] += 1
-            evals["run"] += res.evaluations
+            results.append((res.evaluations, res.stalled))
             return res
 
         for module in (quadrature, norms, initial_data):
             monkeypatch.setattr(module, "adaptive_1d", counted)
+        return results
+
+    def test_two_campaigns_do_the_same_quadrature_work(self, tmp_path,
+                                                      monkeypatch):
+        results = self._count_quadratures(monkeypatch)
         work, outputs = [], []
         for run in ("a", "b"):
-            calls.clear()
-            evals.clear()
+            results.clear()
             bundle = run_report(default_config(), tmp_path / run)
-            work.append((calls["run"], evals["run"]))
+            work.append((len(results), sum(e for e, _ in results)))
             outputs.append({p.name: p.read_bytes() for p in bundle.files})
-        assert work == [(13, 21231), (13, 21231)]
+        # one heat-vanishing curve per floor of gamma, none stalling
+        assert work == [(11, 5859), (11, 5859)]
         assert outputs[0] == outputs[1]
+
+    def test_default_campaign_accepts_no_stall(self, tmp_path, monkeypatch):
+        results = self._count_quadratures(monkeypatch)
+        assert run_report(default_config(), tmp_path / "out").passed
+        assert results and not any(stalled for _, stalled in results)
 
     def test_default_summary_bytes_and_build_counts(self, tmp_path,
                                                     monkeypatch):

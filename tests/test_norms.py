@@ -408,6 +408,68 @@ class TestAngularErrorTerm:
         assert single.error_estimate == pytest.approx(batched.error_estimate,
                                                       rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("name", ["pinned", "anchor"])
+    def test_estimate_bounds_the_error(self, name):
+        # 40-digit radial references: the three-dimensional data here are
+        # radial up to the shift, whose angular mean is a sinc
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            if name == "pinned":
+                sol, k, t = _pinned_pair(3), 0, 1000.0
+                reference = _pinned_residual_3d(mp, mp.mpf(t))
+            else:
+                # the anchor's residual cancels: its value is off by 1.5e-9
+                sol, k, t = SpectralSolution(Gaussian(3, 1.0), zero_datum(3)), 1, 1e4
+                reference = _gaussian_residual_3d(mp, mp.mpf(t))
+            res = residual_norm(sol, t, k)
+            assert res.error_estimate >= abs(mp.mpf(res.value) - reference)
+
+
+def _heat_difference(mp, t, s):
+    """(e^{-ts} - e^{-t}) / (1 - s), continued by t e^{-t} at s = 1."""
+    return (t * mp.exp(-t) if s == 1
+            else (mp.exp(-t * s) - mp.exp(-t)) / (1 - s))
+
+
+def _radial_norm_3d(mp, integrand, t):
+    """(4 pi integral_0^inf r^2 integrand(r) dr)^(1/2), split around the
+    heat width 1/sqrt(t) and the unit sphere."""
+    width = 1 / mp.sqrt(t)
+    splits = sorted({mp.mpf(0), mp.mpf(1), mp.inf}
+                    | {width * 2 ** j for j in range(-6, 8)})
+    return mp.sqrt(mp.quad(lambda r: 4 * mp.pi * r * r * integrand(r), splits))
+
+
+def _pinned_residual_3d(mp, t):
+    """|| u_hat(t) || over R^3 for ``_pinned_pair(3)``: u0 a unit Gaussian
+    shifted by c, u1 = 0.7 times the Gaussian of scale 1/2.  The angular
+    mean of e^{-i c.xi} over the sphere of radius r is sin(|c| r)/(|c| r)."""
+    c = mp.sqrt(mp.mpf("0.25") + mp.mpf("0.09") + mp.mpf("0.04"))
+
+    def integrand(r):
+        s = r * r
+        g0 = 8 * mp.pi ** mp.mpf(1.5) * mp.exp(-s)
+        g1 = mp.mpf("0.7") * (2 * mp.sqrt(mp.pi / 2)) ** 3 * mp.exp(-s / 2)
+        heat = _heat_difference(mp, t, s)
+        a = mp.exp(-t) + heat
+        mean_phase = mp.sin(c * r) / (c * r) if r else mp.mpf(1)
+        return (a * a * g0 * g0 + heat * heat * g1 * g1
+                + 2 * a * heat * g0 * g1 * mean_phase)
+    return _radial_norm_3d(mp, integrand, t)
+
+
+def _gaussian_residual_3d(mp, t):
+    """|| u_hat(t) - M_0 e^{-t|xi|^2} || over R^3 for the unit Gaussian u0
+    and u1 = 0 (the residual of k = 1)."""
+    mass = 8 * mp.pi ** mp.mpf(1.5)
+
+    def integrand(r):
+        s = r * r
+        residual = ((mp.exp(-t) + _heat_difference(mp, t, s)) * mass * mp.exp(-s)
+                    - mass * mp.exp(-t * s))
+        return residual * residual
+    return _radial_norm_3d(mp, integrand, t)
+
 
 class TestGaussianMonomialIntegrals:
     def test_full_space_product_formula(self):
