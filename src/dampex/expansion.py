@@ -27,10 +27,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientOrderError
+from .errors import InsufficientOrderError
 from .indices import Alpha, i_power, indices_of_degree, multi_factorial
 from .initial_data import MAX_MOMENT_ORDER, InitialDatum, MomentTable
-from .quadrature import BATCH_POINTS
 
 KINDS = ("A", "B", "C")
 
@@ -96,13 +95,21 @@ class ExpansionPolynomial:
         if pts.ndim == 0 or pts.shape[-1] != self.dimension:
             raise ValueError(f"points must have trailing dimension {self.dimension}")
         s = np.sum(pts * pts, axis=-1)
+        powers = {}
+
+        def power(j, a):
+            # x_j^a, or |xi|^(2a) for j = -1, once per call: terms share them
+            if (j, a) not in powers:
+                powers[j, a] = (s if j < 0 else pts[..., j]) ** a
+            return powers[j, a]
+
         acc = np.zeros(pts.shape[:-1], dtype=complex)
         for t in self.terms:
             mono = np.ones_like(s)
             for j, a in enumerate(t.monomial):
                 if a:
-                    mono = mono * pts[..., j] ** a
-            acc = acc + t.coefficient * s ** (t.radial_power // 2) * mono
+                    mono = mono * power(j, a)
+            acc = acc + t.coefficient * power(-1, t.radial_power // 2) * mono
         return acc
 
     def compensated(self, sample: PointSample) -> list[complex]:
@@ -219,87 +226,55 @@ def heat_partial_sum(table: MomentTable, order: int) -> ExpansionPolynomial:
     return combine([build_expansion("C", j, table) for j in range(order + 1)])
 
 
-def heat_series_tail(table: MomentTable, order: int, top: int):
-    """The series tail sum_{order < |alpha| <= top} M_alpha (i xi)^alpha as a
-    field on shells: ``tail(radii, dirs)`` returns the (R, m) values at the
-    points r * d.
+def series_ball(v: InitialDatum, order: int, radius: float):
+    """The radius rho of the ball |xi| < rho on which the moment series
+    tail sum_{order < |alpha| <= top} M_alpha (i xi)^alpha stands in for
+    v_hat - heat_partial_sum(order), and the order ``top`` of that tail.
 
-    Where the moment series has reached roundoff by ``top`` (see
-    ``series_order``), the tail is v_hat - heat_partial_sum(table, order)
-    without the cancellation of that difference near xi = 0.  Layer
-    |alpha| = j is homogeneous of degree j, so it is summed once at each set
-    of unit directions the field receives (a norm visits a few angular
-    rules) and scaled by r^j.
-    """
-    terms, degrees, layer_of = [], [], []   # the nonzero layers, in order
-    for j in range(order + 1, top + 1):
-        layer = build_expansion("C", j, table).terms
-        if layer:
-            layer_of += [len(degrees)] * len(layer)
-            degrees.append(j)
-            terms.extend(layer)
-    exps = np.array([t.monomial for t in terms],
-                    dtype=int).reshape(len(terms), table.dimension)
-    coeffs = np.array([t.coefficient for t in terms], dtype=complex)
-    degrees, layer_of = np.array(degrees, dtype=int), np.array(layer_of, dtype=int)
-    exponents = np.arange(top + 1)[:, None]
-    at_dirs = {}
-
-    def layers(dirs):
-        # the term values go in blocks of at most BATCH_POINTS, so memory
-        # stays flat for wide n-D data, whose tails hold many terms
-        powers = [dirs[:, axis] ** exponents for axis in range(table.dimension)]
-        out = np.zeros((len(degrees), len(dirs)), dtype=complex)
-        step = max(1, BATCH_POINTS // len(dirs))
-        for start in range(0, len(terms), step):
-            block = slice(start, start + step)
-            values = coeffs[block, None]
-            for axis, power in enumerate(powers):
-                values = values * power[exps[block, axis]]
-            np.add.at(out, layer_of[block], values)
-        return out
-
-    def tail(radii, dirs):
-        key = dirs.tobytes()
-        if key not in at_dirs:
-            at_dirs[key] = layers(dirs)
-        # einsum, not a complex matmul: the complex BLAS kernels this would
-        # load cost about 0.4 MiB of resident memory in a campaign
-        return np.einsum("rj,jm->rm", np.asarray(radii)[:, None] ** degrees,
-                         at_dirs[key])
-    return tail
-
-
-def series_order(v: InitialDatum, order: int, radius: float) -> int:
-    """The order N by which the moment series of v_hat past ``order``,
-    sum_{|alpha| > order} M_alpha (i xi)^alpha, has reached roundoff on the
-    ball |xi| <= radius.
-
-    Layer j is at most sum_{|alpha| = j} |M_alpha| radius^j there.  N is the
-    first order at which two consecutive layers (one parity class of layers
-    may vanish) are at most eps times the sum of the layers from order + 1
-    to N, the size of the tail.  A series that needs an order beyond
-    MAX_MOMENT_ORDER, where alpha! overflows, or whose moments overflow
-    first, raises ConfigError.
+    With the layer bounds S_j = sum_{|alpha| = j} |M_alpha|, the difference
+    rounds to about eps * head, head = sum_{j <= order} S_j rho^j, and the
+    gap is about tail = sum_{j > order} S_j rho^j.  rho is the largest
+    ``radius`` / 2^i at which tail <= eps^(1/4) head, so that outside the
+    ball the difference keeps three quarters of its digits, and at which
+    the series reaches roundoff by MAX_MOMENT_ORDER: ``top`` is the first
+    order at which two consecutive layers (one parity class of layers may
+    vanish) are at most eps times the tail.  Data without a head, whose
+    difference does not cancel, or whose moments overflow before the series
+    converges on any ball, get rho = 0: the difference everywhere.
     """
     eps = np.finfo(float).eps
-    size, previous = 0.0, math.inf
-    for j in range(order + 1, MAX_MOMENT_ORDER + 1):
+    bounds = []
+
+    def bound(j):
+        while len(bounds) <= j:
+            s = math.fsum(abs(v.moment(alpha)) for alpha
+                          in indices_of_degree(v.dimension, len(bounds)))
+            if not math.isfinite(s):
+                raise OverflowError
+            bounds.append(s)
+        return bounds[j]
+
+    try:
+        if not any([bound(j) for j in range(order + 1)]):
+            return 0.0, order
+    except OverflowError:           # a raw moment beyond the largest float
+        return 0.0, order
+    while radius > 0.0:
+        head = math.fsum(bounds[j] * radius ** j for j in range(order + 1))
+        tail, previous = 0.0, math.inf
         try:
-            layer = math.fsum(abs(v.moment(alpha)) for alpha
-                              in indices_of_degree(v.dimension, j)) * radius ** j
-        except OverflowError:       # a raw moment beyond the largest float
-            break
-        size += layer
-        if not math.isfinite(size):
-            break
-        if max(previous, layer) <= eps * size:
-            return j
-        previous = layer
-    raise ConfigError(
-        f"the moment series past order {order} does not reach roundoff on "
-        f"|xi| <= {radius} by order {MAX_MOMENT_ORDER}; a higher order's "
-        "factorial overflows a float")
+            for j in range(order + 1, MAX_MOMENT_ORDER + 1):
+                layer = bound(j) * radius ** j
+                tail += layer
+                if tail > eps ** 0.25 * head:
+                    break
+                if max(previous, layer) <= eps * tail:
+                    return radius, j
+                previous = layer
+        except OverflowError:
+            pass
+        radius /= 2.0
+    return 0.0, order
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
 from .expansion import (PointSample, build_expansion, check_property_A,
-                        check_property_B, check_property_C, heat_partial_sum,
-                        heat_series_tail, series_order)
+                        check_property_B, check_property_C, combine,
+                        heat_partial_sum, series_ball)
 from .indices import degree
 from .initial_data import (MAX_MOMENT_ORDER, InitialDatum, MomentTable,
                            moment_table, pair_from_config)
@@ -170,13 +170,12 @@ class Case:
 
     @cached_property
     def moment_order(self) -> int:
-        """The largest moment order any of the checks reads; the
-        heat-vanishing check reads its moment series to ``tail_order``."""
+        """The largest moment order any of the checks reads."""
         orders = [0]
         if {"rate", "sandwich", "heat", "vanishing_low_frequency"} & set(self.checks):
             orders += self.k_values
         if "vanishing_heat" in self.checks:
-            orders += [self.tail_order(math.floor(g)) for g in self.gammas]
+            orders += [math.floor(g) for g in self.gammas]
         if "properties" in self.checks:
             orders.append(self.property_order)
         return max(orders)
@@ -214,10 +213,11 @@ class Case:
             return ts, np.array([nrm.value for nrm in curve])
         return self._once(("curve", k, grid, tol), compute)
 
-    def tail_order(self, m: int) -> int:
-        """The order by which the moment series of v_hat past m has reached
-        roundoff on the ball |xi| <= LOW_RADIUS."""
-        return self._once(("tail order", m), lambda: series_order(
+    def tail_ball(self, m: int):
+        """The radius, at most LOW_RADIUS, of the ball on which the
+        heat-vanishing gap past order m is the moment-series tail, and the
+        tail's top order (``series_ball``)."""
+        return self._once(("tail ball", m), lambda: series_ball(
             self.solution.v, m, LOW_RADIUS))
 
     def vanishing_curve(self, m: int, ell: float, grid: TimeGrid, tol: float):
@@ -225,30 +225,49 @@ class Case:
         over R^n, P_m the moment series to order m.  Every gamma with
         floor m shares the curve.
 
-        On the ball |xi| <= LOW_RADIUS the gap is the series tail past m,
-        which has no cancellation near xi = 0; outside it is the direct
-        difference, and LOW_RADIUS is a panel breakpoint.
+        Near xi = 0 the difference v_hat - P_m cancels; inside the
+        ``tail_ball`` the gap is the series tail past m instead, and the
+        ball's radius is a panel breakpoint.  A ball inside the heat scale
+        1/sqrt(t) of every grid time holds too small a share of the norms
+        for the difference's roundoff in it to count, and is not used.
         """
         def compute():
             v = self.solution.v
-            head = heat_partial_sum(self.table, m)
-            tail = heat_series_tail(self.table, m, self.tail_order(m))
-
-            def gap(ts, radii, dirs):
-                inner = radii <= LOW_RADIUS
-                base = np.empty((len(radii), len(dirs)), dtype=complex)
-                base[inner] = tail(radii[inner], dirs)
-                pts = radii[~inner, None, None] * dirs
-                base[~inner] = v.fourier_transform(pts) - head(pts)
-                weight = radii ** ell * np.exp(-np.multiply.outer(ts, radii * radii))
-                return weight[..., None] * base
-
             ts = grid.values()
-            curve = norm_curve(gap, FrequencyRegion.full(v.dimension), ts, tol,
-                               inner_scales=1.0 / np.sqrt(ts),
-                               breakpoints=(LOW_RADIUS,))
-            return ts, np.array([nrm.value for nrm in curve])
+            rho, top = self.tail_ball(m)
+            if rho * rho * ts[-1] < 1.0:
+                rho, top = 0.0, m
+            table = (self.table if self.table.order >= top
+                     else moment_table(v, top))
+            head = heat_partial_sum(table, m)
+            # no layers only when rho = 0: no point is inside then
+            tail = combine([build_expansion("C", j, table)
+                            for j in range(m + 1, top + 1)] or [head])
+
+            def base(radii, dirs):
+                pts = radii[:, None, None] * dirs
+                inner = radii < rho
+                out = np.empty(pts.shape[:-1], dtype=complex)
+                if inner.any():
+                    out[inner] = tail(pts[inner])
+                out[~inner] = v.fourier_transform(pts[~inner]) - head(pts[~inner])
+                return out
+
+            return ts, _weighted_norms(base, ell, FrequencyRegion.full(v.dimension),
+                                       ts, tol, breakpoints=(rho,))
         return self._once(("vanishing", m, ell, grid, tol), compute)
+
+
+def _weighted_norms(base, ell, region, ts, tol, breakpoints=()):
+    """The norms over ``region`` of r^ell e^{-t r^2} base(radii, dirs), one
+    per time of ``ts``; ``base`` returns the (R, m) values on shells."""
+    def gap(ts, radii, dirs):
+        weight = radii ** ell * np.exp(-np.multiply.outer(ts, radii * radii))
+        return weight[..., None] * base(radii, dirs)
+
+    curve = norm_curve(gap, region, ts, tol, inner_scales=1.0 / np.sqrt(ts),
+                       breakpoints=breakpoints)
+    return np.array([nrm.value for nrm in curve])
 
 
 def fit_decay_rate(case: Case, k: int, grid: TimeGrid, tol=1e-9) -> RateFit:
@@ -327,15 +346,12 @@ def vanishing_limit_check(case: Case, grid: TimeGrid, *, variant="heat",
         profile = case.expansion("A", k)
         symbol = LowFrequencySymbol(v)
 
-        def gap(ts, radii, dirs):
+        def base(radii, dirs):
             pts = radii[:, None, None] * dirs
-            weight = radii ** ell * np.exp(-np.multiply.outer(ts, radii * radii))
-            return weight[..., None] * (symbol(pts) - profile(pts))
+            return symbol(pts) - profile(pts)
 
         ts = grid.values()
-        curve = norm_curve(gap, FrequencyRegion.ball(0.5, n), ts, tol,
-                           inner_scales=1.0 / np.sqrt(ts))
-        norms = np.array([nrm.value for nrm in curve])
+        norms = _weighted_norms(base, ell, FrequencyRegion.ball(0.5, n), ts, tol)
     else:
         raise ValueError("variant must be 'heat' or 'low_frequency'")
     scaled = ts ** exponent * norms

@@ -29,10 +29,8 @@ from .quadrature import (adaptive_1d, angular_sums, integrate_radial,
                          radial_breakpoints, truncation_radius)
 from .spectral import BAND_HALFWIDTH, SpectralSolution
 
-# residual-norm split radii inside and outside the unit sphere; the
-# heat-vanishing gap is the moment-series tail on the LOW_RADIUS ball
-LOW_RADIUS = 0.5
-HIGH_RADIUS = 2.0
+LOW_RADIUS = 0.5            # residual-norm split radii inside and outside
+HIGH_RADIUS = 2.0           # the unit sphere
 
 
 @dataclass(frozen=True)

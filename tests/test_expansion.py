@@ -11,7 +11,10 @@ from dampex import (Box, Case, Gaussian, InsufficientOrderError, Shifted,
                     build_expansion, check_property_A, check_property_B,
                     check_property_C, combine, heat_partial_sum, moment_table,
                     property_suite, sample_ball, zero_datum)
-from dampex.expansion import ExpansionPolynomial, PointSample, PropertyReport
+from dampex.expansion import (ExpansionPolynomial, PointSample, PropertyReport,
+                              series_ball)
+from dampex.indices import indices_of_degree
+from dampex.initial_data import GaussianMonomial
 
 from conftest import catalog_1d, catalog_2d, catalog_3d
 
@@ -380,25 +383,49 @@ class TestStructure:
         assert np.max(np.abs(partial(pts) - expected)) < 1e-14
 
 
-class TestSeriesTail:
+class TestSeriesBall:
+    def test_wide_data_get_a_smaller_ball(self):
+        # the series of a half-width-1000 box does not converge on
+        # |xi| <= 0.5 before its moments overflow; a smaller ball does
+        rho, top = series_ball(Box(dimension=1, half_width=1000.0), 2, 0.5)
+        assert 0.0 < rho < 1e-3 and 2 < top < 30
+        narrow, _ = series_ball(Box(dimension=1, half_width=1.0), 2, 0.5)
+        assert rho < narrow <= 0.5
+
+    def test_bounds_on_the_ball(self, gaussian_1d):
+        eps = np.finfo(float).eps
+        rho, top = series_ball(gaussian_1d, 2, 0.5)
+        table = moment_table(gaussian_1d, top + 2)
+        bounds = [sum(abs(table.moment(alpha))
+                      for alpha in indices_of_degree(1, j)) * rho ** j
+                  for j in range(top + 3)]
+        assert sum(bounds[3:top + 1]) <= eps ** 0.25 * sum(bounds[:3])
+        assert max(bounds[top - 1:top + 1]) <= eps * sum(bounds[3:top + 1])
+
+    def test_data_without_a_head_need_no_ball(self):
+        # x e^{-x^2/4} has M_0 = 0: its difference past order 0 is v_hat
+        v = GaussianMonomial(dimension=1, exponents=(1,))
+        assert v.moment_is_exact_zero((0,))
+        assert series_ball(v, 0, 0.5) == (0.0, 0)
+
+
+class TestBatchEvaluation:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_tail_on_shells_matches_its_layer_polynomials(self, n):
-        # 3-D on the 1152-direction rule: the term values go in blocks
-        # of a few terms each, summed into their layers across blocks
-        from dampex.expansion import heat_series_tail
-        from dampex.quadrature import circle_nodes, sphere_nodes
-        v = Shifted(base=Gaussian(dimension=n, scale=1.0),
-                    center=(0.5, -0.3, 0.2)[:n], dilation=1.0)
-        top = 12
-        table = moment_table(v, top)
-        dirs = {1: np.array([[1.0], [-1.0]]), 2: circle_nodes(64)[0],
-                3: sphere_nodes(24, 48)[0]}[n]
-        radii = np.array([1e-3, 0.1, 0.5])
-        got = heat_series_tail(table, 2, top)(radii, dirs)
-        layers = combine([build_expansion("C", j, table)
-                          for j in range(3, top + 1)])
-        pts = radii[:, None, None] * dirs
-        # the layers' magnitude bound sum_{|alpha| > 2} |M_alpha| r^|alpha|
-        scale = sum(abs(m) * radii ** sum(alpha)
-                    for alpha, m in table.entries.items() if sum(alpha) > 2)
-        assert np.all(np.abs(got - layers(pts)) <= 1e-13 * scale[:, None])
+    def test_rounds_as_the_term_by_term_sum(self, n):
+        v = Shifted(base=Gaussian(dimension=n, scale=1.3),
+                    center=(0.5, -0.3, 0.2)[:n], dilation=0.7)
+        table = moment_table(v, 6)
+        pts = _sample(n, 12).reshape(3, 4, n)
+        for poly in (build_expansion("A", 5, table),
+                     build_expansion("B", 4, table),
+                     heat_partial_sum(table, 6)):
+            s = np.sum(pts * pts, axis=-1)
+            expected = np.zeros(s.shape, dtype=complex)
+            for t in poly.terms:
+                mono = np.ones_like(s)
+                for j, a in enumerate(t.monomial):
+                    if a:
+                        mono = mono * pts[..., j] ** a
+                expected = expected + (t.coefficient * s ** (t.radial_power // 2)
+                                       * mono)
+            assert np.array_equal(poly(pts), expected)
