@@ -27,9 +27,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InsufficientOrderError
+from .errors import ConfigError, InsufficientOrderError
 from .indices import Alpha, i_power, indices_of_degree, multi_factorial
-from .initial_data import MAX_MOMENT_ORDER, InitialDatum, MomentTable
+from .initial_data import (MAX_MOMENT_ORDER, InitialDatum, MomentTable,
+                           moment_table)
 
 KINDS = ("A", "B", "C")
 
@@ -229,7 +230,8 @@ def heat_partial_sum(table: MomentTable, order: int) -> ExpansionPolynomial:
 def series_ball(v: InitialDatum, order: int, radius: float):
     """The radius rho of the ball |xi| < rho on which the moment series
     tail sum_{order < |alpha| <= top} M_alpha (i xi)^alpha stands in for
-    v_hat - heat_partial_sum(order), and the order ``top`` of that tail.
+    v_hat - heat_partial_sum(order), the order ``top`` of that tail, and a
+    moment table of ``v`` to at least ``top`` (and ``order``).
 
     With the layer bounds S_j = sum_{|alpha| = j} |M_alpha|, the difference
     rounds to about eps * head, head = sum_{j <= order} S_j rho^j, and the
@@ -238,43 +240,46 @@ def series_ball(v: InitialDatum, order: int, radius: float):
     ball the difference keeps three quarters of its digits, and at which
     the series reaches roundoff by MAX_MOMENT_ORDER: ``top`` is the first
     order at which two consecutive layers (one parity class of layers may
-    vanish) are at most eps times the tail.  Data without a head, whose
-    difference does not cancel, or whose moments overflow before the series
-    converges on any ball, get rho = 0: the difference everywhere.
+    vanish) are at most eps times the tail.  The table's order doubles
+    whenever the search needs a layer past it.  Data without a head, whose
+    difference does not cancel, or whose table leaves the floats as it
+    grows, get rho = 0: the difference everywhere.
     """
     eps = np.finfo(float).eps
-    bounds = []
-
-    def bound(j):
-        while len(bounds) <= j:
-            s = math.fsum(abs(v.moment(alpha)) for alpha
-                          in indices_of_degree(v.dimension, len(bounds)))
-            if not math.isfinite(s):
-                raise OverflowError
-            bounds.append(s)
-        return bounds[j]
-
+    table = moment_table(v, max(order, 0))
     try:
-        if not any([bound(j) for j in range(order + 1)]):
-            return 0.0, order
-    except OverflowError:           # a raw moment beyond the largest float
-        return 0.0, order
+        bounds = _layer_bounds(table)
+    except OverflowError:           # a layer bound beyond the largest float
+        return 0.0, order, table
+    if not any(bounds[:order + 1]):
+        return 0.0, order, table
     while radius > 0.0:
         head = math.fsum(bounds[j] * radius ** j for j in range(order + 1))
         tail, previous = 0.0, math.inf
-        try:
-            for j in range(order + 1, MAX_MOMENT_ORDER + 1):
-                layer = bound(j) * radius ** j
-                tail += layer
-                if tail > eps ** 0.25 * head:
-                    break
-                if max(previous, layer) <= eps * tail:
-                    return radius, j
-                previous = layer
-        except OverflowError:
-            pass
+        for j in range(order + 1, MAX_MOMENT_ORDER + 1):
+            if j > table.order:
+                try:
+                    grown = moment_table(v, min(2 * j, MAX_MOMENT_ORDER))
+                    bounds = _layer_bounds(grown)
+                except (ConfigError, OverflowError):    # a moment or a bound
+                    return 0.0, order, table            # beyond the floats
+                table = grown
+            layer = bounds[j] * radius ** j
+            tail += layer
+            if tail > eps ** 0.25 * head:
+                break
+            if max(previous, layer) <= eps * tail:
+                return radius, j, table
+            previous = layer
         radius /= 2.0
-    return 0.0, order
+    return 0.0, order, table
+
+
+def _layer_bounds(table: MomentTable) -> list[float]:
+    """S_j = sum_{|alpha| = j} |M_alpha| for every j <= table.order."""
+    return [math.fsum(abs(table.moment(alpha))
+                      for alpha in indices_of_degree(table.dimension, j))
+            for j in range(table.order + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -215,8 +215,8 @@ class Case:
 
     def tail_ball(self, m: int):
         """The radius, at most LOW_RADIUS, of the ball on which the
-        heat-vanishing gap past order m is the moment-series tail, and the
-        tail's top order (``series_ball``)."""
+        heat-vanishing gap past order m is the moment-series tail, the
+        tail's top order and a moment table to that order (``series_ball``)."""
         return self._once(("tail ball", m), lambda: series_ball(
             self.solution.v, m, LOW_RADIUS))
 
@@ -234,11 +234,9 @@ class Case:
         def compute():
             v = self.solution.v
             ts = grid.values()
-            rho, top = self.tail_ball(m)
+            rho, top, table = self.tail_ball(m)
             if rho * rho * ts[-1] < 1.0:
                 rho, top = 0.0, m
-            table = (self.table if self.table.order >= top
-                     else moment_table(v, top))
             head = heat_partial_sum(table, m)
             # no layers only when rho = 0: no point is inside then
             tail = combine([build_expansion("C", j, table)
@@ -382,27 +380,19 @@ def heat_comparison(case: Case, k: int, grid: TimeGrid,
     the canonical Gaussian shows a vanishing damped increment against a
     positive heat increment there.
     """
-    v, table = case.solution.v, case.table
-    n = v.dimension
+    table = case.table
     inc = case.increment_constant(k)
     heat_half = heat_increment_norm(k, table, radius=0.5)
     heat_full = heat_increment_norm(k, table, radius=None)
     scale = max(inc, heat_half, 1e-300)
     gap = abs(inc - heat_half) / scale
-    partial = heat_partial_sum(table, k - 1)
-    region = FrequencyRegion.full(n)
-    rate = expected_decay_slope(n, k)
-    ts = grid.values()
-
-    def f(ts, radii, dirs):
-        pts = radii[:, None, None] * dirs
-        heat = np.exp(-np.multiply.outer(ts, radii * radii))
-        return heat[..., None] * (v.fourier_transform(pts) - partial(pts))
-
-    curve = norm_curve(f, region, ts, tol, inner_scales=1.0 / np.sqrt(ts))
+    rate = expected_decay_slope(case.solution.dimension, k)
+    # the heat residual || (v_hat - P_{k-1}) e^{-t|xi|^2} || is the
+    # heat-vanishing curve at order k - 1 and ell = 0
+    ts, norms = case.vanishing_curve(k - 1, 0.0, grid, tol)
     denom = heat_full * ts ** rate
-    ratios = np.array([nrm.value / d if d > 0 else math.inf
-                       for nrm, d in zip(curve, denom)])
+    ratios = np.array([nrm / d if d > 0 else math.inf
+                       for nrm, d in zip(norms.tolist(), denom)])
     delta = _first_stable_time(ts, ratios, 0.5) if heat_full > 0 else None
     return HeatComparisonReport(k=k, increment_constant=inc,
                                 heat_constant=heat_half, relative_gap=gap,

@@ -12,9 +12,13 @@ Fourier transform:  F[f](xi) = integral e^{-i x.xi} f(x) dx  (non-unitary).
 Normalized moment:  M_alpha(f) = ((-1)^{|alpha|} / alpha!) * integral x^alpha f dx.
 Weighted norm:      ||f||_{1,gamma} = integral (1 + |x|)^gamma |f(x)| dx.
 
-Raw moments (the plain integrals) are exposed alongside the normalized
-values because closed-form identities in the literature are usually stated
-for one convention or the other.
+Every moment comes from one path: each separable family gives its
+normalized axis moments (-1)^a integral y^a v_j dy / a! by a recurrence
+with no factorial, a table multiplies them out per multi-index, and a sum
+adds its terms' tables.  Raw moments (the plain integrals, stated in
+the literature as often as the normalized values) are formed from the
+table on demand as (-1)^{|alpha|} alpha! M_alpha; a moment, raw or
+normalized, that is not a finite float raises ConfigError.
 """
 
 from __future__ import annotations
@@ -29,17 +33,31 @@ from .indices import Alpha, degree, indices_up_to, multi_factorial
 from .quadrature import adaptive_1d, nested_cartesian
 
 _SUPPORT_EPS = 1e-18
-# the highest moment order whose factorial, the divisor of M_alpha at
-# alpha = (order, 0, ...), stays below the float maximum (170! ~ 7.3e306)
+# the highest moment order whose factorial, the factor alpha! of a printed
+# raw moment at alpha = (order, 0, ...), stays below the float maximum
+# (170! ~ 7.3e306)
 MAX_MOMENT_ORDER = 170
 
 
-def _double_factorial(m: int) -> float:
-    out = 1.0
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
+def _two_term(first, start, order, step):
+    """mu[a] for a <= order: mu[start] = first, mu[a] = mu[a - 2] * step(a),
+    and zero at the other parity."""
+    mu = [0.0] * (order + 1)
+    for a in range(start, order + 1, 2):
+        mu[a] = first if a == start else mu[a - 2] * step(a)
+    return mu
+
+
+def _gaussian_axis_moments(scale, b, order):
+    """Normalized moments of y^b exp(-y^2 / (4 scale)): mu[a] carries
+    integral y^(a+b) e^{-y^2/(4s)} dy = (a+b-1)!! (2s)^((a+b)/2) 2 sqrt(pi s)
+    for even a + b, so mu[a] / mu[a-2] = 2s (a+b-1) / (a (a-1))."""
+    start = b % 2
+    first = 2.0 * math.sqrt(math.pi * scale)
+    for i in range(1, (b + start) // 2 + 1):
+        first *= (2 * i - 1) * 2.0 * scale
+    return _two_term(-first if start else first, start, order,
+                     lambda a: 2.0 * scale * ((a + b - 1) / (a * (a - 1))))
 
 
 def _as_points(x, dimension, allow_complex=False):
@@ -74,10 +92,13 @@ class InitialDatum:
     def axis_fourier(self, j, xi_j):
         raise NotImplementedError
 
-    def axis_raw_moment(self, j, m) -> float:
+    def axis_moments(self, j, order) -> list[float]:
+        """Normalized axis moments (-1)^a integral y^a v_j dy / a! for every
+        a <= order."""
         raise NotImplementedError
 
     def axis_moment_is_zero(self, j, m) -> bool:
+        """True when axis moment m vanishes by a parity argument."""
         raise NotImplementedError
 
     def axis_interval(self, j):
@@ -108,40 +129,6 @@ class InitialDatum:
             out = out * self.axis_fourier(j, pts[..., j])
         return out
 
-    def raw_moment(self, alpha: Alpha) -> float:
-        """integral x^alpha v dx by the family closed form."""
-        alpha = self._check_alpha(alpha)
-        if self.moment_is_exact_zero(alpha):
-            return 0.0
-        out = self.amplitude
-        for j, a in enumerate(alpha):
-            out *= self.axis_raw_moment(j, a)
-        return out
-
-    def moment(self, alpha: Alpha) -> float:
-        """Normalized moment M_alpha = ((-1)^{|alpha|}/alpha!) * raw."""
-        alpha = self._check_alpha(alpha)
-        raw = self.raw_moment(alpha)
-        if raw == 0.0:
-            return 0.0
-        sign = -1.0 if degree(alpha) % 2 else 1.0
-        return sign * raw / multi_factorial(alpha)
-
-    def moment_is_exact_zero(self, alpha: Alpha) -> bool:
-        """True when the moment vanishes by a per-axis parity argument."""
-        alpha = self._check_alpha(alpha)
-        if self.amplitude == 0.0:
-            return True
-        return any(self.axis_moment_is_zero(j, a) for j, a in enumerate(alpha))
-
-    def _check_alpha(self, alpha) -> Alpha:
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.dimension:
-            raise ValueError("multi-index length must equal the dimension")
-        if any(a < 0 for a in alpha):
-            raise ValueError("multi-index entries must be nonnegative")
-        return alpha
-
 
 @dataclass(frozen=True)
 class Gaussian(InitialDatum):
@@ -163,12 +150,8 @@ class Gaussian(InitialDatum):
         return (2.0 * math.sqrt(math.pi * self.scale)
                 * np.exp(-self.scale * xi_j * xi_j)) + 0j
 
-    def axis_raw_moment(self, j, m):
-        if m % 2:
-            return 0.0
-        half = m // 2
-        return (_double_factorial(m - 1) * (2.0 * self.scale) ** half
-                * 2.0 * math.sqrt(math.pi * self.scale))
+    def axis_moments(self, j, order):
+        return _gaussian_axis_moments(self.scale, 0, order)
 
     def axis_moment_is_zero(self, j, m):
         return m % 2 == 1
@@ -212,12 +195,8 @@ class GaussianMonomial(InitialDatum):
         return ((-1j) ** b * 2.0 * math.sqrt(math.pi * a) * a ** (b / 2.0)
                 * herm * np.exp(-a * xi_j * xi_j))
 
-    def axis_raw_moment(self, j, m):
-        k = m + self.exponents[j]
-        if k % 2:
-            return 0.0
-        return (_double_factorial(k - 1) * (2.0 * self.scale) ** (k // 2)
-                * 2.0 * math.sqrt(math.pi * self.scale))
+    def axis_moments(self, j, order):
+        return _gaussian_axis_moments(self.scale, self.exponents[j], order)
 
     def axis_moment_is_zero(self, j, m):
         return (m + self.exponents[j]) % 2 == 1
@@ -250,11 +229,10 @@ class Box(InitialDatum):
         h = self.half_width
         return 2.0 * h * np.sinc(h * xi_j / np.pi) + 0j
 
-    def axis_raw_moment(self, j, m):
-        if m % 2:
-            return 0.0
+    def axis_moments(self, j, order):
+        # 2 h^(a+1) / (a+1)! at even a
         h = self.half_width
-        return 2.0 * h ** (m + 1) / (m + 1)
+        return _two_term(2.0 * h, 0, order, lambda a: h * h / (a * (a + 1)))
 
     def axis_moment_is_zero(self, j, m):
         return m % 2 == 1
@@ -297,17 +275,20 @@ class Shifted(InitialDatum):
         return (s * np.exp(-1j * self.center[j] * xi_j)
                 * self.base.axis_fourier(j, s * xi_j))
 
-    def axis_raw_moment(self, j, m):
-        # integral x^m base((x - c)/s) dx = s * sum_q C(m, q) c^{m-q} s^q raw_q
-        c = self.center[j]
-        s = self.dilation
-        total = 0.0
-        for q in range(m + 1):
-            if self.base.axis_moment_is_zero(j, q):
-                continue
-            total += (math.comb(m, q) * c ** (m - q) * s ** q
-                      * self.base.axis_raw_moment(j, q))
-        return s * total
+    def axis_moments(self, j, order):
+        # integral x^a base((x - c)/s) dx = s integral (c + s y)^a base(y) dy,
+        # whose binomial expansion divided by a! is the Cauchy product of
+        # (-c)^i / i! with s^q mu_base[q]; plain float products and sums,
+        # which overflow to inf for the table to report where ** and
+        # math.fsum would raise
+        c, s = self.center[j], self.dilation
+        shift, power = [1.0], [1.0]
+        for i in range(1, order + 1):
+            shift.append(shift[-1] * -c / i)
+            power.append(power[-1] * s)
+        base = [p * m for p, m in zip(power, self.base.axis_moments(j, order))]
+        return [s * sum(shift[a - q] * base[q] for q in range(a + 1))
+                for a in range(order + 1)]
 
     def axis_moment_is_zero(self, j, m):
         if self.center[j] == 0.0:
@@ -352,14 +333,6 @@ class SumDatum(InitialDatum):
     def fourier_transform(self, xi):
         return sum(t.fourier_transform(xi) for t in self.terms)
 
-    def raw_moment(self, alpha):
-        alpha = self._check_alpha(alpha)
-        return sum(t.raw_moment(alpha) for t in self.terms)
-
-    def moment_is_exact_zero(self, alpha):
-        alpha = self._check_alpha(alpha)
-        return all(t.moment_is_exact_zero(alpha) for t in self.terms)
-
     def axis_interval(self, j):
         los, his = zip(*(t.axis_interval(j) for t in self.terms))
         return (min(los), max(his))
@@ -394,20 +367,28 @@ def add_data(*data: InitialDatum) -> InitialDatum:
 
 @dataclass(frozen=True, eq=False)
 class MomentTable:
-    """Normalized moments M_alpha for all |alpha| <= order, with raw values
-    and exact-zero flags."""
+    """Normalized moments M_alpha for all |alpha| <= order, with exact-zero
+    flags."""
 
     dimension: int
     order: int
     entries: dict
-    raw_entries: dict
     exact_zeros: frozenset
 
     def moment(self, alpha: Alpha) -> float:
         return self.entries[tuple(alpha)]
 
     def raw(self, alpha: Alpha) -> float:
-        return self.raw_entries[tuple(alpha)]
+        """integral x^alpha v dx = (-1)^{|alpha|} alpha! M_alpha; ConfigError
+        when it overflows a float."""
+        alpha = tuple(alpha)
+        if alpha in self.exact_zeros:
+            return 0.0
+        raw = multi_factorial(alpha) * self.entries[alpha]
+        if not math.isfinite(raw):
+            raise ConfigError(f"raw moment {list(alpha)} of the data "
+                              "overflows a float")
+        return -raw if degree(alpha) % 2 else raw
 
     def is_exact_zero(self, alpha: Alpha) -> bool:
         return tuple(alpha) in self.exact_zeros
@@ -417,30 +398,42 @@ class MomentTable:
 
 
 def moment_table(v: InitialDatum, order: int) -> MomentTable:
-    """Every moment of ``v`` up to ``order``.
+    """Every normalized moment of ``v`` up to ``order``: the product of the
+    axis moments of each separable term, summed over the terms.  A moment
+    is an exact zero when in every term of nonzero amplitude some axis
+    moment vanishes by parity.
 
-    The normalised moments divide by alpha!, which is largest at
-    alpha = (order, 0, ...); an order whose order! overflows a float
-    (order > MAX_MOMENT_ORDER) raises ConfigError.
+    An order above MAX_MOMENT_ORDER, or a moment that is not a finite
+    float, raises ConfigError.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order > MAX_MOMENT_ORDER:
         raise ConfigError(f"moment order {order} is too high: "
                           f"{order}! overflows a float")
-    entries = {}
-    raw_entries = {}
-    zeros = set()
-    for alpha in indices_up_to(v.dimension, order):
-        if v.moment_is_exact_zero(alpha):
-            zeros.add(alpha)
-            entries[alpha] = 0.0
-            raw_entries[alpha] = 0.0
-        else:
-            raw_entries[alpha] = v.raw_moment(alpha)
-            entries[alpha] = v.moment(alpha)
+    indices = indices_up_to(v.dimension, order)
+    entries = dict.fromkeys(indices, 0.0)
+    nonzero = set()
+    for term in (v.terms if isinstance(v, SumDatum) else (v,)):
+        if term.amplitude == 0.0:
+            continue
+        axes = [term.axis_moments(j, order) for j in range(v.dimension)]
+        zero = [[term.axis_moment_is_zero(j, a) for a in range(order + 1)]
+                for j in range(v.dimension)]
+        for alpha in indices:
+            if any(flags[a] for flags, a in zip(zero, alpha)):
+                continue
+            value = term.amplitude
+            for axis, a in zip(axes, alpha):
+                value *= axis[a]
+            entries[alpha] += value
+            nonzero.add(alpha)
+    for alpha in indices:
+        if alpha in nonzero and not math.isfinite(entries[alpha]):
+            raise ConfigError(f"moment {list(alpha)} of the data is not a "
+                              "finite float")
     return MomentTable(dimension=v.dimension, order=order, entries=entries,
-                       raw_entries=raw_entries, exact_zeros=frozenset(zeros))
+                       exact_zeros=frozenset(indices) - nonzero)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .indices import Alpha, degree, indices_of_degree
 from .initial_data import MomentTable, moment_table
 from .quadrature import (adaptive_1d, angular_sums, integrate_radial,
                          radial_breakpoints, truncation_radius)
-from .spectral import BAND_HALFWIDTH, SpectralSolution
+from .spectral import SpectralSolution
 
 LOW_RADIUS = 0.5            # residual-norm split radii inside and outside
 HIGH_RADIUS = 2.0           # the unit sphere
@@ -258,16 +258,15 @@ def residual_norm_curve(sol: SpectralSolution, ts, k: int,
     """``residual_norm`` at every t of ``ts``, integrated on shared panels.
 
     Each time's inner ladder starts at its heat width 1/sqrt(max(t, 1));
-    the kinks are the radii where the solution switches representation,
-    bracketed by LOW_RADIUS and HIGH_RADIUS.
+    LOW_RADIUS and HIGH_RADIUS bracket the unit sphere, where the solution's
+    two decay rates e^{-t|xi|^2} and e^{-t} cross.
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts <= 0):
         raise ValueError("t must be positive")
     poly = build_expansion("A", k - 1, moment_table(sol.v, max(k - 1, 0)))
     region = region or FrequencyRegion.full(sol.dimension)
-    kinks = (LOW_RADIUS, 1.0 - BAND_HALFWIDTH, 1.0, 1.0 + BAND_HALFWIDTH,
-             HIGH_RADIUS)
+    kinks = (LOW_RADIUS, HIGH_RADIUS)
     return norm_curve(
         lambda ts, radii, dirs: sol.residual_shells(ts, radii, dirs, poly),
         region, ts, tol, inner_scales=1.0 / np.sqrt(np.maximum(ts, 1.0)),

@@ -336,9 +336,25 @@ def test_report_rejects_moment_orders_that_overflow(tmp_path, capsys, data,
     assert not out_dir.exists()
 
 
+def test_moments_that_overflow_a_float_exit_2(tmp_path, capsys):
+    # the normalized moments of a half-width-1000 box stay finite to order
+    # 120; its raw moments 2 h^(a+1) / (a+1) leave the floats from a = 104 on
+    data = tmp_path / "box.json"
+    data.write_text(json.dumps({"family": "box", "dimension": 1,
+                                "half_width": 1000.0}), encoding="utf-8")
+    out = tmp_path / "table.json"
+    assert main(["moments", "--data", str(data), "--max-order", "120",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ")
+    assert "overflows a float" in captured.err
+    assert not out.exists()
+
+
 def test_report_runs_wide_data(tmp_path):
     # a half-width-1000 box: its raw moments overflow a float from order
-    # about 100 on, and its gap decays once t is well past 1000^2
+    # about 100 on (its normalized moments do not), and its gap decays once
+    # t is well past 1000^2
     case = {"name": "wide", "data": {"dimension": 1,
                                      "u0": {"family": "box", "half_width": 1000.0},
                                      "u1": {"family": "zero"}},

@@ -386,15 +386,15 @@ class TestStructure:
 class TestSeriesBall:
     def test_wide_data_get_a_smaller_ball(self):
         # the series of a half-width-1000 box does not converge on
-        # |xi| <= 0.5 before its moments overflow; a smaller ball does
-        rho, top = series_ball(Box(dimension=1, half_width=1000.0), 2, 0.5)
+        # |xi| <= 0.5 by order MAX_MOMENT_ORDER; a smaller ball does
+        rho, top, _ = series_ball(Box(dimension=1, half_width=1000.0), 2, 0.5)
         assert 0.0 < rho < 1e-3 and 2 < top < 30
-        narrow, _ = series_ball(Box(dimension=1, half_width=1.0), 2, 0.5)
+        narrow, _, _ = series_ball(Box(dimension=1, half_width=1.0), 2, 0.5)
         assert rho < narrow <= 0.5
 
     def test_bounds_on_the_ball(self, gaussian_1d):
         eps = np.finfo(float).eps
-        rho, top = series_ball(gaussian_1d, 2, 0.5)
+        rho, top, _ = series_ball(gaussian_1d, 2, 0.5)
         table = moment_table(gaussian_1d, top + 2)
         bounds = [sum(abs(table.moment(alpha))
                       for alpha in indices_of_degree(1, j)) * rho ** j
@@ -405,8 +405,8 @@ class TestSeriesBall:
     def test_data_without_a_head_need_no_ball(self):
         # x e^{-x^2/4} has M_0 = 0: its difference past order 0 is v_hat
         v = GaussianMonomial(dimension=1, exponents=(1,))
-        assert v.moment_is_exact_zero((0,))
-        assert series_ball(v, 0, 0.5) == (0.0, 0)
+        assert moment_table(v, 0).is_exact_zero((0,))
+        assert series_ball(v, 0, 0.5)[:2] == (0.0, 0)
 
 
 class TestBatchEvaluation:

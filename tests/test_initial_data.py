@@ -21,24 +21,28 @@ SQRT_PI = math.sqrt(math.pi)
 
 class TestMoments:
     def test_gaussian_mass(self, gaussian_1d):
-        assert gaussian_1d.moment((0,)) == pytest.approx(2 * SQRT_PI, rel=1e-14)
+        assert moment_table(gaussian_1d, 0).moment((0,)) == pytest.approx(
+            2 * SQRT_PI, rel=1e-14)
 
     def test_gaussian_second_raw_and_normalized(self, gaussian_1d):
         # raw second moment is 4 sqrt(pi); the 1/2! normalization halves it,
         # which is exactly what cancels the mass in the order-two increment
-        assert gaussian_1d.raw_moment((2,)) == pytest.approx(4 * SQRT_PI, rel=1e-14)
-        assert gaussian_1d.moment((2,)) == gaussian_1d.moment((0,))
+        table = moment_table(gaussian_1d, 2)
+        assert table.raw((2,)) == pytest.approx(4 * SQRT_PI, rel=1e-14)
+        assert table.moment((2,)) == table.moment((0,))
 
     def test_gaussian_odd_moment_is_exact_zero(self, gaussian_1d):
-        assert gaussian_1d.moment((1,)) == 0.0
-        assert gaussian_1d.moment_is_exact_zero((1,))
+        table = moment_table(gaussian_1d, 1)
+        assert table.moment((1,)) == 0.0
+        assert table.is_exact_zero((1,))
 
     def test_normalization_sign(self):
         v = Shifted(base=Gaussian(dimension=1, scale=1.0), center=(0.6,),
                     dilation=1.0)
-        raw = v.raw_moment((1,))
+        table = moment_table(v, 1)
+        raw = table.raw((1,))
         assert raw == pytest.approx(0.6 * 2 * SQRT_PI, rel=1e-13)
-        assert v.moment((1,)) == pytest.approx(-raw, rel=1e-15)
+        assert table.moment((1,)) == pytest.approx(-raw, rel=1e-15)
 
     def test_even_data_odd_entries_exact_zero(self):
         table = moment_table(Gaussian(dimension=2, scale=1.0), 4)
@@ -50,30 +54,33 @@ class TestMoments:
     @pytest.mark.parametrize("v", catalog_all(), ids=lambda v: f"{v.family}{v.dimension}d")
     def test_closed_form_matches_quadrature_oracle(self, v):
         order = 6 if v.dimension == 1 else (4 if v.dimension == 2 else 3)
+        table = moment_table(v, order)
         for alpha in indices_up_to(v.dimension, order):
-            closed = v.raw_moment(alpha)
+            closed = table.raw(alpha)
             oracle = quadrature_raw_moment(v, alpha, tol=1e-11,
                                            abs_floor=1e-13)
-            if v.moment_is_exact_zero(alpha):
-                assert abs(oracle) <= 1e-10 * max(1.0, abs(v.raw_moment((0,) * v.dimension)))
+            if table.is_exact_zero(alpha):
+                assert abs(oracle) <= 1e-10 * max(1.0, abs(table.raw((0,) * v.dimension)))
             else:
                 assert oracle == pytest.approx(closed, rel=1e-9), alpha
 
     def test_nested_oracle_agrees_in_2d(self):
         v = Shifted(base=Gaussian(dimension=2, scale=1.0), center=(0.4, -0.3),
                     dilation=1.0)
+        table = moment_table(v, 2)
         for alpha in [(0, 0), (1, 1), (2, 0)]:
             nested = quadrature_raw_moment(v, alpha, tol=1e-9, nested=True)
-            assert nested == pytest.approx(v.raw_moment(alpha), rel=1e-7)
+            assert nested == pytest.approx(table.raw(alpha), rel=1e-7)
 
     def test_sum_moments_are_linear(self):
         a = Gaussian(dimension=1, scale=1.0)
         b = Box(dimension=1, half_width=1.0)
         s = add_data(a, b)
         assert isinstance(s, SumDatum)
+        ts, ta, tb = (moment_table(d, 4) for d in (s, a, b))
         for alpha in [(0,), (2,), (4,)]:
-            assert s.raw_moment(alpha) == pytest.approx(
-                a.raw_moment(alpha) + b.raw_moment(alpha), rel=1e-15)
+            assert ts.raw(alpha) == pytest.approx(
+                ta.raw(alpha) + tb.raw(alpha), rel=1e-15)
 
     def test_orders_up_to_170_fit_a_float(self):
         # 170! is below the largest float and 171! above it
@@ -83,6 +90,17 @@ class TestMoments:
             with pytest.raises(ConfigError, match="171! overflows"):
                 moment_table(Gaussian(dimension=n, scale=1.0), 171)
 
+    def test_moments_beyond_the_floats_are_config_errors(self):
+        # M_a = 2 h^(a+1) / (a+1)! of a half-width-1e5 box is 3.4e284 at
+        # a = 80 and beyond the largest float at a = 90
+        box = Box(dimension=1, half_width=1e5)
+        assert math.isfinite(moment_table(box, 80).moment((80,)))
+        with pytest.raises(ConfigError, match="not a finite float"):
+            moment_table(box, 100)
+        # its raw moments leave the floats long before: 2 h^71 / 71 at 70
+        with pytest.raises(ConfigError, match="overflows a float"):
+            moment_table(box, 70).raw((70,))
+
     def test_quadrature_nonconvergence_is_diagnosed(self):
         # the engine used by the moment oracle reports the achieved error
         # when an integrand defeats the subdivision budget
@@ -91,6 +109,98 @@ class TestMoments:
             adaptive_1d(lambda x: np.sin(1.0 / (x + 1e-12)), 0.0, 1.0, 1e-13)
         assert err.value.error_estimate is not None
         assert err.value.error_estimate > 0
+
+
+def _mp_raw_axis(mp, datum, a):
+    """50-digit integral y^a v_j dy of axis 0 of ``datum`` by the closed forms
+    (Gamma functions, powers and the binomial expansion of a shift)."""
+    if isinstance(datum, Shifted):
+        c, d = mp.mpf(datum.center[0]), mp.mpf(datum.dilation)
+        return d * mp.fsum(mp.binomial(a, q) * c ** (a - q) * d ** q
+                           * _mp_raw_axis(mp, datum.base, q) for q in range(a + 1))
+    if isinstance(datum, Box):
+        h = mp.mpf(datum.half_width)
+        return 2 * h ** (a + 1) / (a + 1) if a % 2 == 0 else mp.mpf(0)
+    b = datum.exponents[0] if isinstance(datum, GaussianMonomial) else 0
+    if (a + b) % 2:
+        return mp.mpf(0)
+    return mp.gamma(mp.mpf(a + b + 1) / 2) * (4 * mp.mpf(datum.scale)) ** (
+        mp.mpf(a + b + 1) / 2)
+
+
+def _mp_moment(mp, datum, alpha):
+    """50-digit normalized moment M_alpha of a 1-D datum or of a sum."""
+    if isinstance(datum, SumDatum):
+        return mp.fsum(_mp_moment(mp, t, alpha) for t in datum.terms)
+    (a,) = alpha
+    return (mp.mpf(datum.amplitude) * (-1) ** a * _mp_raw_axis(mp, datum, a)
+            / mp.factorial(a))
+
+
+class TestAxisMoments:
+    """Normalized moments by recurrence against 50-digit closed forms."""
+
+    DATA = {
+        "box": Box(dimension=1, half_width=1.7, amplitude=0.8),
+        "gaussian": Gaussian(dimension=1, scale=0.6, amplitude=1.3),
+        "monomial": GaussianMonomial(dimension=1, exponents=(3,), scale=1.4),
+        "shifted": Shifted(base=Gaussian(dimension=1, scale=0.8), center=(0.7,),
+                           dilation=1.6),
+        "shifted-box": Shifted(base=Box(dimension=1, half_width=0.5),
+                               center=(-1.2,), dilation=0.7),
+        "sum": SumDatum(terms=(Box(dimension=1, half_width=1.2),
+                               GaussianMonomial(dimension=1, exponents=(2,),
+                                                scale=0.5, amplitude=0.3))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DATA))
+    def test_order_60_matches_50_digit_moments(self, name):
+        mp = pytest.importorskip("mpmath")
+        v = self.DATA[name]
+        table = moment_table(v, 60)
+        with mp.workdps(50):
+            for (a,) in table.indices():
+                ref = _mp_moment(mp, v, (a,))
+                got = table.moment((a,))
+                if table.is_exact_zero((a,)):
+                    assert got == 0.0 and ref == 0, a
+                else:
+                    assert abs(got - ref) <= 1e-13 * abs(ref), (a, got, ref)
+
+    @pytest.mark.parametrize("v", [
+        Shifted(base=GaussianMonomial(dimension=2, exponents=(1, 2), scale=0.7,
+                                      amplitude=1.1),
+                center=(0.3, -0.5), dilation=1.3),
+        Shifted(base=Box(dimension=3, half_width=0.9, amplitude=1.2),
+                center=(0.4, 0.0, -0.6), dilation=0.8)],
+        ids=["2d", "3d"])
+    def test_multi_d_tables_are_outer_products(self, v):
+        mp = pytest.importorskip("mpmath")
+        table = moment_table(v, 12)
+        base = v.base
+        with mp.workdps(50):
+            for alpha in [(0,) * v.dimension, (3, 2, 1)[:v.dimension],
+                          (0, 5, 7)[:v.dimension], (12,) + (0,) * (v.dimension - 1),
+                          (2,) * v.dimension]:
+                ref = mp.mpf(base.amplitude)
+                for j, a in enumerate(alpha):
+                    axis = _axis_datum(base, j)
+                    ref *= (-1) ** a * _mp_raw_axis(mp, Shifted(
+                        base=axis, center=(v.center[j],), dilation=v.dilation),
+                        a) / mp.factorial(a)
+                got = table.moment(alpha)
+                if table.is_exact_zero(alpha):
+                    assert got == 0.0 and ref == 0, alpha
+                else:
+                    assert abs(got - ref) <= 1e-13 * abs(ref), (alpha, got, ref)
+
+
+def _axis_datum(v, j):
+    """Axis j of a separable datum as a 1-D datum of amplitude 1."""
+    if isinstance(v, Box):
+        return Box(dimension=1, half_width=v.half_width)
+    return GaussianMonomial(dimension=1, exponents=(v.exponents[j],),
+                            scale=v.scale)
 
 
 class TestWeightedNorms:
@@ -118,7 +228,7 @@ class TestWeightedNorms:
 
     def test_absolute_moment_matches_even_power(self, gaussian_1d):
         assert absolute_moment(gaussian_1d, 2.0) == pytest.approx(
-            gaussian_1d.raw_moment((2,)), rel=1e-10)
+            moment_table(gaussian_1d, 2).raw((2,)), rel=1e-10)
 
 
 class TestFourierTransforms:
@@ -132,7 +242,7 @@ class TestFourierTransforms:
     @pytest.mark.parametrize("v", catalog_all(), ids=lambda v: f"{v.family}{v.dimension}d")
     def test_value_at_zero_equals_mass(self, v):
         xi0 = np.zeros((1, v.dimension))
-        mass = v.raw_moment((0,) * v.dimension)
+        mass = moment_table(v, 0).raw((0,) * v.dimension)
         assert v.fourier_transform(xi0)[0] == pytest.approx(mass, rel=1e-12, abs=1e-12)
 
     def test_box_transform_zero_at_pi(self):
@@ -255,6 +365,6 @@ def test_shifted_moments_match_substitution_oracle(center, dilation, m):
     """integral x^m base((x-c)/s) dx computed two independent ways."""
     base = Gaussian(dimension=1, scale=1.0)
     v = Shifted(base=base, center=(center,), dilation=dilation)
-    closed = v.raw_moment((m,))
+    closed = moment_table(v, m).raw((m,))
     oracle = quadrature_raw_moment(v, (m,), tol=1e-11, abs_floor=1e-12)
     assert oracle == pytest.approx(closed, rel=1e-8, abs=1e-10)

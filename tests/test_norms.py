@@ -274,29 +274,33 @@ class TestAngularRuleReuse:
     # evaluated point by point through evaluate's region policy; reusing the
     # rules and passing the row count down changed no bit of these
     PINNED = [
-        (2, "full", 0, 10.0, 6.056485491628974, 2856),
+        (2, "full", 0, 10.0, 6.056485491628974, 2499),
         (2, "ball", 1, 30.0, 0.15305760852371306, 714),
         (2, "annulus", 2, 100.0, 0.0013637565261636643, 714),
-        (2, "ext", 0, 50.0, 0.9910031172133901, 2499),
-        (2, "full", 1, 300.0, 0.015305885760095212, 4284),
-        (2, "ext", 2, 10.0, 0.08014523477348881, 3570),
-        (3, "full", 2, 10.0, 0.24863850223397158, 12264),
+        (2, "ext", 0, 50.0, 0.9910031172133901, 1428),
+        (2, "full", 1, 300.0, 0.015305885760095212, 3213),
+        (2, "ext", 2, 10.0, 0.08014523477348881, 3213),
+        (3, "full", 2, 10.0, 0.24863850223397158, 13797),
         (3, "ball", 0, 100.0, 2.466062285515298, 3066),
         (3, "annulus", 1, 30.0, 0.26975842522090554, 4599),
-        (3, "ext", 1, 1000.0, 0.0025392765922862, 21462),
+        (3, "ext", 1, 1000.0, 0.0025392765922862, 16863),
         (3, "ball", 2, 20.0, 0.04304450575899152, 3066),
         (3, "annulus", 0, 1000.0, 0.39251886092442867, 3066),
     ]
     # the same norms, bit for bit, from the shell route (radial multipliers
-    # once per (t, r)); it moved them by at most 6.4e-15 relative
+    # once per (t, r)); it moved them by at most 6.4e-15 relative.  The
+    # evaluation counts above and the two ext/full k = 2 values here are
+    # those without panel breakpoints at 1 - BAND_HALFWIDTH, 1 and
+    # 1 + BAND_HALFWIDTH, where the shell route switches nothing; that
+    # moved the two values by 1.7e-16 and 2.2e-16 relative
     SHELL_VALUES = {
         (2, "full", 0, 10.0): 6.056485491628974,
         (2, "ball", 1, 30.0): 0.15305760852371306,
         (2, "annulus", 2, 100.0): 0.0013637565261636557,
         (2, "ext", 0, 50.0): 0.9910031172133901,
         (2, "full", 1, 300.0): 0.015305885760095212,
-        (2, "ext", 2, 10.0): 0.0801452347734888,
-        (3, "full", 2, 10.0): 0.2486385022339716,
+        (2, "ext", 2, 10.0): 0.08014523477348878,
+        (3, "full", 2, 10.0): 0.24863850223397166,
         (3, "ball", 0, 100.0): 2.4660622855152976,
         (3, "annulus", 1, 30.0): 0.2697584252209055,
         (3, "ext", 1, 1000.0): 0.0025392765922861997,
@@ -376,9 +380,9 @@ class TestShellFieldCalls:
 
         monkeypatch.setattr(SpectralSolution, "residual_shells", counted)
         res = residual_norm(_pinned_pair(3), 10.0, 2)
-        # three truncation bundles, one rule choice, three panel rounds
-        assert len(calls) == 7
-        assert res.evaluations == 12264
+        # three truncation bundles, one rule choice, four panel rounds
+        assert len(calls) == 8
+        assert res.evaluations == 13797
 
 
 class TestAngularErrorTerm:
@@ -535,16 +539,14 @@ class TestClosedFormsVsQuadrature:
         assert radial_factor_1d(0) == pytest.approx(0.92500, abs=5e-5)
 
     def test_prop_constant_specialization_w_only(self):
-        # synthetic raw moments: mass and diagonal second moments vanish,
+        # synthetic moments: mass and diagonal second moments vanish,
         # a single off-diagonal W survives
         w = 0.37
         alphas = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
         entries = {a: 0.0 for a in alphas}
-        raw = {a: 0.0 for a in alphas}
-        raw[(1, 1)] = w
-        entries[(1, 1)] = w     # (+1/1!1!) raw
+        entries[(1, 1)] = w     # (+1/1!1!) raw, so the raw moment is W too
         table = MomentTable(dimension=2, order=2, entries=entries,
-                            raw_entries=raw, exact_zeros=frozenset())
+                            exact_zeros=frozenset())
         closed = increment_lower_constant(2, table)
         c12 = gaussian_monomial_integral((1, 1), 2.0, 0.5)
         assert closed == pytest.approx(math.sqrt(c12) * w, rel=1e-13)
