@@ -24,7 +24,7 @@ from .expansion import (PointSample, build_expansion, check_property_A,
                         heat_partial_sum, series_ball)
 from .indices import degree
 from .initial_data import (MAX_MOMENT_ORDER, InitialDatum, MomentTable,
-                           moment_table, pair_from_config)
+                           check_keys, moment_table, pair_from_config)
 from .norms import (LOW_RADIUS, FrequencyRegion, heat_increment_norm,
                     norm_curve, poly_gaussian_l2_norm, residual_norm_curve)
 from .spectral import LowFrequencySymbol, SpectralSolution
@@ -123,6 +123,9 @@ def expected_decay_slope(dimension: int, k: int) -> float:
 _CHECKS = ("rate", "sandwich", "heat", "vanishing_heat",
            "vanishing_low_frequency", "properties")
 _DEFAULT_CHECKS = ("rate", "sandwich", "heat", "properties")
+_CASE_KEYS = {"name", "data", "k_values", "checks", "gammas", "ells"}
+_CAMPAIGN_KEYS = {"seed", "quad_tol", "rate_tolerance", "property_tolerance",
+                  "decay_fraction", "t_grid", "vanishing_t_grid", "cases"}
 
 
 @dataclass(eq=False)
@@ -146,6 +149,7 @@ class Case:
         """Parse and check one entry of a campaign's "cases" list."""
         if not isinstance(cfg, dict) or "name" not in cfg or "data" not in cfg:
             raise ConfigError('every case needs "name" and "data"')
+        check_keys(cfg, _CASE_KEYS, f"case {cfg['name']!r}")
         u0, u1 = pair_from_config(cfg["data"])
         # gammas and ells stay as given: the summary echoes them
         case = cls(name=cfg["name"], u0=u0, u1=u1,
@@ -513,6 +517,7 @@ def validate_config(cfg: dict) -> Campaign:
     parse it; every violation raises ConfigError."""
     if not isinstance(cfg, dict) or not isinstance(cfg.get("cases"), list):
         raise ConfigError('campaign config must be an object with a "cases" list')
+    check_keys(cfg, _CAMPAIGN_KEYS, "the campaign")
 
     def setting(key, default, top=math.inf):
         x = _nonnegative(cfg.get(key, default), key)

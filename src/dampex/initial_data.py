@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .indices import Alpha, degree, indices_up_to, multi_factorial
-from .quadrature import adaptive_1d, nested_cartesian
+from .quadrature import adaptive_1d
 
 _SUPPORT_EPS = 1e-18
 # the highest moment order whose factorial, the factor alpha! of a printed
@@ -441,29 +441,31 @@ def moment_table(v: InitialDatum, order: int) -> MomentTable:
 
 
 def weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10) -> float:
-    """integral (1 + |x|)^gamma |v(x)| dx, for a finite gamma >= 0."""
+    """integral (1 + |x|)^gamma |v(x)| dx, for a finite gamma >= 0.
+
+    The panel engine integrates one axis at a time, each split at 0: the
+    integral over axis j runs at once for every fixed outer point
+    (x_0, ..., x_{j-1}), one integrand row per point.
+    """
     gamma, tol = float(gamma), float(tol)
     n = v.dimension
 
-    def w(r):
-        return (1.0 + r) ** gamma
-
-    if n == 1:
-        lo, hi = v.axis_interval(0)
-
+    def over_axis(j, outer):
+        """The (P,) integrals over axes j, ..., n-1 at the (P, j) points
+        ``outer``."""
         def f(y):
-            return w(np.abs(y)) * np.abs(v.values(y[:, None]))
+            pts = np.empty((len(outer), len(y), j + 1))
+            pts[..., :j] = outer[:, None, :]
+            pts[..., j] = y
+            if j < n - 1:
+                return over_axis(j + 1, pts.reshape(-1, j + 1)).reshape(pts.shape[:2])
+            r = np.sqrt((pts * pts).sum(axis=-1))
+            return (1.0 + r) ** gamma * np.abs(v.values(pts))
 
+        lo, hi = v.axis_interval(j)
         return adaptive_1d(f, lo, hi, tol, breakpoints=(0.0,)).value
 
-    bounds = [v.axis_interval(j) for j in range(n)]
-    brk = [(0.0,)] * n
-
-    def f(x):
-        r = math.sqrt(sum(c * c for c in x))
-        return w(r) * abs(float(v.values(np.asarray(x))))
-
-    return nested_cartesian(f, bounds, tol, breakpoints=brk).value
+    return float(over_axis(0, np.empty((1, 0)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +481,13 @@ _FAMILY_KEYS = {
     "shifted": {"center", "dilation", "base"},
     "sum": {"terms"},
 }
+
+
+def check_keys(cfg: dict, known, what):
+    """Raise ConfigError naming every key of ``cfg`` outside ``known``."""
+    extra = set(cfg) - known
+    if extra:
+        raise ConfigError(f"unexpected keys for {what}: {sorted(extra)}")
 
 
 def datum_from_config(cfg: dict, dimension=None) -> InitialDatum:
@@ -498,9 +507,7 @@ def datum_from_config(cfg: dict, dimension=None) -> InitialDatum:
         raise ConfigError("dimension must be a positive integer")
     if fam not in ("shifted", "sum") and n > 3:
         raise ConfigError("dimensions above 3 are not supported")
-    extra = set(cfg) - _FAMILY_KEYS[fam] - {"family", "dimension"}
-    if extra:
-        raise ConfigError(f"unexpected keys for family {fam!r}: {sorted(extra)}")
+    check_keys(cfg, _FAMILY_KEYS[fam] | {"family", "dimension"}, f"family {fam!r}")
     try:
         if fam == "gaussian":
             return Gaussian(dimension=n, scale=float(cfg.get("scale", 1.0)),
@@ -531,6 +538,7 @@ def pair_from_config(cfg: dict):
     """Load (u0, u1) from {"dimension": n, "u0": {...}, "u1": {...}}."""
     if not isinstance(cfg, dict) or "u0" not in cfg or "u1" not in cfg:
         raise ConfigError('pair config needs "u0" and "u1" entries')
+    check_keys(cfg, {"dimension", "u0", "u1"}, "a pair")
     n = cfg.get("dimension")
     u0 = datum_from_config(cfg["u0"], n)
     u1 = datum_from_config(cfg["u1"], n)

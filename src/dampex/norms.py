@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import InsufficientOrderError
 from .expansion import ExpansionPolynomial, build_expansion
@@ -31,6 +30,7 @@ from .spectral import SpectralSolution
 
 LOW_RADIUS = 0.5            # residual-norm split radii inside and outside
 HIGH_RADIUS = 2.0           # the unit sphere
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -174,17 +174,34 @@ def sphere_monomial_integral(alpha: Alpha) -> float:
         return 2.0
     num = 1.0
     for a in alpha:
-        num *= special.gamma(a + 0.5)
-    return 2.0 * num / special.gamma(degree(alpha) + n / 2.0)
+        num *= math.gamma(a + 0.5)
+    return 2.0 * num / math.gamma(degree(alpha) + n / 2.0)
 
 
 def radial_gaussian_integral(m: int, rate: float, radius=None) -> float:
     """integral_0^R r^m e^{-rate r^2} dr (R = infinity when radius is None)."""
     s = (m + 1) / 2.0
-    scale = 0.5 * rate ** (-s) * special.gamma(s)
+    scale = 0.5 * rate ** (-s) * math.gamma(s)
     if radius is None:
         return scale
-    return scale * special.gammainc(s, rate * radius * radius)
+    return scale * regularised_lower_gamma(s, rate * radius * radius)
+
+
+def regularised_lower_gamma(s: float, x: float) -> float:
+    """P(s, x) = gamma(s, x) / Gamma(s) by the all-positive series
+    x^s e^{-x} sum_j x^j / Gamma(s + j + 1) (DLMF 8.7.1).
+
+    No term cancels, so the sum is accurate to a few ulps; it converges
+    fast for x up to about s + 1, and every caller passes x = 0.5 (the
+    half ball at rate 2).
+    """
+    term = x ** s * math.exp(-x) / math.gamma(s + 1.0)
+    total, j = term, 0
+    while term > _EPS * total:
+        j += 1
+        term *= x / (s + j)
+        total += term
+    return total
 
 
 def gaussian_monomial_integral(alpha: Alpha, rate=2.0, radius=None) -> float:

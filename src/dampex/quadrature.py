@@ -29,9 +29,6 @@ call.
 Each angular rule and each set of truncation probe directions is built
 once per process, on first use, and kept as read-only arrays; a rule
 choice builds only the levels it visits.
-
-Only the nested tensor integration behind weighted L1 norms in 2-D and
-3-D still runs scipy's scalar adaptive ``quad``.
 """
 
 from __future__ import annotations
@@ -40,9 +37,12 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy import integrate
 
 from .errors import QuadratureError
+
+# perfbench/tracer.py rebinds this name, which held scipy.integrate; it
+# goes once the tracer stops wrapping it (ROADMAP item 7)
+integrate = None
 
 QUAD_LIMIT = 200            # panels per 1-D integral (subintervals in quad)
 BATCH_POINTS = 1 << 12      # values (points x rows) one field call on shells may hold
@@ -436,40 +436,3 @@ def _probe_list(lo, hi, breakpoints):
     pts.extend(breakpoints)
     pts = sorted({p for p in pts if lo < p < hi})
     return pts or [0.5 * (lo + hi)]
-
-
-# ---------------------------------------------------------------------------
-# nested cartesian integration (weighted L1 norms in 2-D and 3-D)
-
-
-def nested_cartesian(field, bounds, tol, *, breakpoints=None, abs_floor=1e-300) -> QuadResult:
-    """Adaptive tensor integration of a scalar field over a box in R^n.
-
-    ``field`` takes a coordinate tuple and returns a float; ``bounds`` is a
-    sequence of (lo, hi) per axis; ``breakpoints`` optionally lists interior
-    kink positions per axis.
-    """
-    bounds = list(bounds)
-    n = len(bounds)
-    brk = [()] * n if breakpoints is None else [tuple(b) for b in breakpoints]
-    count = [0]
-
-    def level(axis, fixed):
-        lo, hi = bounds[axis]
-        if axis == n - 1:
-            def f(x):
-                count[0] += 1
-                return field(fixed + (x,))
-        else:
-            def f(x):
-                return level(axis + 1, fixed + (x,))
-        pts = sorted(p for p in brk[axis] if lo < p < hi)
-        out = integrate.quad(
-            f, lo, hi, epsabs=abs_floor, epsrel=tol,
-            limit=QUAD_LIMIT, points=pts or None, full_output=1,
-        )
-        return out[0]
-
-    total = level(0, ())
-    # the per-level tolerance compounds roughly linearly with the depth
-    return QuadResult(total, abs(total) * tol * n + abs_floor, count[0])

@@ -6,6 +6,8 @@ number the package computes another way:
 * the closed-form twins of the half-ball increment constant, which the
   campaign takes from ``poly_gaussian_l2_norm`` of the built increment;
 * brute-force raw moments by quadrature, against the catalog's closed forms;
+* weighted L1 norms by scipy's scalar ``quad``, nested per axis, against
+  the package's panel engine;
 * the residual integrand evaluated point by point through
   ``SpectralSolution.evaluate``, against the shell route of the norms;
 * grid suprema of the Taylor-remainder and symbol-gap ratios, the
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate
 
 from dampex import (InitialDatum, InsufficientOrderError, LowFrequencySymbol,
                     MomentTable, SpectralSolution, build_expansion,
@@ -25,7 +28,7 @@ from dampex import (InitialDatum, InsufficientOrderError, LowFrequencySymbol,
                     weighted_l1_norm)
 from dampex.indices import indices_of_degree
 from dampex.norms import radial_gaussian_integral
-from dampex.quadrature import adaptive_1d, nested_cartesian
+from dampex.quadrature import QUAD_LIMIT, adaptive_1d
 
 # ---------------------------------------------------------------------------
 # Pointwise residual
@@ -165,8 +168,6 @@ def quadrature_raw_moment(v: InitialDatum, alpha, tol=1e-10, *,
                               breakpoints=(0.0,))
             total *= res.value
         return total
-    bounds = [v.axis_interval(j) for j in range(v.dimension)]
-    brk = [(0.0,)] * v.dimension
 
     def f(x):
         val = float(v.values(np.asarray(x)))
@@ -174,7 +175,7 @@ def quadrature_raw_moment(v: InitialDatum, alpha, tol=1e-10, *,
             val *= xj**m
         return val
 
-    return nested_cartesian(f, bounds, tol, breakpoints=brk, abs_floor=abs_floor).value
+    return nested_quad(f, v, tol, abs_floor=abs_floor)
 
 
 def absolute_moment(v: InitialDatum, gamma: float, tol=1e-10) -> float:
@@ -189,8 +190,36 @@ def absolute_moment(v: InitialDatum, gamma: float, tol=1e-10) -> float:
     def f(x):
         return math.hypot(*x) ** gamma * abs(float(v.values(np.asarray(x))))
 
-    bounds = [v.axis_interval(j) for j in range(n)]
-    return nested_cartesian(f, bounds, tol, breakpoints=[(0.0,)] * n).value
+    return nested_quad(f, v, tol)
+
+
+def scipy_weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10) -> float:
+    """integral (1 + |x|)^gamma |v(x)| dx by ``nested_quad``."""
+    def f(x):
+        return (1.0 + math.hypot(*x)) ** gamma * abs(float(v.values(np.asarray(x))))
+
+    return nested_quad(f, v, tol)
+
+
+def nested_quad(field, v: InitialDatum, tol, *, abs_floor=1e-300) -> float:
+    """Integral of the scalar ``field(x)`` over the axis intervals of ``v``:
+    scipy's adaptive ``quad`` nested per axis, every axis split at 0, one
+    Python call per point."""
+    n = v.dimension
+
+    def level(axis, fixed):
+        lo, hi = v.axis_interval(axis)
+        if axis == n - 1:
+            def f(x):
+                return field(fixed + (x,))
+        else:
+            def f(x):
+                return level(axis + 1, fixed + (x,))
+        return integrate.quad(f, lo, hi, epsabs=abs_floor, epsrel=tol,
+                              limit=QUAD_LIMIT, points=[0.0] if lo < 0.0 < hi else None,
+                              full_output=1)[0]
+
+    return level(0, ())
 
 
 # ---------------------------------------------------------------------------

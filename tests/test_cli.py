@@ -41,6 +41,19 @@ def test_moments_subcommand(datum_cfg, tmp_path, capsys):
     assert "2.0" in payload["weighted_norms"]
 
 
+def test_moments_weighted_norms_on_2d_data(tmp_path):
+    data = tmp_path / "g2.json"
+    data.write_text(json.dumps({"family": "gaussian", "dimension": 2,
+                                "scale": 1.0}), encoding="utf-8")
+    out = tmp_path / "table.json"
+    assert main(["moments", "--data", str(data), "--max-order", "1",
+                 "--gammas", "0,2", "--out", str(out)]) == 0
+    norms = json.loads(out.read_text())["weighted_norms"]
+    # integral (1 + r)^2 e^{-r^2/4} dx = 4 pi + 8 pi^{3/2} + 16 pi
+    assert norms["0.0"] == pytest.approx(4 * np.pi, rel=1e-9)
+    assert norms["2.0"] == pytest.approx(20 * np.pi + 8 * np.pi**1.5, rel=1e-9)
+
+
 @pytest.mark.parametrize("gammas", ["-1", "nan", "inf", "0,-inf"])
 def test_moments_rejects_bad_weights_before_writing(datum_cfg, tmp_path, capsys,
                                                     gammas):
@@ -432,7 +445,10 @@ def test_config_error_exits_2(tmp_path):
     ("top", "t_grid", {"t_min": 100.0, "t_max": 1e3, "points": 2.5}),
     ("top", "vanishing_t_grid", {"t_min": 1.0, "t_max": float("nan"),
                                  "points": 3}),
-    ("top", "t_grid", {"t_min": float("inf"), "t_max": 1e3, "points": 3})])
+    ("top", "t_grid", {"t_min": float("inf"), "t_max": 1e3, "points": 3}),
+    # keys outside config-schema.json
+    ("top", "quad_tolerance", 1e-9), ("case", "k_value", [1]),
+    ("pair", "u2", {"family": "zero"})])
 def test_report_rejects_bad_config_values_before_output(tmp_path, capsys,
                                                         where, key, value):
     case = {"name": "g", "data": {"dimension": 1,
@@ -443,7 +459,7 @@ def test_report_rejects_bad_config_values_before_output(tmp_path, capsys,
     cfg = {"t_grid": {"t_min": 100.0, "t_max": 1e3, "points": 3},
            "vanishing_t_grid": {"t_min": 1.0, "t_max": 1e2, "points": 3},
            "cases": [case]}
-    (case if where == "case" else cfg)[key] = value
+    {"top": cfg, "case": case, "pair": case["data"]}[where][key] = value
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     out_dir = tmp_path / "report"

@@ -14,7 +14,8 @@ from dampex import (Box, ConfigError, Gaussian, GaussianMonomial,
 from dampex.indices import indices_up_to
 
 from conftest import catalog_all
-from oracles import absolute_moment, quadrature_raw_moment
+from oracles import (absolute_moment, quadrature_raw_moment,
+                     scipy_weighted_l1_norm)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -225,6 +226,39 @@ class TestWeightedNorms:
         v = Gaussian(dimension=2, scale=1.0)
         # radial closed form: integral (1+r)^0 |v| = 4 pi
         assert weighted_l1_norm(v, 0.0) == pytest.approx(4 * math.pi, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_box_at_gamma_zero_is_its_volume(self, n):
+        v = Box(dimension=n, half_width=0.8, amplitude=-1.5)
+        assert weighted_l1_norm(v, 0.0) == pytest.approx(1.5 * 1.6**n, rel=1e-12)
+
+    @pytest.mark.parametrize("n, gamma, tol", [
+        (1, 3, 1e-10), (2, 1, 1e-10), (2, 2, 1e-10), (3, 0, 1e-10),
+        (3, 2, 1e-8)])
+    def test_gaussian_at_integer_gamma_against_gamma_ratios(self, n, gamma, tol):
+        # (1 + r)^gamma = sum_k C(gamma, k) r^k, and for v = e^{-r^2/(4s)}
+        # integral r^k v dx = pi^{n/2} (4s)^{(k+n)/2} Gamma((k+n)/2) / Gamma(n/2)
+        s, amplitude = 0.5, -0.7
+        expected = abs(amplitude) * math.pi ** (n / 2) * sum(
+            math.comb(gamma, k) * (4 * s) ** ((k + n) / 2)
+            * math.gamma((k + n) / 2) / math.gamma(n / 2)
+            for k in range(gamma + 1))
+        v = Gaussian(dimension=n, scale=s, amplitude=amplitude)
+        assert weighted_l1_norm(v, gamma, tol=tol) == pytest.approx(
+            expected, rel=10 * tol)
+
+    @pytest.mark.parametrize("v, gamma", [
+        (Shifted(base=Gaussian(dimension=2, scale=1.0), center=(0.5, -0.3),
+                 dilation=1.3), 2.5),
+        # the monomial term changes sign, so |v| has kinks
+        (SumDatum(terms=(Gaussian(dimension=2, scale=1.0),
+                         Shifted(base=GaussianMonomial(dimension=2,
+                                                       exponents=(1, 0),
+                                                       scale=0.5, amplitude=0.5),
+                                 center=(0.3, -0.2), dilation=1.0))), 0.5)])
+    def test_2d_norms_match_the_scipy_route(self, v, gamma):
+        assert weighted_l1_norm(v, gamma) == pytest.approx(
+            scipy_weighted_l1_norm(v, gamma), rel=1e-9)
 
     def test_absolute_moment_matches_even_power(self, gaussian_1d):
         assert absolute_moment(gaussian_1d, 2.0) == pytest.approx(

@@ -13,7 +13,8 @@ from dampex import (Box, FrequencyRegion, Gaussian, GaussianMonomial,
                     region_l2_norm, residual_norm, zero_datum)
 from dampex import quadrature
 from dampex.expansion import heat_partial_sum
-from dampex.norms import norm_curve, residual_norm_curve
+from dampex.norms import (norm_curve, regularised_lower_gamma,
+                          residual_norm_curve)
 from dampex.quadrature import (BATCH_POINTS, adaptive_1d, angular_sums,
                                choose_angular_rule, circle_nodes,
                                integrate_radial, sphere_nodes)
@@ -488,6 +489,18 @@ class TestGaussianMonomialIntegrals:
                 expected *= dfac / 4.0**a * math.sqrt(math.pi / 2.0)
             got = gaussian_monomial_integral(alpha, 2.0, None)
             assert got == pytest.approx(expected, rel=1e-13), alpha
+
+    def test_gamma_closed_forms_against_mpmath(self):
+        # every s = (m + 1) / 2 of a radial factor r^m, at the half ball's
+        # x = rate R^2 = 2 / 4
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            for m in range(121):
+                s = (m + 1) / 2
+                gamma = mp.gamma(mp.mpf(s))
+                lower = mp.gammainc(mp.mpf(s), 0, mp.mpf("0.5"), regularized=True)
+                assert abs(math.gamma(s) - gamma) <= 1e-15 * gamma, s
+                assert abs(regularised_lower_gamma(s, 0.5) - lower) <= 1e-15 * lower, s
 
     def test_ball_constants_ratio(self):
         # integral xi_1^4 = 3 integral xi_1^2 xi_2^2 over any centred ball

@@ -1,5 +1,5 @@
 """Source guards: no module-level memoisation and no dead code outside
-fixed allow-lists.
+fixed allow-lists, and no scipy at run time.
 
 Work shared between the checks of one campaign case lives on its ``Case``;
 a process-wide cache would carry it into later cases and campaigns.  Only
@@ -8,6 +8,8 @@ pure functions over a small fixed key set may be cached for the process.
 ``src/dampex`` holds only what a subcommand runs: every function, class
 and method there is used by other code of the package.  Helpers that only
 tests call belong in ``tests/oracles.py``.
+
+The package runs on numpy alone; scipy stays a test-only reference.
 """
 
 import ast
@@ -125,3 +127,28 @@ def test_guard_sees_only_uses_outside_the_definition():
                      "x = used, Box\n")
     assert _unreferenced({"m": tree}) == [
         ("m", "area", 7), ("m", "recursive", 3)]
+
+
+def _imported_packages(tree):
+    """The top-level package of every import in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_no_module_imports_scipy():
+    # the runtime needs numpy alone; scipy is a test-only reference
+    found = sorted(path.name for path in SRC.glob("*.py")
+                   if "scipy" in _imported_packages(
+                       ast.parse(path.read_text(encoding="utf-8"))))
+    assert not found, "modules importing scipy: " + ", ".join(found)
+
+
+def test_import_guard_sees_every_import_form():
+    tree = ast.parse("import scipy.special\n"
+                     "from scipy import integrate\n"
+                     "from . import norms\n"
+                     "def f():\n    import numpy as np\n")
+    assert list(_imported_packages(tree)) == ["scipy", "scipy", "numpy"]
