@@ -249,9 +249,13 @@ def build_parser():
     return parser
 
 
+# built once per process: parsing leaves the parser unchanged, so repeated
+# in-process calls of main share it and pay only for their own work
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -24,7 +24,8 @@ from .expansion import (PointSample, build_expansion, check_property_A,
                         heat_partial_sum, series_ball)
 from .indices import degree
 from .initial_data import (MAX_MOMENT_ORDER, InitialDatum, MomentTable,
-                           check_keys, moment_table, pair_from_config)
+                           check_keys, integer, listed, moment_table,
+                           pair_from_config)
 from .norms import (LOW_RADIUS, FrequencyRegion, heat_increment_norm,
                     norm_curve, poly_gaussian_l2_norm, residual_norm_curve)
 from .spectral import LowFrequencySymbol, SpectralSolution
@@ -44,7 +45,7 @@ class TimeGrid:
         _nonnegative(self.t_min, "t_min")
         _nonnegative(self.t_max, "t_max")
         # 9.0 reads as 9, as JSON Schema's "integer" reads it
-        object.__setattr__(self, "points", _integer(self.points, "points"))
+        object.__setattr__(self, "points", integer(self.points, "points"))
         if self.t_min < 1.0:
             raise ConfigError("t_min must be at least 1")
         if self.t_max <= self.t_min:
@@ -153,10 +154,10 @@ class Case:
         u0, u1 = pair_from_config(cfg["data"])
         # gammas and ells stay as given: the summary echoes them
         case = cls(name=cfg["name"], u0=u0, u1=u1,
-                   checks=_listed(cfg, "checks", _DEFAULT_CHECKS, _known_check),
-                   k_values=_listed(cfg, "k_values", (0,), _integer),
-                   gammas=_listed(cfg, "gammas", (0.0,), _nonnegative),
-                   ells=_listed(cfg, "ells", (0.0,), _nonnegative))
+                   checks=listed(cfg, "checks", _DEFAULT_CHECKS, _known_check),
+                   k_values=listed(cfg, "k_values", (0,), integer),
+                   gammas=listed(cfg, "gammas", (0.0,), _nonnegative),
+                   ells=listed(cfg, "ells", (0.0,), _nonnegative))
         if case.moment_order > MAX_MOMENT_ORDER:
             raise ConfigError(
                 f"case {case.name!r} reads moments to order "
@@ -533,7 +534,7 @@ def validate_config(cfg: dict) -> Campaign:
         rate_tol=setting("rate_tolerance", 0.05),
         prop_tol=setting("property_tolerance", 1e-12),
         fraction=setting("decay_fraction", 0.1, top=1.0),
-        seed=_integer(cfg.get("seed", 0), "seed"),
+        seed=integer(cfg.get("seed", 0), "seed"),
         cases=tuple(Case.from_config(case) for case in cfg["cases"]))
 
 
@@ -542,15 +543,6 @@ def _grid(cfg, key, default) -> TimeGrid:
         return TimeGrid(**cfg.get(key, default))
     except (TypeError, ConfigError) as exc:
         raise ConfigError(f"bad {key}: {exc}") from exc
-
-
-def _integer(x, what) -> int:
-    """``x`` as an int if it is an integer >= 0."""
-    if isinstance(x, float) and x.is_integer():
-        x = int(x)
-    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
-        raise ConfigError(f"{what} must be an integer >= 0, got {x!r}")
-    return x
 
 
 def _nonnegative(x, what):
@@ -564,14 +556,6 @@ def _known_check(name, what):
     if name not in _CHECKS:
         raise ConfigError(f"unknown check {name!r}")
     return name
-
-
-def _listed(cfg, key, default, item) -> tuple:
-    """The list under ``key``, each entry checked by ``item(entry, what)``."""
-    values = cfg.get(key, default)
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{key} must be a list, got {values!r}")
-    return tuple(item(x, f"{key} entry") for x in values)
 
 
 @dataclass

@@ -12,6 +12,13 @@ Fourier transform:  F[f](xi) = integral e^{-i x.xi} f(x) dx  (non-unitary).
 Normalized moment:  M_alpha(f) = ((-1)^{|alpha|} / alpha!) * integral x^alpha f dx.
 Weighted norm:      ||f||_{1,gamma} = integral (1 + |x|)^gamma |f(x)| dx.
 
+A transform is assembled as amplitude times the real axis transforms,
+multiplied in axis order, times at most one complex phase: none for
+Gaussians and boxes, the constant (-i)^{|beta|} for a Gaussian monomial,
+and e^{-i c.xi} = cos(c.xi) - i sin(c.xi) of one dot product for a
+translation, times its base's phase at the dilated points.  An
+amplitude-0 datum is zero without evaluating any axis.
+
 Every moment comes from one path: each separable family gives its
 normalized axis moments (-1)^a integral y^a v_j dy / a! by a recurrence
 with no factorial, a table multiplies them out per multi-index, and a sum
@@ -60,10 +67,8 @@ def _gaussian_axis_moments(scale, b, order):
                      lambda a: 2.0 * scale * ((a + b - 1) / (a * (a - 1))))
 
 
-def _as_points(x, dimension, allow_complex=False):
-    arr = np.asarray(x)
-    if not allow_complex:
-        arr = arr.astype(float, copy=False)
+def _as_points(x, dimension):
+    arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
         if dimension != 1:
             raise ValueError("scalar point given for dimension > 1")
@@ -90,7 +95,13 @@ class InitialDatum:
         raise NotImplementedError
 
     def axis_fourier(self, j, xi_j):
+        """The real axis transform; any complex factor is in fourier_phase."""
         raise NotImplementedError
+
+    def fourier_phase(self, pts):
+        """The unimodular factor of the transform at points (..., n): None
+        when it is 1, else a complex constant or array."""
+        return None
 
     def axis_moments(self, j, order) -> list[float]:
         """Normalized axis moments (-1)^a integral y^a v_j dy / a! for every
@@ -112,22 +123,26 @@ class InitialDatum:
 
     # -- assembled surface ----------------------------------------------------
 
+    def _axis_product(self, axis, pts):
+        """amplitude * axis(0, pts[..., 0]) * ... in axis order; zeros
+        without calling ``axis`` at amplitude 0."""
+        out = np.full(pts.shape[:-1], self.amplitude)
+        if self.amplitude != 0.0:
+            for j in range(self.dimension):
+                out = out * axis(j, pts[..., j])
+        return out
+
     def values(self, x):
         """Pointwise values; x has shape (..., n)."""
         pts = _as_points(x, self.dimension)
-        out = np.full(pts.shape[:-1], self.amplitude)
-        for j in range(self.dimension):
-            out = out * self.axis_value(j, pts[..., j])
-        return out
+        return self._axis_product(self.axis_value, pts)
 
     def fourier_transform(self, xi):
-        """Closed-form transform; accepts real (or complex, for analytic
-        continuation checks) points of shape (..., n)."""
-        pts = _as_points(xi, self.dimension, allow_complex=True)
-        out = np.full(pts.shape[:-1], self.amplitude, dtype=complex)
-        for j in range(self.dimension):
-            out = out * self.axis_fourier(j, pts[..., j])
-        return out
+        """Closed-form transform at real points of shape (..., n)."""
+        pts = _as_points(xi, self.dimension)
+        out = self._axis_product(self.axis_fourier, pts)
+        phase = None if self.amplitude == 0.0 else self.fourier_phase(pts)
+        return out.astype(complex) if phase is None else out * phase
 
 
 @dataclass(frozen=True)
@@ -148,7 +163,7 @@ class Gaussian(InitialDatum):
 
     def axis_fourier(self, j, xi_j):
         return (2.0 * math.sqrt(math.pi * self.scale)
-                * np.exp(-self.scale * xi_j * xi_j)) + 0j
+                * np.exp(-self.scale * xi_j * xi_j))
 
     def axis_moments(self, j, order):
         return _gaussian_axis_moments(self.scale, 0, order)
@@ -185,15 +200,19 @@ class GaussianMonomial(InitialDatum):
 
     def axis_fourier(self, j, xi_j):
         # F[y^b g](xi) = i^b d^b/dxi^b F[g](xi); derivatives of exp(-a xi^2)
-        # come out through Hermite polynomials.
+        # come out through Hermite polynomials, as (-i)^b times this real
+        # factor.  The (-i)^b of every axis is in fourier_phase.
         a = self.scale
         b = self.exponents[j]
         u = math.sqrt(a) * xi_j
         coeffs = np.zeros(b + 1)
         coeffs[b] = 1.0
         herm = np.polynomial.hermite.hermval(u, coeffs)
-        return ((-1j) ** b * 2.0 * math.sqrt(math.pi * a) * a ** (b / 2.0)
+        return (2.0 * math.sqrt(math.pi * a) * a ** (b / 2.0)
                 * herm * np.exp(-a * xi_j * xi_j))
+
+    def fourier_phase(self, pts):
+        return (1 + 0j, -1j, -1 + 0j, 1j)[degree(self.exponents) % 4]
 
     def axis_moments(self, j, order):
         return _gaussian_axis_moments(self.scale, self.exponents[j], order)
@@ -227,7 +246,7 @@ class Box(InitialDatum):
     def axis_fourier(self, j, xi_j):
         # 2 sin(h xi)/xi, continued with value 2h at xi = 0
         h = self.half_width
-        return 2.0 * h * np.sinc(h * xi_j / np.pi) + 0j
+        return 2.0 * h * np.sinc(h * xi_j / np.pi)
 
     def axis_moments(self, j, order):
         # 2 h^(a+1) / (a+1)! at even a
@@ -272,8 +291,20 @@ class Shifted(InitialDatum):
 
     def axis_fourier(self, j, xi_j):
         s = self.dilation
-        return (s * np.exp(-1j * self.center[j] * xi_j)
-                * self.base.axis_fourier(j, s * xi_j))
+        return s * self.base.axis_fourier(j, s * xi_j)
+
+    def fourier_phase(self, pts):
+        # e^{-i c.xi} from one dot product, summed in axis order (a BLAS
+        # product may fuse or reorder it), times the base's phase at s xi
+        s, c = self.dilation, self.center
+        shift = pts[..., 0] * c[0]
+        for j in range(1, self.dimension):
+            shift = shift + pts[..., j] * c[j]
+        phase = np.empty(shift.shape, dtype=complex)
+        phase.real = np.cos(shift)
+        phase.imag = -np.sin(shift)
+        base = self.base.fourier_phase(pts if s == 1.0 else s * pts)
+        return phase if base is None else phase * base
 
     def axis_moments(self, j, order):
         # integral x^a base((x - c)/s) dx = s integral (c + s y)^a base(y) dy,
@@ -490,11 +521,45 @@ def check_keys(cfg: dict, known, what):
         raise ConfigError(f"unexpected keys for {what}: {sorted(extra)}")
 
 
+def integer(x, what) -> int:
+    """``x`` as an int if it is an integer >= 0 (JSON's 2.0 is one), not a
+    bool."""
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
+        raise ConfigError(f"{what} must be an integer >= 0, got {x!r}")
+    return x
+
+
+def _number(x, what) -> float:
+    """``x`` as a float if it is a JSON number, not a bool or a string."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {x!r}")
+    return float(x)
+
+
+def _dimension(n) -> int:
+    """``n`` as a dimension: an integer from 1 to 3."""
+    n = integer(n, "dimension")
+    if not 1 <= n <= 3:
+        raise ConfigError(f"dimension must lie in 1..3, got {n}")
+    return n
+
+
+def listed(cfg, key, default, item) -> tuple:
+    """The list under ``key``, each entry checked by ``item(entry, what)``."""
+    values = cfg.get(key, default)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {values!r}")
+    return tuple(item(x, f"{key} entry") for x in values)
+
+
 def datum_from_config(cfg: dict, dimension=None) -> InitialDatum:
     """Build a catalog datum from a JSON-style dict.
 
-    Required keys: ``family`` plus the family parameters; ``dimension`` may
-    come from the dict or from the enclosing document.
+    Required keys: ``family`` plus the family parameters, each numeric one
+    a JSON number; ``dimension`` may come from the dict or from the
+    enclosing document.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("datum config must be an object")
@@ -503,47 +568,50 @@ def datum_from_config(cfg: dict, dimension=None) -> InitialDatum:
         raise ConfigError(f"unknown family {fam!r}; expected one of "
                           f"{sorted(_FAMILY_KEYS)}")
     n = cfg.get("dimension", dimension)
-    if fam not in ("shifted", "sum") and not (isinstance(n, int) and n >= 1):
-        raise ConfigError("dimension must be a positive integer")
-    if fam not in ("shifted", "sum") and n > 3:
-        raise ConfigError("dimensions above 3 are not supported")
+    if "dimension" in cfg or fam not in ("shifted", "sum"):
+        n = _dimension(n)
     check_keys(cfg, _FAMILY_KEYS[fam] | {"family", "dimension"}, f"family {fam!r}")
+
+    def number(key):
+        return _number(cfg.get(key, 1.0), key)
+
     try:
         if fam == "gaussian":
-            return Gaussian(dimension=n, scale=float(cfg.get("scale", 1.0)),
-                            amplitude=float(cfg.get("amplitude", 1.0)))
+            return Gaussian(dimension=n, scale=number("scale"),
+                            amplitude=number("amplitude"))
         if fam == "gaussian_monomial":
-            return GaussianMonomial(dimension=n,
-                                    exponents=tuple(cfg["exponents"]),
-                                    scale=float(cfg.get("scale", 1.0)),
-                                    amplitude=float(cfg.get("amplitude", 1.0)))
+            exponents = listed(cfg, "exponents", None, integer)
+            return GaussianMonomial(dimension=n, exponents=exponents,
+                                    scale=number("scale"),
+                                    amplitude=number("amplitude"))
         if fam == "box":
-            return Box(dimension=n, half_width=float(cfg.get("half_width", 1.0)),
-                       amplitude=float(cfg.get("amplitude", 1.0)))
+            return Box(dimension=n, half_width=number("half_width"),
+                       amplitude=number("amplitude"))
         if fam == "gauss_kernel":
-            return gauss_kernel(n, float(cfg.get("t", 1.0)))
+            return gauss_kernel(n, number("t"))
         if fam == "zero":
             return zero_datum(n)
         if fam == "shifted":
-            base = datum_from_config(cfg["base"], dimension)
-            return Shifted(base=base, center=tuple(cfg["center"]),
-                           dilation=float(cfg.get("dilation", 1.0)))
-        terms = tuple(datum_from_config(c, dimension) for c in cfg["terms"])
+            return Shifted(base=datum_from_config(cfg["base"], n),
+                           center=listed(cfg, "center", None, _number),
+                           dilation=number("dilation"))
+        terms = tuple(datum_from_config(c, n) for c in cfg["terms"])
         return SumDatum(terms=terms)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for family {fam!r}: {exc}") from exc
 
 
 def pair_from_config(cfg: dict):
-    """Load (u0, u1) from {"dimension": n, "u0": {...}, "u1": {...}}."""
-    if not isinstance(cfg, dict) or "u0" not in cfg or "u1" not in cfg:
-        raise ConfigError('pair config needs "u0" and "u1" entries')
+    """Load (u0, u1) from {"dimension": n, "u0": {...}, "u1": {...}}; both
+    data must have dimension n."""
+    if not isinstance(cfg, dict) or not {"dimension", "u0", "u1"} <= set(cfg):
+        raise ConfigError('pair config needs "dimension", "u0" and "u1" entries')
     check_keys(cfg, {"dimension", "u0", "u1"}, "a pair")
-    n = cfg.get("dimension")
+    n = _dimension(cfg["dimension"])
     u0 = datum_from_config(cfg["u0"], n)
     u1 = datum_from_config(cfg["u1"], n)
-    if u0.dimension != u1.dimension:
-        raise ConfigError("u0 and u1 must share one dimension")
+    if not u0.dimension == u1.dimension == n:
+        raise ConfigError(f"u0 and u1 must both have the pair's dimension {n}")
     return u0, u1
 
 

@@ -8,6 +8,9 @@ number the package computes another way:
 * brute-force raw moments by quadrature, against the catalog's closed forms;
 * weighted L1 norms by scipy's scalar ``quad``, nested per axis, against
   the package's panel engine;
+* transforms as a product of complex per-axis factors, each translation
+  carrying its own e^{-i c_j xi_j}, against the package's real product
+  times one phase;
 * the residual integrand evaluated point by point through
   ``SpectralSolution.evaluate``, against the shell route of the norms;
 * grid suprema of the Taylor-remainder and symbol-gap ratios, the
@@ -22,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from dampex import (InitialDatum, InsufficientOrderError, LowFrequencySymbol,
-                    MomentTable, SpectralSolution, build_expansion,
+from dampex import (Box, Gaussian, GaussianMonomial, InitialDatum,
+                    InsufficientOrderError, LowFrequencySymbol, MomentTable,
+                    Shifted, SpectralSolution, SumDatum, build_expansion,
                     gaussian_monomial_integral, heat_partial_sum, moment_table,
                     weighted_l1_norm)
 from dampex.indices import indices_of_degree
@@ -46,6 +50,45 @@ def residual_curve(sol: SpectralSolution, ts, xi, poly) -> np.ndarray:
     pts = np.asarray(xi, dtype=float)
     s = np.sum(pts * pts, axis=-1)
     return sol.evaluate(ts, pts) - poly(pts) * np.exp(-np.multiply.outer(ts, s))
+
+
+# ---------------------------------------------------------------------------
+# Transforms
+
+
+def complex_axis_fourier(v: InitialDatum, j: int, xi_j) -> np.ndarray:
+    """The complex transform of axis profile ``j`` of a separable datum,
+    from the catalog's closed forms."""
+    xi_j = np.asarray(xi_j, dtype=float)
+    if isinstance(v, Gaussian):
+        return (2.0 * math.sqrt(math.pi * v.scale)
+                * np.exp(-v.scale * xi_j * xi_j)) + 0j
+    if isinstance(v, Box):
+        h = v.half_width
+        return 2.0 * h * np.sinc(h * xi_j / np.pi) + 0j
+    if isinstance(v, GaussianMonomial):
+        a, b = v.scale, v.exponents[j]
+        herm = np.polynomial.hermite.hermval(math.sqrt(a) * xi_j,
+                                             [0.0] * b + [1.0])
+        return ((-1j) ** b * 2.0 * math.sqrt(math.pi * a) * a ** (b / 2.0)
+                * herm * np.exp(-a * xi_j * xi_j))
+    if isinstance(v, Shifted):
+        s = v.dilation
+        return (s * np.exp(-1j * v.center[j] * xi_j)
+                * complex_axis_fourier(v.base, j, s * xi_j))
+    raise TypeError(f"no axis transform for {type(v).__name__}")
+
+
+def per_axis_fourier_transform(v: InitialDatum, xi) -> np.ndarray:
+    """amplitude times the complex axis transforms, multiplied in complex
+    arithmetic in axis order; a sum adds its terms."""
+    pts = np.asarray(xi, dtype=float)
+    if isinstance(v, SumDatum):
+        return sum(per_axis_fourier_transform(t, pts) for t in v.terms)
+    out = np.full(pts.shape[:-1], v.amplitude, dtype=complex)
+    for j in range(v.dimension):
+        out = out * complex_axis_fourier(v, j, pts[..., j])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """CLI surface: every subcommand exercised end to end."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dampex import cli
 from dampex.cli import main
 from dampex.initial_data import pair_from_config
 from dampex.spectral import SpectralSolution
@@ -448,7 +452,10 @@ def test_config_error_exits_2(tmp_path):
     ("top", "t_grid", {"t_min": float("inf"), "t_max": 1e3, "points": 3}),
     # keys outside config-schema.json
     ("top", "quad_tolerance", 1e-9), ("case", "k_value", [1]),
-    ("pair", "u2", {"family": "zero"})])
+    ("pair", "u2", {"family": "zero"}),
+    # datum values that are not JSON numbers
+    ("datum", "scale", "1.0"), ("datum", "amplitude", True),
+    ("pair", "dimension", True)])
 def test_report_rejects_bad_config_values_before_output(tmp_path, capsys,
                                                         where, key, value):
     case = {"name": "g", "data": {"dimension": 1,
@@ -459,7 +466,8 @@ def test_report_rejects_bad_config_values_before_output(tmp_path, capsys,
     cfg = {"t_grid": {"t_min": 100.0, "t_max": 1e3, "points": 3},
            "vanishing_t_grid": {"t_min": 1.0, "t_max": 1e2, "points": 3},
            "cases": [case]}
-    {"top": cfg, "case": case, "pair": case["data"]}[where][key] = value
+    {"top": cfg, "case": case, "pair": case["data"],
+     "datum": case["data"]["u0"]}[where][key] = value
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     out_dir = tmp_path / "report"
@@ -469,3 +477,47 @@ def test_report_rejects_bad_config_values_before_output(tmp_path, capsys,
     assert captured.out == "" and captured.err.startswith("config error: ")
     assert key in captured.err
     assert not out_dir.exists()
+
+
+def test_main_parses_with_the_parser_built_at_import(pair_cfg, tmp_path,
+                                                     monkeypatch):
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    parser = cli.PARSER
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for k in ("0", "1", "0"):
+        assert main(["norm", "--data", pair_cfg, "--t", "10", "--k", k,
+                     "--out", str(tmp_path / "n.json")]) == 0
+    assert cli.PARSER is parser
+
+
+def test_calls_in_one_process_write_what_each_writes_alone(tmp_path):
+    """norm -> solve -> norm with different flags: no default or value of
+    one call leaks into the next."""
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({
+        "dimension": 2,
+        "u0": {"family": "shifted", "center": [0.4, -0.3],
+               "base": {"family": "gaussian", "scale": 0.8}},
+        "u1": {"family": "box", "half_width": 0.7}}), encoding="utf-8")
+    calls = [
+        ["norm", "--data", str(pair), "--t", "20,50", "--k", "1",
+         "--region", "ball:0.5", "--tol", "1e-7", "--out", "first.csv"],
+        ["solve", "--data", str(pair), "--t", "0.5", "--xi-grid",
+         "lin:-2,2,7", "--rep", "2.4", "--out", "grid.csv"],
+        ["norm", "--data", str(pair), "--t", "30", "--k", "0",
+         "--out", "second.json"],
+    ]
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    together.mkdir()
+    alone.mkdir()
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    for argv in calls:
+        out = argv[-1]
+        assert main(argv[:-1] + [str(together / out)]) == 0
+        subprocess.run([sys.executable, "-m", "dampex.cli", *argv[:-1],
+                        str(alone / out)], env=env, check=True)
+        assert (together / out).read_bytes() == (alone / out).read_bytes(), out

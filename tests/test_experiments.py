@@ -400,19 +400,44 @@ class TestRunReport:
         (None, None), ("top", "quad_tolerance"), ("case", "k_value"),
         ("pair", "u2")])
     def test_schema_and_validation_agree_on_unknown_keys(self, where, key):
-        schema = json.loads((Path(dampex.__file__).parent / "config-schema.json")
-                            .read_text(encoding="utf-8"))
         cfg = default_config()
         if where is not None:
             case = cfg["cases"][0]
             {"top": cfg, "case": case, "pair": case["data"]}[where][key] = 1
-        schema_ok = jsonschema.Draft202012Validator(schema).is_valid(cfg)
+        assert self._schema_and_code_accept(cfg) == (where is None,) * 2
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("datum", "scale", "1.0"), ("datum", "scale", True),
+        ("datum", "amplitude", "2"), ("datum", "amplitude", False),
+        ("datum", "dimension", True), ("shifted", "center", ["0.3", 0.1]),
+        ("shifted", "center", "12"), ("shifted", "dilation", True),
+        ("pair", "dimension", True), ("pair", "dimension", 4),
+        ("pair", "dimension", None)])
+    def test_schema_and_validation_agree_on_values(self, where, key, value):
+        cfg = default_config()
+        gauss, _, shifted = cfg["cases"]
+        target = {"datum": gauss["data"]["u0"], "pair": gauss["data"],
+                  "shifted": shifted["data"]["u0"]}[where]
+        if value is None:
+            # the pair drops its dimension and its data carry their own
+            del target[key]
+            for datum in ("u0", "u1"):
+                target[datum]["dimension"] = 1
+        else:
+            target[key] = value
+        assert self._schema_and_code_accept(cfg) == (False, False)
+
+    @staticmethod
+    def _schema_and_code_accept(cfg):
+        """Whether config-schema.json and validate_config accept ``cfg``."""
+        schema = json.loads((Path(dampex.__file__).parent / "config-schema.json")
+                            .read_text(encoding="utf-8"))
         try:
             validate_config(cfg)
             code_ok = True
         except ConfigError:
             code_ok = False
-        assert schema_ok == code_ok == (where is None)
+        return jsonschema.Draft202012Validator(schema).is_valid(cfg), code_ok
 
     def test_load_config_round_trip(self, small_config, tmp_path):
         p = tmp_path / "cfg.json"

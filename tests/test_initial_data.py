@@ -14,8 +14,8 @@ from dampex import (Box, ConfigError, Gaussian, GaussianMonomial,
 from dampex.indices import indices_up_to
 
 from conftest import catalog_all
-from oracles import (absolute_moment, quadrature_raw_moment,
-                     scipy_weighted_l1_norm)
+from oracles import (absolute_moment, per_axis_fourier_transform,
+                     quadrature_raw_moment, scipy_weighted_l1_norm)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -315,6 +315,80 @@ class TestFourierTransforms:
             expected = (1j ** d) * math.prod(math.factorial(a) for a in alpha) \
                 * table.moment(alpha)
             assert fd == pytest.approx(expected, rel=2e-6, abs=2e-6), alpha
+
+
+def _kernel_family(n):
+    """One datum of every transform kernel in dimension n, by name."""
+    e1 = (1,) + (0,) * (n - 1)
+    center = (0.6, -0.45, 0.3)[:n]
+    gaussian = Gaussian(dimension=n, scale=0.7, amplitude=-1.3)
+    box = Box(dimension=n, half_width=0.8, amplitude=-0.6)
+    odd = GaussianMonomial(dimension=n, exponents=(1,) * n if n % 2 else e1,
+                           scale=0.6, amplitude=1.2)
+    even = GaussianMonomial(dimension=n, exponents=(2,) + (1,) * (n - 1)
+                            if n % 2 else (1,) * n, scale=0.4)
+    return {
+        "gaussian": gaussian, "box": box,
+        "monomial-odd": odd, "monomial-even": even,
+        "zero": zero_datum(n),
+        "shifted-gaussian": Shifted(base=gaussian, center=center, dilation=1.7),
+        "shifted-box": Shifted(base=box, center=center, dilation=0.6),
+        "shifted-monomial-odd": Shifted(base=odd, center=center, dilation=1.3),
+        "shifted-monomial-even": Shifted(base=even, center=center, dilation=0.8),
+        "shifted-shifted": Shifted(base=Shifted(base=odd, center=center[::-1],
+                                                dilation=1.4),
+                                   center=center, dilation=0.7),
+        "sum": SumDatum(terms=(gaussian, box, Shifted(base=odd, center=center,
+                                                      dilation=1.3))),
+        "sum-unshifted": SumDatum(terms=(gaussian, box, even)),
+    }
+
+
+# transforms the real product times one phase gives exactly, up to the
+# sign of zero imaginary parts; the others differ from the per-axis
+# complex product only in the rounding of the phase and of the complex
+# multiplications
+EXACT_KERNELS = {"gaussian", "box", "zero", "monomial-odd", "monomial-even",
+                 "sum-unshifted"}
+
+
+class TestTransformKernels:
+    """The transform as amplitude times real axis factors times one phase,
+    against the per-axis complex product of ``oracles``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(_kernel_family(1)))
+    def test_matches_per_axis_complex_product(self, n, name):
+        v = _kernel_family(n)[name]
+        xi = np.random.default_rng(n).normal(scale=3.0, size=(600, n))
+        got = v.fourier_transform(xi)
+        want = per_axis_fourier_transform(v, xi)
+        assert got.dtype == np.complex128 and got.shape == (600,)
+        if name in EXACT_KERNELS:
+            assert np.array_equal(got, want)
+            return
+        # a few ulps of the largest term: a sum may cancel below its terms
+        terms = v.terms if isinstance(v, SumDatum) else (v,)
+        scale = sum(np.abs(per_axis_fourier_transform(t, xi)) for t in terms)
+        assert np.all(np.abs(got - want) <= 16 * np.finfo(float).eps * scale)
+
+    def test_axis_factors_are_real(self):
+        for n in (1, 2, 3):
+            for name, v in _kernel_family(n).items():
+                if isinstance(v, SumDatum):
+                    continue
+                for j in range(n):
+                    assert np.isrealobj(v.axis_fourier(j, np.linspace(-3, 3, 7))), name
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_datum_evaluates_no_axis(self, n, monkeypatch):
+        def refuse(self, j, xi_j):
+            raise AssertionError("axis_fourier called on the zero datum")
+
+        monkeypatch.setattr(Gaussian, "axis_fourier", refuse)
+        out = zero_datum(n).fourier_transform(np.ones((5, n)))
+        assert out.dtype == np.complex128
+        assert np.array_equal(out, np.zeros(5))
 
 
 def quadrature_transform(v, xi):

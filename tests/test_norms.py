@@ -293,19 +293,21 @@ class TestAngularRuleReuse:
     # evaluation counts above and the two ext/full k = 2 values here are
     # those without panel breakpoints at 1 - BAND_HALFWIDTH, 1 and
     # 1 + BAND_HALFWIDTH, where the shell route switches nothing; that
-    # moved the two values by 1.7e-16 and 2.2e-16 relative
+    # moved the two values by 1.7e-16 and 2.2e-16 relative.  Taking the
+    # shifted transform as a real product times one phase e^{-i c.xi} moved
+    # six of them by at most 7.5e-15 relative (2-D annulus k = 2)
     SHELL_VALUES = {
         (2, "full", 0, 10.0): 6.056485491628974,
         (2, "ball", 1, 30.0): 0.15305760852371306,
-        (2, "annulus", 2, 100.0): 0.0013637565261636557,
+        (2, "annulus", 2, 100.0): 0.0013637565261636455,
         (2, "ext", 0, 50.0): 0.9910031172133901,
         (2, "full", 1, 300.0): 0.015305885760095212,
-        (2, "ext", 2, 10.0): 0.08014523477348878,
-        (3, "full", 2, 10.0): 0.24863850223397166,
-        (3, "ball", 0, 100.0): 2.4660622855152976,
-        (3, "annulus", 1, 30.0): 0.2697584252209055,
+        (2, "ext", 2, 10.0): 0.08014523477348881,
+        (3, "full", 2, 10.0): 0.2486385022339716,
+        (3, "ball", 0, 100.0): 2.466062285515298,
+        (3, "annulus", 1, 30.0): 0.26975842522090554,
         (3, "ext", 1, 1000.0): 0.0025392765922861997,
-        (3, "ball", 2, 20.0): 0.0430445057589916,
+        (3, "ball", 2, 20.0): 0.04304450575899162,
         (3, "annulus", 0, 1000.0): 0.39251886092442867,
     }
 

@@ -10,6 +10,10 @@ and method there is used by other code of the package.  Helpers that only
 tests call belong in ``tests/oracles.py``.
 
 The package runs on numpy alone; scipy stays a test-only reference.
+
+The benchmark's tracer counts transforms by wrapping the
+``fourier_transform`` attributes of ``InitialDatum`` and ``SumDatum``; a
+definition on any other class would hide its calls from those counts.
 """
 
 import ast
@@ -152,3 +156,37 @@ def test_import_guard_sees_every_import_form():
                      "from . import norms\n"
                      "def f():\n    import numpy as np\n")
     assert list(_imported_packages(tree)) == ["scipy", "scipy", "numpy"]
+
+
+def _classes_defining(tree, name):
+    """Names of the classes in ``tree`` whose body defines or assigns
+    ``name``."""
+    def binds(stmt):
+        if isinstance(stmt, DEFINITIONS):
+            return stmt.name == name
+        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                   else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+        return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+    return sorted(node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and any(map(binds, node.body)))
+
+
+def test_transforms_are_defined_where_the_tracer_wraps_them():
+    # perfbench/tracer.py wraps InitialDatum.fourier_transform and
+    # SumDatum.fourier_transform; an override elsewhere escapes its counts
+    found = {(path.stem, cls) for path in SRC.glob("*.py")
+             for cls in _classes_defining(
+                 ast.parse(path.read_text(encoding="utf-8")),
+                 "fourier_transform")}
+    assert found == {("initial_data", "InitialDatum"),
+                     ("initial_data", "SumDatum")}
+
+
+def test_definition_guard_sees_class_bodies_only():
+    tree = ast.parse("def fourier_transform(x): return x\n"
+                     "class A:\n    def fourier_transform(self): pass\n"
+                     "class B(A):\n    def fourier_phase(self): pass\n"
+                     "    class C:\n        fourier_transform = None\n"
+                     "class D:\n    def f(self): fourier_transform = 1\n")
+    assert _classes_defining(tree, "fourier_transform") == ["A", "C"]
