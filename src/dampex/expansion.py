@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigError, InsufficientOrderError
 from .indices import Alpha, i_power, indices_of_degree, multi_factorial
 from .initial_data import (MAX_MOMENT_ORDER, InitialDatum, MomentTable,
-                           moment_table)
+                           as_points, moment_table)
 
 KINDS = ("A", "B", "C")
 
@@ -87,14 +87,11 @@ class ExpansionPolynomial:
     terms: tuple[Term, ...]
 
     def __call__(self, xi):
-        """Evaluate at one point (shape (n,), compensated summation) or a
-        batch (shape (m, n), vectorized)."""
-        pts = np.asarray(xi, dtype=float)
+        """Evaluate at points (..., n) (see ``as_points``), of shape (...):
+        one point by compensated summation, a batch vectorized."""
+        pts = as_points(xi, self.dimension)
         if pts.ndim == 1:
-            # ``factors`` rejects a point whose length is not the dimension
             return self.compensated(PointSample(pts[None]))[0]
-        if pts.ndim == 0 or pts.shape[-1] != self.dimension:
-            raise ValueError(f"points must have trailing dimension {self.dimension}")
         s = np.sum(pts * pts, axis=-1)
         powers = {}
 

@@ -31,6 +31,7 @@ normalized, that is not a finite float raises ConfigError.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,13 +68,13 @@ def _gaussian_axis_moments(scale, b, order):
                      lambda a: 2.0 * scale * ((a + b - 1) / (a * (a - 1))))
 
 
-def _as_points(x, dimension):
+def as_points(x, dimension):
+    """``x`` as float points (..., n), which every evaluator maps to values
+    (...): a bare scalar is a point of the line, else the last axis is n."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        if dimension != 1:
-            raise ValueError("scalar point given for dimension > 1")
+    if arr.ndim == 0 and dimension == 1:
         arr = arr.reshape(1)
-    if arr.shape[-1] != dimension:
+    if arr.ndim == 0 or arr.shape[-1] != dimension:
         raise ValueError(f"points must have trailing dimension {dimension}")
     return arr
 
@@ -133,13 +134,13 @@ class InitialDatum:
         return out
 
     def values(self, x):
-        """Pointwise values; x has shape (..., n)."""
-        pts = _as_points(x, self.dimension)
+        """Pointwise values at points (..., n), of shape (...)."""
+        pts = as_points(x, self.dimension)
         return self._axis_product(self.axis_value, pts)
 
     def fourier_transform(self, xi):
-        """Closed-form transform at real points of shape (..., n)."""
-        pts = _as_points(xi, self.dimension)
+        """Closed-form transform at real points (..., n), of shape (...)."""
+        pts = as_points(xi, self.dimension)
         out = self._axis_product(self.axis_fourier, pts)
         phase = None if self.amplitude == 0.0 else self.fourier_phase(pts)
         return out.astype(complex) if phase is None else out * phase
@@ -532,9 +533,10 @@ def integer(x, what) -> int:
 
 
 def _number(x, what) -> float:
-    """``x`` as a float if it is a JSON number, not a bool or a string."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {x!r}")
+    """``x`` as a float if it is a finite JSON number, not a bool or a string."""
+    if (isinstance(x, bool) or not isinstance(x, (int, float))
+            or not abs(x) <= sys.float_info.max):
+        raise ConfigError(f"{what} must be a finite number, got {x!r}")
     return float(x)
 
 
@@ -558,8 +560,8 @@ def datum_from_config(cfg: dict, dimension=None) -> InitialDatum:
     """Build a catalog datum from a JSON-style dict.
 
     Required keys: ``family`` plus the family parameters, each numeric one
-    a JSON number; ``dimension`` may come from the dict or from the
-    enclosing document.
+    a finite JSON number; ``dimension`` may come from the dict or from the
+    enclosing document, and a stated one must be the one the datum builds.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("datum config must be an object")
@@ -592,13 +594,18 @@ def datum_from_config(cfg: dict, dimension=None) -> InitialDatum:
         if fam == "zero":
             return zero_datum(n)
         if fam == "shifted":
-            return Shifted(base=datum_from_config(cfg["base"], n),
-                           center=listed(cfg, "center", None, _number),
-                           dilation=number("dilation"))
-        terms = tuple(datum_from_config(c, n) for c in cfg["terms"])
-        return SumDatum(terms=terms)
+            datum = Shifted(base=datum_from_config(cfg["base"], n),
+                            center=listed(cfg, "center", None, _number),
+                            dilation=number("dilation"))
+        else:
+            datum = SumDatum(terms=tuple(datum_from_config(c, n)
+                                         for c in cfg["terms"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for family {fam!r}: {exc}") from exc
+    if "dimension" in cfg and datum.dimension != n:
+        raise ConfigError(f"a {fam!r} datum states dimension {n} but builds "
+                          f"dimension {datum.dimension}")
+    return datum
 
 
 def pair_from_config(cfg: dict):

@@ -20,9 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InsufficientOrderError
 from .expansion import ExpansionPolynomial, build_expansion
-from .indices import Alpha, degree, indices_of_degree
+from .indices import Alpha, degree
 from .initial_data import MomentTable, moment_table
 from .quadrature import (adaptive_1d, angular_sums, integrate_radial,
                          radial_breakpoints, truncation_radius)
@@ -30,6 +29,7 @@ from .spectral import SpectralSolution
 
 LOW_RADIUS = 0.5            # residual-norm split radii inside and outside
 HIGH_RADIUS = 2.0           # the unit sphere
+VALUE_FLOOR = 1e-14         # norms below it count as converged at zero
 _EPS = np.finfo(float).eps
 
 
@@ -37,14 +37,11 @@ _EPS = np.finfo(float).eps
 class FrequencyRegion:
     """ball(r), annulus(r_lo, r_hi), exterior(r) or the full space."""
 
-    kind: str
     dimension: int
     r_lo: float = 0.0
     r_hi: float = math.inf
 
     def __post_init__(self):
-        if self.kind not in ("ball", "annulus", "exterior", "full"):
-            raise ValueError("unknown region kind")
         if self.dimension not in (1, 2, 3):
             raise ValueError("supported dimensions are 1, 2, 3")
         if math.isnan(self.r_lo) or math.isnan(self.r_hi):
@@ -54,21 +51,21 @@ class FrequencyRegion:
 
     @classmethod
     def ball(cls, radius, dimension):
-        return cls("ball", dimension, 0.0, float(radius))
+        return cls(dimension, 0.0, float(radius))
 
     @classmethod
     def annulus(cls, r_lo, r_hi, dimension):
         if r_lo <= 0:
             raise ValueError("annulus needs a positive inner radius")
-        return cls("annulus", dimension, float(r_lo), float(r_hi))
+        return cls(dimension, float(r_lo), float(r_hi))
 
     @classmethod
     def exterior(cls, radius, dimension):
-        return cls("exterior", dimension, float(radius), math.inf)
+        return cls(dimension, float(radius), math.inf)
 
     @classmethod
     def full(cls, dimension):
-        return cls("full", dimension, 0.0, math.inf)
+        return cls(dimension, 0.0, math.inf)
 
     @property
     def bounded(self) -> bool:
@@ -80,7 +77,6 @@ class RegionNorm:
     value: float
     error_estimate: float
     evaluations: int
-    region: FrequencyRegion
 
 
 # the two points of the "unit sphere" of the line and their counting weights
@@ -89,8 +85,7 @@ _LINE_WEIGHTS = np.ones(2)
 
 
 def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
-               inner_scales=None, breakpoints=(),
-               value_floor=1e-14) -> list[RegionNorm]:
+               inner_scales=None, breakpoints=()) -> list[RegionNorm]:
     """(integral_region |f(t, xi)|^2 dxi)^{1/2} for every t of ``ts`` at once.
 
     ``f(ts, radii, dirs)`` receives the times as a 1-D array, R radii and an
@@ -103,7 +98,7 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
     per time the width of an integrand concentrated near the origin
     (1/sqrt(t) for heat-type weights); the radial split points are the
     union of their geometric ladders plus the kinks in ``breakpoints``.
-    Norms below ``value_floor`` are reported as converged at zero (the
+    Norms below VALUE_FLOOR = 1e-14 are reported as converged at zero (the
     relative target is meaningless there); the floor squared acts as the
     absolute tolerance of the underlying integrals.  Returns one RegionNorm
     per time, each carrying the evaluation count of the whole curve.
@@ -111,7 +106,7 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
     ts = np.asarray(ts, dtype=float)
     n = region.dimension
     scales = [None] * len(ts) if inner_scales is None else list(inner_scales)
-    abs_floor = max(value_floor * value_floor, 1e-300)
+    abs_floor = VALUE_FLOOR * VALUE_FLOOR
 
     def field(radii, dirs):
         return np.abs(f(ts, radii, dirs)) ** 2
@@ -122,7 +117,7 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
         start = max([4.0, 2.0 * lo] + [4.0 * s for s in scales if s])
         hi, tail = truncation_radius(field, n, start, rows=len(ts))
         if hi <= lo:
-            return [RegionNorm(0.0, math.sqrt(e), 0, region) for e in tail]
+            return [RegionNorm(0.0, math.sqrt(e), 0) for e in tail]
 
     brk = sorted(set().union(
         *(radial_breakpoints(lo, hi, s, breakpoints) for s in scales)))
@@ -139,26 +134,25 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
     for total, err2 in zip(res.value, res.error_estimate + tail):
         value = math.sqrt(max(total, 0.0))
         err = err2 / (2.0 * value) if value > 0 else math.sqrt(err2)
-        out.append(RegionNorm(value, float(err), evaluations, region))
+        out.append(RegionNorm(value, float(err), evaluations))
     return out
 
 
 def region_l2_norm(f, region: FrequencyRegion, tol=1e-9, *,
-                   inner_scale=None, breakpoints=(),
-                   value_floor=1e-14) -> RegionNorm:
+                   inner_scale=None, breakpoints=()) -> RegionNorm:
     """(integral_region |f(xi)|^2 dxi)^{1/2}: ``norm_curve`` at one time.
 
     ``f`` must accept an (m, n) array of points and return complex values of
-    shape (m,); it is sampled on the shells' points.  ``inner_scale``,
-    ``breakpoints`` and ``value_floor`` act as in ``norm_curve``.
+    shape (m,); it is sampled on the shells' points.  ``inner_scale`` and
+    ``breakpoints`` act as in ``norm_curve``; norms below VALUE_FLOOR =
+    1e-14 count as converged at zero.
     """
     def on_shells(ts, radii, dirs):
         pts = (radii[:, None, None] * dirs).reshape(-1, region.dimension)
         return np.asarray(f(pts)).reshape(1, len(radii), len(dirs))
 
     (norm,) = norm_curve(on_shells, region, (math.nan,), tol,
-                         inner_scales=(inner_scale,), breakpoints=breakpoints,
-                         value_floor=value_floor)
+                         inner_scales=(inner_scale,), breakpoints=breakpoints)
     return norm
 
 
@@ -233,26 +227,9 @@ def poly_gaussian_l2_norm(poly: ExpansionPolynomial, radius=None) -> float:
 
 
 def heat_increment_norm(k: int, table: MomentTable, radius=None) -> float:
-    """|| C_k e^{-|xi|^2} ||_{L2} over R^n (default) or a ball.
-
-    Expands |C_k|^2 = sum over alpha of xi^{2 alpha} sums of moment products;
-    the Gaussian monomial integrals are exact.
-    """
-    if table.order < k:
-        raise InsufficientOrderError(f"need moments to order {k}")
-    n = table.dimension
-    total = 0.0
-    for alpha in indices_of_degree(n, k):
-        two_alpha = tuple(2 * a for a in alpha)
-        inner = 0.0
-        for beta1 in indices_of_degree(n, k):
-            beta2 = tuple(t - b for t, b in zip(two_alpha, beta1))
-            if any(b < 0 for b in beta2):
-                continue
-            inner += table.moment(beta1) * table.moment(beta2)
-        if inner:
-            total += gaussian_monomial_integral(alpha, 2.0, radius) * inner
-    return math.sqrt(max(total, 0.0))
+    """|| C_k e^{-|xi|^2} ||_{L2} over R^n (default) or a ball: the exact
+    norm of the built heat increment C_k (``build_expansion("C", k, table)``)."""
+    return poly_gaussian_l2_norm(build_expansion("C", k, table), radius)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SingularEvaluationError
-from .initial_data import InitialDatum, add_data
+from .initial_data import InitialDatum, add_data, as_points
 
 REPRESENTATIONS = ("2.1", "2.2", "2.3", "2.4")
 SINGULAR_GUARD = 1e-12      # forced split forms must stay this far from s = 1
@@ -74,17 +74,6 @@ def stable_heat_difference(t, s):
     return out
 
 
-def _points(xi, dimension):
-    """Points of shape (..., n) as floats, their squared norms, and whether
-    a single point of shape (n,) was given."""
-    pts = np.asarray(xi, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[-1] != dimension:
-        raise ValueError(f"points must have trailing dimension {dimension}")
-    return pts, np.sum(pts * pts, axis=-1), single
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralSolution:
     """Evaluator for the transformed solution of one initial-data pair."""
@@ -107,7 +96,7 @@ class SpectralSolution:
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, t, xi, rep: str | None = None):
-        """Transformed solution at time t >= 0 on points of shape (..., n).
+        """Transformed solution at time t >= 0 at points (..., n): shape (...).
 
         ``t`` may also be a 1-D array of times: the transforms are taken once
         and the result gains a leading axis, one row per time.  ``rep``
@@ -117,7 +106,8 @@ class SpectralSolution:
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ValueError("t must be nonnegative")
-        pts, s, single = _points(xi, self.dimension)
+        pts = as_points(xi, self.dimension)
+        s = np.sum(pts * pts, axis=-1)
         shape = t.shape + s.shape
         pts, s = pts.reshape(-1, self.dimension), s.ravel()
         f0 = self.u0.fourier_transform(pts)
@@ -134,9 +124,8 @@ class SpectralSolution:
                     f"representation {rep} is singular at |xi| = 1 "
                     f"(requested |xi| = {bad!r})", radius=bad)
             out = _REP_FORMULAS[rep](t, s, f0, f1)
-        out = out.reshape(shape)
         # [()] turns the 0-d result of one point at one time into a scalar
-        return out[..., 0][()] if single else out
+        return out.reshape(shape)[()]
 
     def _auto(self, t, s, f0, f1):
         """The default policy; ``t`` is a scalar or a column of times."""
@@ -208,12 +197,12 @@ class LowFrequencySymbol:
     v: InitialDatum
 
     def __call__(self, xi):
-        pts, s, single = _points(xi, self.v.dimension)
+        pts = as_points(xi, self.v.dimension)
+        s = np.sum(pts * pts, axis=-1)
         bad = np.abs(s - 1.0) <= SINGULAR_GUARD
         if np.any(bad):
             radius = float(np.sqrt(s[bad][0]))
             raise SingularEvaluationError(
                 f"the symbol is undefined on |xi| = 1 (requested |xi| = {radius!r})",
                 radius=radius)
-        out = self.v.fourier_transform(pts) / (1.0 - s)
-        return out[0] if single else out
+        return self.v.fourier_transform(pts) / (1.0 - s)

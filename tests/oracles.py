@@ -5,6 +5,8 @@ number the package computes another way:
 
 * the closed-form twins of the half-ball increment constant, which the
   campaign takes from ``poly_gaussian_l2_norm`` of the built increment;
+* the heat increment's norm as a sum of moment products, the twin of
+  ``poly_gaussian_l2_norm`` of the built C_k;
 * brute-force raw moments by quadrature, against the catalog's closed forms;
 * weighted L1 norms by scipy's scalar ``quad``, nested per axis, against
   the package's panel engine;
@@ -185,6 +187,23 @@ def increment_lower_constant(k: int, table: MomentTable) -> float:
                                   for j in range(n) for kk in range(j + 1, n))
         return math.sqrt(max(quad, 0.0))
     raise ValueError("closed forms exist for k in {0, 1, 2} only")
+
+
+def heat_increment_moment_sum(k: int, table: MomentTable, radius=None) -> float:
+    """|| C_k e^{-|xi|^2} ||_{L2} over R^n (default) or a ball, from
+    |C_k|^2 = sum over |alpha| = k of xi^{2 alpha} times the sum of the
+    moment products M_beta M_{2 alpha - beta}."""
+    n = table.dimension
+    total = 0.0
+    for alpha in indices_of_degree(n, k):
+        two_alpha = tuple(2 * a for a in alpha)
+        inner = 0.0
+        for beta1 in indices_of_degree(n, k):
+            beta2 = tuple(t - b for t, b in zip(two_alpha, beta1))
+            if all(b >= 0 for b in beta2):
+                inner += table.moment(beta1) * table.moment(beta2)
+        total += gaussian_monomial_integral(alpha, 2.0, radius) * inner
+    return math.sqrt(max(total, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,31 @@ def test_config_error_exits_2(tmp_path):
     assert main(["moments", "--data", str(bad), "--max-order", "1"]) == 2
 
 
+@pytest.mark.parametrize("command, datum, word", [
+    # the bare NaN token that Python's json reads
+    ("solve", '{"dimension": 1, "u0": {"family": "gaussian", "scale": NaN}, '
+              '"u1": {"family": "zero"}}', "scale"),
+    # data whose own "dimension" is not the one they build
+    ("moments", json.dumps({"family": "shifted", "dimension": 2,
+                            "center": [0.5], "base": {"family": "gaussian",
+                                                      "dimension": 1}}),
+     "dimension"),
+    ("moments", json.dumps({"family": "sum", "dimension": 2, "terms": [
+        {"family": "gaussian", "dimension": 1},
+        {"family": "box", "dimension": 1}]}), "dimension")],
+    ids=["solve-nan-scale", "moments-shifted", "moments-sum"])
+def test_bad_datum_exits_2_before_output(tmp_path, capsys, command, datum,
+                                         word):
+    data = tmp_path / "datum.json"
+    data.write_text(datum, encoding="utf-8")
+    argv = {"solve": ["--t", "1.0", "--xi-grid", "lin:-1,1,3"],
+            "moments": ["--max-order", "1"]}[command]
+    assert main([command, "--data", str(data), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ")
+    assert word in captured.err
+
+
 @pytest.mark.parametrize("where, key, value", [
     ("case", "k_values", ["x"]), ("case", "k_values", [1.5]),
     ("case", "k_values", [-1]), ("case", "k_values", 2),
@@ -453,8 +478,12 @@ def test_config_error_exits_2(tmp_path):
     # keys outside config-schema.json
     ("top", "quad_tolerance", 1e-9), ("case", "k_value", [1]),
     ("pair", "u2", {"family": "zero"}),
-    # datum values that are not JSON numbers
+    # datum values that are not JSON numbers, or not finite floats (Python's
+    # json reads NaN, Infinity and integers beyond the floats)
     ("datum", "scale", "1.0"), ("datum", "amplitude", True),
+    ("datum", "scale", float("nan")), ("datum", "amplitude", float("inf")),
+    pytest.param("datum", "amplitude", 10 ** 400, id="datum-amplitude-1e400"),
+    pytest.param("shifted", "center", [float("nan")], id="shifted-center-nan"),
     ("pair", "dimension", True)])
 def test_report_rejects_bad_config_values_before_output(tmp_path, capsys,
                                                         where, key, value):
@@ -466,8 +495,11 @@ def test_report_rejects_bad_config_values_before_output(tmp_path, capsys,
     cfg = {"t_grid": {"t_min": 100.0, "t_max": 1e3, "points": 3},
            "vanishing_t_grid": {"t_min": 1.0, "t_max": 1e2, "points": 3},
            "cases": [case]}
+    if where == "shifted":
+        case["data"]["u1"] = {"family": "shifted", "center": [0.5],
+                              "base": {"family": "gaussian", "scale": 0.5}}
     {"top": cfg, "case": case, "pair": case["data"],
-     "datum": case["data"]["u0"]}[where][key] = value
+     "datum": case["data"]["u0"], "shifted": case["data"]["u1"]}[where][key] = value
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     out_dir = tmp_path / "report"

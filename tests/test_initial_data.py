@@ -460,6 +460,17 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             datum_from_config({"family": "gaussian", "dimension": 4})
 
+    @pytest.mark.parametrize("cfg", [
+        {"family": "shifted", "dimension": 2, "center": [0.5],
+         "base": {"family": "gaussian", "dimension": 1}},
+        {"family": "sum", "dimension": 2, "terms": [
+            {"family": "gaussian", "dimension": 1},
+            {"family": "box", "dimension": 1}]}], ids=["shifted", "sum"])
+    def test_rejects_a_stated_dimension_it_does_not_build(self, cfg):
+        with pytest.raises(ConfigError, match="states dimension 2 but "
+                                              "builds dimension 1"):
+            datum_from_config(cfg)
+
     def test_pair_requires_matching_dimensions(self):
         with pytest.raises(ConfigError):
             pair_from_config({"u0": {"family": "gaussian", "dimension": 1},

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import erf
 
 from dampex import (Box, FrequencyRegion, Gaussian, GaussianMonomial,
-                    MomentTable, Shifted, SpectralSolution, add_data,
+                    MomentTable, Shifted, SpectralSolution, SumDatum, add_data,
                     build_expansion, gaussian_monomial_integral,
                     heat_increment_norm, moment_table, poly_gaussian_l2_norm,
                     region_l2_norm, residual_norm, zero_datum)
@@ -20,9 +20,10 @@ from dampex.quadrature import (BATCH_POINTS, adaptive_1d, angular_sums,
                                integrate_radial, sphere_nodes)
 
 from conftest import catalog_1d, catalog_2d, catalog_3d
-from oracles import (increment_lower_constant, increment_lower_constant_1d,
-                     lower_bound_constants, radial_factor_1d,
-                     symbol_gap_sup_ratio, taylor_remainder_sup_ratio)
+from oracles import (heat_increment_moment_sum, increment_lower_constant,
+                     increment_lower_constant_1d, lower_bound_constants,
+                     radial_factor_1d, symbol_gap_sup_ratio,
+                     taylor_remainder_sup_ratio)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -594,27 +595,43 @@ class TestHeatIncrementNorms:
                              * gaussian_monomial_integral((1, 0), 2.0, None))
         assert heat_increment_norm(1, table) == pytest.approx(expected, rel=1e-13)
 
-    @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_against_quadrature(self, k):
-        v = Shifted(base=Gaussian(dimension=2, scale=1.0), center=(0.5, -0.3),
-                    dilation=1.0)
-        table = moment_table(v, 2)
+    # (dimension, k), with the 2-D ids kept as the plain order
+    CASES = [pytest.param(2, k, id=str(k)) for k in (0, 1, 2)] + [
+        pytest.param(3, k, id=f"3d-{k}") for k in (1, 2)]
+
+    @staticmethod
+    def _shifted(n):
+        return Shifted(base=Gaussian(dimension=n, scale=1.0),
+                       center=(0.5, -0.3, 0.2)[:n], dilation=1.0)
+
+    @pytest.mark.parametrize("n, k", CASES)
+    def test_against_quadrature(self, n, k):
+        table = moment_table(self._shifted(n), 2)
         poly = build_expansion("C", k, table)
-        quad = region_l2_norm(_weighted(poly), FrequencyRegion.full(2),
+        quad = region_l2_norm(_weighted(poly), FrequencyRegion.full(n),
                               1e-10).value
         assert quad == pytest.approx(heat_increment_norm(k, table),
                                      rel=1e-8, abs=1e-12)
 
-    @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_ball_restriction_against_quadrature(self, k):
-        v = Shifted(base=Gaussian(dimension=2, scale=1.0), center=(0.5, -0.3),
-                    dilation=1.0)
-        table = moment_table(v, 2)
+    @pytest.mark.parametrize("n, k", CASES)
+    def test_ball_restriction_against_quadrature(self, n, k):
+        table = moment_table(self._shifted(n), 2)
         poly = build_expansion("C", k, table)
-        quad = region_l2_norm(_weighted(poly), FrequencyRegion.ball(0.5, 2),
+        quad = region_l2_norm(_weighted(poly), FrequencyRegion.ball(0.5, n),
                               1e-10).value
         assert quad == pytest.approx(heat_increment_norm(k, table, radius=0.5),
                                      rel=1e-8, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_matches_the_moment_product_sum(self, n, k):
+        # the same closed form summed in another order: a few ulps apart
+        v = SumDatum(terms=(self._shifted(n),
+                            Box(dimension=n, half_width=0.7, amplitude=-0.4)))
+        table = moment_table(v, 3)
+        for radius in (None, 0.5):
+            assert heat_increment_norm(k, table, radius) == pytest.approx(
+                heat_increment_moment_sum(k, table, radius), rel=1e-15)
 
 
 class TestGenericPolynomialRoute:

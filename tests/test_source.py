@@ -14,6 +14,9 @@ The package runs on numpy alone; scipy stays a test-only reference.
 The benchmark's tracer counts transforms by wrapping the
 ``fourier_transform`` attributes of ``InitialDatum`` and ``SumDatum``; a
 definition on any other class would hide its calls from those counts.
+
+``initial_data.as_points`` is the one place that decides what a point
+array is; no other function checks a trailing dimension of its own.
 """
 
 import ast
@@ -190,3 +193,36 @@ def test_definition_guard_sees_class_bodies_only():
                      "    class C:\n        fourier_transform = None\n"
                      "class D:\n    def f(self): fourier_transform = 1\n")
     assert _classes_defining(tree, "fourier_transform") == ["A", "C"]
+
+
+def _raisers(node, text, enclosing=None):
+    """Names of the innermost functions (None at module level) holding a
+    ``raise`` whose message contains ``text``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        enclosing = node.name
+    found = set()
+    if isinstance(node, ast.Raise) and any(
+            isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+            and text in sub.value for sub in ast.walk(node)):
+        found.add(enclosing)
+    for child in ast.iter_child_nodes(node):
+        found |= _raisers(child, text, enclosing)
+    return found
+
+
+def test_only_as_points_checks_a_trailing_dimension():
+    found = {(path.stem, name) for path in SRC.glob("*.py")
+             for name in _raisers(ast.parse(path.read_text(encoding="utf-8")),
+                                  "trailing dimension")}
+    assert found == {("initial_data", "as_points")}
+
+
+def test_raise_guard_sees_the_innermost_function_and_f_strings():
+    tree = ast.parse("def outer(n):\n"
+                     "    def inner():\n"
+                     "        raise ValueError(f'trailing dimension {n}')\n"
+                     "    raise ValueError('another message')\n"
+                     "def plain(): raise ValueError('bad trailing dimension')\n"
+                     "class A:\n    def method(self): return 'trailing dimension'\n"
+                     "raise ValueError('trailing dimension')\n")
+    assert _raisers(tree, "trailing dimension") == {"inner", "plain", None}

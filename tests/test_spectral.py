@@ -37,6 +37,41 @@ def _safe_sample(rng, n, count, s_gap=0.05, radius=2.0):
     return np.array(pts)
 
 
+def _shape_evaluators(n):
+    """Every frequency-side evaluator of points (..., n) in dimension n,
+    each with the leading shape it adds to the points' (...)."""
+    v = Shifted(base=Gaussian(dimension=n, scale=0.8), center=(0.3,) * n)
+    sol = SpectralSolution(u0=v, u1=Box(dimension=n, half_width=0.9))
+    return {
+        "fourier_transform": (v.fourier_transform, ()),
+        "values": (v.values, ()),
+        "evaluate": (lambda xi: sol.evaluate(1.5, xi), ()),
+        "evaluate-times": (lambda xi: sol.evaluate(np.array([0.5, 2.0]), xi),
+                           (2,)),
+        "symbol": (LowFrequencySymbol(v), ()),
+        "polynomial": (build_expansion("A", 2, moment_table(v, 2)), ()),
+    }
+
+
+@pytest.mark.parametrize("name", ["fourier_transform", "values", "evaluate",
+                                  "evaluate-times", "symbol", "polynomial"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_points_map_to_values_of_their_leading_shape(n, name):
+    # points (..., n) give values (...); a bare scalar is a point of the line
+    f, lead = _shape_evaluators(n)[name]
+    rng = np.random.default_rng(n)
+    batches = [(np.full(n, 0.3), ()), (rng.uniform(-0.5, 0.5, (4, n)), (4,)),
+               (rng.uniform(-0.5, 0.5, (2, 3, n)), (2, 3))]
+    for xi, shape in batches:
+        assert np.shape(f(xi)) == lead + shape
+    if n == 1:
+        assert np.shape(f(0.3)) == lead
+        np.testing.assert_array_equal(f(0.3), f(np.array([0.3])))
+    for bad in [np.zeros(n + 1), np.zeros((4, n + 1))] + [0.3] * (n > 1):
+        with pytest.raises(ValueError, match="trailing dimension"):
+            f(bad)
+
+
 class TestRepresentations:
     def test_zero_data_is_zero(self):
         sol = SpectralSolution(u0=zero_datum(2), u1=zero_datum(2))
