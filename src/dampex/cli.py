@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -80,8 +81,12 @@ def _parse_xi_grid(text, dimension):
         axis = np.linspace(lo, hi, int(count))
     except ValueError as exc:
         raise ConfigError(f"bad xi grid {text!r}: {exc}") from exc
-    grids = np.meshgrid(*([axis] * dimension), indexing="ij")
-    return axis, np.stack([g.ravel() for g in grids], axis=-1)
+    try:
+        grids = np.meshgrid(*([axis] * dimension), indexing="ij")
+        return axis, np.stack([g.ravel() for g in grids], axis=-1)
+    except MemoryError as exc:
+        raise ConfigError(f"bad xi grid {text!r}: cannot hold its "
+                          f"{axis.size}**{dimension} points") from exc
 
 
 def _grid_coordinates(axis, dimension):
@@ -132,12 +137,84 @@ def cmd_solve(args):
     with (open(args.out, "w", encoding="utf-8") if args.out
           else contextlib.nullcontext(sys.stdout)) as handle:
         handle.write(header)
-        for t, row in zip(ts, vals):
-            head = repr(t)
-            handle.write("".join([
-                f"{head},{c},{re!r},{im!r}\n" for c, re, im
-                in zip(coords, row.real.tolist(), row.imag.tolist())]))
+        _write_rows(handle, ts, vals, coords)
     return 0
+
+
+def _format_rows(t, coords, row):
+    """The CSV rows of the values ``row`` at time ``t`` and the points
+    whose text is ``coords``."""
+    head = repr(t)
+    return "".join([f"{head},{c},{re!r},{im!r}\n" for c, re, im
+                    in zip(coords, row.real.tolist(), row.imag.tolist())])
+
+
+def _write_rows(handle, ts, vals, coords):
+    """Write the rows of every time.  With two usable CPUs a forked child
+    formats the second half of each time's rows while this process formats
+    and writes the first half; the bytes are those of one process."""
+    mid = len(coords) // 2
+    child = _fork_formatter(ts, vals, coords, mid) if ts else None
+    if child is None:
+        for t, row in zip(ts, vals):
+            handle.write(_format_rows(t, coords, row))
+        return
+    pid, read_end = child
+    try:
+        with open(read_end, "rb") as pipe:
+            chunk = b""
+            for t, row in zip(ts, vals):
+                handle.write(_format_rows(t, coords[:mid], row[:mid]))
+                chunk = None if chunk is None else _read_chunk(pipe)
+                # after EOF or a short chunk this process formats the rest
+                handle.write(_format_rows(t, coords[mid:], row[mid:])
+                             if chunk is None else chunk.decode())
+    finally:
+        os.waitpid(pid, 0)
+
+
+def _fork_formatter(ts, vals, coords, mid):
+    """(pid, pipe read end) of a child that formats the rows from ``mid`` on
+    at every time and sends them as one length-prefixed chunk per time;
+    None without two usable CPUs or when the fork fails."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2):
+        return None
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    # the header waits unflushed in the inherited output buffer, so the
+    # child never touches the output and leaves only through _exit; a
+    # parent that stops reading ends it with BrokenPipeError.  The child
+    # only formats text, so it never needs the threads fork leaves behind
+    status = 1
+    try:
+        os.close(read_end)
+        with open(write_end, "wb") as pipe:
+            for t, row in zip(ts, vals):
+                chunk = _format_rows(t, coords[mid:], row[mid:]).encode()
+                pipe.write(len(chunk).to_bytes(8, "little") + chunk)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_chunk(pipe):
+    """The next length-prefixed chunk of ``pipe``, or None at EOF or when
+    the chunk is cut short."""
+    prefix = pipe.read(8)
+    if len(prefix) < 8:
+        return None
+    size = int.from_bytes(prefix, "little")
+    chunk = pipe.read(size)
+    return chunk if len(chunk) == size else None
 
 
 def cmd_expansion(args):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -132,10 +133,8 @@ _SOLVE_GRIDS = {1: "lin:-2,2,41", 2: "lin:-2,2,11", 3: "lin:-1.5,1.5,7"}
 _SOLVE_TIMES = [0.0, 0.37, 5.0, 720.0]
 
 
-@pytest.mark.parametrize("rep", ["auto", "2.4"])
-@pytest.mark.parametrize("dimension", [1, 2, 3])
-def test_solve_csv_is_byte_identical_to_the_row_loop(dimension, rep, tmp_path,
-                                                     capsys):
+def _solve_pair(dimension, tmp_path):
+    """A shifted-Gaussian pair in ``dimension`` and the path of its config."""
     center = [0.4, -0.3, 0.25][:dimension]
     pair = {"dimension": dimension,
             "u0": {"family": "shifted", "center": center,
@@ -143,8 +142,25 @@ def test_solve_csv_is_byte_identical_to_the_row_loop(dimension, rep, tmp_path,
             "u1": {"family": "gaussian", "scale": 0.7, "amplitude": 1.3}}
     cfg = tmp_path / "pair.json"
     cfg.write_text(json.dumps(pair), encoding="utf-8")
+    return pair, str(cfg)
+
+
+def _solve_outputs(argv, tmp_path, capsys):
+    """The bytes ``main(argv)`` writes to ``--out`` and to stdout."""
+    out = tmp_path / "sol.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    return out.read_bytes(), capsys.readouterr().out.encode("utf-8")
+
+
+@pytest.mark.parametrize("rep", ["auto", "2.4"])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_solve_csv_is_byte_identical_to_the_row_loop(dimension, rep, tmp_path,
+                                                     capsys):
+    pair, cfg = _solve_pair(dimension, tmp_path)
     grid = _SOLVE_GRIDS[dimension]
-    argv = ["solve", "--data", str(cfg), "--t", ",".join(map(repr, _SOLVE_TIMES)),
+    argv = ["solve", "--data", cfg, "--t", ",".join(map(repr, _SOLVE_TIMES)),
             "--xi-grid", grid, "--rep", rep]
     expected = _reference_solve_csv(pair, _SOLVE_TIMES, grid, rep)
     rows = [line.split(",") for line in expected.decode().splitlines()[1:]]
@@ -154,13 +170,62 @@ def test_solve_csv_is_byte_identical_to_the_row_loop(dimension, rep, tmp_path,
     assert any(float(row[-1]) != 0.0 for row in rows)
     assert 0.0 in values
     assert any(0 < abs(v) < sys.float_info.min for v in values)
+    assert _solve_outputs(argv, tmp_path, capsys) == (expected, expected)
 
-    out = tmp_path / "sol.csv"
-    assert main(argv + ["--out", str(out)]) == 0
-    assert out.read_bytes() == expected
-    capsys.readouterr()
-    assert main(argv) == 0
-    assert capsys.readouterr().out.encode("utf-8") == expected
+
+def _count_forks(monkeypatch):
+    """Let ``cmd_solve`` see two usable CPUs and record its forks."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def test_solve_child_formats_a_one_point_grid(tmp_path, capsys, monkeypatch):
+    # one point: this process's half of each time is empty
+    pair, cfg = _solve_pair(2, tmp_path)
+    forks = _count_forks(monkeypatch)
+    argv = ["solve", "--data", cfg, "--t", "0.0,5.0", "--xi-grid",
+            "lin:0.5,0.5,1"]
+    expected = _reference_solve_csv(pair, [0.0, 5.0], "lin:0.5,0.5,1", "auto")
+    assert expected.count(b"\n") == 3
+    assert _solve_outputs(argv, tmp_path, capsys) == (expected, expected)
+    assert len(forks) == 2
+
+
+def test_solve_on_one_cpu_formats_every_row_itself(tmp_path, capsys,
+                                                   monkeypatch):
+    def refuse():
+        raise AssertionError("solve forked on one CPU")
+
+    pair, cfg = _solve_pair(2, tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", refuse)
+    argv = ["solve", "--data", cfg, "--t", "0.37,5.0", "--xi-grid",
+            _SOLVE_GRIDS[2]]
+    expected = _reference_solve_csv(pair, [0.37, 5.0], _SOLVE_GRIDS[2], "auto")
+    assert _solve_outputs(argv, tmp_path, capsys) == (expected, expected)
+
+
+def test_solve_formats_the_rows_of_a_failed_child(tmp_path, capsys,
+                                                  monkeypatch):
+    pair, cfg = _solve_pair(3, tmp_path)
+    forks = _count_forks(monkeypatch)
+    me, format_rows = os.getpid(), cli._format_rows
+
+    def parent_only(*args):
+        if os.getpid() != me:
+            raise RuntimeError("child fails")
+        return format_rows(*args)
+
+    monkeypatch.setattr(cli, "_format_rows", parent_only)
+    argv = ["solve", "--data", cfg, "--t", "0.37,5.0", "--xi-grid",
+            _SOLVE_GRIDS[3]]
+    expected = _reference_solve_csv(pair, [0.37, 5.0], _SOLVE_GRIDS[3], "auto")
+    assert _solve_outputs(argv, tmp_path, capsys) == (expected, expected)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_solve_without_times_writes_the_header_alone(pair_cfg, tmp_path):
@@ -218,6 +283,55 @@ def test_solve_rejects_non_finite_grid_bounds(pair_cfg, tmp_path, capsys,
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "bounds must be finite" in captured.err
+
+
+def test_solve_output_failing_under_a_blocked_child_exits_2(tmp_path, capsys,
+                                                             monkeypatch):
+    # the child's half of a time is far more than a pipe holds, so it is
+    # still writing when the output fails; closing the pipe must end it
+    class FailingOutput:
+        def __init__(self):
+            self.writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError("disk full")
+
+    def overdue(signum, frame):
+        raise AssertionError("solve still waits for its child")
+
+    _, cfg = _solve_pair(2, tmp_path)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(sys, "stdout", FailingOutput())
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.alarm(60)
+    try:
+        assert main(["solve", "--data", cfg, "--t", "0.37,5.0",
+                     "--xi-grid", "lin:-2,2,101"]) == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_solve_grid_too_large_to_hold_exits_2(tmp_path, capsys):
+    # 100000**3 points: numpy refuses the 7 PiB array without allocating it
+    _, cfg = _solve_pair(3, tmp_path)
+    out = tmp_path / "x.csv"
+    argv = ["solve", "--data", cfg, "--t", "1.0",
+            "--xi-grid", "lin:-1,1,100000"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert "100000**3 points" in captured.err
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ")
 
 
 @pytest.mark.parametrize("command", ["moments", "solve", "expansion", "norm"])

@@ -11,7 +11,7 @@ from dampex import (Box, FrequencyRegion, Gaussian, GaussianMonomial,
                     build_expansion, gaussian_monomial_integral,
                     heat_increment_norm, moment_table, poly_gaussian_l2_norm,
                     region_l2_norm, residual_norm, zero_datum)
-from dampex import quadrature
+from dampex import norms, quadrature
 from dampex.expansion import heat_partial_sum
 from dampex.norms import (norm_curve, regularised_lower_gamma,
                           residual_norm_curve)
@@ -153,6 +153,33 @@ class TestPanelEngine:
         for nrm, t in zip(curve, ts):
             assert nrm.value == pytest.approx(t ** (-n / 4 - k / 2) * exact,
                                               rel=1e-9)
+
+    def test_value_floor_holds_a_tiny_norm_to_its_closed_form(self, monkeypatch):
+        # |f|^2 = a^2 (e^{-2 r^2/w^2} + e^{-2 (r-p)^2/s^2}) on the ball
+        # [-1, 1], with a set so that ||f|| = 1e-11: a smooth part plus a
+        # bump between the nodes of the first panel round on [0, 1], which
+        # only a bisection finds
+        assert norms.VALUE_FLOOR == 1e-14
+        w, p, s = 0.2, 0.5372, 0.006
+        c = math.sqrt(math.pi / 2)
+        unit = (w * c * erf(math.sqrt(2) / w)
+                + s * c * (erf(math.sqrt(2) * (1 - p) / s)
+                           + erf(math.sqrt(2) * p / s)))
+        amp, exact = 1e-11 / math.sqrt(unit), 1e-11
+
+        def field(ts, radii, dirs):
+            r = np.broadcast_to(radii[:, None], (len(radii), len(dirs)))
+            vals = amp * (np.exp(-(r / w) ** 2) + 1j * np.exp(-((r - p) / s) ** 2))
+            return np.broadcast_to(vals, (len(ts),) + vals.shape)
+
+        region = FrequencyRegion.ball(1.0, 1)
+        (nrm,) = norm_curve(field, region, [1.0])
+        assert abs(nrm.value / exact - 1) < 1e-6
+        # a floor at 1e-13 accepts the first round, which misses the bump
+        monkeypatch.setattr(norms, "VALUE_FLOOR", 1e-13)
+        (first,) = norm_curve(field, region, [1.0])
+        assert first.evaluations == 2 * 21 < nrm.evaluations
+        assert abs(first.value / exact - 1) > 0.01
 
     def test_curve_batches_its_integrand_calls(self):
         # in 1-D a refinement round stays far below the batch cap, so the

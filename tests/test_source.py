@@ -17,6 +17,9 @@ definition on any other class would hide its calls from those counts.
 
 ``initial_data.as_points`` is the one place that decides what a point
 array is; no other function checks a trailing dimension of its own.
+
+One function forks, and it ends its child with ``os._exit``: a child that
+returned into the caller would run its code, and flush its buffers, twice.
 """
 
 import ast
@@ -195,19 +198,23 @@ def test_definition_guard_sees_class_bodies_only():
     assert _classes_defining(tree, "fourier_transform") == ["A", "C"]
 
 
-def _raisers(node, text, enclosing=None):
+def _holders(node, match, enclosing=None):
     """Names of the innermost functions (None at module level) holding a
-    ``raise`` whose message contains ``text``."""
+    node for which ``match`` is true."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         enclosing = node.name
-    found = set()
-    if isinstance(node, ast.Raise) and any(
-            isinstance(sub, ast.Constant) and isinstance(sub.value, str)
-            and text in sub.value for sub in ast.walk(node)):
-        found.add(enclosing)
+    found = {enclosing} if match(node) else set()
     for child in ast.iter_child_nodes(node):
-        found |= _raisers(child, text, enclosing)
+        found |= _holders(child, match, enclosing)
     return found
+
+
+def _raisers(tree, text):
+    """Names of the innermost functions (None at module level) holding a
+    ``raise`` whose message contains ``text``."""
+    return _holders(tree, lambda node: isinstance(node, ast.Raise) and any(
+        isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+        and text in sub.value for sub in ast.walk(node)))
 
 
 def test_only_as_points_checks_a_trailing_dimension():
@@ -226,3 +233,34 @@ def test_raise_guard_sees_the_innermost_function_and_f_strings():
                      "class A:\n    def method(self): return 'trailing dimension'\n"
                      "raise ValueError('trailing dimension')\n")
     assert _raisers(tree, "trailing dimension") == {"inner", "plain", None}
+
+
+def _callers(tree, module, attr):
+    """Names of the innermost functions (None at module level) holding a
+    call of ``module.attr``."""
+    return _holders(tree, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == attr and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == module))
+
+
+def test_one_function_forks_and_its_child_leaves_through_exit():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    forks = {(module, name) for module, tree in trees.items()
+             for name in _callers(tree, "os", "fork")}
+    exits = {(module, name) for module, tree in trees.items()
+             for name in _callers(tree, "os", "_exit")}
+    assert len(forks) == 1 and forks <= exits
+
+
+def test_call_guard_sees_the_innermost_function_and_only_calls():
+    tree = ast.parse("import os\n"
+                     "def outer():\n"
+                     "    def inner(): return os.fork()\n"
+                     "    return os.fork\n"
+                     "def child():\n    try: os.fork()\n    finally: os._exit(0)\n"
+                     "def other(fork): return fork(), sys.fork()\n"
+                     "os.fork()\n")
+    assert _callers(tree, "os", "fork") == {"inner", "child", None}
+    assert _callers(tree, "os", "_exit") == {"child"}
