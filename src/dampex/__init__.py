@@ -4,15 +4,14 @@ for a wave equation carrying both frictional and viscoelastic damping."""
 from .errors import (ConfigError, DampexError, DegenerateDataError,
                      InsufficientOrderError, QuadratureError,
                      SingularEvaluationError)
-from .expansion import (ExpansionPolynomial, PointSample, PropertyReport,
-                        Term, build_expansion, check_property_A,
-                        check_property_B, check_property_C, combine,
-                        heat_partial_sum)
+from .expansion import (ExpansionPolynomial, PropertyReport, Term,
+                        build_expansion, check_property_A, check_property_B,
+                        check_property_C, combine, heat_partial_sum)
 from .experiments import (Case, HeatComparisonReport, RateFit, SandwichReport,
                           TimeGrid, VanishingReport, default_config,
                           expected_decay_slope, fit_decay_rate,
                           heat_comparison, property_suite, run_report,
-                          sample_ball, sandwich_check, vanishing_limit_check)
+                          sandwich_check, vanishing_limit_check)
 from .initial_data import (Box, Gaussian, GaussianMonomial, InitialDatum,
                            MomentTable, Shifted, SumDatum, add_data,
                            datum_from_config, gauss_kernel, moment_table,

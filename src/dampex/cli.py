@@ -321,7 +321,8 @@ def build_parser():
                    help="campaign config JSON (bundled default if omitted)")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.add_argument("--seed", type=int, default=None,
-                   help="override the frequency-sample seed")
+                   help="set the config's seed, an integer >= 0 that "
+                        "summary.json echoes and no check reads")
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -28,7 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, InsufficientOrderError
-from .indices import Alpha, i_power, indices_of_degree, multi_factorial
+from .indices import (Alpha, degree, i_power, indices_of_degree,
+                      multi_factorial)
 from .initial_data import (MAX_MOMENT_ORDER, InitialDatum, MomentTable,
                            as_points, moment_table)
 
@@ -42,43 +43,6 @@ class Term:
     monomial: Alpha
 
 
-class PointSample:
-    """Points (m, n) with the factors every compensated evaluation over
-    them shares, each computed once and rounded as the scalar arithmetic
-    ``float(p @ p)`` and ``float ** int`` round it.  numpy's ``**`` and
-    ``np.sum(p * p)`` can differ from those in the last bit."""
-
-    def __init__(self, points):
-        pts = self.points = np.asarray(points, dtype=float)
-        # one BLAS dot per row, as ``p @ p``
-        self.norm_sq = np.matmul(pts[:, None, :], pts[:, :, None])[:, 0, 0]
-        self._tables = {}
-
-    def _powers(self, axis, exponents, absolute=False):
-        """x**e at every point (columns) for each e of ``exponents`` (rows),
-        x the coordinate ``axis`` or, for axis -1, |xi|^2."""
-        table = self._tables.get((axis, absolute), ())
-        top = exponents.max(initial=0)
-        if len(table) <= top:
-            base = (self.norm_sq if axis < 0 else self.points[:, axis])
-            base = base.tolist()
-            if absolute:
-                base = [abs(x) for x in base]
-            table = self._tables[axis, absolute] = np.array(
-                [[x ** e for x in base] for e in range(top + 1)])
-        return table[exponents]
-
-    def factors(self, half_powers, exponents, absolute=False):
-        """|xi|^(2h) and xi^alpha (|xi|^alpha if ``absolute``) for each term
-        (h, alpha), at every point; the axis factors multiply in axis order."""
-        if exponents.shape[1] != self.points.shape[1]:
-            raise ValueError("sample points must match the dimension")
-        mono = self._powers(0, exponents[:, 0], absolute)
-        for j in range(1, exponents.shape[1]):
-            mono = mono * self._powers(j, exponents[:, j], absolute)
-        return self._powers(-1, half_powers), mono
-
-
 @dataclass(frozen=True, eq=False)
 class ExpansionPolynomial:
     kind: str
@@ -87,11 +51,12 @@ class ExpansionPolynomial:
     terms: tuple[Term, ...]
 
     def __call__(self, xi):
-        """Evaluate at points (..., n) (see ``as_points``), of shape (...):
-        one point by compensated summation, a batch vectorized."""
+        """Evaluate at points (..., n) (see ``as_points``), of shape (...);
+        one point goes through the batch path as a batch of one."""
         pts = as_points(xi, self.dimension)
-        if pts.ndim == 1:
-            return self.compensated(PointSample(pts[None]))[0]
+        single = pts.ndim == 1
+        if single:
+            pts = pts[None]
         s = np.sum(pts * pts, axis=-1)
         powers = {}
 
@@ -108,41 +73,7 @@ class ExpansionPolynomial:
                 if a:
                     mono = mono * power(j, a)
             acc = acc + t.coefficient * power(-1, t.radial_power // 2) * mono
-        return acc
-
-    def compensated(self, sample: PointSample) -> list[complex]:
-        """The value at every point of ``sample``: real and imaginary parts
-        are each the correctly rounded sum (``math.fsum``) of the term
-        values coefficient * |xi|^p * xi^alpha at that point."""
-        re, im, _, half, exps = self._layout
-        radial, mono = sample.factors(half, exps)
-        # real arithmetic per part, in the order of the complex scalar
-        # product (coefficient * |xi|^p) * xi^alpha
-        return [complex(math.fsum(r), math.fsum(i)) for r, i in zip(
-            ((re[:, None] * radial) * mono).T.tolist(),
-            ((im[:, None] * radial) * mono).T.tolist())]
-
-    def magnitudes(self, sample: PointSample) -> list[float]:
-        """The sum of absolute term values at every point of ``sample``:
-        the roundoff unit of an evaluation, robust against cancellation
-        across terms."""
-        _, _, absolute, half, exps = self._layout
-        radial, mono = sample.factors(half, exps, absolute=True)
-        return [math.fsum(col)
-                for col in ((absolute[:, None] * radial) * mono).T.tolist()]
-
-    @cached_property
-    def _layout(self):
-        """Per-term real and imaginary coefficient parts, absolute
-        coefficients, half radial powers and monomial exponents
-        (terms x dimension)."""
-        coeffs = [complex(t.coefficient) for t in self.terms]
-        return (np.array([c.real for c in coeffs]),
-                np.array([c.imag for c in coeffs]),
-                np.array([abs(c) for c in coeffs]),
-                np.array([t.radial_power // 2 for t in self.terms], dtype=int),
-                np.array([t.monomial for t in self.terms],
-                         dtype=int).reshape(len(self.terms), self.dimension))
+        return acc[0] if single else acc
 
     @cached_property
     def canonical(self) -> tuple[tuple[Alpha, complex], ...]:
@@ -287,9 +218,7 @@ def _layer_bounds(table: MomentTable) -> list[float]:
 class PropertyReport:
     name: str
     order: int
-    sample_size: int
-    max_deviation: float     # relative to the sample-wide value scale
-    scale: float
+    max_deviation: float     # relative to the largest left-hand coefficient
     tolerance: float
 
     @property
@@ -297,47 +226,50 @@ class PropertyReport:
         return self.max_deviation <= self.tolerance
 
 
+def _deviation(lhs: ExpansionPolynomial, rhs) -> float:
+    """max |coefficient of lhs - sum(rhs)| over the canonical monomials,
+    over max(1, max |coefficient of lhs|)."""
+    diff = dict(lhs.canonical)
+    for poly in rhs:
+        for mono, c in poly.canonical:
+            diff[mono] = diff.get(mono, 0.0) - c
+    return max(map(abs, diff.values()), default=0.0) / _scale(lhs)
+
+
+def _scale(poly: ExpansionPolynomial) -> float:
+    return max([1.0] + [abs(c) for _, c in poly.canonical])
+
+
 def check_property_A(a_k: ExpansionPolynomial, a_prev: ExpansionPolynomial,
-                     b_k: ExpansionPolynomial, sample: PointSample,
-                     tolerance=1e-12) -> PropertyReport:
-    """Additivity: profile_k(xi) == profile_{k-1}(xi) + increment_k(xi)."""
-    devs = [abs(lhs - (prev + inc)) for lhs, prev, inc in zip(
-        a_k.compensated(sample), a_prev.compensated(sample),
-        b_k.compensated(sample))]
-    scale = max([1.0] + a_k.magnitudes(sample))
+                     b_k: ExpansionPolynomial, tolerance=1e-12) -> PropertyReport:
+    """Additivity: profile_k == profile_{k-1} + increment_k, coefficientwise."""
     return PropertyReport(name="additivity", order=a_k.order,
-                          sample_size=len(devs), max_deviation=max(devs) / scale,
-                          scale=scale, tolerance=tolerance)
+                          max_deviation=_deviation(a_k, (a_prev, b_k)),
+                          tolerance=tolerance)
 
 
 def check_property_B(b_k: ExpansionPolynomial, b_prev: ExpansionPolynomial,
-                     top: ExpansionPolynomial, sample: PointSample,
-                     tolerance=1e-12) -> PropertyReport:
-    """Recurrence: increment_k(xi) == |xi|^2 increment_{k-2}(xi) + top layer."""
+                     top: ExpansionPolynomial, tolerance=1e-12) -> PropertyReport:
+    """Recurrence: increment_k == |xi|^2 increment_{k-2} + top layer,
+    coefficientwise."""
     if b_k.order < 2:
         raise ValueError("the recurrence needs k >= 2")
-    devs = [abs(lhs - (s * prev + flat)) for lhs, s, prev, flat in zip(
-        b_k.compensated(sample), sample.norm_sq.tolist(),
-        b_prev.compensated(sample), top.compensated(sample))]
-    scale = max([1.0] + b_k.magnitudes(sample))
+    raised = ExpansionPolynomial(
+        kind=b_prev.kind, order=b_prev.order + 2, dimension=b_prev.dimension,
+        terms=tuple(Term(t.coefficient, t.radial_power + 2, t.monomial)
+                    for t in b_prev.terms))
     return PropertyReport(name="recurrence", order=b_k.order,
-                          sample_size=len(devs), max_deviation=max(devs) / scale,
-                          scale=scale, tolerance=tolerance)
+                          max_deviation=_deviation(b_k, (raised, top)),
+                          tolerance=tolerance)
 
 
-def check_property_C(poly: ExpansionPolynomial, c: float, sample: PointSample,
-                     tolerance=1e-12) -> PropertyReport:
-    """Homogeneity: increment_k(xi/c) == c^{-k} increment_k(xi)."""
+def check_property_C(poly: ExpansionPolynomial, tolerance=1e-12) -> PropertyReport:
+    """Homogeneity: every canonical monomial of increment_k has degree k, so
+    increment_k(xi/c) == c^{-k} increment_k(xi) for every c > 0.  The
+    deviation is the largest |coefficient| of another degree."""
     if poly.kind != "B":
         raise ValueError("homogeneity holds for kind 'B' polynomials")
-    if c <= 0:
-        raise ValueError("c must be positive")
-    scaled = PointSample(sample.points / c)
-    factor = c ** (-poly.order)
-    devs = [abs(lhs - factor * val) for lhs, val in zip(
-        poly.compensated(scaled), poly.compensated(sample))]
-    scale = max([1e-300] + [max(lhs, factor * val) for lhs, val in zip(
-        poly.magnitudes(scaled), poly.magnitudes(sample))])
+    off = [abs(c) for mono, c in poly.canonical if degree(mono) != poly.order]
     return PropertyReport(name="homogeneity", order=poly.order,
-                          sample_size=len(devs), max_deviation=max(devs) / scale,
-                          scale=scale, tolerance=tolerance)
+                          max_deviation=max(off, default=0.0) / _scale(poly),
+                          tolerance=tolerance)

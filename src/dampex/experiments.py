@@ -2,9 +2,9 @@
 vanishing-limit proxies, heat-flow comparison and the property suite.
 
 Everything here is deterministic: quadrature is adaptive but seeded by
-nothing, random frequency samples come from an explicit seed, and report
-payloads carry no wall-clock data, so identical configs produce identical
-JSON output byte for byte.
+nothing, the property suite compares exact polynomial coefficients and
+draws no random points, and report payloads carry no wall-clock data, so
+identical configs produce identical JSON output byte for byte.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
-from .expansion import (PointSample, build_expansion, check_property_A,
-                        check_property_B, check_property_C, combine,
-                        heat_partial_sum, series_ball)
+from .expansion import (build_expansion, check_property_A, check_property_B,
+                        check_property_C, combine, heat_partial_sum,
+                        series_ball)
 from .indices import degree
 from .initial_data import (MAX_MOMENT_ORDER, InitialDatum, MomentTable,
                            check_keys, integer, listed, moment_table,
@@ -407,35 +407,19 @@ def heat_comparison(case: Case, k: int, grid: TimeGrid,
                                 empirical_delta=delta)
 
 
-def sample_ball(rng: np.random.Generator, dimension: int, count: int,
-                radius=2.0) -> np.ndarray:
-    """Uniform sample from the ball of the given radius."""
-    g = rng.standard_normal((count, dimension))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    r = radius * rng.random(count) ** (1.0 / dimension)
-    return g * r[:, None]
-
-
-def property_suite(case: Case, rng: np.random.Generator, tolerance=1e-12,
-                   sample_size=100):
-    """Run the three polynomial identities for every order up to the
-    case's ``property_order``, each order on one fresh sample of the ball.
-
-    Per order the draws are the points, then the scale ``c``."""
+def property_suite(case: Case, tolerance=1e-12):
+    """Run the three polynomial identities on the exact coefficients of the
+    case's polynomials, for every order up to its ``property_order``."""
     reports = []
     for k in range(case.property_order + 1):
-        sample = PointSample(sample_ball(rng, case.solution.dimension,
-                                         sample_size))
         b_k = case.expansion("B", k)
         reports.append(check_property_A(case.expansion("A", k),
                                         case.expansion("A", k - 1), b_k,
-                                        sample, tolerance))
+                                        tolerance))
         if k >= 2:
             reports.append(check_property_B(b_k, case.expansion("B", k - 2),
-                                            case.expansion("C", k), sample,
-                                            tolerance))
-        c = float(rng.uniform(0.1, 10.0))
-        reports.append(check_property_C(b_k, c, sample, tolerance))
+                                            case.expansion("C", k), tolerance))
+        reports.append(check_property_C(b_k, tolerance))
     return reports
 
 
@@ -509,7 +493,6 @@ class Campaign:
     rate_tol: float
     prop_tol: float
     fraction: float
-    seed: int
     cases: tuple[Case, ...]
 
 
@@ -526,6 +509,9 @@ def validate_config(cfg: dict) -> Campaign:
             raise ConfigError(f"{key} must lie in (0, {top:g}], got {x!r}")
         return float(x)
 
+    # no check draws random points, so "seed" drives nothing; it is still
+    # checked, and summary.json echoes it with the config
+    integer(cfg.get("seed", 0), "seed")
     return Campaign(
         grid=_grid(cfg, "t_grid", {"t_min": 100.0, "t_max": 1e4, "points": 9}),
         vanishing_grid=_grid(cfg, "vanishing_t_grid",
@@ -534,7 +520,6 @@ def validate_config(cfg: dict) -> Campaign:
         rate_tol=setting("rate_tolerance", 0.05),
         prop_tol=setting("property_tolerance", 1e-12),
         fraction=setting("decay_fraction", 0.1, top=1.0),
-        seed=integer(cfg.get("seed", 0), "seed"),
         cases=tuple(Case.from_config(case) for case in cfg["cases"]))
 
 
@@ -601,13 +586,12 @@ def run_report(cfg: dict, out_dir) -> ReportBundle:
                 entries.append(_vanishing_entry(case.name, rep,
                                                 {"k": k, "ell": ell}))
         if "properties" in case.checks:
-            rng = np.random.default_rng(run.seed)
             entries += [{"case": case.name, "check": "property",
                          "status": "pass" if rep.passed else "fail",
                          "name": rep.name, "k": rep.order,
                          "max_deviation": rep.max_deviation,
                          "tolerance": rep.tolerance}
-                        for rep in property_suite(case, rng, run.prop_tol)]
+                        for rep in property_suite(case, run.prop_tol)]
         for label, (ts, vals) in curves.items():
             path = out_dir / f"{label}_{case.name}.csv"
             files.append(_write_csv(path, ("t", label), ts, vals))

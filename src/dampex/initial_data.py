@@ -475,12 +475,16 @@ def moment_table(v: InitialDatum, order: int) -> MomentTable:
 def weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10) -> float:
     """integral (1 + |x|)^gamma |v(x)| dx, for a finite gamma >= 0.
 
-    The panel engine integrates one axis at a time, each split at 0: the
-    integral over axis j runs at once for every fixed outer point
-    (x_0, ..., x_{j-1}), one integrand row per point.
+    The panel engine integrates one axis at a time: the integral over axis
+    j runs at once for every fixed outer point (x_0, ..., x_{j-1}), one
+    integrand row per point.  All rows share their panels, so a jump inside
+    a panel would cost every row its bisections: axis j is split at 0 and
+    at the ends of every term's ``axis_interval(j)`` (a box's faces, a
+    shifted box's mapped faces) that lie inside the domain.
     """
     gamma, tol = float(gamma), float(tol)
     n = v.dimension
+    terms = v.terms if isinstance(v, SumDatum) else (v,)
 
     def over_axis(j, outer):
         """The (P,) integrals over axes j, ..., n-1 at the (P, j) points
@@ -495,7 +499,8 @@ def weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10) -> float:
             return (1.0 + r) ** gamma * np.abs(v.values(pts))
 
         lo, hi = v.axis_interval(j)
-        return adaptive_1d(f, lo, hi, tol, breakpoints=(0.0,)).value
+        ends = [x for t in terms for x in t.axis_interval(j)]
+        return adaptive_1d(f, lo, hi, tol, breakpoints=(0.0, *ends)).value
 
     return float(over_axis(0, np.empty((1, 0)))[0])
 

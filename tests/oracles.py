@@ -255,18 +255,20 @@ def absolute_moment(v: InitialDatum, gamma: float, tol=1e-10) -> float:
     return nested_quad(f, v, tol)
 
 
-def scipy_weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10) -> float:
+def scipy_weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10,
+                           points=()) -> float:
     """integral (1 + |x|)^gamma |v(x)| dx by ``nested_quad``."""
     def f(x):
         return (1.0 + math.hypot(*x)) ** gamma * abs(float(v.values(np.asarray(x))))
 
-    return nested_quad(f, v, tol)
+    return nested_quad(f, v, tol, points=points)
 
 
-def nested_quad(field, v: InitialDatum, tol, *, abs_floor=1e-300) -> float:
+def nested_quad(field, v: InitialDatum, tol, *, abs_floor=1e-300,
+                points=()) -> float:
     """Integral of the scalar ``field(x)`` over the axis intervals of ``v``:
-    scipy's adaptive ``quad`` nested per axis, every axis split at 0, one
-    Python call per point."""
+    scipy's adaptive ``quad`` nested per axis, every axis split at 0 and at
+    the given ``points`` inside it, one Python call per point."""
     n = v.dimension
 
     def level(axis, fixed):
@@ -277,8 +279,9 @@ def nested_quad(field, v: InitialDatum, tol, *, abs_floor=1e-300) -> float:
         else:
             def f(x):
                 return level(axis + 1, fixed + (x,))
+        splits = sorted(p for p in {0.0, *points} if lo < p < hi)
         return integrate.quad(f, lo, hi, epsabs=abs_floor, epsrel=tol,
-                              limit=QUAD_LIMIT, points=[0.0] if lo < 0.0 < hi else None,
+                              limit=QUAD_LIMIT, points=splits or None,
                               full_output=1)[0]
 
     return level(0, ())

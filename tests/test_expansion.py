@@ -1,6 +1,6 @@
 """Expansion polynomials: builders, identities, canonical structure."""
 
-import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from dampex import (Box, Case, Gaussian, InsufficientOrderError, Shifted,
                     build_expansion, check_property_A, check_property_B,
                     check_property_C, combine, heat_partial_sum, moment_table,
-                    property_suite, sample_ball, zero_datum)
-from dampex.expansion import (ExpansionPolynomial, PointSample, PropertyReport,
-                              series_ball)
+                    property_suite, zero_datum)
+from dampex.expansion import ExpansionPolynomial, Term, series_ball
 from dampex.indices import indices_of_degree
 from dampex.initial_data import GaussianMonomial
 
@@ -20,26 +19,23 @@ from conftest import catalog_1d, catalog_2d, catalog_3d
 
 
 def _sample(dimension, count=100, seed=7, radius=2.0):
+    """Uniform points in the ball of the given radius."""
     rng = np.random.default_rng(seed)
-    return sample_ball(rng, dimension, count, radius)
+    g = rng.standard_normal((count, dimension))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return g * (radius * rng.random(count) ** (1.0 / dimension))[:, None]
 
 
-def _check_A(table, k, pts, tolerance=1e-12):
+def _check_A(table, k, tolerance=1e-12):
     return check_property_A(build_expansion("A", k, table),
                             build_expansion("A", k - 1, table),
-                            build_expansion("B", k, table), PointSample(pts),
-                            tolerance)
+                            build_expansion("B", k, table), tolerance)
 
 
-def _check_B(table, k, pts, tolerance=1e-12):
+def _check_B(table, k, tolerance=1e-12):
     return check_property_B(build_expansion("B", k, table),
                             build_expansion("B", k - 2, table),
-                            build_expansion("C", k, table), PointSample(pts),
-                            tolerance)
-
-
-def _check_C(poly, c, pts, tolerance=1e-12):
-    return check_property_C(poly, c, PointSample(pts), tolerance)
+                            build_expansion("C", k, table), tolerance)
 
 
 class TestBuilders:
@@ -114,18 +110,16 @@ class TestIdentities:
     def test_additivity_up_to_order_six(self, v):
         k_max = 6 if v.dimension < 3 else 4
         table = moment_table(v, k_max)
-        pts = _sample(v.dimension)
         for k in range(k_max + 1):
-            rep = _check_A(table, k, pts, tolerance=1e-12)
+            rep = _check_A(table, k, tolerance=1e-12)
             assert rep.passed, (k, rep.max_deviation)
 
     @pytest.mark.parametrize("v", catalog_1d() + catalog_2d(),
                              ids=lambda v: f"{v.family}{v.dimension}d")
     def test_recurrence_up_to_order_six(self, v):
         table = moment_table(v, 6)
-        pts = _sample(v.dimension)
         for k in range(2, 7):
-            rep = _check_B(table, k, pts, tolerance=1e-12)
+            rep = _check_B(table, k, tolerance=1e-12)
             assert rep.passed, (k, rep.max_deviation)
 
     def test_recurrence_with_only_mass(self):
@@ -135,7 +129,6 @@ class TestIdentities:
         b2 = build_expansion("B", 2, table)
         m0 = table.moment((0, 0))
         for p in pts[:5]:
-            s = float(p @ p)
             manual = (m0 - table.moment((2, 0))) * p[0] ** 2 \
                 + (m0 - table.moment((0, 2))) * p[1] ** 2 \
                 - table.moment((1, 1)) * p[0] * p[1]
@@ -144,145 +137,134 @@ class TestIdentities:
     def test_homogeneity_specific_scale(self, gaussian_1d):
         table = moment_table(gaussian_1d, 2)
         b0 = build_expansion("B", 0, table)
+        assert check_property_C(b0, tolerance=1e-13).passed
         pts = _sample(1, 20)
-        rep = _check_C(b0, 2.0, pts, tolerance=1e-13)
-        assert rep.passed
+        assert np.array_equal(b0(pts / 2.0), b0(pts))
 
     def test_homogeneity_requires_increment_kind(self, gaussian_1d):
         table = moment_table(gaussian_1d, 2)
         a = build_expansion("A", 2, table)
         with pytest.raises(ValueError):
-            _check_C(a, 2.0, _sample(1, 5))
+            check_property_C(a)
 
     def test_zero_data_identities_hold_vacuously(self):
         table = moment_table(zero_datum(2), 4)
-        pts = _sample(2, 20)
-        assert _check_A(table, 2, pts).passed
-        assert _check_B(table, 2, pts).passed
+        assert _check_A(table, 2).max_deviation == 0.0
+        assert _check_B(table, 2).max_deviation == 0.0
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(c=st.floats(0.01, 10.0), k=st.integers(0, 4),
        seed=st.integers(0, 2**31))
 def test_homogeneity_for_random_scales(c, k, seed):
+    # the coefficient check passes, and the values it vouches for scale:
+    # B_k(xi/c) == c^{-k} B_k(xi) up to the evaluator's rounding
     v = Shifted(base=Gaussian(dimension=2, scale=1.0), center=(0.4, -0.3),
                 dilation=1.0)
     table = moment_table(v, 4)
     poly = build_expansion("B", k, table)
-    pts = _sample(2, 25, seed=seed)
-    rep = _check_C(poly, c, pts, tolerance=1e-12)
+    rep = check_property_C(poly, tolerance=1e-12)
     assert rep.passed, rep.max_deviation
+    pts = _sample(2, 25, seed=seed)
+    bound = sum(abs(t.coefficient) for t in poly.terms) * (2.0 / c) ** k
+    assert np.max(np.abs(poly(pts / c) - c ** -k * poly(pts))) <= 1e-13 * bound
 
 
-# The per-point evaluation the compensated batch replaced, kept as the
-# reference: one point at a time, term by term, then math.fsum.
+# The canonical form in exact rational arithmetic, kept as the reference:
+# each term's |xi|^(2h) multiplied out one |xi|^2 at a time.
 
-def _ref_value(poly, pt):
-    s = float(pt @ pt)
-    re, im = [], []
+def _exact(poly, raise_by=0):
+    """{monomial: (re, im)} of poly times |xi|^(2 raise_by), as Fractions of
+    the float coefficients, with zero coefficients dropped."""
+    layers = []
     for t in poly.terms:
-        mono = 1.0
-        for j, a in enumerate(t.monomial):
-            if a:
-                mono *= float(pt[j]) ** a
-        val = t.coefficient * s ** (t.radial_power // 2) * mono
-        re.append(val.real)
-        im.append(val.imag)
-    return complex(math.fsum(re), math.fsum(im))
+        c = complex(t.coefficient)
+        layer = {t.monomial: (Fraction(c.real), Fraction(c.imag))}
+        for _ in range(t.radial_power // 2 + raise_by):
+            layer = _exact_sum(*({mono[:j] + (mono[j] + 2,) + mono[j + 1:]: coeff}
+                                 for mono, coeff in layer.items()
+                                 for j in range(poly.dimension)))
+        layers.append(layer)
+    return _exact_sum(*layers)
 
 
-def _ref_magnitude(poly, pt):
-    s = float(pt @ pt)
-    return math.fsum(
-        abs(t.coefficient) * s ** (t.radial_power // 2)
-        * math.prod(abs(float(pt[j])) ** a
-                    for j, a in enumerate(t.monomial) if a)
-        for t in poly.terms)
+def _exact_sum(*parts):
+    out = {}
+    for part in parts:
+        for mono, (re, im) in part.items():
+            old_re, old_im = out.get(mono, (0, 0))
+            out[mono] = (old_re + re, old_im + im)
+    return {m: c for m, c in out.items() if any(c)}
 
 
-def _ref_check_A(table, k, pts, tolerance):
-    a_k = build_expansion("A", k, table)
-    a_prev = build_expansion("A", k - 1, table)
-    b_k = build_expansion("B", k, table)
-    devs, scales = [], [1.0]
-    for p in pts:
-        lhs = _ref_value(a_k, p)
-        rhs = _ref_value(a_prev, p) + _ref_value(b_k, p)
-        devs.append(abs(lhs - rhs))
-        scales.append(_ref_magnitude(a_k, p))
-    scale = max(scales)
-    return PropertyReport(name="additivity", order=k, sample_size=len(pts),
-                          max_deviation=max(devs) / scale, scale=scale,
-                          tolerance=tolerance)
-
-
-def _ref_check_B(table, k, pts, tolerance):
-    b_k = build_expansion("B", k, table)
-    b_prev = build_expansion("B", k - 2, table)
-    top = build_expansion("C", k, table)
-    devs, scales = [], [1.0]
-    for p in pts:
-        lhs = _ref_value(b_k, p)
-        rhs = float(p @ p) * _ref_value(b_prev, p) + _ref_value(top, p)
-        devs.append(abs(lhs - rhs))
-        scales.append(_ref_magnitude(b_k, p))
-    scale = max(scales)
-    return PropertyReport(name="recurrence", order=k, sample_size=len(pts),
-                          max_deviation=max(devs) / scale, scale=scale,
-                          tolerance=tolerance)
-
-
-def _ref_check_C(poly, c, pts, tolerance):
-    devs, scales = [], [1e-300]
-    for p in pts:
-        lhs = _ref_value(poly, p / c)
-        rhs = c ** (-poly.order) * _ref_value(poly, p)
-        devs.append(abs(lhs - rhs))
-        scales.append(max(_ref_magnitude(poly, p / c),
-                          c ** (-poly.order) * _ref_magnitude(poly, p)))
-    scale = max(scales)
-    return PropertyReport(name="homogeneity", order=poly.order,
-                          sample_size=len(pts), max_deviation=max(devs) / scale,
-                          scale=scale, tolerance=tolerance)
-
-
-def _identity_sample(dimension):
-    """Points near the origin and out to |xi| = 20: the origin, +-20 on the
-    axes, and points with one exact 0.0 coordinate."""
-    near = _sample(dimension, 12, seed=11, radius=2.0)
-    far = _sample(dimension, 12, seed=12, radius=20.0)
-    zeroed = np.concatenate([near[:dimension], far[:dimension]])
-    for j in range(dimension):
-        zeroed[j, j] = zeroed[dimension + j, j] = 0.0
-    axes = np.zeros((3, dimension))
-    axes[0, 0], axes[1, -1] = 20.0, -20.0
-    return np.concatenate([near, far, zeroed, axes])
-
-
-class TestCompensatedBatch:
+class TestCoefficientChecks:
     @pytest.mark.parametrize("v", catalog_1d() + catalog_2d() + catalog_3d(),
                              ids=lambda v: f"{v.family}{v.dimension}d")
-    def test_checks_are_bitwise_the_per_point_loops(self, v):
+    def test_checks_match_exact_rationals(self, v):
         table = moment_table(v, 6)
-        pts = _identity_sample(v.dimension)
-        sample = PointSample(pts)
+        pts = _sample(v.dimension, 20)
         for k in range(7):
-            for kind in ("A", "B", "C"):
-                poly = build_expansion(kind, k, table)
-                values = [_ref_value(poly, p) for p in pts]
-                magnitudes = [_ref_magnitude(poly, p) for p in pts]
-                assert poly.compensated(sample) == values, (kind, k)
-                assert poly.magnitudes(sample) == magnitudes, (kind, k)
-                assert [poly(p) for p in pts] == values, (kind, k)
-            assert _check_A(table, k, pts, 1e-12) == \
-                _ref_check_A(table, k, pts, 1e-12)
+            polys = {kind: build_expansion(kind, k, table)
+                     for kind in ("A", "B", "C")}
+            for kind, poly in polys.items():
+                # a single point is the batch path on a batch of one
+                assert [poly(p) for p in pts] == list(poly(pts)), (kind, k)
+                # the float canonical form rounds the exact one
+                exact = _exact(poly)
+                scale = max([1.0] + [abs(complex(*map(float, c)))
+                                     for c in exact.values()])
+                got = dict(poly.canonical)
+                for mono in set(exact) | set(got):
+                    want = complex(*map(float, exact.get(mono, (0, 0))))
+                    assert abs(got.get(mono, 0.0) - want) <= 1e-15 * scale
+            # the identities hold exactly on the coefficients, so the
+            # checks see only the float sums' rounding
+            b_k = polys["B"]
+            assert _exact(polys["A"]) == _exact_sum(
+                _exact(build_expansion("A", k - 1, table)), _exact(b_k))
+            assert _check_A(table, k).max_deviation <= 1e-15, k
             if k >= 2:
-                assert _check_B(table, k, pts, 1e-12) == \
-                    _ref_check_B(table, k, pts, 1e-12)
-            b_k = build_expansion("B", k, table)
-            for c in (0.1, 2.0, 10.0):
-                assert _check_C(b_k, c, pts, 1e-12) == \
-                    _ref_check_C(b_k, c, pts, 1e-12), (k, c)
+                assert _exact(b_k) == _exact_sum(
+                    _exact(build_expansion("B", k - 2, table), raise_by=1),
+                    _exact(polys["C"]))
+                assert _check_B(table, k).max_deviation <= 1e-15, k
+            assert all(sum(mono) == k for mono in _exact(b_k))
+            assert check_property_C(b_k).max_deviation == 0.0, k
+
+    def test_nudged_profile_fails_additivity(self):
+        table = moment_table(Box(dimension=2, half_width=1.0), 4)
+        a_k = build_expansion("A", 4, table)
+        first, *rest = a_k.terms
+        nudged = ExpansionPolynomial(
+            kind="A", order=4, dimension=2,
+            terms=(Term(first.coefficient * (1 + 1e-6), first.radial_power,
+                        first.monomial), *rest))
+        rep = check_property_A(nudged, build_expansion("A", 3, table),
+                               build_expansion("B", 4, table))
+        assert _check_A(table, 4).passed
+        assert not rep.passed and rep.max_deviation > 1e5 * rep.tolerance
+
+    def test_increment_missing_a_flat_term_fails_the_recurrence(self):
+        table = moment_table(Box(dimension=2, half_width=1.0), 4)
+        b_k = build_expansion("B", 4, table)
+        flat = [t for t in b_k.terms if t.radial_power == 0]
+        assert len(flat) > 1
+        missing = ExpansionPolynomial(
+            kind="B", order=4, dimension=2,
+            terms=tuple(t for t in b_k.terms if t is not flat[0]))
+        rep = check_property_B(missing, build_expansion("B", 2, table),
+                               build_expansion("C", 4, table))
+        assert not rep.passed and rep.max_deviation > 1e5 * rep.tolerance
+
+    def test_increment_with_a_term_of_degree_k_plus_one_fails_homogeneity(self):
+        table = moment_table(Box(dimension=2, half_width=1.0), 4)
+        b_k = build_expansion("B", 4, table)
+        stray = ExpansionPolynomial(
+            kind="B", order=4, dimension=2,
+            terms=(*b_k.terms, Term(0.5, 2, (3, 0))))
+        rep = check_property_C(stray)
+        assert check_property_C(b_k).max_deviation == 0.0
+        assert not rep.passed and rep.max_deviation > 1e5 * rep.tolerance
 
     def test_single_points_must_match_the_dimension(self, gaussian_1d):
         poly = build_expansion("A", 2, moment_table(gaussian_1d, 2))
@@ -296,34 +278,20 @@ class TestCompensatedBatch:
                 poly(np.ones(shape))
         assert poly(np.ones((2, 3, 2))).shape == (2, 3)
 
-    def test_property_suite_evaluations_do_not_grow_with_the_sample(
-            self, monkeypatch):
-        calls = {"batch": 0, "call": 0}
+    def test_property_suite_evaluates_no_polynomial(self, monkeypatch):
+        def refuse(self, xi):
+            raise AssertionError("the property suite evaluated a polynomial")
 
-        def counting(name, method):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return method(*args, **kwargs)
-            return wrapper
-
-        for attr in ("compensated", "magnitudes"):
-            monkeypatch.setattr(ExpansionPolynomial, attr, counting(
-                "batch", getattr(ExpansionPolynomial, attr)))
-        monkeypatch.setattr(ExpansionPolynomial, "__call__", counting(
-            "call", ExpansionPolynomial.__call__))
+        monkeypatch.setattr(ExpansionPolynomial, "__call__", refuse)
         v = Shifted(base=Gaussian(dimension=2, scale=1.0), center=(0.4, -0.3),
                     dilation=1.0)
-        counts = []
-        for size in (100, 1000):
-            calls.update(batch=0, call=0)
-            case = Case("shifted", v, zero_datum(2), checks=("properties",),
-                        k_values=(2,))
-            reports = property_suite(case, np.random.default_rng(3),
-                                     sample_size=size)
-            assert all(r.sample_size == size for r in reports)
-            counts.append(dict(calls))
-        assert counts[0] == counts[1]
-        assert counts[0]["batch"] > 0 and counts[0]["call"] == 0
+        case = Case("shifted", v, zero_datum(2), checks=("properties",),
+                    k_values=(2,))
+        reports = property_suite(case)
+        # additivity and homogeneity at k = 0..4, the recurrence from k = 2
+        assert [(r.name, r.order) for r in reports if r.order == 2] == [
+            ("additivity", 2), ("recurrence", 2), ("homogeneity", 2)]
+        assert len(reports) == 13 and all(r.passed for r in reports)
 
 
 class TestStructure:

@@ -260,6 +260,21 @@ class TestWeightedNorms:
         assert weighted_l1_norm(v, gamma) == pytest.approx(
             scipy_weighted_l1_norm(v, gamma), rel=1e-9)
 
+    def test_2d_jump_case_matches_the_scipy_route_with_faces_as_points(self):
+        # |v| jumps at the box's faces x_j = +-0.7
+        v = SumDatum(terms=(Box(dimension=2, half_width=0.7),
+                            Gaussian(dimension=2, scale=0.5, amplitude=-0.4)))
+        assert weighted_l1_norm(v, 0.5) == pytest.approx(
+            scipy_weighted_l1_norm(v, 0.5, points=(-0.7, 0.7)), rel=1e-10)
+
+    def test_3d_jump_case_agrees_with_a_tighter_run_of_itself(self):
+        # with a face inside a panel, every outer row paid for the
+        # bisections at the jump, and this did not finish within 300 s
+        v = SumDatum(terms=(Box(dimension=3, half_width=0.7),
+                            Gaussian(dimension=3, scale=0.5, amplitude=-0.4)))
+        assert weighted_l1_norm(v, 0.5, tol=1e-6) == pytest.approx(
+            weighted_l1_norm(v, 0.5, tol=1e-8), rel=1e-6)
+
     def test_absolute_moment_matches_even_power(self, gaussian_1d):
         assert absolute_moment(gaussian_1d, 2.0) == pytest.approx(
             moment_table(gaussian_1d, 2).raw((2,)), rel=1e-10)

@@ -152,7 +152,7 @@ class TestPanelEngine:
         assert len(curve) == len(ts)
         for nrm, t in zip(curve, ts):
             assert nrm.value == pytest.approx(t ** (-n / 4 - k / 2) * exact,
-                                              rel=1e-9)
+                                              rel=1e-9, abs=0)
 
     def test_value_floor_holds_a_tiny_norm_to_its_closed_form(self, monkeypatch):
         # |f|^2 = a^2 (e^{-2 r^2/w^2} + e^{-2 (r-p)^2/s^2}) on the ball

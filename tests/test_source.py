@@ -20,9 +20,14 @@ array is; no other function checks a trailing dimension of its own.
 
 One function forks, and it ends its child with ``os._exit``: a child that
 returned into the caller would run its code, and flush its buffers, twice.
+
+The benchmark's tracer binds package names by ``getattr`` with no default;
+its install must keep working, or every traced benchmark run fails.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import dampex
@@ -264,3 +269,14 @@ def test_call_guard_sees_the_innermost_function_and_only_calls():
                      "os.fork()\n")
     assert _callers(tree, "os", "fork") == {"inner", "child", None}
     assert _callers(tree, "os", "_exit") == {"child"}
+
+
+def test_the_benchmark_tracer_installs():
+    # perfbench/tracer.py wraps package functions by name; one that a change
+    # renames or deletes breaks every traced benchmark run
+    root = Path(__file__).resolve().parents[1]
+    code = ('import sys; sys.path[:0] = ["perfbench", "src"]; import tracer; '
+            'tracer.install(tracer.Tracer())')
+    run = subprocess.run([sys.executable, "-c", code], cwd=root,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
