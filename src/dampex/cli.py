@@ -126,7 +126,7 @@ def cmd_solve(args):
     sol = SpectralSolution(u0=u0, u1=u1)
     ts = _parse_times(args.t, positive=False)
     axis, pts = _parse_xi_grid(args.xi_grid, sol.dimension)
-    rep = None if args.rep == "auto" else args.rep
+    rep = "2.4" if args.rep == "auto" else args.rep
     # every value is computed before the first byte is written, so a failed
     # evaluation leaves no partial output; without times nothing is
     # evaluated and the header is written alone

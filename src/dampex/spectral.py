@@ -7,10 +7,8 @@ each frequency xi, the scalar ODE
     w'' + (1 + |xi|^2) w' + |xi|^2 w = 0,
     w(0) = u0_hat(xi),  w'(0) = u1_hat(xi),
 
-whose modes decay like e^{-t|xi|^2} and e^{-t}.  Four algebraically
-equivalent closed forms are provided; their denominators 1 - |xi|^2
-degenerate on the unit sphere, where only the "regular" form stays
-well-posed.  Representation ids:
+whose modes decay like e^{-t|xi|^2} and e^{-t}.  The paper gives four
+algebraically equivalent closed forms.  Representation ids:
 
     "2.1"  split form, low-frequency orientation
     "2.2"  grouped form (one coefficient per datum)
@@ -18,17 +16,16 @@ well-posed.  Representation ids:
     "2.4"  regular form  e^{-t} u0_hat + K(t,|xi|^2) (u0_hat + u1_hat)
 
 with K(t,s) = (e^{-ts} - e^{-t})/(1 - s), continued by t e^{-t} at s = 1.
-The default policy uses "2.1" inside |xi| <= 1 - eps, "2.3" outside
-|xi| >= 1 + eps and "2.4" on the band in between (eps = BAND_HALFWIDTH),
-evaluated through the cancellation-safe factorization
+The split and grouped forms divide by 1 - |xi|^2 and are refused within
+SINGULAR_GUARD of the unit sphere.  The regular form is the default: it
+stays well posed on the sphere through the cancellation-safe factorization
 K = t e^{-t} phi(t (1 - s)) with phi(z) = (e^z - 1)/z.
 
 The solution operator is a radial Fourier multiplier:
 u_hat = (e^{-t} + K) u0_hat + K u1_hat.  The residual integrand of the
 norms, ``residual_shells``, is sampled on shells xi = r d and takes these
-multipliers and the heat weight e^{-t r^2} once per (t, r) from the 2.4
-form, the transforms once per point.  ``evaluate`` keeps the policy above
-and serves the ``solve`` grids.
+multipliers and the heat weight e^{-t r^2} once per (t, r), the transforms
+once per point.  ``evaluate`` serves the ``solve`` grids.
 """
 
 from __future__ import annotations
@@ -42,9 +39,19 @@ from .errors import SingularEvaluationError
 from .initial_data import InitialDatum, add_data, as_points
 
 REPRESENTATIONS = ("2.1", "2.2", "2.3", "2.4")
-SINGULAR_GUARD = 1e-12      # forced split forms must stay this far from s = 1
-BAND_HALFWIDTH = 1e-3       # eps of the default policy's band 1 - eps < |xi| < 1 + eps
+SINGULAR_GUARD = 1e-12      # forms dividing by 1 - s must stay this far from s = 1
 PHI_SWITCH = 0.5            # |z| below which the expm1 factorization is used
+
+
+def _check_off_sphere(s, what):
+    """Raise SingularEvaluationError if any s = |xi|^2 lies within
+    SINGULAR_GUARD of 1, where ``what`` divides by 1 - s."""
+    bad = np.abs(s - 1.0) <= SINGULAR_GUARD
+    if np.any(bad):
+        radius = float(np.sqrt(s[bad][0]))
+        raise SingularEvaluationError(
+            f"{what} is singular at |xi| = 1 (requested |xi| = {radius!r})",
+            radius=radius)
 
 
 def _phi(z):
@@ -95,51 +102,30 @@ class SpectralSolution:
 
     # -- evaluation -----------------------------------------------------------
 
-    def evaluate(self, t, xi, rep: str | None = None):
+    def evaluate(self, t, xi, rep: str = "2.4"):
         """Transformed solution at time t >= 0 at points (..., n): shape (...).
 
         ``t`` may also be a 1-D array of times: the transforms are taken once
-        and the result gains a leading axis, one row per time.  ``rep``
-        forces one representation id; the default policy switches by
-        frequency region and is continuous across the unit sphere.
+        and the result gains a leading axis, one row per time.  ``rep`` is
+        one representation id, the regular form by default.
         """
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ValueError("t must be nonnegative")
+        if rep not in REPRESENTATIONS:
+            raise ValueError(f"rep must be one of {REPRESENTATIONS}")
         pts = as_points(xi, self.dimension)
         s = np.sum(pts * pts, axis=-1)
+        if rep != "2.4":
+            _check_off_sphere(s, f"representation {rep}")
         shape = t.shape + s.shape
         pts, s = pts.reshape(-1, self.dimension), s.ravel()
         f0 = self.u0.fourier_transform(pts)
         f1 = self.u1.fourier_transform(pts)
         t = t[:, None] if t.ndim else t
-        if rep is None:
-            out = self._auto(t, s, f0, f1)
-        else:
-            if rep not in REPRESENTATIONS:
-                raise ValueError(f"rep must be one of {REPRESENTATIONS}")
-            if rep != "2.4" and np.any(np.abs(s - 1.0) <= SINGULAR_GUARD):
-                bad = float(np.sqrt(s[np.abs(s - 1.0) <= SINGULAR_GUARD][0]))
-                raise SingularEvaluationError(
-                    f"representation {rep} is singular at |xi| = 1 "
-                    f"(requested |xi| = {bad!r})", radius=bad)
-            out = _REP_FORMULAS[rep](t, s, f0, f1)
+        out = _REP_FORMULAS[rep](t, s, f0, f1)
         # [()] turns the 0-d result of one point at one time into a scalar
         return out.reshape(shape)[()]
-
-    def _auto(self, t, s, f0, f1):
-        """The default policy; ``t`` is a scalar or a column of times."""
-        low = s <= (1.0 - BAND_HALFWIDTH) ** 2
-        high = s >= (1.0 + BAND_HALFWIDTH) ** 2
-        band = ~(low | high)
-        out = np.empty(np.broadcast_shapes(np.shape(t), s.shape), dtype=complex)
-        if np.any(low):
-            out[..., low] = _rep_21(t, s[low], f0[low], f1[low])
-        if np.any(high):
-            out[..., high] = _rep_23(t, s[high], f0[high], f1[high])
-        if np.any(band):
-            out[..., band] = _rep_24(t, s[band], f0[band], f1[band])
-        return out
 
     # -- residual on shells ---------------------------------------------------
 
@@ -199,10 +185,5 @@ class LowFrequencySymbol:
     def __call__(self, xi):
         pts = as_points(xi, self.v.dimension)
         s = np.sum(pts * pts, axis=-1)
-        bad = np.abs(s - 1.0) <= SINGULAR_GUARD
-        if np.any(bad):
-            radius = float(np.sqrt(s[bad][0]))
-            raise SingularEvaluationError(
-                f"the symbol is undefined on |xi| = 1 (requested |xi| = {radius!r})",
-                radius=radius)
+        _check_off_sphere(s, "the symbol")
         return self.v.fourier_transform(pts) / (1.0 - s)

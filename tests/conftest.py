@@ -40,7 +40,7 @@ def catalog_all():
     return catalog_1d() + catalog_2d() + catalog_3d()
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
     return np.random.default_rng(20250810)
 

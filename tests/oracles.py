@@ -45,8 +45,7 @@ def residual_curve(sol: SpectralSolution, ts, xi, poly) -> np.ndarray:
     points of shape (m, n): one row per time, shape (len(ts), m).
 
     Each point takes |xi|^2 from its own coordinates and the solution from
-    ``evaluate``'s region policy (split forms off the band, the regular
-    form on it).
+    ``evaluate``'s default, the regular form.
     """
     ts = np.asarray(ts, dtype=float)
     pts = np.asarray(xi, dtype=float)

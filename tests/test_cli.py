@@ -120,7 +120,8 @@ def _reference_solve_csv(pair, ts, grid, rep):
     rows = ["t," + ",".join(f"xi{j + 1}" for j in range(sol.dimension))
             + ",re,im"]
     for t in ts:
-        vals = sol.evaluate(t, pts, rep=None if rep == "auto" else rep)
+        vals = (sol.evaluate(t, pts) if rep == "auto"
+                else sol.evaluate(t, pts, rep=rep))
         for p, val in zip(pts, vals):
             coords = ",".join(repr(float(c)) for c in p)
             rows.append(f"{t!r},{coords},{float(val.real)!r},{float(val.imag)!r}")

@@ -300,7 +300,8 @@ def _count_rule_builds(monkeypatch):
 
 class TestAngularRuleReuse:
     # (n, region, k, t, norm, evaluations) as computed when the residual was
-    # evaluated point by point through evaluate's region policy; reusing the
+    # evaluated point by point through evaluate's former default, which
+    # switched between the split forms and the regular one; reusing the
     # rules and passing the row count down changed no bit of these
     PINNED = [
         (2, "full", 0, 10.0, 6.056485491628974, 2499),
@@ -319,8 +320,8 @@ class TestAngularRuleReuse:
     # the same norms, bit for bit, from the shell route (radial multipliers
     # once per (t, r)); it moved them by at most 6.4e-15 relative.  The
     # evaluation counts above and the two ext/full k = 2 values here are
-    # those without panel breakpoints at 1 - BAND_HALFWIDTH, 1 and
-    # 1 + BAND_HALFWIDTH, where the shell route switches nothing; that
+    # those without panel breakpoints at the radii 1 - 1e-3, 1 and
+    # 1 + 1e-3, where the shell route changes no form; dropping them
     # moved the two values by 1.7e-16 and 2.2e-16 relative.  Taking the
     # shifted transform as a real product times one phase e^{-i c.xi} moved
     # six of them by at most 7.5e-15 relative (2-D annulus k = 2)

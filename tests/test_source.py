@@ -18,6 +18,9 @@ definition on any other class would hide its calls from those counts.
 ``initial_data.as_points`` is the one place that decides what a point
 array is; no other function checks a trailing dimension of its own.
 
+One function raises ``SingularEvaluationError``: every form that divides
+by 1 - |xi|^2 shares its guard of the unit sphere.
+
 One function forks, and it ends its child with ``os._exit``: a child that
 returned into the caller would run its code, and flush its buffers, twice.
 
@@ -238,6 +241,40 @@ def test_raise_guard_sees_the_innermost_function_and_f_strings():
                      "class A:\n    def method(self): return 'trailing dimension'\n"
                      "raise ValueError('trailing dimension')\n")
     assert _raisers(tree, "trailing dimension") == {"inner", "plain", None}
+
+
+def _exception_raisers(tree, name):
+    """Names of the innermost functions (None at module level) holding a
+    ``raise`` of the exception class ``name``, called or bare."""
+    def raises(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return (exc.id if isinstance(exc, ast.Name)
+                else exc.attr if isinstance(exc, ast.Attribute) else None) == name
+
+    return _holders(tree, raises)
+
+
+def test_one_function_guards_the_unit_sphere():
+    # every form that divides by 1 - |xi|^2 calls the same guard; a second
+    # copy could drift from SINGULAR_GUARD or from its message
+    found = {(path.stem, name) for path in SRC.glob("*.py")
+             for name in _exception_raisers(
+                 ast.parse(path.read_text(encoding="utf-8")),
+                 "SingularEvaluationError")}
+    assert found == {("spectral", "_check_off_sphere")}
+
+
+def test_exception_guard_sees_calls_classes_and_attributes():
+    tree = ast.parse("def outer():\n"
+                     "    def inner(): raise errors.Singular('x')\n"
+                     "    return Singular('not raised')\n"
+                     "def bare(): raise Singular\n"
+                     "def other():\n    raise ValueError('Singular')\n"
+                     "def again(): raise\n"
+                     "raise Singular(1)\n")
+    assert _exception_raisers(tree, "Singular") == {"inner", "bare", None}
 
 
 def _callers(tree, module, attr):

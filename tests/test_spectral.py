@@ -12,7 +12,6 @@ from dampex import (Box, Gaussian, LowFrequencySymbol, REPRESENTATIONS, Shifted,
                     build_expansion, gauss_kernel, moment_table,
                     stable_heat_difference, zero_datum)
 from dampex.quadrature import circle_nodes, sphere_nodes
-from dampex.spectral import BAND_HALFWIDTH
 
 from oracles import residual_curve
 
@@ -145,16 +144,14 @@ def test_representations_agree_for_arbitrary_points(t, radius, angle):
 
 class TestBand:
     def test_continuity_windows_around_critical_radii(self, sol_1d):
-        eps = BAND_HALFWIDTH
         for t in (0.5, 1.0, 2.0, 5.0, 50.0):
-            for center in (1.0 - eps, 1.0, 1.0 + eps):
+            for center in (1.0 - 1e-3, 1.0, 1.0 + 1e-3):
                 radii = np.linspace(center - 5e-7, center + 5e-7, 1001)
                 vals = sol_1d.evaluate(t, radii[:, None])
                 assert float(np.max(np.abs(np.diff(vals)))) <= 1e-8
 
     def test_band_lipschitz_bound(self, sol_1d):
-        eps = BAND_HALFWIDTH
-        radii = np.linspace(1 - 1.5 * eps, 1 + 1.5 * eps, 20001)
+        radii = np.linspace(1 - 1.5e-3, 1 + 1.5e-3, 20001)
         vals = sol_1d.evaluate(1.0, radii[:, None])
         spacing = radii[1] - radii[0]
         lipschitz = float(np.max(np.abs(np.diff(vals)))) / spacing
@@ -288,15 +285,14 @@ class TestResidual:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_shell_route_matches_the_pointwise_oracle(self, n):
         # the shells take the 2.4 multipliers and the heat weight once per
-        # (t, r); the oracle takes evaluate's region policy and |xi|^2 per
-        # point.  Radii straddle the norms' kinks, where the policy switches
-        # form; the split forms lose up to about 1/(t (1 - s)) ulps there
+        # (t, r); the oracle takes evaluate's regular form and |xi|^2 per
+        # point.  Radii straddle the unit sphere and the radii 1 +- 1e-3
+        # on either side of it
         u0 = Shifted(base=Gaussian(dimension=n, scale=1.0),
                      center=(0.5, -0.3, 0.2)[:n], dilation=1.0)
         sol = SpectralSolution(u0=u0, u1=Box(dimension=n, half_width=0.8))
         dirs = {1: _LINE, 2: circle_nodes(16)[0], 3: sphere_nodes(6, 12)[0]}[n]
-        radii = np.array([p * f for p in (0.5, 1.0 - BAND_HALFWIDTH, 1.0,
-                                          1.0 + BAND_HALFWIDTH, 2.0)
+        radii = np.array([p * f for p in (0.5, 1.0 - 1e-3, 1.0, 1.0 + 1e-3, 2.0)
                           for f in (1.0 - 1e-9, 1.0 + 1e-9)])
         ts = np.array([1.0, 1e2, 1e4])
         pts = (radii[:, None, None] * dirs).reshape(-1, n)
