@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -15,8 +14,8 @@ import numpy as np
 from .errors import ConfigError, DampexError
 from .expansion import build_expansion
 from .experiments import default_config, load_config, run_report
-from .initial_data import (datum_or_pair_sum, moment_table, pair_from_config,
-                           weighted_l1_norm)
+from .initial_data import (datum_or_pair_sum, integer, moment_table, number,
+                           pair_from_config, weighted_l1_norm)
 from .norms import FrequencyRegion, residual_norm
 from .spectral import REPRESENTATIONS, SpectralSolution
 
@@ -38,17 +37,10 @@ def _parse_floats(text):
 
 def _parse_times(text, positive):
     """The ``--t`` list: finite times, each > 0 if ``positive`` else >= 0."""
-    ts = _parse_floats(text)
-    for t in ts:
-        if not (math.isfinite(t) and (t > 0 if positive else t >= 0)):
-            raise ConfigError(f"bad time {t!r} in {text!r}: times must be "
-                              f"finite and {'> 0' if positive else '>= 0'}")
-    return ts
-
-
-def _check_order(value, least, flag):
-    if value < least:
-        raise ConfigError(f"bad {flag} {value}: must be >= {least}")
+    need = "> 0" if positive else ">= 0"
+    return [number(t, "time", lambda t: t > 0 if positive else t >= 0,
+                   f"times must be finite and {need}")
+            for t in _parse_floats(text)]
 
 
 def _parse_region(text, dimension):
@@ -75,9 +67,8 @@ def _parse_xi_grid(text, dimension):
         raise ConfigError(f"bad xi grid {text!r}; use lin:lo,hi,count")
     try:
         lo, hi, count = rest.split(",")
-        lo, hi = float(lo), float(hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("bounds must be finite")
+        lo, hi = (number(float(b), f"xi grid {text!r} bound",
+                         need="bounds must be finite") for b in (lo, hi))
         axis = np.linspace(lo, hi, int(count))
     except ValueError as exc:
         raise ConfigError(f"bad xi grid {text!r}: {exc}") from exc
@@ -100,12 +91,10 @@ def _grid_coordinates(axis, dimension):
 
 
 def cmd_moments(args):
-    _check_order(args.max_order, 0, "--max-order")
-    gammas = _parse_floats(args.gammas) if args.gammas else []
-    for g in gammas:
-        if not (math.isfinite(g) and g >= 0):
-            raise ConfigError(f"bad weight {g!r} in --gammas {args.gammas!r}: "
-                              "weights must be finite and >= 0")
+    integer(args.max_order, "--max-order")
+    gammas = [number(g, "weight", lambda g: g >= 0,
+                     "weights in --gammas must be finite and >= 0")
+              for g in _parse_floats(args.gammas)]
     datum = datum_or_pair_sum(load_config(args.data))
     table = moment_table(datum, args.max_order)
     norms = {g: weighted_l1_norm(datum, g) for g in gammas}
@@ -219,7 +208,9 @@ def _read_chunk(pipe):
 
 def cmd_expansion(args):
     # A_{-1} is the zero polynomial; every other order starts at 0
-    _check_order(args.k, -1 if args.kind == "A" else 0, "--k")
+    least = -1 if args.kind == "A" else 0
+    number(args.k, "--k", lambda k: k >= least, f"must be an integer >= {least}",
+           integer=True)
     datum = datum_or_pair_sum(load_config(args.data))
     table = moment_table(datum, max(args.k, 0))
     poly = build_expansion(args.kind, args.k, table)
@@ -243,9 +234,9 @@ def cmd_expansion(args):
 
 
 def cmd_norm(args):
-    _check_order(args.k, 0, "--k")
-    if not (math.isfinite(args.tol) and 0.0 < args.tol < 1.0):
-        raise ConfigError(f"bad --tol {args.tol!r}: must be finite, > 0 and < 1")
+    integer(args.k, "--k")
+    number(args.tol, "--tol", lambda tol: 0.0 < tol < 1.0,
+           "must be finite, > 0 and < 1")
     u0, u1 = pair_from_config(load_config(args.data))
     sol = SpectralSolution(u0=u0, u1=u1)
     region = _parse_region(args.region, sol.dimension)

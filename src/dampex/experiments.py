@@ -24,7 +24,7 @@ from .expansion import (build_expansion, check_property_A, check_property_B,
                         series_ball)
 from .indices import degree
 from .initial_data import (MAX_MOMENT_ORDER, InitialDatum, MomentTable,
-                           check_keys, integer, listed, moment_table,
+                           check_keys, integer, listed, moment_table, number,
                            pair_from_config)
 from .norms import (LOW_RADIUS, FrequencyRegion, heat_increment_norm,
                     norm_curve, poly_gaussian_l2_norm, residual_norm_curve)
@@ -42,16 +42,18 @@ class TimeGrid:
     points: int
 
     def __post_init__(self):
-        _nonnegative(self.t_min, "t_min")
-        _nonnegative(self.t_max, "t_max")
+        number(self.t_min, "t_min", lambda t: t >= 1.0,
+               "must be a finite number >= 1")
+        number(self.t_max, "t_max", lambda t: t > self.t_min,
+               "must be a finite number > t_min")
         # 9.0 reads as 9, as JSON Schema's "integer" reads it
-        object.__setattr__(self, "points", integer(self.points, "points"))
-        if self.t_min < 1.0:
-            raise ConfigError("t_min must be at least 1")
-        if self.t_max <= self.t_min:
-            raise ConfigError("t_max must exceed t_min")
-        if self.points < 2:
-            raise ConfigError("a grid needs at least two points")
+        object.__setattr__(self, "points", number(
+            self.points, "points", lambda p: p >= 2, "must be an integer >= 2",
+            integer=True))
+        try:
+            self.values()
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError(f"cannot hold {self.points} points") from exc
 
     def values(self) -> np.ndarray:
         return np.geomspace(self.t_min, self.t_max, self.points)
@@ -150,14 +152,19 @@ class Case:
         """Parse and check one entry of a campaign's "cases" list."""
         if not isinstance(cfg, dict) or "name" not in cfg or "data" not in cfg:
             raise ConfigError('every case needs "name" and "data"')
-        check_keys(cfg, _CASE_KEYS, f"case {cfg['name']!r}")
+        name = cfg["name"]
+        if not isinstance(name, str) or "/" in name or "\0" in name:
+            raise ConfigError(f"case name {name!r} must be a string without "
+                              "'/' or NUL: it names the case's curve files")
+        check_keys(cfg, _CASE_KEYS, f"case {name!r}")
         u0, u1 = pair_from_config(cfg["data"])
+        weight = (lambda w: w >= 0, "must be a finite number >= 0")
         # gammas and ells stay as given: the summary echoes them
-        case = cls(name=cfg["name"], u0=u0, u1=u1,
+        case = cls(name=name, u0=u0, u1=u1,
                    checks=listed(cfg, "checks", _DEFAULT_CHECKS, _known_check),
                    k_values=listed(cfg, "k_values", (0,), integer),
-                   gammas=listed(cfg, "gammas", (0.0,), _nonnegative),
-                   ells=listed(cfg, "ells", (0.0,), _nonnegative))
+                   gammas=listed(cfg, "gammas", (0.0,), number, *weight),
+                   ells=listed(cfg, "ells", (0.0,), number, *weight))
         if case.moment_order > MAX_MOMENT_ORDER:
             raise ConfigError(
                 f"case {case.name!r} reads moments to order "
@@ -479,7 +486,7 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:     # also bad UTF-8, huge integers
         raise ConfigError(f"cannot read JSON config {path}: {exc}") from exc
 
 
@@ -503,24 +510,28 @@ def validate_config(cfg: dict) -> Campaign:
         raise ConfigError('campaign config must be an object with a "cases" list')
     check_keys(cfg, _CAMPAIGN_KEYS, "the campaign")
 
-    def setting(key, default, top=math.inf):
-        x = _nonnegative(cfg.get(key, default), key)
-        if not 0 < x <= top:
-            raise ConfigError(f"{key} must lie in (0, {top:g}], got {x!r}")
-        return float(x)
+    def setting(key, default, valid=lambda x: x > 0,
+                need="must be a finite number > 0"):
+        return float(number(cfg.get(key, default), key, valid, need))
 
     # no check draws random points, so "seed" drives nothing; it is still
     # checked, and summary.json echoes it with the config
     integer(cfg.get("seed", 0), "seed")
-    return Campaign(
+    run = Campaign(
         grid=_grid(cfg, "t_grid", {"t_min": 100.0, "t_max": 1e4, "points": 9}),
         vanishing_grid=_grid(cfg, "vanishing_t_grid",
                              {"t_min": 1.0, "t_max": 1e4, "points": 17}),
         tol=setting("quad_tol", 1e-9),
         rate_tol=setting("rate_tolerance", 0.05),
         prop_tol=setting("property_tolerance", 1e-12),
-        fraction=setting("decay_fraction", 0.1, top=1.0),
+        fraction=setting("decay_fraction", 0.1, lambda x: 0 < x <= 1,
+                         "must be a finite number in (0, 1]"),
         cases=tuple(Case.from_config(case) for case in cfg["cases"]))
+    names = [case.name for case in run.cases]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"case names must differ, as each case writes its "
+                          f"own curve files; got {names}")
+    return run
 
 
 def _grid(cfg, key, default) -> TimeGrid:
@@ -528,13 +539,6 @@ def _grid(cfg, key, default) -> TimeGrid:
         return TimeGrid(**cfg.get(key, default))
     except (TypeError, ConfigError) as exc:
         raise ConfigError(f"bad {key}: {exc}") from exc
-
-
-def _nonnegative(x, what):
-    """``x`` if it is a finite number >= 0."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or not 0 <= x < math.inf:
-        raise ConfigError(f"{what} must be a finite number >= 0, got {x!r}")
-    return x
 
 
 def _known_check(name, what):

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .indices import Alpha, degree, indices_up_to, multi_factorial
-from .quadrature import adaptive_1d
+from .quadrature import BATCH_POINTS, adaptive_1d
 
 _SUPPORT_EPS = 1e-18
 # the highest moment order whose factorial, the factor alpha! of a printed
@@ -480,10 +480,13 @@ def weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10) -> float:
     integrand row per point.  All rows share their panels, so a jump inside
     a panel would cost every row its bisections: axis j is split at 0 and
     at the ends of every term's ``axis_interval(j)`` (a box's faces, a
-    shifted box's mapped faces) that lie inside the domain.
+    shifted box's mapped faces) that lie inside the domain.  The rows go
+    to the next axis in chunks, so a chunk's panels serve only its own
+    rows and memory stays flat.
     """
     gamma, tol = float(gamma), float(tol)
     n = v.dimension
+    chunk = BATCH_POINTS // 21      # rows whose 21 nodes fit BATCH_POINTS
     terms = v.terms if isinstance(v, SumDatum) else (v,)
 
     def over_axis(j, outer):
@@ -494,7 +497,10 @@ def weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10) -> float:
             pts[..., :j] = outer[:, None, :]
             pts[..., j] = y
             if j < n - 1:
-                return over_axis(j + 1, pts.reshape(-1, j + 1)).reshape(pts.shape[:2])
+                rows = pts.reshape(-1, j + 1)
+                return np.concatenate([over_axis(j + 1, rows[i:i + chunk])
+                                       for i in range(0, len(rows), chunk)]
+                                      ).reshape(pts.shape[:2])
             r = np.sqrt((pts * pts).sum(axis=-1))
             return (1.0 + r) ** gamma * np.abs(v.values(pts))
 
@@ -509,6 +515,7 @@ def weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10) -> float:
 # Config loading
 
 
+_DIMENSION = (lambda n: 1 <= n <= 3, "must be an integer from 1 to 3")
 _FAMILY_KEYS = {
     "gaussian": {"scale", "amplitude"},
     "gaussian_monomial": {"scale", "amplitude", "exponents"},
@@ -527,38 +534,33 @@ def check_keys(cfg: dict, known, what):
         raise ConfigError(f"unexpected keys for {what}: {sorted(extra)}")
 
 
+def number(x, what, valid=None, need="must be a finite number", *,
+           integer=False):
+    """``x`` if it is a finite JSON number (not a bool or a string, and in
+    the float range), as an int if ``integer`` (JSON's 2.0 is 2); ``valid``
+    is the caller's range test and ``need`` its wording.  The one check of
+    a number from outside: a config, a datum or the command line."""
+    ok = (isinstance(x, (int, float)) and not isinstance(x, bool)
+          and abs(x) <= sys.float_info.max
+          and (not integer or float(x).is_integer()))
+    value = int(x) if ok and integer else x
+    if not (ok and (valid is None or valid(value))):
+        raise ConfigError(f"bad {what} {x!r}: {need}")
+    return value
+
+
 def integer(x, what) -> int:
-    """``x`` as an int if it is an integer >= 0 (JSON's 2.0 is one), not a
-    bool."""
-    if isinstance(x, float) and x.is_integer():
-        x = int(x)
-    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
-        raise ConfigError(f"{what} must be an integer >= 0, got {x!r}")
-    return x
+    """``x`` as an int if it is an integer >= 0 (JSON's 2.0 is one)."""
+    return number(x, what, lambda n: n >= 0, "must be an integer >= 0",
+                  integer=True)
 
 
-def _number(x, what) -> float:
-    """``x`` as a float if it is a finite JSON number, not a bool or a string."""
-    if (isinstance(x, bool) or not isinstance(x, (int, float))
-            or not abs(x) <= sys.float_info.max):
-        raise ConfigError(f"{what} must be a finite number, got {x!r}")
-    return float(x)
-
-
-def _dimension(n) -> int:
-    """``n`` as a dimension: an integer from 1 to 3."""
-    n = integer(n, "dimension")
-    if not 1 <= n <= 3:
-        raise ConfigError(f"dimension must lie in 1..3, got {n}")
-    return n
-
-
-def listed(cfg, key, default, item) -> tuple:
-    """The list under ``key``, each entry checked by ``item(entry, what)``."""
+def listed(cfg, key, default, item, *rule) -> tuple:
+    """The list under ``key``, each entry checked by ``item(x, what, *rule)``."""
     values = cfg.get(key, default)
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{key} must be a list, got {values!r}")
-    return tuple(item(x, f"{key} entry") for x in values)
+    return tuple(item(x, f"{key} entry", *rule) for x in values)
 
 
 def datum_from_config(cfg: dict, dimension=None) -> InitialDatum:
@@ -576,32 +578,32 @@ def datum_from_config(cfg: dict, dimension=None) -> InitialDatum:
                           f"{sorted(_FAMILY_KEYS)}")
     n = cfg.get("dimension", dimension)
     if "dimension" in cfg or fam not in ("shifted", "sum"):
-        n = _dimension(n)
+        n = number(n, "dimension", *_DIMENSION, integer=True)
     check_keys(cfg, _FAMILY_KEYS[fam] | {"family", "dimension"}, f"family {fam!r}")
 
-    def number(key):
-        return _number(cfg.get(key, 1.0), key)
+    def param(key):
+        return float(number(cfg.get(key, 1.0), key))
 
     try:
         if fam == "gaussian":
-            return Gaussian(dimension=n, scale=number("scale"),
-                            amplitude=number("amplitude"))
+            return Gaussian(dimension=n, scale=param("scale"),
+                            amplitude=param("amplitude"))
         if fam == "gaussian_monomial":
             exponents = listed(cfg, "exponents", None, integer)
             return GaussianMonomial(dimension=n, exponents=exponents,
-                                    scale=number("scale"),
-                                    amplitude=number("amplitude"))
+                                    scale=param("scale"),
+                                    amplitude=param("amplitude"))
         if fam == "box":
-            return Box(dimension=n, half_width=number("half_width"),
-                       amplitude=number("amplitude"))
+            return Box(dimension=n, half_width=param("half_width"),
+                       amplitude=param("amplitude"))
         if fam == "gauss_kernel":
-            return gauss_kernel(n, number("t"))
+            return gauss_kernel(n, param("t"))
         if fam == "zero":
             return zero_datum(n)
         if fam == "shifted":
             datum = Shifted(base=datum_from_config(cfg["base"], n),
-                            center=listed(cfg, "center", None, _number),
-                            dilation=number("dilation"))
+                            center=listed(cfg, "center", None, number),
+                            dilation=param("dilation"))
         else:
             datum = SumDatum(terms=tuple(datum_from_config(c, n)
                                          for c in cfg["terms"]))
@@ -619,7 +621,7 @@ def pair_from_config(cfg: dict):
     if not isinstance(cfg, dict) or not {"dimension", "u0", "u1"} <= set(cfg):
         raise ConfigError('pair config needs "dimension", "u0" and "u1" entries')
     check_keys(cfg, {"dimension", "u0", "u1"}, "a pair")
-    n = _dimension(cfg["dimension"])
+    n = number(cfg["dimension"], "dimension", *_DIMENSION, integer=True)
     u0 = datum_from_config(cfg["u0"], n)
     u1 = datum_from_config(cfg["u1"], n)
     if not u0.dimension == u1.dimension == n:

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import QuadratureError
 
 # perfbench/tracer.py rebinds this name, which held scipy.integrate; it
-# goes once the tracer stops wrapping it (ROADMAP item 7)
+# goes once the tracer stops wrapping it (ROADMAP item 8)
 integrate = None
 
 QUAD_LIMIT = 200            # panels per 1-D integral (subintervals in quad)
@@ -415,15 +415,15 @@ def integrate_radial(field, dimension, lo, hi, tol, *, rows, extra_breakpoints=(
     on shared panels.  Each panel round samples its radial nodes x angular
     directions together.
     """
-    brk = radial_breakpoints(lo, hi, extra=extra_breakpoints)
-    probe_radii = _probe_list(lo, hi, brk)
+    probe_radii = _probe_list(lo, hi, extra_breakpoints)
     dirs, weights, angular_delta = choose_angular_rule(
         field, dimension, probe_radii, tol / 5.0, rows=rows)
 
     def shell(r):
         return r ** (dimension - 1) * angular_sums(field, r, dirs, weights, rows)
 
-    res = adaptive_1d(shell, lo, hi, tol, abs_floor=abs_floor, breakpoints=brk)
+    res = adaptive_1d(shell, lo, hi, tol, abs_floor=abs_floor,
+                      breakpoints=extra_breakpoints)
     # angular stabilisation error enters roughly with the shell measure
     ang_err = angular_delta * max(hi - lo, 0.0) * max(hi, 1.0) ** (dimension - 1)
     # one evaluation per radial sample, plus one per sample and direction

@@ -599,7 +599,24 @@ def test_bad_datum_exits_2_before_output(tmp_path, capsys, command, datum,
     ("datum", "scale", float("nan")), ("datum", "amplitude", float("inf")),
     pytest.param("datum", "amplitude", 10 ** 400, id="datum-amplitude-1e400"),
     pytest.param("shifted", "center", [float("nan")], id="shifted-center-nan"),
-    ("pair", "dimension", True)])
+    ("pair", "dimension", True),
+    # JSON integers beyond the floats, which float() cannot convert
+    *(pytest.param(where, key, value, id=f"{key}-1e400") for where, key, value in [
+        ("case", "gammas", [10 ** 400]), ("case", "ells", [10 ** 400]),
+        ("top", "quad_tol", 10 ** 400), ("top", "rate_tolerance", 10 ** 400),
+        ("top", "property_tolerance", 10 ** 400),
+        ("top", "decay_fraction", 10 ** 400),
+        ("top", "t_grid", {"t_min": 10 ** 400, "t_max": 10 ** 401, "points": 3}),
+        ("top", "vanishing_t_grid", {"t_min": 1.0, "t_max": 10 ** 400,
+                                     "points": 3})]),
+    # time grids too large to build: beyond numpy's sizes, or its memory
+    pytest.param("top", "t_grid", {"t_min": 100.0, "t_max": 1e3, "points": 1e300},
+                 id="t_grid-points-1e300"),
+    pytest.param("top", "t_grid", {"t_min": 100.0, "t_max": 1e3,
+                                   "points": 10 ** 13}, id="t_grid-points-1e13"),
+    # a case name is part of its curve file names
+    ("case", "name", 5), pytest.param("case", "name", "a/b", id="case-name-slash"),
+    pytest.param("case", "name", "a\0b", id="case-name-nul")])
 def test_report_rejects_bad_config_values_before_output(tmp_path, capsys,
                                                         where, key, value):
     case = {"name": "g", "data": {"dimension": 1,
@@ -624,6 +641,37 @@ def test_report_rejects_bad_config_values_before_output(tmp_path, capsys,
     assert captured.out == "" and captured.err.startswith("config error: ")
     assert key in captured.err
     assert not out_dir.exists()
+
+
+def test_report_rejects_repeated_case_names_before_output(tmp_path, capsys):
+    # the second case's curve files would overwrite the first's
+    case = {"name": "g", "data": {"dimension": 1,
+                                  "u0": {"family": "gaussian", "scale": 1.0},
+                                  "u1": {"family": "zero"}},
+            "k_values": [0], "checks": ["rate"]}
+    cfg = {"t_grid": {"t_min": 100.0, "t_max": 1e3, "points": 3},
+           "cases": [case, case]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out_dir = tmp_path / "report"
+    assert main(["report", "--config", str(cfg_path),
+                 "--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "case names must differ" in captured.err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text", [b'{"family": "gaussian", "dimension": 1, '
+                                  b'"amplitude": 1' + b"0" * 5000 + b"}",
+                                  b'{"family": "gaussian\xff"}'],
+                         ids=["integer-of-5001-digits", "bad-utf-8"])
+def test_unreadable_json_exits_2(tmp_path, capsys, text):
+    # json raises ValueError on both, not JSONDecodeError
+    data = tmp_path / "datum.json"
+    data.write_bytes(text)
+    assert main(["moments", "--data", str(data), "--max-order", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cannot read JSON config" in captured.err
 
 
 def test_main_parses_with_the_parser_built_at_import(pair_cfg, tmp_path,

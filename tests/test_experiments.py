@@ -412,12 +412,13 @@ class TestRunReport:
         ("datum", "dimension", True), ("shifted", "center", ["0.3", 0.1]),
         ("shifted", "center", "12"), ("shifted", "dilation", True),
         ("pair", "dimension", True), ("pair", "dimension", 4),
-        ("pair", "dimension", None)])
+        ("pair", "dimension", None), ("case", "name", 5),
+        ("case", "name", "a/b"), ("case", "name", "a\0b")])
     def test_schema_and_validation_agree_on_values(self, where, key, value):
         cfg = default_config()
         gauss, _, shifted = cfg["cases"]
         target = {"datum": gauss["data"]["u0"], "pair": gauss["data"],
-                  "shifted": shifted["data"]["u0"]}[where]
+                  "shifted": shifted["data"]["u0"], "case": gauss}[where]
         if value is None:
             # the pair drops its dimension and its data carry their own
             del target[key]

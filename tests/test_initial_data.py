@@ -11,7 +11,9 @@ from dampex import (Box, ConfigError, Gaussian, GaussianMonomial,
                     QuadratureError, Shifted, SumDatum, add_data,
                     datum_from_config, gauss_kernel, moment_table,
                     pair_from_config, weighted_l1_norm, zero_datum)
+from dampex import initial_data
 from dampex.indices import indices_up_to
+from dampex.quadrature import BATCH_POINTS, adaptive_1d
 
 from conftest import catalog_all
 from oracles import (absolute_moment, per_axis_fourier_transform,
@@ -274,6 +276,24 @@ class TestWeightedNorms:
                             Gaussian(dimension=3, scale=0.5, amplitude=-0.4)))
         assert weighted_l1_norm(v, 0.5, tol=1e-6) == pytest.approx(
             weighted_l1_norm(v, 0.5, tol=1e-8), rel=1e-6)
+
+    def test_3d_rows_reach_the_next_axis_in_chunks(self, monkeypatch):
+        # all rows of an axis once went to the next axis in one call, and
+        # this sum peaked at about 200 MiB at tol 1e-10
+        rows = []
+
+        def counted(f, *args, **kwargs):
+            def g(y):
+                out = f(y)
+                rows.append(out.size / len(y))
+                return out
+            return adaptive_1d(g, *args, **kwargs)
+
+        monkeypatch.setattr(initial_data, "adaptive_1d", counted)
+        v = SumDatum(terms=(Box(dimension=3, half_width=0.7),
+                            Gaussian(dimension=3, scale=0.5, amplitude=-0.4)))
+        weighted_l1_norm(v, 0.5, tol=1e-6)
+        assert max(rows) <= BATCH_POINTS // 21 < sum(rows)
 
     def test_absolute_moment_matches_even_power(self, gaussian_1d):
         assert absolute_moment(gaussian_1d, 2.0) == pytest.approx(

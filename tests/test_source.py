@@ -18,6 +18,10 @@ definition on any other class would hide its calls from those counts.
 ``initial_data.as_points`` is the one place that decides what a point
 array is; no other function checks a trailing dimension of its own.
 
+``initial_data.number`` is the one check of a number from outside: no
+other function that raises ``ConfigError`` tests finiteness or the float
+range itself, except the checks of computed moments.
+
 One function raises ``SingularEvaluationError``: every form that divides
 by 1 - |xi|^2 shares its guard of the unit sphere.
 
@@ -275,6 +279,55 @@ def test_exception_guard_sees_calls_classes_and_attributes():
                      "def again(): raise\n"
                      "raise Singular(1)\n")
     assert _exception_raisers(tree, "Singular") == {"inner", "bare", None}
+
+
+def _is_finiteness_test(node):
+    """True for a call of ``isfinite``, a read of ``float_info`` and a
+    comparison with an ``inf`` attribute."""
+    def name(sub):
+        return (sub.id if isinstance(sub, ast.Name)
+                else sub.attr if isinstance(sub, ast.Attribute) else None)
+
+    if isinstance(node, ast.Call):
+        return name(node.func) == "isfinite"
+    if isinstance(node, ast.Compare):
+        return any(isinstance(sub, ast.Attribute) and sub.attr == "inf"
+                   for sub in [node.left, *node.comparators])
+    return isinstance(node, ast.Attribute) and node.attr == "float_info"
+
+
+def _finiteness_checkers(tree):
+    """Names of the innermost functions (None at module level) that raise
+    ``ConfigError`` and test finiteness or the float range."""
+    return (_exception_raisers(tree, "ConfigError")
+            & _holders(tree, _is_finiteness_test))
+
+
+def test_one_function_checks_a_number_from_outside():
+    # a second inline check could accept what number rejects: JSON integers
+    # beyond the floats once passed one and overflowed in float()
+    found = {(path.stem, name) for path in SRC.glob("*.py")
+             for name in _finiteness_checkers(
+                 ast.parse(path.read_text(encoding="utf-8")))}
+    # the moments computed from the data, not numbers from outside
+    computed = {("initial_data", "moment_table"), ("initial_data", "raw")}
+    assert found == {("initial_data", "number")} | computed
+
+
+def test_finiteness_guard_sees_calls_reads_and_comparisons():
+    tree = ast.parse("def checker(x):\n"
+                     "    if abs(x) > sys.float_info.max: raise ConfigError(x)\n"
+                     "def inline(t):\n"
+                     "    if not math.isfinite(t): raise errors.ConfigError(t)\n"
+                     "def bound(x):\n"
+                     "    if x < math.inf: return x\n    raise ConfigError\n"
+                     "def value_only(): raise ConfigError(math.inf)\n"
+                     "def nested():\n"
+                     "    def inner(): return isfinite(1.0)\n"
+                     "    raise ConfigError('x')\n"
+                     "def other(x):\n"
+                     "    if not math.isfinite(x): raise ValueError(x)\n")
+    assert _finiteness_checkers(tree) == {"checker", "inline", "bound"}
 
 
 def _callers(tree, module, attr):
