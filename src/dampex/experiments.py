@@ -31,6 +31,7 @@ from .norms import (LOW_RADIUS, FrequencyRegion, heat_increment_norm,
 from .spectral import LowFrequencySymbol, SpectralSolution
 
 DEGENERACY_FLOOR = 1e-12
+NAME_MAX = 255              # bytes in a file name on Linux and macOS
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,7 @@ _CHECKS = ("rate", "sandwich", "heat", "vanishing_heat",
            "vanishing_low_frequency", "properties")
 _DEFAULT_CHECKS = ("rate", "sandwich", "heat", "properties")
 _CASE_KEYS = {"name", "data", "k_values", "checks", "gammas", "ells"}
+_CURVES = (("rate", "norms"), ("sandwich", "ratios"))  # check, curve label
 _CAMPAIGN_KEYS = {"seed", "quad_tol", "rate_tolerance", "property_tolerance",
                   "decay_fraction", "t_grid", "vanishing_t_grid", "cases"}
 
@@ -165,6 +167,15 @@ class Case:
                    k_values=listed(cfg, "k_values", (0,), integer),
                    gammas=listed(cfg, "gammas", (0.0,), number, *weight),
                    ells=listed(cfg, "ells", (0.0,), number, *weight))
+        files = [f"{label}_k{k}_{name}.csv" for k in case.k_values
+                 for check, label in _CURVES if check in case.checks]
+        try:
+            longest = max((len(f.encode()) for f in files), default=0)
+        except UnicodeEncodeError:  # a lone surrogate is no file name
+            longest = math.inf
+        if longest > NAME_MAX:
+            raise ConfigError(f"case name {name!r} must be UTF-8 text whose "
+                              f"curve file names fit {NAME_MAX} bytes")
         if case.moment_order > MAX_MOMENT_ORDER:
             raise ConfigError(
                 f"case {case.name!r} reads moments to order "

@@ -118,10 +118,6 @@ class InitialDatum:
         _SUPPORT_EPS times its peak."""
         raise NotImplementedError
 
-    @property
-    def separable(self) -> bool:
-        return True
-
     # -- assembled surface ----------------------------------------------------
 
     def _axis_product(self, axis, pts):
@@ -276,7 +272,7 @@ class Shifted(InitialDatum):
             raise ValueError("center length must equal the base dimension")
         if self.dilation <= 0:
             raise ValueError("dilation must be positive")
-        if not self.base.separable:
+        if isinstance(self.base, SumDatum):
             raise ValueError("only separable data can be shifted")
 
     @property
@@ -335,12 +331,15 @@ class Shifted(InitialDatum):
 
 @dataclass(frozen=True)
 class SumDatum(InitialDatum):
-    """Finite sum of catalog data (not separable in general)."""
+    """Finite sum of separable catalog data; a sum among the terms given
+    contributes its own terms."""
 
     terms: tuple[InitialDatum, ...]
     family: str = field(default="sum", init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(
+            t for term in self.terms for t in summands(term)))
         if not self.terms:
             raise ValueError("sum needs at least one term")
         dims = {t.dimension for t in self.terms}
@@ -354,10 +353,6 @@ class SumDatum(InitialDatum):
     @property
     def amplitude(self):
         return 1.0
-
-    @property
-    def separable(self):
-        return False
 
     def values(self, x):
         return sum(t.values(x) for t in self.terms)
@@ -383,10 +378,13 @@ def gauss_kernel(dimension: int, t: float) -> InitialDatum:
     return Gaussian(dimension=dimension, scale=t, amplitude=amp)
 
 
+def summands(v: InitialDatum) -> tuple[InitialDatum, ...]:
+    """The separable terms of ``v``: a sum's terms, else ``v`` alone."""
+    return v.terms if isinstance(v, SumDatum) else (v,)
+
+
 def add_data(*data: InitialDatum) -> InitialDatum:
-    terms = []
-    for d in data:
-        terms.extend(d.terms if isinstance(d, SumDatum) else [d])
+    terms = [t for d in data for t in summands(d)]
     terms = [t for t in terms if t.amplitude != 0.0] or [terms[0]]
     if len(terms) == 1:
         return terms[0]
@@ -446,7 +444,7 @@ def moment_table(v: InitialDatum, order: int) -> MomentTable:
     indices = indices_up_to(v.dimension, order)
     entries = dict.fromkeys(indices, 0.0)
     nonzero = set()
-    for term in (v.terms if isinstance(v, SumDatum) else (v,)):
+    for term in summands(v):
         if term.amplitude == 0.0:
             continue
         axes = [term.axis_moments(j, order) for j in range(v.dimension)]
@@ -487,7 +485,6 @@ def weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10) -> float:
     gamma, tol = float(gamma), float(tol)
     n = v.dimension
     chunk = BATCH_POINTS // 21      # rows whose 21 nodes fit BATCH_POINTS
-    terms = v.terms if isinstance(v, SumDatum) else (v,)
 
     def over_axis(j, outer):
         """The (P,) integrals over axes j, ..., n-1 at the (P, j) points
@@ -505,7 +502,7 @@ def weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10) -> float:
             return (1.0 + r) ** gamma * np.abs(v.values(pts))
 
         lo, hi = v.axis_interval(j)
-        ends = [x for t in terms for x in t.axis_interval(j)]
+        ends = [x for t in summands(v) for x in t.axis_interval(j)]
         return adaptive_1d(f, lo, hi, tol, breakpoints=(0.0, *ends)).value
 
     return float(over_axis(0, np.empty((1, 0)))[0])

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -160,7 +159,6 @@ def region_l2_norm(f, region: FrequencyRegion, tol=1e-9, *,
 # Exact Gaussian-polynomial norms
 
 
-@lru_cache(maxsize=None)
 def sphere_monomial_integral(alpha: Alpha) -> float:
     """integral over the unit sphere S^{n-1} of omega^{2 alpha}."""
     n = len(alpha)
@@ -172,13 +170,13 @@ def sphere_monomial_integral(alpha: Alpha) -> float:
     return 2.0 * num / math.gamma(degree(alpha) + n / 2.0)
 
 
-def radial_gaussian_integral(m: int, rate: float, radius=None) -> float:
-    """integral_0^R r^m e^{-rate r^2} dr (R = infinity when radius is None)."""
+def radial_gaussian_integral(m: int, radius=None) -> float:
+    """integral_0^R r^m e^{-2 r^2} dr (R = infinity when radius is None)."""
     s = (m + 1) / 2.0
-    scale = 0.5 * rate ** (-s) * math.gamma(s)
+    scale = 0.5 * 2.0 ** (-s) * math.gamma(s)
     if radius is None:
         return scale
-    return scale * regularised_lower_gamma(s, rate * radius * radius)
+    return scale * regularised_lower_gamma(s, 2.0 * radius * radius)
 
 
 def regularised_lower_gamma(s: float, x: float) -> float:
@@ -198,12 +196,12 @@ def regularised_lower_gamma(s: float, x: float) -> float:
     return total
 
 
-def gaussian_monomial_integral(alpha: Alpha, rate=2.0, radius=None) -> float:
-    """integral over the ball |xi| <= R (or R^n) of xi^{2 alpha} e^{-rate |xi|^2}."""
+def gaussian_monomial_integral(alpha: Alpha, radius=None) -> float:
+    """integral over the ball |xi| <= R (or R^n) of xi^{2 alpha} e^{-2 |xi|^2}."""
     alpha = tuple(int(a) for a in alpha)
     n = len(alpha)
     m = 2 * degree(alpha) + n - 1
-    return sphere_monomial_integral(alpha) * radial_gaussian_integral(m, rate, radius)
+    return sphere_monomial_integral(alpha) * radial_gaussian_integral(m, radius)
 
 
 def poly_gaussian_l2_norm(poly: ExpansionPolynomial, radius=None) -> float:
@@ -222,7 +220,7 @@ def poly_gaussian_l2_norm(poly: ExpansionPolynomial, radius=None) -> float:
                 continue
             weight = (cmu * cnu.conjugate()).real
             half = tuple(c // 2 for c in combined)
-            total += weight * gaussian_monomial_integral(half, 2.0, radius)
+            total += weight * gaussian_monomial_integral(half, radius)
     return math.sqrt(max(total, 0.0))
 
 

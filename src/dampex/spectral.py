@@ -21,11 +21,10 @@ SINGULAR_GUARD of the unit sphere.  The regular form is the default: it
 stays well posed on the sphere through the cancellation-safe factorization
 K = t e^{-t} phi(t (1 - s)) with phi(z) = (e^z - 1)/z.
 
-The solution operator is a radial Fourier multiplier:
-u_hat = (e^{-t} + K) u0_hat + K u1_hat.  The residual integrand of the
-norms, ``residual_shells``, is sampled on shells xi = r d and takes these
-multipliers and the heat weight e^{-t r^2} once per (t, r), the transforms
-once per point.  ``evaluate`` serves the ``solve`` grids.
+The solution operator is a radial Fourier multiplier, so the residual
+integrand of the norms, ``residual_shells``, takes K and the heat weight
+e^{-t r^2} once per (t, r) on shells xi = r d, and u_hat from the same
+regular-form kernel as ``evaluate``, which serves the ``solve`` grids.
 """
 
 from __future__ import annotations
@@ -54,13 +53,6 @@ def _check_off_sphere(s, what):
             radius=radius)
 
 
-def _phi(z):
-    """(e^z - 1)/z with the removable singularity filled in."""
-    z = np.asarray(z, dtype=float)
-    safe = np.where(z == 0.0, 1.0, z)
-    return np.where(z == 0.0, 1.0, np.expm1(safe) / safe)
-
-
 def stable_heat_difference(t, s):
     """(e^{-t s} - e^{-t}) / (1 - s), continued across s = 1.
 
@@ -76,8 +68,10 @@ def stable_heat_difference(t, s):
         out = np.asarray((np.exp(-t * s) - np.exp(-t)) / (1.0 - s))
     small = np.abs(z) <= PHI_SWITCH
     if small.any():
-        ts = np.broadcast_to(t, z.shape)[small]
-        out[small] = ts * np.exp(-ts) * _phi(z[small])
+        ts, zs = np.broadcast_to(t, z.shape)[small], z[small]
+        safe = np.where(zs == 0.0, 1.0, zs)
+        phi = np.where(zs == 0.0, 1.0, np.expm1(safe) / safe)
+        out[small] = ts * np.exp(-ts) * phi
     return out
 
 
@@ -135,20 +129,19 @@ class SpectralSolution:
         ``dirs``: shape (len(ts), len(radii), m).
 
         ``poly`` is any callable on points (an expansion polynomial); this is
-        the integrand of every residual norm in the decay estimates.  The
-        transforms and ``poly`` are evaluated once per point; the radial
-        multipliers e^{-t} + K(t, r^2), K(t, r^2) and e^{-t r^2} of
-        representation 2.4, once per (t, r).  Continuous across the unit
-        sphere, and equal to ``evaluate`` up to rounding.
+        the integrand of every residual norm in the decay estimates.  u_hat
+        is ``evaluate``'s regular form on the shells: the transforms and
+        ``poly`` are evaluated once per point, e^{-t}, K(t, r^2) and
+        e^{-t r^2} once per (t, r).  Continuous across the unit sphere.
         """
-        ts = np.asarray(ts, dtype=float)[:, None]
+        ts = np.asarray(ts, dtype=float)[:, None, None]
         radii = np.asarray(radii, dtype=float)
         pts = radii[:, None, None] * dirs
-        s = radii * radii
-        k = stable_heat_difference(ts, s)[..., None]
-        heat = np.exp(-ts * s)[..., None]
-        return ((np.exp(-ts)[..., None] + k) * self.u0.fourier_transform(pts)
-                + k * self.u1.fourier_transform(pts) - heat * poly(pts))
+        s = (radii * radii)[:, None]
+        # no name holds u_hat, so numpy subtracts in place in its buffer
+        return (_rep_24(ts, s, self.u0.fourier_transform(pts),
+                        self.u1.fourier_transform(pts))
+                - np.exp(-ts * s) * poly(pts))
 
 
 def _rep_21(t, s, f0, f1):

@@ -119,7 +119,7 @@ def increment_lower_constant_1d(k: int, table: MomentTable) -> float:
 
 def radial_factor_1d(k: int) -> float:
     """(2 integral_0^{1/2} xi^{2k} e^{-2 xi^2} dxi)^{1/2}."""
-    return math.sqrt(2.0 * radial_gaussian_integral(2 * k, 2.0, 0.5))
+    return math.sqrt(2.0 * radial_gaussian_integral(2 * k, 0.5))
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,8 @@ def lower_bound_constants(table: MomentTable) -> LowerBoundConstants:
     c12_alpha = tuple(1 if i <= 1 else 0 for i in range(n))
     return LowerBoundConstants(
         dimension=n,
-        c1=gaussian_monomial_integral(c1_alpha, 2.0, 0.5),
-        c12=gaussian_monomial_integral(c12_alpha, 2.0, 0.5),
+        c1=gaussian_monomial_integral(c1_alpha, 0.5),
+        c12=gaussian_monomial_integral(c12_alpha, 0.5),
         v_values=v_values,
         w_values=w_values,
     )
@@ -170,14 +170,14 @@ def increment_lower_constant(k: int, table: MomentTable) -> float:
         raise ValueError("use increment_lower_constant_1d in dimension one")
     if k == 0:
         zero = (0,) * n
-        ball = gaussian_monomial_integral(zero, 2.0, 0.5)
+        ball = gaussian_monomial_integral(zero, 0.5)
         return abs(table.moment(zero)) * math.sqrt(ball)
     if k == 1:
         if table.order < 1:
             raise InsufficientOrderError("need moments to order 1")
         sq = math.fsum(table.moment(a) ** 2 for a in indices_of_degree(n, 1))
         c_alpha = tuple(1 if i == 0 else 0 for i in range(n))
-        return math.sqrt(gaussian_monomial_integral(c_alpha, 2.0, 0.5) * sq)
+        return math.sqrt(gaussian_monomial_integral(c_alpha, 0.5) * sq)
     if k == 2:
         c = lower_bound_constants(table)
         quad = c.c1 * math.fsum(v * v for v in c.v_values)
@@ -201,7 +201,7 @@ def heat_increment_moment_sum(k: int, table: MomentTable, radius=None) -> float:
             beta2 = tuple(t - b for t, b in zip(two_alpha, beta1))
             if all(b >= 0 for b in beta2):
                 inner += table.moment(beta1) * table.moment(beta2)
-        total += gaussian_monomial_integral(alpha, 2.0, radius) * inner
+        total += gaussian_monomial_integral(alpha, radius) * inner
     return math.sqrt(max(total, 0.0))
 
 
@@ -214,13 +214,13 @@ def quadrature_raw_moment(v: InitialDatum, alpha, tol=1e-10, *,
     """Brute-force integral x^alpha v dx, independent of the closed forms.
 
     Separable data integrates per axis with the adaptive Gauss-Kronrod rule
-    and multiplies; ``nested=True`` (or a non-separable datum) forces a full
-    tensor integration instead.
+    and multiplies; ``nested=True`` (or a sum) forces a full tensor
+    integration instead.
     """
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != v.dimension:
         raise ValueError("multi-index length must equal the dimension")
-    if not nested and v.separable:
+    if not nested and not isinstance(v, SumDatum):
         total = v.amplitude
         for j, m in enumerate(alpha):
             lo, hi = v.axis_interval(j)

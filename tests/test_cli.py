@@ -503,6 +503,56 @@ def test_report_runs_wide_data(tmp_path):
             if e["check"] == "vanishing_heat"] == ["pass", "pass"]
 
 
+def _sum(*terms):
+    return {"family": "sum", "terms": list(terms)}
+
+
+@pytest.mark.parametrize("u0", [
+    _sum(_sum({"family": "gaussian"}, {"family": "box"}),
+         {"family": "gaussian", "scale": 0.5}),
+    _sum({"family": "gaussian"},
+         _sum({"family": "box"}, _sum({"family": "gaussian", "scale": 0.5})))],
+    ids=["sum-first", "sum-last-nested-twice"])
+def test_nested_sums_write_the_bytes_of_their_flat_terms(tmp_path, u0):
+    # a sum among a sum's terms contributes its own terms: every subcommand
+    # writes what the flat sum of the same terms writes
+    flat = _sum({"family": "gaussian"}, {"family": "box"},
+                {"family": "gaussian", "scale": 0.5})
+    outputs = {}
+    for label, datum in (("nested", u0), ("flat", flat)):
+        run = tmp_path / label
+        run.mkdir()
+        pair = {"dimension": 1, "u0": datum, "u1": {"family": "zero"}}
+        data = run / "pair.json"
+        data.write_text(json.dumps(pair), encoding="utf-8")
+        cfg = run / "cfg.json"
+        cfg.write_text(json.dumps({
+            "t_grid": {"t_min": 100.0, "t_max": 1e3, "points": 3},
+            "cases": [{"name": "sum", "data": pair, "k_values": [0, 2]}]}),
+            encoding="utf-8")
+        for argv in (["moments", "--data", str(data), "--max-order", "3",
+                      "--gammas", "0,1", "--out", "moments.json"],
+                     ["solve", "--data", str(data), "--t", "0.5,10",
+                      "--xi-grid", "lin:-2,2,9", "--out", "solve.csv"],
+                     ["expansion", "--data", str(data), "--kind", "A",
+                      "--k", "2", "--out", "expansion.json"],
+                     ["norm", "--data", str(data), "--t", "10,100", "--k", "1",
+                      "--out", "norm.json"],
+                     ["report", "--config", str(cfg), "--out-dir", "report"]):
+            assert main(argv[:-1] + [str(run / argv[-1])]) == 0, argv[0]
+        written = {path.relative_to(run).as_posix(): path.read_bytes()
+                   for path in run.rglob("*") if path.is_file()}
+        # the summary echoes the config, which spells the data as given
+        summary = json.loads(written.pop("report/summary.json"))
+        del written["pair.json"], written["cfg.json"]
+        outputs[label] = written, summary["entries"]
+    assert outputs["nested"] == outputs["flat"]
+    assert sorted(outputs["flat"][0]) == [
+        "expansion.json", "moments.json", "norm.json",
+        *(f"report/{label}_k{k}_sum.csv" for label in ("norms", "ratios")
+          for k in (0, 2)), "solve.csv"]
+
+
 def test_expansion_a_minus_one_is_the_zero_polynomial(datum_cfg, capsys):
     assert main(["expansion", "--data", datum_cfg, "--kind", "A",
                  "--k", "-1"]) == 0
@@ -616,7 +666,9 @@ def test_bad_datum_exits_2_before_output(tmp_path, capsys, command, datum,
                                    "points": 10 ** 13}, id="t_grid-points-1e13"),
     # a case name is part of its curve file names
     ("case", "name", 5), pytest.param("case", "name", "a/b", id="case-name-slash"),
-    pytest.param("case", "name", "a\0b", id="case-name-nul")])
+    pytest.param("case", "name", "a\0b", id="case-name-nul"),
+    pytest.param("case", "name", "n" * 300, id="case-name-300-chars"),
+    pytest.param("case", "name", "a\ud800b", id="case-name-lone-surrogate")])
 def test_report_rejects_bad_config_values_before_output(tmp_path, capsys,
                                                         where, key, value):
     case = {"name": "g", "data": {"dimension": 1,
@@ -659,6 +711,35 @@ def test_report_rejects_repeated_case_names_before_output(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "case names must differ" in captured.err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("name, checks, code", [
+    ("é" * 120 + "x", ["rate", "sandwich"], 0),
+    ("é" * 120 + "xx", ["rate", "sandwich"], 2),
+    ("n" * 300, ["heat", "properties"], 0)],
+    ids=["255-bytes", "256-bytes", "no-curve-file"])
+def test_curve_file_names_may_take_255_bytes(tmp_path, capsys, name, checks,
+                                             code):
+    # ratios_k0_<name>.csv, the longest curve file, at 255 bytes and at 256
+    # (two bytes for each "é"); checks without curves write no such file
+    cfg = {"t_grid": {"t_min": 100.0, "t_max": 1e3, "points": 3},
+           "cases": [{"name": name, "data": {
+               "dimension": 1, "u0": {"family": "gaussian", "scale": 1.0},
+               "u1": {"family": "zero"}},
+               "k_values": [0], "checks": checks}]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out_dir = tmp_path / "report"
+    assert main(["report", "--config", str(cfg_path),
+                 "--out-dir", str(out_dir)]) == code
+    if code == 2:
+        assert "fit 255 bytes" in capsys.readouterr().err
+        assert not out_dir.exists()
+    elif "rate" in checks:
+        longest = out_dir / f"ratios_k0_{name}.csv"
+        assert len(os.fsencode(longest.name)) == 255 and longest.exists()
+    else:
+        assert [p.name for p in out_dir.iterdir()] == ["summary.json"]
 
 
 @pytest.mark.parametrize("text", [b'{"family": "gaussian", "dimension": 1, '

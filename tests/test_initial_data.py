@@ -85,6 +85,18 @@ class TestMoments:
             assert ts.raw(alpha) == pytest.approx(
                 ta.raw(alpha) + tb.raw(alpha), rel=1e-15)
 
+    def test_a_sum_of_sums_holds_their_terms(self):
+        a, b, c = (Gaussian(dimension=1, scale=1.0),
+                   Box(dimension=1, half_width=1.0),
+                   Gaussian(dimension=1, scale=0.5))
+        nested = SumDatum(terms=(SumDatum(terms=(a, b)), c))
+        assert nested.terms == (a, b, c)
+        assert nested == SumDatum(terms=(a, SumDatum(terms=(b, c))))
+        assert moment_table(nested, 4).entries == moment_table(
+            SumDatum(terms=(a, b, c)), 4).entries
+        with pytest.raises(ValueError, match="only separable data"):
+            Shifted(base=nested, center=(0.5,))
+
     def test_orders_up_to_170_fit_a_float(self):
         # 170! is below the largest float and 171! above it
         table = moment_table(Gaussian(dimension=1, scale=1.0), 170)

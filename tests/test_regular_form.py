@@ -1,6 +1,8 @@
 """The default solution form is the regular form 2.4: checked against a
 50-digit rederivation on |xi| <= 6, across the unit sphere and at times
-from 0 to 1e4, and ``solve --rep auto`` writes the bytes of ``--rep 2.4``.
+from 0 to 1e4, for ``evaluate`` and for the residual integrand
+``residual_shells``, and ``solve --rep auto`` writes the bytes of
+``--rep 2.4``.
 """
 
 import json
@@ -20,14 +22,22 @@ TINY = 1e-290
 
 def _pairs():
     """Gaussian u0 and a box u1 of negative amplitude in 1-D to 3-D, and a
-    shifted Gaussian u0 in 3-D."""
+    shifted Gaussian u0 in 3-D; in 1-D and 3-D also two Gaussians whose
+    masses cancel, v_hat(0) = 0, as under a moment condition."""
     pairs = {f"{n}d": (Gaussian(dimension=n, scale=1.0),
                        Box(dimension=n, half_width=0.8, amplitude=-0.5))
              for n in (1, 2, 3)}
     pairs["3d-shifted"] = (Shifted(base=Gaussian(dimension=3, scale=1.0),
                                    center=(0.4, -0.3, 0.2)),
                            Box(dimension=3, half_width=0.8, amplitude=-0.5))
+    for n in (1, 3):
+        pairs[f"{n}d-zero-mass"] = (
+            Gaussian(dimension=n, scale=1.0),
+            Gaussian(dimension=n, scale=1.2, amplitude=-1.2 ** (-n / 2)))
     return pairs
+
+
+PAIRS = sorted(_pairs())
 
 
 def _points(rng, n):
@@ -43,8 +53,8 @@ def _points(rng, n):
 
 def _reference(t, xi, f0, f1):
     """u_hat = e^{-t} f0 + K(t, s)(f0 + f1) in 50 digits, with s = |xi|^2
-    exact for the float point ``xi`` and the float transforms ``f0``, ``f1``;
-    also the size |e^{-t} f0| + |K (f0 + f1)| of its two terms."""
+    exact for the float coordinates ``xi`` and the float transforms ``f0``,
+    ``f1``; also the size |e^{-t} f0| + |K (f0 + f1)| of its two terms."""
     with mp.workdps(50):
         t = mp.mpf(t)
         s = mp.fsum(mp.mpf(float(x)) ** 2 for x in xi)
@@ -55,32 +65,64 @@ def _reference(t, xi, f0, f1):
         return complex(head + tail), float(abs(head) + abs(tail))
 
 
-def _worst_relative_errors(u0, u1, pts):
-    """The default ``evaluate``'s worst error relative to the size of the
-    regular form's terms at each time of TIMES, over the points where
-    |u_hat| exceeds TINY.
+def _worst_by_time(got, coords, f0, f1):
+    """The worst error of the rows ``got`` (one per time of TIMES, one
+    column per point) relative to the size of the regular form's terms at
+    each time, over the points where |u_hat| exceeds TINY; s = |xi|^2 comes
+    from the float coordinates ``coords`` of each point.
 
     That size is |u_hat| except near a zero of u_hat, where the two terms
     cancel; there no evaluation from the float transforms is closer than
     about one ulp of the terms (one 3-D point at t = 40 has terms 9.8e3
     times |u_hat|).
     """
-    got = SpectralSolution(u0=u0, u1=u1).evaluate(np.array(TIMES), pts)
-    f0, f1 = u0.fourier_transform(pts), u1.fourier_transform(pts)
     worst = {}
     for row, t in zip(got, TIMES):
         errs = [abs(complex(val) - ref) / size
                 for val, (ref, size) in zip(row, (
-                    _reference(t, xi, a, b) for xi, a, b in zip(pts, f0, f1)))
+                    _reference(t, xi, a, b)
+                    for xi, a, b in zip(coords, f0, f1)))
                 if abs(ref) > TINY]
         worst[t] = max(errs)
     return worst
 
 
-@pytest.mark.parametrize("name", ["1d", "2d", "3d", "3d-shifted"])
+@pytest.mark.parametrize("name", PAIRS)
 def test_default_form_matches_the_50_digit_solution(name, rng):
     u0, u1 = _pairs()[name]
-    worst = _worst_relative_errors(u0, u1, _points(rng, u0.dimension))
+    pts = _points(rng, u0.dimension)
+    got = SpectralSolution(u0=u0, u1=u1).evaluate(np.array(TIMES), pts)
+    worst = _worst_by_time(got, pts, u0.fourier_transform(pts),
+                           u1.fourier_transform(pts))
+    assert max(worst.values()) <= 1e-13, worst
+
+
+def _shells(rng, n):
+    """Shell radii from 1e-4 to 6, with 1, 1 +- 1e-3 and 1 +- 1e-6 among
+    them, and unit directions: the two of the line, or four drawn ones."""
+    radii = np.concatenate([[1e-4, 1e-3, 1e-2, 0.1], rng.uniform(0.0, 6.0, 30),
+                            [1.0 - 1e-3, 1.0 - 1e-6, 1.0, 1.0 + 1e-6,
+                             1.0 + 1e-3]])
+    if n == 1:
+        return radii, np.array([[1.0], [-1.0]])
+    dirs = rng.standard_normal((4, n))
+    return radii, dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_residual_shells_match_the_50_digit_solution(name, rng):
+    # with the zero polynomial the residual integrand is u_hat itself, with
+    # s = r^2 of the shell radius r
+    u0, u1 = _pairs()[name]
+    radii, dirs = _shells(rng, u0.dimension)
+    pts = (radii[:, None, None] * dirs).reshape(-1, u0.dimension)
+    got = SpectralSolution(u0=u0, u1=u1).residual_shells(
+        np.array(TIMES), radii, dirs, lambda xi: np.zeros(xi.shape[:-1]))
+    assert got.shape == (len(TIMES), len(radii), len(dirs))
+    worst = _worst_by_time(got.reshape(len(TIMES), -1),
+                           np.repeat(radii, len(dirs))[:, None],
+                           u0.fourier_transform(pts),
+                           u1.fourier_transform(pts))
     assert max(worst.values()) <= 1e-13, worst
 
 

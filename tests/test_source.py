@@ -25,24 +25,33 @@ range itself, except the checks of computed moments.
 One function raises ``SingularEvaluationError``: every form that divides
 by 1 - |xi|^2 shares its guard of the unit sphere.
 
+One kernel computes the regular form 2.4: only ``spectral._rep_24`` takes
+the multiplier K, so ``evaluate`` and the residual integrand share it.
+
 One function forks, and it ends its child with ``os._exit``: a child that
 returned into the caller would run its code, and flush its buffers, twice.
 
 The benchmark's tracer binds package names by ``getattr`` with no default;
-its install must keep working, or every traced benchmark run fails.
+its install must keep working, or every traced benchmark run fails.  Its
+after-hooks also read package results, so one traced operation of the
+``campaign`` and ``norm-multid`` workloads runs too.
 """
 
 import ast
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dampex
 
 SRC = Path(dampex.__file__).parent
 CACHE_NAMES = {"cache", "lru_cache"}
-ALLOWED = {("quadrature", "_angular_rule"), ("quadrature", "_probe_directions"),
-           ("norms", "sphere_monomial_integral")}
+ALLOWED = {("quadrature", "_angular_rule"),
+           ("quadrature", "_probe_directions")}
 # names no package code uses that stay: the public single-time norm (the
 # benchmark traces it) and the rule list the benchmark's tracer reads
 UNREFERENCED_ALLOWED = {("norms", "region_l2_norm"),
@@ -339,6 +348,39 @@ def _callers(tree, module, attr):
         and node.func.value.id == module))
 
 
+def _name_callers(tree, name):
+    """Names of the innermost functions (None at module level) holding a
+    call of ``name``, bare or as an attribute."""
+    def calls(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return name == (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+
+    return _holders(tree, calls)
+
+
+def test_one_kernel_takes_the_regular_form():
+    # a second grouping of the multipliers, (e^{-t} + K) u0_hat + K u1_hat,
+    # lost seven digits where the masses of u0 and u1 cancel
+    found = {(path.stem, name) for path in SRC.glob("*.py")
+             for name in _name_callers(
+                 ast.parse(path.read_text(encoding="utf-8")),
+                 "stable_heat_difference")}
+    assert found == {("spectral", "_rep_24")}
+
+
+def test_name_call_guard_sees_bare_and_attribute_calls_only():
+    tree = ast.parse("def outer():\n"
+                     "    def inner(): return spectral.kernel(1, 2)\n"
+                     "    return kernel\n"
+                     "def bare(t): return kernel(t, 0.5)\n"
+                     "def other(kernel): return other_kernel(kernel)\n"
+                     "kernel(0, 1)\n")
+    assert _name_callers(tree, "kernel") == {"inner", "bare", None}
+
+
 def test_one_function_forks_and_its_child_leaves_through_exit():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
@@ -370,3 +412,30 @@ def test_the_benchmark_tracer_installs():
     run = subprocess.run([sys.executable, "-c", code], cwd=root,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("workload, counted", [
+    ("campaign", ("experiments.curve_points",
+                  "quadrature.choose_angular_rule.nodes",
+                  "initial_data.fourier_transform.points")),
+    ("norm-multid", ("quadrature.choose_angular_rule.nodes",
+                     "initial_data.fourier_transform.points"))],
+    ids=["campaign", "norm-multid"])
+def test_a_traced_benchmark_operation_runs(workload, counted, tmp_path):
+    # the tracer's after-hooks read package results (the checks' curve
+    # times, the angular rule's weights, the transformed points); a change
+    # that breaks one fails only in a traced run
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "run.json"
+    run = subprocess.run(
+        [sys.executable, "perfbench/worker.py", "--workload", workload,
+         "--seed", "1", "--ops", "1", "--trace",
+         "--work", str(tmp_path / "work"), "--out", str(out)],
+        cwd=root, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(out.read_text(encoding="utf-8"))
+    # the warm-up operation and the one timed operation
+    assert (result["attempted"], result["failed"]) == (2, 0), result["failures"]
+    counts = result["counts"]
+    assert all(counts.get(key, 0) > 0 for key in counted), counts
