@@ -16,9 +16,10 @@ from .initial_data import (Box, Gaussian, GaussianMonomial, InitialDatum,
                            MomentTable, Shifted, SumDatum, add_data,
                            datum_from_config, gauss_kernel, moment_table,
                            pair_from_config, weighted_l1_norm, zero_datum)
-from .norms import (FrequencyRegion, RegionNorm, gaussian_monomial_integral,
+from .norms import (FrequencyRegion, gaussian_monomial_integral,
                     heat_increment_norm, norm_curve, poly_gaussian_l2_norm,
                     region_l2_norm, residual_norm, residual_norm_curve)
+from .quadrature import QuadResult
 from .spectral import (REPRESENTATIONS, LowFrequencySymbol, SpectralSolution,
                        stable_heat_difference)
 

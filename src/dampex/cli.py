@@ -260,10 +260,10 @@ def cmd_report(args):
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
         cfg["seed"] = args.seed
-    bundle = run_report(cfg, args.out_dir)
-    sys.stdout.write(f"wrote {bundle.out_dir / 'summary.json'} "
-                     f"({bundle.summary['n_failed']} failed)\n")
-    return 0 if bundle.passed else 1
+    summary = run_report(cfg, args.out_dir)
+    sys.stdout.write(f"wrote {Path(args.out_dir) / 'summary.json'} "
+                     f"({summary['n_failed']} failed)\n")
+    return 0 if summary["passed"] else 1
 
 
 def build_parser():

@@ -128,7 +128,7 @@ _CHECKS = ("rate", "sandwich", "heat", "vanishing_heat",
            "vanishing_low_frequency", "properties")
 _DEFAULT_CHECKS = ("rate", "sandwich", "heat", "properties")
 _CASE_KEYS = {"name", "data", "k_values", "checks", "gammas", "ells"}
-_CURVES = (("rate", "norms"), ("sandwich", "ratios"))  # check, curve label
+_CURVES = {"rate": "norms", "sandwich": "ratios"}  # check: curve label
 _CAMPAIGN_KEYS = {"seed", "quad_tol", "rate_tolerance", "property_tolerance",
                   "decay_fraction", "t_grid", "vanishing_t_grid", "cases"}
 
@@ -167,8 +167,8 @@ class Case:
                    k_values=listed(cfg, "k_values", (0,), integer),
                    gammas=listed(cfg, "gammas", (0.0,), number, *weight),
                    ells=listed(cfg, "ells", (0.0,), number, *weight))
-        files = [f"{label}_k{k}_{name}.csv" for k in case.k_values
-                 for check, label in _CURVES if check in case.checks]
+        files = [case.curve_file(check, k)[1] for k in case.k_values
+                 for check in _CURVES if check in case.checks]
         try:
             longest = max((len(f.encode()) for f in files), default=0)
         except UnicodeEncodeError:  # a lone surrogate is no file name
@@ -181,6 +181,12 @@ class Case:
                 f"case {case.name!r} reads moments to order "
                 f"{case.moment_order}, whose factorial overflows a float")
         return case
+
+    def curve_file(self, check: str, k: int) -> tuple[str, str]:
+        """The column label and the file name of the order-k curve that
+        ``check`` ("rate" or "sandwich") writes."""
+        label = f"{_CURVES[check]}_k{k}"
+        return label, f"{label}_{self.name}.csv"
 
     @cached_property
     def solution(self) -> SpectralSolution:
@@ -229,10 +235,12 @@ class Case:
                             if degree(alpha) <= k))
 
     def residual_curve(self, k: int, grid: TimeGrid, tol: float):
-        """Grid times and the full-space residual norms for A_{k-1}."""
+        """Grid times and the full-space residual norms for the case's
+        A_{k-1}."""
         def compute():
             ts = grid.values()
-            curve = residual_norm_curve(self.solution, ts, k, tol=tol)
+            curve = residual_norm_curve(self.solution, ts,
+                                        self.expansion("A", k - 1), tol=tol)
             return ts, np.array([nrm.value for nrm in curve])
         return self._once(("curve", k, grid, tol), compute)
 
@@ -558,24 +566,13 @@ def _known_check(name, what):
     return name
 
 
-@dataclass
-class ReportBundle:
-    summary: dict
-    out_dir: Path
-    files: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.summary["passed"]
-
-
-def run_report(cfg: dict, out_dir) -> ReportBundle:
-    """Execute a campaign and write summary.json plus per-case curve files."""
+def run_report(cfg: dict, out_dir) -> dict:
+    """Execute a campaign, write summary.json plus per-case curve files and
+    return the summary."""
     run = validate_config(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    files = []
     for case in run.cases:
         curves = {}
         for k in case.k_values:
@@ -607,9 +604,9 @@ def run_report(cfg: dict, out_dir) -> ReportBundle:
                          "max_deviation": rep.max_deviation,
                          "tolerance": rep.tolerance}
                         for rep in property_suite(case, run.prop_tol)]
-        for label, (ts, vals) in curves.items():
-            path = out_dir / f"{label}_{case.name}.csv"
-            files.append(_write_csv(path, ("t", label), ts, vals))
+        for (check, k), (ts, vals) in curves.items():
+            label, name = case.curve_file(check, k)
+            _write_csv(out_dir / name, ("t", label), ts, vals)
 
     n_failed = sum(1 for e in entries if e["status"] == "fail")
     summary = {
@@ -618,11 +615,9 @@ def run_report(cfg: dict, out_dir) -> ReportBundle:
         "n_failed": n_failed,
         "passed": n_failed == 0,
     }
-    summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
-    files.append(summary_path)
-    return ReportBundle(summary=summary, out_dir=out_dir, files=files)
+    (out_dir / "summary.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return summary
 
 
 def _rate_entry(case, k, run, curves):
@@ -631,7 +626,7 @@ def _rate_entry(case, k, run, curves):
     except DegenerateDataError as exc:
         return {"case": case.name, "check": "rate", "k": k,
                 "status": "rejected", "diagnostic": str(exc)}
-    curves[f"norms_k{k}"] = (fit.ts, fit.norms)
+    curves["rate", k] = (fit.ts, fit.norms)
     return {"case": case.name, "check": "rate", "k": k,
             "status": "pass" if fit.within(run.rate_tol) else "fail",
             "slope": fit.slope, "expected_slope": fit.expected_slope,
@@ -645,7 +640,7 @@ def _sandwich_entry(case, k, run, curves):
     except DegenerateDataError as exc:
         return {"case": case.name, "check": "sandwich", "k": k,
                 "status": "skipped", "diagnostic": str(exc)}
-    curves[f"ratios_k{k}"] = (rep.ts, rep.ratios)
+    curves["sandwich", k] = (rep.ts, rep.ratios)
     return {"case": case.name, "check": "sandwich", "k": k,
             "status": "pass" if rep.satisfied else "fail",
             "lower_constant": rep.lower_constant,
@@ -686,4 +681,3 @@ def _write_csv(path: Path, header, ts, vals):
     lines = [",".join(header)]
     lines += [f"{float(t)!r},{float(v)!r}" for t, v in zip(ts, vals)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path

@@ -22,8 +22,9 @@ import numpy as np
 from .expansion import ExpansionPolynomial, build_expansion
 from .indices import Alpha, degree
 from .initial_data import MomentTable, moment_table
-from .quadrature import (adaptive_1d, angular_sums, integrate_radial,
-                         radial_breakpoints, truncation_radius)
+from .quadrature import (QuadResult, adaptive_1d, angular_sums,
+                         integrate_radial, radial_breakpoints,
+                         truncation_radius)
 from .spectral import SpectralSolution
 
 LOW_RADIUS = 0.5            # residual-norm split radii inside and outside
@@ -71,20 +72,13 @@ class FrequencyRegion:
         return math.isfinite(self.r_hi)
 
 
-@dataclass(frozen=True, eq=False)
-class RegionNorm:
-    value: float
-    error_estimate: float
-    evaluations: int
-
-
 # the two points of the "unit sphere" of the line and their counting weights
 _LINE_DIRS = np.array([[1.0], [-1.0]])
 _LINE_WEIGHTS = np.ones(2)
 
 
 def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
-               inner_scales=None, breakpoints=()) -> list[RegionNorm]:
+               inner_scales=None, breakpoints=()) -> list[QuadResult]:
     """(integral_region |f(t, xi)|^2 dxi)^{1/2} for every t of ``ts`` at once.
 
     ``f(ts, radii, dirs)`` receives the times as a 1-D array, R radii and an
@@ -99,8 +93,9 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
     union of their geometric ladders plus the kinks in ``breakpoints``.
     Norms below VALUE_FLOOR = 1e-14 are reported as converged at zero (the
     relative target is meaningless there); the floor squared acts as the
-    absolute tolerance of the underlying integrals.  Returns one RegionNorm
-    per time, each carrying the evaluation count of the whole curve.
+    absolute tolerance of the underlying integrals.  Returns one QuadResult
+    per time, each carrying the evaluation count and the ``stalled`` flag
+    of the whole curve.
     """
     ts = np.asarray(ts, dtype=float)
     n = region.dimension
@@ -116,7 +111,7 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
         start = max([4.0, 2.0 * lo] + [4.0 * s for s in scales if s])
         hi, tail = truncation_radius(field, n, start, rows=len(ts))
         if hi <= lo:
-            return [RegionNorm(0.0, math.sqrt(e), 0) for e in tail]
+            return [QuadResult(0.0, math.sqrt(e), 0) for e in tail]
 
     brk = sorted(set().union(
         *(radial_breakpoints(lo, hi, s, breakpoints) for s in scales)))
@@ -133,12 +128,12 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
     for total, err2 in zip(res.value, res.error_estimate + tail):
         value = math.sqrt(max(total, 0.0))
         err = err2 / (2.0 * value) if value > 0 else math.sqrt(err2)
-        out.append(RegionNorm(value, float(err), evaluations))
+        out.append(QuadResult(value, float(err), evaluations, res.stalled))
     return out
 
 
 def region_l2_norm(f, region: FrequencyRegion, tol=1e-9, *,
-                   inner_scale=None, breakpoints=()) -> RegionNorm:
+                   inner_scale=None, breakpoints=()) -> QuadResult:
     """(integral_region |f(xi)|^2 dxi)^{1/2}: ``norm_curve`` at one time.
 
     ``f`` must accept an (m, n) array of points and return complex values of
@@ -235,19 +230,22 @@ def heat_increment_norm(k: int, table: MomentTable, radius=None) -> float:
 
 
 def residual_norm(sol: SpectralSolution, t: float, k: int,
-                  region: FrequencyRegion | None = None, tol=1e-9) -> RegionNorm:
+                  region: FrequencyRegion | None = None, tol=1e-9) -> QuadResult:
     """|| u_hat(t) - A_{k-1} e^{-t |xi|^2} ||_{L2(region)} (full space default).
 
     This is the quantity sandwiched between the two t^{-n/4-k/2} bounds;
-    ``residual_norm_curve`` at the single time t.
+    ``residual_norm_curve`` at the single time t, with A_{k-1} built from
+    the moments of v = u0 + u1.
     """
-    return residual_norm_curve(sol, (t,), k, region, tol)[0]
+    poly = build_expansion("A", k - 1, moment_table(sol.v, max(k - 1, 0)))
+    return residual_norm_curve(sol, (t,), poly, region, tol)[0]
 
 
-def residual_norm_curve(sol: SpectralSolution, ts, k: int,
+def residual_norm_curve(sol: SpectralSolution, ts, poly: ExpansionPolynomial,
                         region: FrequencyRegion | None = None,
-                        tol=1e-9) -> list[RegionNorm]:
-    """``residual_norm`` at every t of ``ts``, integrated on shared panels.
+                        tol=1e-9) -> list[QuadResult]:
+    """|| u_hat(t) - poly e^{-t |xi|^2} || at every t of ``ts``, integrated
+    on shared panels; ``poly`` is the caller's profile A_{k-1}.
 
     Each time's inner ladder starts at its heat width 1/sqrt(max(t, 1));
     LOW_RADIUS and HIGH_RADIUS bracket the unit sphere, where the solution's
@@ -256,7 +254,6 @@ def residual_norm_curve(sol: SpectralSolution, ts, k: int,
     ts = np.asarray(ts, dtype=float)
     if np.any(ts <= 0):
         raise ValueError("t must be positive")
-    poly = build_expansion("A", k - 1, moment_table(sol.v, max(k - 1, 0)))
     region = region or FrequencyRegion.full(sol.dimension)
     kinks = (LOW_RADIUS, HIGH_RADIUS)
     return norm_curve(

@@ -1,6 +1,7 @@
 """CLI surface: every subcommand exercised end to end."""
 
 import json
+import math
 import os
 import signal
 import subprocess
@@ -57,6 +58,30 @@ def test_moments_weighted_norms_on_2d_data(tmp_path):
     # integral (1 + r)^2 e^{-r^2/4} dx = 4 pi + 8 pi^{3/2} + 16 pi
     assert norms["0.0"] == pytest.approx(4 * np.pi, rel=1e-9)
     assert norms["2.0"] == pytest.approx(20 * np.pi + 8 * np.pi**1.5, rel=1e-9)
+
+
+def test_weighted_norms_of_sign_changing_data_finish_or_fail_cleanly(
+        tmp_path, capsys):
+    # v = u0 + u1 changes sign along a curve that no axis breakpoint
+    # follows, and the 1-D rule stalls near it; a finite norm, or the stall
+    # as a clean error with nothing written, are the two outcomes
+    data = tmp_path / "pair.json"
+    data.write_text(json.dumps({
+        "dimension": 2, "u0": {"family": "gaussian", "scale": 1.0},
+        "u1": {"family": "gaussian_monomial", "exponents": [1, 0],
+               "scale": 0.8, "amplitude": 1.5}}), encoding="utf-8")
+    out = tmp_path / "F.json"
+    rc = main(["moments", "--data", str(data), "--max-order", "2",
+               "--gammas", "0", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if rc == 0:
+        assert captured.err == ""
+        assert math.isfinite(json.loads(out.read_text())["weighted_norms"]["0.0"])
+    else:
+        assert rc == 2
+        assert captured.err.startswith("error: 1-D quadrature stalled on [")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("gammas", ["-1", "nan", "inf", "0,-inf"])

@@ -1,4 +1,4 @@
-"""Campaign machinery: fits, sandwiches, limit proxies, report bundles."""
+"""Campaign machinery: fits, sandwiches, limit proxies, reports."""
 
 import json
 import math
@@ -326,8 +326,8 @@ def small_config():
 
 class TestRunReport:
     def test_bundle_passes_and_writes_files(self, small_config, tmp_path):
-        bundle = run_report(small_config, tmp_path / "out")
-        assert bundle.passed
+        summary = run_report(small_config, tmp_path / "out")
+        assert summary["passed"]
         names = sorted(p.name for p in (tmp_path / "out").iterdir())
         assert "summary.json" in names
         assert "norms_k0_g1.csv" in names
@@ -343,9 +343,9 @@ class TestRunReport:
     def test_exit_contract_failure_is_reported(self, small_config, tmp_path):
         bad = json.loads(json.dumps(small_config))
         bad["rate_tolerance"] = 1e-12      # unreachable on purpose
-        bundle = run_report(bad, tmp_path / "bad")
-        assert not bundle.passed
-        assert bundle.summary["n_failed"] >= 1
+        summary = run_report(bad, tmp_path / "bad")
+        assert not summary["passed"]
+        assert summary["n_failed"] >= 1
 
     def test_degenerate_case_is_recorded_not_failed(self, tmp_path):
         cfg = {
@@ -357,16 +357,16 @@ class TestRunReport:
                        "k_values": [2],
                        "checks": ["rate", "sandwich"]}],
         }
-        bundle = run_report(cfg, tmp_path / "deg")
-        statuses = {e["check"]: e["status"] for e in bundle.summary["entries"]}
+        summary = run_report(cfg, tmp_path / "deg")
+        statuses = {e["check"]: e["status"] for e in summary["entries"]}
         assert statuses["rate"] == "rejected"
         assert statuses["sandwich"] == "skipped"
-        assert bundle.passed
+        assert summary["passed"]
 
     def test_empty_case_list_is_success(self, tmp_path):
-        bundle = run_report({"cases": []}, tmp_path / "empty")
-        assert bundle.passed
-        assert bundle.summary["entries"] == []
+        summary = run_report({"cases": []}, tmp_path / "empty")
+        assert summary["passed"]
+        assert summary["entries"] == []
 
     def test_empty_k_range_is_success(self, tmp_path):
         cfg = {"cases": [{"name": "nothing",
@@ -375,8 +375,33 @@ class TestRunReport:
                                    "u1": {"family": "zero"}},
                           "k_values": [],
                           "checks": ["rate", "sandwich", "properties"]}]}
-        bundle = run_report(cfg, tmp_path / "nok")
-        assert bundle.passed
+        summary = run_report(cfg, tmp_path / "nok")
+        assert summary["passed"]
+
+    def test_curve_files_are_the_names_validation_measured(self, tmp_path,
+                                                            monkeypatch):
+        cfg = {"t_grid": {"t_min": 100.0, "t_max": 1e3, "points": 3},
+               "cases": [{"name": "box",
+                          "data": {"dimension": 1,
+                                   "u0": {"family": "box", "half_width": 1.0},
+                                   "u1": {"family": "zero"}},
+                          "k_values": [0, 2],
+                          "checks": ["rate", "sandwich"]}]}
+        measured = []
+        real = Case.curve_file
+
+        def recording(case, check, k):
+            measured.append(real(case, check, k)[1])
+            return real(case, check, k)
+
+        monkeypatch.setattr(Case, "curve_file", recording)
+        validate_config(cfg)
+        names = sorted(measured)
+        summary = run_report(cfg, tmp_path / "out")
+        assert summary["passed"]
+        written = sorted(p.name for p in (tmp_path / "out").iterdir()
+                         if p.suffix == ".csv")
+        assert written == names and len(names) == 4
 
     def test_validation_rejects_low_t_min(self):
         with pytest.raises(ConfigError):
@@ -505,9 +530,10 @@ class TestCampaignState:
         work, outputs = [], []
         for run in ("a", "b"):
             results.clear()
-            bundle = run_report(default_config(), tmp_path / run)
+            run_report(default_config(), tmp_path / run)
             work.append((len(results), sum(e for e, _ in results)))
-            outputs.append({p.name: p.read_bytes() for p in bundle.files})
+            outputs.append({p.name: p.read_bytes()
+                            for p in (tmp_path / run).iterdir()})
         # one heat-vanishing curve per floor of gamma, none stalling; the
         # residual panels break only at LOW_RADIUS and HIGH_RADIUS
         assert work == [(11, 5691), (11, 5691)]
@@ -515,8 +541,39 @@ class TestCampaignState:
 
     def test_default_campaign_accepts_no_stall(self, tmp_path, monkeypatch):
         results = self._count_quadratures(monkeypatch)
-        assert run_report(default_config(), tmp_path / "out").passed
+        assert run_report(default_config(), tmp_path / "out")["passed"]
         assert results and not any(stalled for _, stalled in results)
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """Count moment tables and expansion polynomials by every name the
+        package binds them under."""
+        from collections import Counter
+        from dampex import expansion, experiments, initial_data, norms
+        counts = Counter()
+        for name, real in (("moment_table", initial_data.moment_table),
+                           ("build_expansion", expansion.build_expansion)):
+            for module in (initial_data, expansion, norms, experiments):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, _counting(
+                        counts, lambda *args, _name=name, **kwargs: _name, real))
+        return counts
+
+    def test_residual_curve_reads_the_case_profile(self, grid, monkeypatch):
+        case = _case(Box(1, 1.0), checks=("rate",), k_values=(2,))
+        case.expansion("A", 1)
+        counts = self._count_builds(monkeypatch)
+        ts, norms = case.residual_curve(2, grid, 1e-9)
+        assert not counts
+        assert len(norms) == len(ts) and np.all(norms > 0)
+
+    def test_default_campaign_table_and_build_counts(self, tmp_path,
+                                                     monkeypatch):
+        # the residual curves read each case's A_{k-1}: four tables and four
+        # polynomials fewer than when each curve built its own
+        counts = self._count_builds(monkeypatch)
+        run_report(default_config(), tmp_path / "out")
+        assert counts == {"moment_table": 20, "build_expansion": 73}
 
     def test_default_summary_bytes_and_build_counts(self, tmp_path,
                                                     monkeypatch):
@@ -527,10 +584,10 @@ class TestCampaignState:
         monkeypatch.setattr(experiments, "build_expansion", _counting(
             builds, lambda kind, k, table: (id(table), kind, k),
             expansion.build_expansion))
-        bundle = run_report(default_config(), tmp_path / "out")
+        summary = run_report(default_config(), tmp_path / "out")
         digest = hashlib.sha256(
             (tmp_path / "out" / "summary.json").read_bytes()).hexdigest()
         assert digest == self.DEFAULT_SUMMARY_SHA256
         # each (case, kind, order) polynomial is built once per campaign
         assert builds and max(builds.values()) == 1
-        assert bundle.passed
+        assert summary["passed"]

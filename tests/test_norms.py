@@ -236,7 +236,7 @@ class TestPanelEngine:
         rows = sol.residual_shells(ts, radii, dirs, poly)
         for row, t in zip(rows, ts):
             assert np.array_equal(row, sol.residual_shells((t,), radii, dirs, poly)[0])
-        curve = residual_norm_curve(sol, ts, 1)
+        curve = residual_norm_curve(sol, ts, poly)
         for nrm, t in zip(curve, ts):
             assert nrm.value == pytest.approx(residual_norm(sol, t, 1).value,
                                               rel=1e-9)
@@ -270,6 +270,19 @@ class TestPanelEngine:
         radial = integrate_radial(_shell_field(gaussian), 2, 0.0, 8.0, tol, rows=1)
         assert not radial.stalled
         assert radial.value == pytest.approx(math.pi / 2.0, rel=1e-9)
+
+    def test_region_norms_carry_the_stall_flag(self):
+        # the norm is the panel engine's own record, stall flag included
+        ripple = region_l2_norm(lambda p: 1.0 + 1e-9 * np.cos(1e5 * p[..., 0]),
+                                FrequencyRegion.ball(1.0, 1), tol=1e-10)
+        assert ripple.stalled
+        assert ripple.value == pytest.approx(math.sqrt(2.0), rel=1e-9)
+        gaussian = region_l2_norm(lambda p: np.exp(-np.sum(p * p, axis=-1)),
+                                  FrequencyRegion.ball(1.0, 2))
+        assert not gaussian.stalled
+        # integral over the unit disc of e^{-2 r^2}: pi (1 - e^{-2}) / 2
+        assert gaussian.value == pytest.approx(
+            math.sqrt(math.pi * (1.0 - math.exp(-2.0)) / 2.0), rel=1e-9)
 
 
 def _pinned_pair(n):

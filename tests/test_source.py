@@ -31,6 +31,9 @@ the multiplier K, so ``evaluate`` and the residual integrand share it.
 One function forks, and it ends its child with ``os._exit``: a child that
 returned into the caller would run its code, and flush its buffers, twice.
 
+One record holds a quadrature result: ``quadrature.QuadResult`` is the only
+dataclass with an ``error_estimate`` field, so no re-wrap drops ``stalled``.
+
 The benchmark's tracer binds package names by ``getattr`` with no default;
 its install must keep working, or every traced benchmark run fails.  Its
 after-hooks also read package results, so one traced operation of the
@@ -401,6 +404,44 @@ def test_call_guard_sees_the_innermost_function_and_only_calls():
                      "os.fork()\n")
     assert _callers(tree, "os", "fork") == {"inner", "child", None}
     assert _callers(tree, "os", "_exit") == {"child"}
+
+
+def _dataclasses_declaring(tree, field):
+    """Names of the dataclasses in ``tree`` whose body annotates ``field``."""
+    def is_dataclass(deco):
+        node = deco.func if isinstance(deco, ast.Call) else deco
+        return (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else None) == "dataclass"
+
+    def declares(stmt):
+        return (isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and stmt.target.id == field)
+
+    return sorted(node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef)
+                  and any(map(is_dataclass, node.decorator_list))
+                  and any(map(declares, node.body)))
+
+
+def test_one_record_holds_a_quadrature_result():
+    # a second record re-wrapping QuadResult once dropped its stalled flag
+    found = {(path.stem, cls) for path in SRC.glob("*.py")
+             for cls in _dataclasses_declaring(
+                 ast.parse(path.read_text(encoding="utf-8")), "error_estimate")}
+    assert found == {("quadrature", "QuadResult")}
+
+
+def test_record_guard_sees_decorated_annotated_fields_only():
+    tree = ast.parse("@dataclass\nclass A:\n    error_estimate: float\n"
+                     "@dataclasses.dataclass(frozen=True)\nclass B:\n"
+                     "    value: float\n    error_estimate: float = 0.0\n"
+                     "class C:\n    error_estimate: float\n"
+                     "@dataclass\nclass D:\n    error_estimate = 1.0\n"
+                     "@dataclass\nclass E:\n    estimate: float\n"
+                     "    def f(self): error_estimate: float = 0.0\n")
+    assert _dataclasses_declaring(tree, "error_estimate") == ["A", "B"]
 
 
 def test_the_benchmark_tracer_installs():
