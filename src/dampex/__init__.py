@@ -1,14 +1,12 @@
 """dampex: desk-scale verification of diffusion-type spectral expansions
 for a wave equation carrying both frictional and viscoelastic damping."""
 
-from .errors import (ConfigError, DampexError, DegenerateDataError,
-                     InsufficientOrderError, QuadratureError,
-                     SingularEvaluationError)
-from .expansion import (ExpansionPolynomial, PropertyReport, Term,
-                        build_expansion, check_property_A, check_property_B,
-                        check_property_C, combine, heat_partial_sum)
-from .experiments import (Case, HeatComparisonReport, RateFit, SandwichReport,
-                          TimeGrid, VanishingReport, default_config,
+from .errors import (ConfigError, DampexError, InsufficientOrderError,
+                     QuadratureError, SingularEvaluationError)
+from .expansion import (ExpansionPolynomial, Term, build_expansion,
+                        check_property_A, check_property_B, check_property_C,
+                        combine, heat_partial_sum)
+from .experiments import (Case, TimeGrid, default_config,
                           expected_decay_slope, fit_decay_rate,
                           heat_comparison, property_suite, run_report,
                           sandwich_check, vanishing_limit_check)

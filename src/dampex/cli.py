@@ -258,8 +258,6 @@ def cmd_norm(args):
 
 def cmd_report(args):
     cfg = load_config(args.config) if args.config else default_config()
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     summary = run_report(cfg, args.out_dir)
     sys.stdout.write(f"wrote {Path(args.out_dir) / 'summary.json'} "
                      f"({summary['n_failed']} failed)\n")
@@ -311,9 +309,6 @@ def build_parser():
     p.add_argument("--config", default=None,
                    help="campaign config JSON (bundled default if omitted)")
     p.add_argument("--out-dir", required=True, dest="out_dir")
-    p.add_argument("--seed", type=int, default=None,
-                   help="set the config's seed, an integer >= 0 that "
-                        "summary.json echoes and no check reads")
     p.set_defaults(func=cmd_report)
     return parser
 

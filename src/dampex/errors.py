@@ -30,9 +30,5 @@ class InsufficientOrderError(DampexError):
     """A moment table does not hold enough orders for the requested object."""
 
 
-class DegenerateDataError(DampexError):
-    """The lower-bound constant vanishes, so a rate/sandwich check is vacuous."""
-
-
 class ConfigError(DampexError):
     """A configuration document failed validation."""

@@ -214,16 +214,13 @@ def _layer_bounds(table: MomentTable) -> list[float]:
 # Checkable identities
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    name: str
-    order: int
-    max_deviation: float     # relative to the largest left-hand coefficient
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation <= self.tolerance
+def _property_entry(name: str, order: int, deviation: float,
+                    tolerance: float) -> dict:
+    """The summary entry of one identity check; ``max_deviation`` is relative
+    to the largest left-hand coefficient."""
+    return {"check": "property", "name": name, "k": order,
+            "status": "pass" if deviation <= tolerance else "fail",
+            "max_deviation": deviation, "tolerance": tolerance}
 
 
 def _deviation(lhs: ExpansionPolynomial, rhs) -> float:
@@ -241,15 +238,14 @@ def _scale(poly: ExpansionPolynomial) -> float:
 
 
 def check_property_A(a_k: ExpansionPolynomial, a_prev: ExpansionPolynomial,
-                     b_k: ExpansionPolynomial, tolerance=1e-12) -> PropertyReport:
+                     b_k: ExpansionPolynomial, tolerance=1e-12) -> dict:
     """Additivity: profile_k == profile_{k-1} + increment_k, coefficientwise."""
-    return PropertyReport(name="additivity", order=a_k.order,
-                          max_deviation=_deviation(a_k, (a_prev, b_k)),
-                          tolerance=tolerance)
+    return _property_entry("additivity", a_k.order,
+                           _deviation(a_k, (a_prev, b_k)), tolerance)
 
 
 def check_property_B(b_k: ExpansionPolynomial, b_prev: ExpansionPolynomial,
-                     top: ExpansionPolynomial, tolerance=1e-12) -> PropertyReport:
+                     top: ExpansionPolynomial, tolerance=1e-12) -> dict:
     """Recurrence: increment_k == |xi|^2 increment_{k-2} + top layer,
     coefficientwise."""
     if b_k.order < 2:
@@ -258,18 +254,16 @@ def check_property_B(b_k: ExpansionPolynomial, b_prev: ExpansionPolynomial,
         kind=b_prev.kind, order=b_prev.order + 2, dimension=b_prev.dimension,
         terms=tuple(Term(t.coefficient, t.radial_power + 2, t.monomial)
                     for t in b_prev.terms))
-    return PropertyReport(name="recurrence", order=b_k.order,
-                          max_deviation=_deviation(b_k, (raised, top)),
-                          tolerance=tolerance)
+    return _property_entry("recurrence", b_k.order,
+                           _deviation(b_k, (raised, top)), tolerance)
 
 
-def check_property_C(poly: ExpansionPolynomial, tolerance=1e-12) -> PropertyReport:
+def check_property_C(poly: ExpansionPolynomial, tolerance=1e-12) -> dict:
     """Homogeneity: every canonical monomial of increment_k has degree k, so
     increment_k(xi/c) == c^{-k} increment_k(xi) for every c > 0.  The
     deviation is the largest |coefficient| of another degree."""
     if poly.kind != "B":
         raise ValueError("homogeneity holds for kind 'B' polynomials")
     off = [abs(c) for mono, c in poly.canonical if degree(mono) != poly.order]
-    return PropertyReport(name="homogeneity", order=poly.order,
-                          max_deviation=max(off, default=0.0) / _scale(poly),
-                          tolerance=tolerance)
+    return _property_entry("homogeneity", poly.order,
+                           max(off, default=0.0) / _scale(poly), tolerance)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDataError
+from .errors import ConfigError
 from .expansion import (build_expansion, check_property_A, check_property_B,
                         check_property_C, combine, heat_partial_sum,
                         series_ball)
@@ -58,66 +58,6 @@ class TimeGrid:
 
     def values(self) -> np.ndarray:
         return np.geomspace(self.t_min, self.t_max, self.points)
-
-
-@dataclass(frozen=True)
-class RateFit:
-    slope: float
-    intercept: float
-    residual: float            # max |log norm - fit| over the fitted points
-    t_lo: float
-    t_hi: float
-    expected_slope: float
-    k: int
-    ts: tuple[float, ...]           # the whole residual curve
-    norms: tuple[float, ...]
-
-    def within(self, tolerance: float) -> bool:
-        return abs(self.slope - self.expected_slope) <= tolerance
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    k: int
-    lower_constant: float           # || B_k e^{-|xi|^2} || on the half ball
-    ts: tuple[float, ...]
-    norms: tuple[float, ...]
-    ratios: tuple[float, ...]       # norm / (L t^{-n/4-k/2})
-    empirical_delta: float | None   # first grid t with ratio >= 1/2 onwards
-    upper_envelope: float
-
-    @property
-    def satisfied(self) -> bool:
-        return (self.empirical_delta is not None
-                and math.isfinite(self.upper_envelope))
-
-
-@dataclass(frozen=True)
-class VanishingReport:
-    variant: str                     # "heat" or "low_frequency"
-    exponent: float                  # t-power applied to the raw norm
-    ts: tuple[float, ...]
-    scaled: tuple[float, ...]
-    tail_decreasing: bool
-    terminal_fraction: float         # last value / value at t_min
-    peak_fraction: float             # last value / grid maximum (diagnostic)
-    target_fraction: float
-
-    @property
-    def passed(self) -> bool:
-        return self.tail_decreasing and self.terminal_fraction < self.target_fraction
-
-
-@dataclass(frozen=True)
-class HeatComparisonReport:
-    k: int
-    increment_constant: float        # damped-wave increment, half ball
-    heat_constant: float             # heat increment, half ball
-    relative_gap: float
-    heat_full_constant: float        # || C_k e^{-|xi|^2} || over R^n
-    ts: tuple[float, ...]
-    heat_ratios: tuple[float, ...]   # heat residual / (full constant * t^-rate)
-    empirical_delta: float | None
 
 
 def expected_decay_slope(dimension: int, k: int) -> float:
@@ -299,51 +239,68 @@ def _weighted_norms(base, ell, region, ts, tol, breakpoints=()):
     return np.array([nrm.value for nrm in curve])
 
 
-def fit_decay_rate(case: Case, k: int, grid: TimeGrid, tol=1e-9) -> RateFit:
-    """Least-squares slope of log residual norm against log t.
+def fit_decay_rate(case: Case, k: int, grid: TimeGrid, tol=1e-9,
+                   tolerance=0.05):
+    """Least-squares slope of log residual norm against log t, and whether
+    it is within ``tolerance`` of the expected slope; returns the summary
+    entry and the curve (ts, norms).
 
     Fitted over the upper half of the grid, where the transient terms are
-    dead.  Rejects data whose order-k increment vanishes: the decay is then
-    strictly faster and the stated exponent does not apply.
+    dead.  Rejects data whose order-k increment vanishes, with no curve:
+    the decay is then strictly faster and the stated exponent does not
+    apply.
     """
     L = case.increment_constant(k)
     if L <= DEGENERACY_FLOOR * case.moment_scale(k):
-        raise DegenerateDataError(
-            f"order-{k} increment vanishes (constant {L:.3e}); "
-            "the residual decays faster than the fitted exponent")
+        return {"case": case.name, "check": "rate", "k": k,
+                "status": "rejected",
+                "diagnostic": f"order-{k} increment vanishes (constant "
+                              f"{L:.3e}); the residual decays faster than "
+                              "the fitted exponent"}, None
     ts, norms = case.residual_curve(k, grid, tol)
     half = len(ts) // 2
     x = np.log(ts[half:])
     y = np.log(norms[half:])
     slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.max(np.abs(y - (slope * x + intercept))))
-    return RateFit(slope=float(slope), intercept=float(intercept),
-                   residual=resid, t_lo=float(ts[half]), t_hi=float(ts[-1]),
-                   expected_slope=expected_decay_slope(case.solution.dimension, k),
-                   k=k,
-                   ts=tuple(map(float, ts)), norms=tuple(map(float, norms)))
+    expected = expected_decay_slope(case.solution.dimension, k)
+    return {"case": case.name, "check": "rate", "k": k,
+            "status": ("pass" if abs(slope - expected) <= tolerance
+                       else "fail"),
+            "slope": float(slope), "expected_slope": expected,
+            "intercept": float(intercept),
+            # max |log norm - fit| over the fitted points
+            "fit_residual": float(np.max(np.abs(y - (slope * x + intercept)))),
+            "t_lo": float(ts[half]), "t_hi": float(ts[-1]),
+            "tolerance": tolerance}, (ts, norms)
 
 
-def sandwich_check(case: Case, k: int, grid: TimeGrid, tol=1e-9) -> SandwichReport:
-    """Two-sided decay check: L/2 <= norm(t) * t^{n/4+k/2} <= C.
+def sandwich_check(case: Case, k: int, grid: TimeGrid, tol=1e-9):
+    """Two-sided decay check: L/2 <= norm(t) * t^{n/4+k/2} <= C; returns
+    the summary entry and the curve (ts, ratios), the ratios
+    norm / (L t^{-n/4-k/2}).
 
     The lower constant L is the half-ball norm of the order-k increment;
     ``empirical_delta`` is the first grid time after which the ratio stays
-    at or above 1/2 (the estimates only assert such a time exists).
+    at or above 1/2 (the estimates only assert such a time exists).  Data
+    whose order-k increment vanishes is skipped, with no curve.
     """
     L = case.increment_constant(k)
     if L <= DEGENERACY_FLOOR * case.moment_scale(k):
-        raise DegenerateDataError(
-            f"order-{k} increment vanishes; the sandwich is vacuous")
+        return {"case": case.name, "check": "sandwich", "k": k,
+                "status": "skipped",
+                "diagnostic": f"order-{k} increment vanishes; the sandwich "
+                              "is vacuous"}, None
     ts, norms = case.residual_curve(k, grid, tol)
     rate = expected_decay_slope(case.solution.dimension, k)
     ratios = norms / (L * ts ** rate)
     delta = _first_stable_time(ts, ratios, 0.5)
-    return SandwichReport(k=k, lower_constant=L, ts=tuple(map(float, ts)),
-                          norms=tuple(map(float, norms)),
-                          ratios=tuple(map(float, ratios)),
-                          empirical_delta=delta,
-                          upper_envelope=float(np.max(ratios)))
+    upper = float(np.max(ratios))
+    entry = {"case": case.name, "check": "sandwich", "k": k,
+             "status": ("pass" if delta is not None and math.isfinite(upper)
+                        else "fail"),
+             "lower_constant": L, "empirical_delta": delta,
+             "upper_envelope": upper, "min_ratio": float(np.min(ratios))}
+    return entry, (ts, ratios)
 
 
 def _first_stable_time(ts, ratios, threshold):
@@ -355,8 +312,10 @@ def _first_stable_time(ts, ratios, threshold):
 
 def vanishing_limit_check(case: Case, grid: TimeGrid, *, variant="heat",
                           gamma=0.0, k=0, ell=0.0, target_fraction=0.1,
-                          tol=1e-9) -> VanishingReport:
-    """Decay proxy for the two scaled-remainder limits.
+                          tol=1e-9):
+    """Decay proxy for the two scaled-remainder limits; returns the summary
+    entry, which echoes gamma (or k) and ell as given, and the curve
+    (ts, scaled values).
 
     variant "heat":  t^{n/4+gamma/2+ell/2} |||xi|^ell (v_hat - partial sum)
     e^{-t|xi|^2}||_{L2(R^n)}, the partial sum to order floor(gamma) (the
@@ -368,9 +327,11 @@ def vanishing_limit_check(case: Case, grid: TimeGrid, *, variant="heat",
     v = case.solution.v
     n = v.dimension
     if variant == "heat":
+        params = {"gamma": gamma, "ell": ell}
         exponent = n / 4.0 + gamma / 2.0 + ell / 2.0
         ts, norms = case.vanishing_curve(math.floor(gamma), ell, grid, tol)
     elif variant == "low_frequency":
+        params = {"k": k, "ell": ell}
         exponent = n / 4.0 + k / 2.0 + ell / 2.0
         profile = case.expansion("A", k)
         symbol = LowFrequencySymbol(v)
@@ -390,33 +351,34 @@ def vanishing_limit_check(case: Case, grid: TimeGrid, *, variant="heat",
     head = scaled[0] if scaled[0] > 0 else 1e-300
     fraction = float(scaled[-1] / head)
     peak = float(np.max(scaled)) if np.max(scaled) > 0 else 1e-300
+    # last value over the grid maximum, a diagnostic only
     peak_fraction = float(scaled[-1] / peak)
     if scaled[0] == 0.0 and scaled[-1] == 0.0:
         decreasing, fraction, peak_fraction = True, 0.0, 0.0  # zero gap is vacuous
-    return VanishingReport(variant=variant, exponent=exponent,
-                           ts=tuple(map(float, ts)),
-                           scaled=tuple(map(float, scaled)),
-                           tail_decreasing=decreasing,
-                           terminal_fraction=fraction,
-                           peak_fraction=peak_fraction,
-                           target_fraction=target_fraction)
+    return {"case": case.name, "check": f"vanishing_{variant}",
+            "status": ("pass" if decreasing and fraction < target_fraction
+                       else "fail"),
+            "exponent": exponent, "terminal_fraction": fraction,
+            "peak_fraction": peak_fraction, "target_fraction": target_fraction,
+            "tail_decreasing": decreasing, **params}, (ts, scaled)
 
 
-def heat_comparison(case: Case, k: int, grid: TimeGrid,
-                    tol=1e-9) -> HeatComparisonReport:
+def heat_comparison(case: Case, k: int, grid: TimeGrid, tol=1e-9):
     """Side-by-side lower-bound constants for the damped flow and the heat
-    flow, plus the heat-flow sandwich ratios.
+    flow, plus the heat-flow sandwich; returns the summary entry and the
+    curve (ts, heat ratios), the heat residual over
+    || C_k e^{-|xi|^2} ||_{R^n} t^{-n/4-k/2}.
 
     The two increments coincide for k = 0, 1 and generally split at k = 2;
     the canonical Gaussian shows a vanishing damped increment against a
-    positive heat increment there.
+    positive heat increment there.  So the gap is asserted for k <= 1 only,
+    and the heat-flow sandwich for every k.
     """
     table = case.table
     inc = case.increment_constant(k)
     heat_half = heat_increment_norm(k, table, radius=0.5)
     heat_full = heat_increment_norm(k, table, radius=None)
-    scale = max(inc, heat_half, 1e-300)
-    gap = abs(inc - heat_half) / scale
+    gap = abs(inc - heat_half) / max(inc, heat_half, 1e-300)
     rate = expected_decay_slope(case.solution.dimension, k)
     # the heat residual || (v_hat - P_{k-1}) e^{-t|xi|^2} || is the
     # heat-vanishing curve at order k - 1 and ell = 0
@@ -425,17 +387,19 @@ def heat_comparison(case: Case, k: int, grid: TimeGrid,
     ratios = np.array([nrm / d if d > 0 else math.inf
                        for nrm, d in zip(norms.tolist(), denom)])
     delta = _first_stable_time(ts, ratios, 0.5) if heat_full > 0 else None
-    return HeatComparisonReport(k=k, increment_constant=inc,
-                                heat_constant=heat_half, relative_gap=gap,
-                                heat_full_constant=heat_full,
-                                ts=tuple(map(float, ts)),
-                                heat_ratios=tuple(map(float, ratios)),
-                                empirical_delta=delta)
+    ok = gap <= 1e-12 or k > 1
+    return {"case": case.name, "check": "heat", "k": k,
+            "status": ("pass" if ok and (heat_full == 0.0 or delta is not None)
+                       else "fail"),
+            "increment_constant": inc, "heat_constant": heat_half,
+            "relative_gap": gap, "heat_full_constant": heat_full,
+            "empirical_delta": delta}, (ts, ratios)
 
 
 def property_suite(case: Case, tolerance=1e-12):
     """Run the three polynomial identities on the exact coefficients of the
-    case's polynomials, for every order up to its ``property_order``."""
+    case's polynomials, for every order up to its ``property_order``, and
+    return their summary entries."""
     reports = []
     for k in range(case.property_order + 1):
         b_k = case.expansion("B", k)
@@ -446,7 +410,7 @@ def property_suite(case: Case, tolerance=1e-12):
             reports.append(check_property_B(b_k, case.expansion("B", k - 2),
                                             case.expansion("C", k), tolerance))
         reports.append(check_property_C(b_k, tolerance))
-    return reports
+    return [{"case": case.name, **rep} for rep in reports]
 
 
 # ---------------------------------------------------------------------------
@@ -575,38 +539,35 @@ def run_report(cfg: dict, out_dir) -> dict:
     entries = []
     for case in run.cases:
         curves = {}
+        # grid by keyword: the benchmark's tracer reads the curve length there
+        on_grid = {"grid": run.grid, "tol": run.tol}
         for k in case.k_values:
             if "rate" in case.checks:
-                entries.append(_rate_entry(case, k, run, curves))
+                entry, curves["rate", k] = fit_decay_rate(
+                    case, k, tolerance=run.rate_tol, **on_grid)
+                entries.append(entry)
             if "sandwich" in case.checks:
-                entries.append(_sandwich_entry(case, k, run, curves))
+                entry, curves["sandwich", k] = sandwich_check(case, k, **on_grid)
+                entries.append(entry)
             if "heat" in case.checks:
-                entries.append(_heat_entry(case, k, run))
+                entries.append(heat_comparison(case, k, **on_grid)[0])
         shared = {"target_fraction": run.fraction, "tol": run.tol}
         if "vanishing_heat" in case.checks:
-            for gamma, ell in itertools.product(case.gammas, case.ells):
-                rep = vanishing_limit_check(
-                    case, run.vanishing_grid, variant="heat",
-                    gamma=float(gamma), ell=float(ell), **shared)
-                entries.append(_vanishing_entry(case.name, rep,
-                                                {"gamma": gamma, "ell": ell}))
+            entries += [vanishing_limit_check(
+                case, run.vanishing_grid, variant="heat", gamma=gamma,
+                ell=ell, **shared)[0]
+                for gamma, ell in itertools.product(case.gammas, case.ells)]
         if "vanishing_low_frequency" in case.checks:
-            for k, ell in itertools.product(case.k_values, case.ells):
-                rep = vanishing_limit_check(
-                    case, run.vanishing_grid, variant="low_frequency",
-                    k=k, ell=float(ell), **shared)
-                entries.append(_vanishing_entry(case.name, rep,
-                                                {"k": k, "ell": ell}))
+            entries += [vanishing_limit_check(
+                case, run.vanishing_grid, variant="low_frequency", k=k,
+                ell=ell, **shared)[0]
+                for k, ell in itertools.product(case.k_values, case.ells)]
         if "properties" in case.checks:
-            entries += [{"case": case.name, "check": "property",
-                         "status": "pass" if rep.passed else "fail",
-                         "name": rep.name, "k": rep.order,
-                         "max_deviation": rep.max_deviation,
-                         "tolerance": rep.tolerance}
-                        for rep in property_suite(case, run.prop_tol)]
-        for (check, k), (ts, vals) in curves.items():
-            label, name = case.curve_file(check, k)
-            _write_csv(out_dir / name, ("t", label), ts, vals)
+            entries += property_suite(case, run.prop_tol)
+        for (check, k), curve in curves.items():
+            if curve is not None:
+                label, name = case.curve_file(check, k)
+                _write_csv(out_dir / name, ("t", label), *curve)
 
     n_failed = sum(1 for e in entries if e["status"] == "fail")
     summary = {
@@ -618,63 +579,6 @@ def run_report(cfg: dict, out_dir) -> dict:
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return summary
-
-
-def _rate_entry(case, k, run, curves):
-    try:
-        fit = fit_decay_rate(case, k, run.grid, run.tol)
-    except DegenerateDataError as exc:
-        return {"case": case.name, "check": "rate", "k": k,
-                "status": "rejected", "diagnostic": str(exc)}
-    curves["rate", k] = (fit.ts, fit.norms)
-    return {"case": case.name, "check": "rate", "k": k,
-            "status": "pass" if fit.within(run.rate_tol) else "fail",
-            "slope": fit.slope, "expected_slope": fit.expected_slope,
-            "intercept": fit.intercept, "fit_residual": fit.residual,
-            "t_lo": fit.t_lo, "t_hi": fit.t_hi, "tolerance": run.rate_tol}
-
-
-def _sandwich_entry(case, k, run, curves):
-    try:
-        rep = sandwich_check(case, k, run.grid, run.tol)
-    except DegenerateDataError as exc:
-        return {"case": case.name, "check": "sandwich", "k": k,
-                "status": "skipped", "diagnostic": str(exc)}
-    curves["sandwich", k] = (rep.ts, rep.ratios)
-    return {"case": case.name, "check": "sandwich", "k": k,
-            "status": "pass" if rep.satisfied else "fail",
-            "lower_constant": rep.lower_constant,
-            "empirical_delta": rep.empirical_delta,
-            "upper_envelope": rep.upper_envelope,
-            "min_ratio": min(rep.ratios)}
-
-
-def _heat_entry(case, k, run):
-    rep = heat_comparison(case, k, run.grid, run.tol)
-    # the two increments coincide for k <= 1; from k = 2 on they may differ
-    # in either direction, so only the heat-flow sandwich itself is asserted
-    ok = rep.relative_gap <= 1e-12 if k <= 1 else True
-    sandwich_ok = (rep.heat_full_constant == 0.0
-                   or rep.empirical_delta is not None)
-    status = "pass" if ok and sandwich_ok else "fail"
-    return {"case": case.name, "check": "heat", "k": k, "status": status,
-            "increment_constant": rep.increment_constant,
-            "heat_constant": rep.heat_constant,
-            "relative_gap": rep.relative_gap,
-            "heat_full_constant": rep.heat_full_constant,
-            "empirical_delta": rep.empirical_delta}
-
-
-def _vanishing_entry(name, rep, params):
-    entry = {"case": name, "check": f"vanishing_{rep.variant}",
-             "status": "pass" if rep.passed else "fail",
-             "exponent": rep.exponent,
-             "terminal_fraction": rep.terminal_fraction,
-             "peak_fraction": rep.peak_fraction,
-             "target_fraction": rep.target_fraction,
-             "tail_decreasing": rep.tail_decreasing}
-    entry.update(params)
-    return entry
 
 
 def _write_csv(path: Path, header, ts, vals):

@@ -156,8 +156,11 @@ def adaptive_1d(f, lo, hi, tol, *, abs_floor=1e-300, breakpoints=()) -> QuadResu
     max(tol |I_t|, abs_floor), or once every panel's estimate is down to its
     roundoff floor (50 eps times the panel's integral of |f|, as in
     QUADPACK), below which no bisection can certify more.  ``breakpoints``
-    marks interior points where the integrand is not smooth (kinks from
-    region policies, compact supports); the initial panels are split there.
+    marks interior points where the integrand is not smooth or changes
+    scale (the heat ladder of ``radial_breakpoints``, LOW_RADIUS and
+    HIGH_RADIUS around the unit sphere, the edge of a heat-vanishing tail
+    ball, the origin and the summands' support ends in a weighted L1
+    norm); the initial panels are split there.
     When QUAD_LIMIT panels are used up first, a result within STALL_SLACK
     times the target is returned with ``stalled=True`` and a worse one
     raises QuadratureError.

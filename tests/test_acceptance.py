@@ -171,7 +171,7 @@ def decay_fits(decay_grid):
     t0 = time.monotonic()
     cases = {name: (Case(name, u0, u1, k_values=(k,)), k)
              for name, u0, u1, k in DECAY_CASES}
-    fits = {name: (fit_decay_rate(case, k, decay_grid),
+    fits = {name: (fit_decay_rate(case, k, decay_grid, tolerance=0.05)[0],
                    sandwich_check(case, k, decay_grid))
             for name, (case, k) in cases.items()}
     return fits, time.monotonic() - t0
@@ -181,7 +181,8 @@ def test_decay_rates_match_the_stated_exponents(decay_fits):
     fits, elapsed = decay_fits
     t0 = time.monotonic()
     for name, (fit, _) in fits.items():
-        assert fit.within(0.05), (name, fit.slope, fit.expected_slope)
+        assert fit["status"] == "pass", (name, fit["slope"],
+                                         fit["expected_slope"])
     total = elapsed + (time.monotonic() - t0)
     print(f"[PASS] decay-rate-exponents ({total:.1f}s incl. curves)")
     assert total < 600.0
@@ -190,11 +191,11 @@ def test_decay_rates_match_the_stated_exponents(decay_fits):
 def test_two_sided_bounds_hold_beyond_reported_delta(decay_fits):
     fits, _ = decay_fits
     t0 = time.monotonic()
-    for name, (_, sw) in fits.items():
-        assert sw.empirical_delta is not None, name
-        kept = [r for t, r in zip(sw.ts, sw.ratios) if t >= sw.empirical_delta]
+    for name, (_, (sw, (ts, ratios))) in fits.items():
+        assert sw["empirical_delta"] is not None, name
+        kept = [r for t, r in zip(ts, ratios) if t >= sw["empirical_delta"]]
         assert all(r >= 0.5 for r in kept), name
-        assert math.isfinite(sw.upper_envelope), name
+        assert math.isfinite(sw["upper_envelope"]), name
     _stamp("two-sided-decay-bounds", t0)
 
 
@@ -208,13 +209,13 @@ def test_scaled_remainders_decay():
                 checks=("vanishing_heat", "vanishing_low_frequency"),
                 gammas=(0.0, 1.0, 2.0, 2.5))
     for gamma in (0.0, 1.0, 2.0, 2.5):
-        rep = vanishing_limit_check(case, grid, variant="heat", gamma=gamma)
-        assert rep.tail_decreasing, gamma
-        assert rep.terminal_fraction < 0.1, (gamma, rep.terminal_fraction)
+        rep, _ = vanishing_limit_check(case, grid, variant="heat", gamma=gamma)
+        assert rep["tail_decreasing"], gamma
+        assert rep["terminal_fraction"] < 0.1, (gamma, rep)
     for k in (0, 1, 2):
-        rep = vanishing_limit_check(case, grid, variant="low_frequency", k=k)
-        assert rep.tail_decreasing, k
-        assert rep.terminal_fraction < 0.1, (k, rep.terminal_fraction)
+        rep, _ = vanishing_limit_check(case, grid, variant="low_frequency", k=k)
+        assert rep["tail_decreasing"], k
+        assert rep["terminal_fraction"] < 0.1, (k, rep)
     elapsed = _stamp("scaled-remainder-decay", t0)
     assert elapsed < 300.0
 
@@ -227,14 +228,14 @@ def test_heat_flow_increment_comparison():
     for v in catalog_all():
         case = Case("catalog", v, zero_datum(v.dimension), k_values=(0, 1))
         for k in (0, 1):
-            rep = heat_comparison(case, k, grid)
-            assert rep.relative_gap <= 1e-12, (v.family, v.dimension, k)
+            rep, _ = heat_comparison(case, k, grid)
+            assert rep["relative_gap"] <= 1e-12, (v.family, v.dimension, k)
     gauss = Gaussian(dimension=1, scale=1.0)
-    rep = heat_comparison(Case("gauss", gauss, zero_datum(1), k_values=(2,)),
-                          2, grid)
+    rep, _ = heat_comparison(Case("gauss", gauss, zero_datum(1),
+                                  k_values=(2,)), 2, grid)
     mass = abs(moment_table(gauss, 0).moment((0,)))
-    assert rep.increment_constant == 0.0
-    assert rep.heat_constant > 1e-2 * mass
+    assert rep["increment_constant"] == 0.0
+    assert rep["heat_constant"] > 1e-2 * mass
     _stamp("heat-flow-increment-comparison", t0)
 
 
@@ -254,14 +255,15 @@ def test_property_suite_under_fixed_seed():
         for k in range(k_max + 1):
             # the identities compared on the canonical coefficients
             poly = build_expansion("B", k, table)
-            assert check_property_A(build_expansion("A", k, table),
-                                    build_expansion("A", k - 1, table), poly,
-                                    1e-12).passed, (v.family, k)
+            entries = [check_property_A(build_expansion("A", k, table),
+                                        build_expansion("A", k - 1, table),
+                                        poly, 1e-12),
+                       check_property_C(poly, 1e-12)]
             if k >= 2:
-                assert check_property_B(poly, build_expansion("B", k - 2, table),
-                                        build_expansion("C", k, table),
-                                        1e-12).passed, (v.family, k)
-            assert check_property_C(poly, 1e-12).passed, (v.family, k)
+                entries.append(check_property_B(
+                    poly, build_expansion("B", k - 2, table),
+                    build_expansion("C", k, table), 1e-12))
+            assert all(e["status"] == "pass" for e in entries), (v.family, k)
             # increments and flat layers are homogeneous of exact degree k
             for kind in ("B", "C"):
                 for term in build_expansion(kind, k, table).terms:

@@ -386,6 +386,26 @@ def test_report_unreadable_config_or_out_dir_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
 
+@pytest.mark.parametrize("text", ["[]", "null"])
+def test_report_rejects_a_config_that_is_no_object(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    out_dir = tmp_path / "report"
+    assert main(["report", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ")
+    assert not out_dir.exists()
+
+
+def test_report_has_no_seed_flag(tmp_path, capsys):
+    # no check draws random points; the config's "seed" is only echoed
+    with pytest.raises(SystemExit) as exit_:
+        main(["report", "--out-dir", str(tmp_path / "r"), "--seed", "1"])
+    assert exit_.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_expansion_subcommand_terms_and_canonical(datum_cfg, capsys):
     rc = main(["expansion", "--data", datum_cfg, "--kind", "B", "--k", "2",
                "--print", "canonical"])

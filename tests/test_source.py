@@ -34,6 +34,9 @@ returned into the caller would run its code, and flush its buffers, twice.
 One record holds a quadrature result: ``quadrature.QuadResult`` is the only
 dataclass with an ``error_estimate`` field, so no re-wrap drops ``stalled``.
 
+Each check writes its own summary entry: only the four checks and the
+property-entry helper hold a dict display with a ``"status"`` key.
+
 The benchmark's tracer binds package names by ``getattr`` with no default;
 its install must keep working, or every traced benchmark run fails.  Its
 after-hooks also read package results, so one traced operation of the
@@ -442,6 +445,37 @@ def test_record_guard_sees_decorated_annotated_fields_only():
                      "@dataclass\nclass E:\n    estimate: float\n"
                      "    def f(self): error_estimate: float = 0.0\n")
     assert _dataclasses_declaring(tree, "error_estimate") == ["A", "B"]
+
+
+def _status_writers(tree):
+    """Names of the innermost functions (None at module level) holding a
+    dict display with a ``"status"`` key."""
+    return _holders(tree, lambda node: isinstance(node, ast.Dict) and any(
+        isinstance(key, ast.Constant) and key.value == "status"
+        for key in node.keys))
+
+
+def test_each_check_writes_its_own_status():
+    # a verdict built twice, by a check's record and again by a translator
+    # in run_report, split the pass rule between the two
+    found = {(path.stem, name) for path in SRC.glob("*.py")
+             for name in _status_writers(
+                 ast.parse(path.read_text(encoding="utf-8")))}
+    checks = {"fit_decay_rate", "sandwich_check", "heat_comparison",
+              "vanishing_limit_check"}
+    assert found == ({("experiments", name) for name in checks}
+                     | {("expansion", "_property_entry")})
+
+
+def test_status_guard_sees_dict_displays_with_the_key_only():
+    tree = ast.parse("def outer():\n"
+                     "    def inner(): return {'case': 1, 'status': 'pass'}\n"
+                     "    return {'state': 'status'}\n"
+                     "def merged(e): return {**e, 'status': 'fail'}\n"
+                     "def keyword(): return dict(status='pass')\n"
+                     "def read(e): return e['status'] == 'pass'\n"
+                     "x = {'status': None}\n")
+    assert _status_writers(tree) == {"inner", "merged", None}
 
 
 def test_the_benchmark_tracer_installs():
