@@ -38,9 +38,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .indices import Alpha, degree, indices_up_to, multi_factorial
-from .quadrature import BATCH_POINTS, adaptive_1d
+from .quadrature import adaptive_1d
 
 _SUPPORT_EPS = 1e-18
+# outer rows a weighted L1 norm sends to its next axis per call, 21 nodes
+# each (about 4096 values); the rows of a chunk share their panels, so the
+# chunk also fixes the norm's value
+L1_ROW_CHUNK = 195
 # the highest moment order whose factorial, the factor alpha! of a printed
 # raw moment at alpha = (order, 0, ...), stays below the float maximum
 # (170! ~ 7.3e306)
@@ -484,7 +488,6 @@ def weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10) -> float:
     """
     gamma, tol = float(gamma), float(tol)
     n = v.dimension
-    chunk = BATCH_POINTS // 21      # rows whose 21 nodes fit BATCH_POINTS
 
     def over_axis(j, outer):
         """The (P,) integrals over axes j, ..., n-1 at the (P, j) points
@@ -495,9 +498,10 @@ def weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10) -> float:
             pts[..., j] = y
             if j < n - 1:
                 rows = pts.reshape(-1, j + 1)
-                return np.concatenate([over_axis(j + 1, rows[i:i + chunk])
-                                       for i in range(0, len(rows), chunk)]
-                                      ).reshape(pts.shape[:2])
+                return np.concatenate(
+                    [over_axis(j + 1, rows[i:i + L1_ROW_CHUNK])
+                     for i in range(0, len(rows), L1_ROW_CHUNK)]
+                ).reshape(pts.shape[:2])
             r = np.sqrt((pts * pts).sum(axis=-1))
             return (1.0 + r) ** gamma * np.abs(v.values(pts))
 

@@ -21,10 +21,12 @@ deterministic; the two coarsest rules are probed in one field call.
 Unbounded domains are truncated where the integrand falls below a
 relative floor of its running peak; the truncation estimate is folded
 into the reported error.  A field call holds whole shells up to
-BATCH_POINTS values (points x rows); only a shell larger than that is
-sampled in slices of its directions.  This keeps memory flat.  A bare
-1-D integrand receives the 21 nodes of at most QUAD_LIMIT panels per
-call.
+BATCH_POINTS values (points x rows).  The cap is sized to hold a
+campaign curve's angular probe (9 times on the two coarsest circle
+rules) in one call and a panel round in a few; only a shell larger than
+that (the finest sphere rule at 17 times) is sampled in slices of its
+directions.  This keeps one call's transients near 1 MiB.  A bare 1-D
+integrand receives the 21 nodes of at most QUAD_LIMIT panels per call.
 
 Each angular rule and each set of truncation probe directions is built
 once per process, on first use, and kept as read-only arrays; a rule
@@ -45,7 +47,9 @@ from .errors import QuadratureError
 integrate = None
 
 QUAD_LIMIT = 200            # panels per 1-D integral (subintervals in quad)
-BATCH_POINTS = 1 << 12      # values (points x rows) one field call on shells may hold
+# values (points x rows) one field call on shells may hold: a 9-time 2-D
+# curve's angular probe in one call, a panel round in a few
+BATCH_POINTS = 1 << 14
 STALL_SLACK = 100.0         # a stalled integral is accepted within this x tol
 TRUNCATION_FLOOR = 1e-18   # a shell below this x the running peak is negligible
 TRUNCATION_GROWTH = 1.5    # ratio of successive truncation probe radii
@@ -377,32 +381,36 @@ def truncation_radius(field, dimension, start, *, rows):
     Each shell is sampled at a bundle of nearby radii so oscillatory
     integrands (sinc-type transforms) cannot hide a crest between probes.
     ``field`` is a field on shells with ``rows`` rows, probed for every row
-    in one call per bundle; the radius is the largest any row needs and the
-    tail bound has one entry per row.
+    in one call per bundle; a few interior shells ride in the first
+    bundle's call.  The radius is the largest any row needs and the tail
+    bound has one entry per row.
     """
     dirs = _probe_directions(dimension)
 
-    def shell_max(radii):
+    def shell_maxima(radii):
         return _on_shells(field, radii, dirs, lambda vals: vals.max(axis=-1),
-                          rows).max(axis=-1)
+                          rows)
 
-    def bundle_max(r):
+    def bundle(r):
         # bundle spacing grows with r to straddle unit-period oscillations
-        return shell_max(np.array([r, r + 1.7, r + 4.3, r * 1.013 + 0.5]))
+        return np.array([r, r + 1.7, r + 4.3, r * 1.013 + 0.5])
 
     r = max(start, 1.0)
     # include a few interior shells so the peak is seen even for
     # integrands concentrated near the origin
-    peak = shell_max(r * np.array([1e-3, 1e-2, 0.1, 0.5, 1.0]))
+    interior = r * np.array([1e-3, 1e-2, 0.1, 0.5, 1.0])
+    maxima = shell_maxima(np.concatenate([interior,
+                                          bundle(min(r, TRUNCATION_CAP))]))
+    peak = maxima[..., :len(interior)].max(axis=-1)
     if np.all(peak <= 0.0):
         return r, np.zeros_like(peak)
+    top = maxima[..., len(interior):].max(axis=-1)
     while r < TRUNCATION_CAP:
-        top = bundle_max(r)
         peak = np.maximum(peak, top)
         if np.all(top <= TRUNCATION_FLOOR * peak):
             return r, top * _surface(dimension, r) * r
         r *= TRUNCATION_GROWTH
-    top = bundle_max(TRUNCATION_CAP)
+        top = shell_maxima(bundle(min(r, TRUNCATION_CAP))).max(axis=-1)
     return TRUNCATION_CAP, top * _surface(dimension, TRUNCATION_CAP) * TRUNCATION_CAP
 
 

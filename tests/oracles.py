@@ -15,6 +15,8 @@ number the package computes another way:
   times one phase;
 * the residual integrand evaluated point by point through
   ``SpectralSolution.evaluate``, against the shell route of the norms;
+* the truncation probe with one field call for the interior shells and
+  one per bundle, against the probe that samples both in its first call;
 * grid suprema of the Taylor-remainder and symbol-gap ratios, the
   boundedness proxies for the two key estimates behind the expansions.
 """
@@ -34,7 +36,9 @@ from dampex import (Box, Gaussian, GaussianMonomial, InitialDatum,
                     weighted_l1_norm)
 from dampex.indices import indices_of_degree
 from dampex.norms import radial_gaussian_integral
-from dampex.quadrature import QUAD_LIMIT, adaptive_1d
+from dampex.quadrature import (QUAD_LIMIT, TRUNCATION_CAP, TRUNCATION_FLOOR,
+                               TRUNCATION_GROWTH, _on_shells, _probe_directions,
+                               _surface, adaptive_1d)
 
 # ---------------------------------------------------------------------------
 # Pointwise residual
@@ -284,6 +288,37 @@ def nested_quad(field, v: InitialDatum, tol, *, abs_floor=1e-300,
                               full_output=1)[0]
 
     return level(0, ())
+
+
+# ---------------------------------------------------------------------------
+# Truncation
+
+
+def truncation_radius_per_bundle(field, dimension, start, *, rows):
+    """``truncation_radius`` with the interior shells in a field call of
+    their own and each bundle in one call: the same probes, stopping rule
+    and tail bound."""
+    dirs = _probe_directions(dimension)
+
+    def shell_max(radii):
+        return _on_shells(field, radii, dirs, lambda vals: vals.max(axis=-1),
+                          rows).max(axis=-1)
+
+    def bundle_max(r):
+        return shell_max(np.array([r, r + 1.7, r + 4.3, r * 1.013 + 0.5]))
+
+    r = max(start, 1.0)
+    peak = shell_max(r * np.array([1e-3, 1e-2, 0.1, 0.5, 1.0]))
+    if np.all(peak <= 0.0):
+        return r, np.zeros_like(peak)
+    while r < TRUNCATION_CAP:
+        top = bundle_max(r)
+        peak = np.maximum(peak, top)
+        if np.all(top <= TRUNCATION_FLOOR * peak):
+            return r, top * _surface(dimension, r) * r
+        r *= TRUNCATION_GROWTH
+    top = bundle_max(TRUNCATION_CAP)
+    return TRUNCATION_CAP, top * _surface(dimension, TRUNCATION_CAP) * TRUNCATION_CAP
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 
 import dampex
 from dampex import (Box, Case, ConfigError, Gaussian,
-                    Shifted, TimeGrid, default_config, expected_decay_slope,
+                    Shifted, SpectralSolution, TimeGrid, default_config,
+                    expected_decay_slope,
                     fit_decay_rate, heat_comparison, property_suite,
                     run_report, sandwich_check, vanishing_limit_check,
                     zero_datum)
@@ -582,6 +583,49 @@ class TestCampaignState:
         counts = self._count_builds(monkeypatch)
         run_report(default_config(), tmp_path / "out")
         assert counts == {"moment_table": 20, "build_expansion": 73}
+
+    def test_default_campaign_field_calls_per_curve(self, tmp_path,
+                                                    monkeypatch):
+        # a field call holds whole shells up to BATCH_POINTS values, and the
+        # truncation probe's interior shells ride in its first bundle's
+        # call; a change to either shows here.  Each curve in campaign
+        # order: its integrand, dimension, times and field calls
+        from dampex import experiments
+        curves = []
+
+        def counted(fn):
+            def wrapper(*args):
+                curves[-1][-1] += 1
+                return fn(*args)
+            return wrapper
+
+        real_curve, real_norms = (experiments.residual_norm_curve,
+                                  experiments._weighted_norms)
+
+        def residual_curve(sol, ts, *args, **kwargs):
+            curves.append(["residual", sol.dimension, len(ts), 0])
+            return real_curve(sol, ts, *args, **kwargs)
+
+        def weighted_norms(base, ell, region, ts, *args, **kwargs):
+            curves.append(["vanishing", region.dimension, len(ts), 0])
+            return real_norms(counted(base), ell, region, ts, *args, **kwargs)
+
+        monkeypatch.setattr(SpectralSolution, "residual_shells",
+                            counted(SpectralSolution.residual_shells))
+        monkeypatch.setattr(experiments, "residual_norm_curve", residual_curve)
+        monkeypatch.setattr(experiments, "_weighted_norms", weighted_norms)
+        run_report(default_config(), tmp_path / "out")
+        assert curves == [
+            # gauss-1d: rate and sandwich, heat, two gamma floors, low
+            # frequency on the half ball (bounded: no truncation)
+            ["residual", 1, 9, 2], ["vanishing", 1, 9, 2],
+            ["vanishing", 1, 17, 4], ["vanishing", 1, 17, 4],
+            ["vanishing", 1, 17, 1],
+            # box-1d: k = 0 and k = 2
+            ["residual", 1, 9, 2], ["vanishing", 1, 9, 2],
+            ["residual", 1, 9, 2], ["vanishing", 1, 9, 2],
+            # shifted-gauss-2d: k = 1
+            ["residual", 2, 9, 7], ["vanishing", 2, 9, 7]]
 
     def test_default_summary_bytes_and_build_counts(self, tmp_path,
                                                     monkeypatch):

@@ -13,7 +13,7 @@ from dampex import (Box, ConfigError, Gaussian, GaussianMonomial,
                     pair_from_config, weighted_l1_norm, zero_datum)
 from dampex import initial_data
 from dampex.indices import indices_up_to
-from dampex.quadrature import BATCH_POINTS, adaptive_1d
+from dampex.quadrature import adaptive_1d
 
 from conftest import catalog_all
 from oracles import (absolute_moment, per_axis_fourier_transform,
@@ -305,7 +305,7 @@ class TestWeightedNorms:
         v = SumDatum(terms=(Box(dimension=3, half_width=0.7),
                             Gaussian(dimension=3, scale=0.5, amplitude=-0.4)))
         weighted_l1_norm(v, 0.5, tol=1e-6)
-        assert max(rows) <= BATCH_POINTS // 21 < sum(rows)
+        assert max(rows) <= initial_data.L1_ROW_CHUNK < sum(rows)
 
     def test_absolute_moment_matches_even_power(self, gaussian_1d):
         assert absolute_moment(gaussian_1d, 2.0) == pytest.approx(

@@ -15,15 +15,16 @@ from dampex import norms, quadrature
 from dampex.expansion import heat_partial_sum
 from dampex.norms import (norm_curve, regularised_lower_gamma,
                           residual_norm_curve)
-from dampex.quadrature import (BATCH_POINTS, adaptive_1d, angular_sums,
-                               choose_angular_rule, circle_nodes,
-                               integrate_radial, sphere_nodes)
+from dampex.quadrature import (BATCH_POINTS, TRUNCATION_CAP, adaptive_1d,
+                               angular_sums, choose_angular_rule, circle_nodes,
+                               integrate_radial, sphere_nodes,
+                               truncation_radius)
 
 from conftest import catalog_1d, catalog_2d, catalog_3d
 from oracles import (heat_increment_moment_sum, increment_lower_constant,
                      increment_lower_constant_1d, lower_bound_constants,
                      radial_factor_1d, symbol_gap_sup_ratio,
-                     taylor_remainder_sup_ratio)
+                     taylor_remainder_sup_ratio, truncation_radius_per_bundle)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -427,9 +428,69 @@ class TestShellFieldCalls:
 
         monkeypatch.setattr(SpectralSolution, "residual_shells", counted)
         res = residual_norm(_pinned_pair(3), 10.0, 2)
-        # three truncation bundles, one rule choice, four panel rounds
-        assert len(calls) == 8
+        # two truncation calls (the interior shells ride with the first
+        # bundle), one rule choice, three panel rounds: points per call
+        assert calls == [216, 96, 1400, 7560, 3024, 3024]
         assert res.evaluations == 13797
+
+
+def _probe_field(kind):
+    """A nonnegative three-row field on shells and its row count: heat-type
+    rows concentrated near the origin, 1/r sinc-type rows that stay above
+    the truncation floor up to TRUNCATION_CAP, rows that vanish inside
+    |xi| = 4.5, or zero."""
+    ts = np.array([0.5, 2.0, 10.0])
+
+    def field(radii, dirs):
+        if kind == "heat":
+            radial = np.exp(-np.multiply.outer(ts, radii * radii))
+        elif kind == "sinc":
+            radial = np.abs(np.sin(np.multiply.outer(ts, radii))) / radii
+        elif kind == "outer":
+            radial = np.multiply.outer(ts, (radii > 4.5) * np.exp(-radii))
+        else:
+            radial = np.zeros((len(ts), len(radii)))
+        return radial[..., None] * (1.0 + 0.5 * dirs[:, 0]) ** 2
+
+    return field, len(ts)
+
+
+class TestTruncationProbe:
+    """The interior shells ride in the first bundle's field call; every
+    probed value only enters a max, so the radius and the tail bound are
+    those of one call per bundle, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind, start", [
+        ("heat", 4.0), ("sinc", 4.0), ("zero", 4.0), ("outer", 4.0),
+        ("heat", 600.0), ("sinc", 600.0), ("sinc", TRUNCATION_CAP)])
+    def test_matches_one_call_per_bundle(self, n, kind, start):
+        field, rows = _probe_field(kind)
+        radius, tail = truncation_radius(field, n, start, rows=rows)
+        expected = truncation_radius_per_bundle(field, n, start, rows=rows)
+        assert radius == expected[0]
+        assert tail.tobytes() == expected[1].tobytes()
+        if kind in ("zero", "outer"):
+            # all interior shells vanish: the probe stops before any bundle
+            assert radius == start and not tail.any()
+        elif kind == "heat" and start < TRUNCATION_CAP:
+            assert start < radius < TRUNCATION_CAP and tail.any()
+        else:
+            assert radius == TRUNCATION_CAP
+
+    def test_first_call_holds_interior_shells_and_first_bundle(self):
+        field, rows = _probe_field("heat")
+        seen = []
+
+        def recorded(radii, dirs):
+            seen.append(radii)
+            return field(radii, dirs)
+
+        truncation_radius(recorded, 2, 4.0, rows=rows)
+        interior = 4.0 * np.array([1e-3, 1e-2, 0.1, 0.5, 1.0])
+        bundle = np.array([4.0, 5.7, 8.3, 4.0 * 1.013 + 0.5])
+        np.testing.assert_array_equal(seen[0], np.concatenate([interior, bundle]))
+        assert len(seen) > 2 and all(len(radii) == 4 for radii in seen[1:])
 
 
 class TestAngularErrorTerm:
