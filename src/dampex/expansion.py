@@ -51,29 +51,42 @@ class ExpansionPolynomial:
     terms: tuple[Term, ...]
 
     def __call__(self, xi):
-        """Evaluate at points (..., n) (see ``as_points``), of shape (...);
-        one point goes through the batch path as a batch of one."""
+        """Evaluate at points (..., n) (see ``as_points``), of shape (...):
+        float64 when every coefficient is real, else complex128.  A term is
+        (coefficient * |xi|^p) * xi^alpha without its unit factors.  One
+        point goes through the batch path as a batch of one."""
         pts = as_points(xi, self.dimension)
         single = pts.ndim == 1
         if single:
             pts = pts[None]
-        s = np.sum(pts * pts, axis=-1)
         powers = {}
+        if any(t.radial_power for t in self.terms):
+            powers[-1, 1] = np.sum(pts * pts, axis=-1)
 
         def power(j, a):
             # x_j^a, or |xi|^(2a) for j = -1, once per call: terms share them
             if (j, a) not in powers:
-                powers[j, a] = (s if j < 0 else pts[..., j]) ** a
+                powers[j, a] = (powers[-1, 1] if j < 0 else pts[..., j]) ** a
             return powers[j, a]
 
-        acc = np.zeros(pts.shape[:-1], dtype=complex)
+        real = self.is_real
+        acc = np.zeros(pts.shape[:-1], dtype=float if real else complex)
         for t in self.terms:
-            mono = np.ones_like(s)
+            term = t.coefficient.real if real else t.coefficient
+            if t.radial_power // 2:
+                term = term * power(-1, t.radial_power // 2)
+            mono = None
             for j, a in enumerate(t.monomial):
                 if a:
-                    mono = mono * power(j, a)
-            acc = acc + t.coefficient * power(-1, t.radial_power // 2) * mono
+                    mono = power(j, a) if mono is None else mono * power(j, a)
+            acc = acc + (term if mono is None else term * mono)
         return acc[0] if single else acc
+
+    @cached_property
+    def is_real(self) -> bool:
+        """True when every coefficient is real: the layers of even degree,
+        all a polynomial has when the data's odd moments vanish."""
+        return all(t.coefficient.imag == 0 for t in self.terms)
 
     @cached_property
     def canonical(self) -> tuple[tuple[Alpha, complex], ...]:

@@ -52,12 +52,16 @@ class TimeGrid:
             self.points, "points", lambda p: p >= 2, "must be an integer >= 2",
             integer=True))
         try:
-            self.values()
+            values = np.geomspace(self.t_min, self.t_max, self.points)
         except (ValueError, MemoryError) as exc:
             raise ConfigError(f"cannot hold {self.points} points") from exc
+        values.flags.writeable = False
+        object.__setattr__(self, "_values", values)
 
     def values(self) -> np.ndarray:
-        return np.geomspace(self.t_min, self.t_max, self.points)
+        """The grid's times, built once: every call returns the same
+        read-only array."""
+        return self._values
 
 
 def expected_decay_slope(dimension: int, k: int) -> float:
@@ -214,12 +218,16 @@ class Case:
                             for j in range(m + 1, top + 1)] or [head])
 
             def base(radii, dirs):
+                # real when the transform and the polynomials are
                 pts = radii[:, None, None] * dirs
                 inner = radii < rho
-                out = np.empty(pts.shape[:-1], dtype=complex)
-                if inner.any():
-                    out[inner] = tail(pts[inner])
-                out[~inner] = v.fourier_transform(pts[~inner]) - head(pts[~inner])
+                outer = v.fourier_transform(pts[~inner]) - head(pts[~inner])
+                if not inner.any():
+                    return outer
+                inside = tail(pts[inner])
+                out = np.empty(pts.shape[:-1], np.result_type(inside, outer))
+                out[inner] = inside
+                out[~inner] = outer
                 return out
 
             return ts, _weighted_norms(base, ell, FrequencyRegion.full(v.dimension),

@@ -16,8 +16,10 @@ A transform is assembled as amplitude times the real axis transforms,
 multiplied in axis order, times at most one complex phase: none for
 Gaussians and boxes, the constant (-i)^{|beta|} for a Gaussian monomial,
 and e^{-i c.xi} = cos(c.xi) - i sin(c.xi) of one dot product for a
-translation, times its base's phase at the dilated points.  An
-amplitude-0 datum is zero without evaluating any axis.
+translation, times its base's phase at the dilated points.  Without a
+phase the transform stays real, a float64 array; a sum is complex when
+one of its terms is.  An amplitude-0 datum is float zeros without
+evaluating any axis.
 
 Every moment comes from one path: each separable family gives its
 normalized axis moments (-1)^a integral y^a v_j dy / a! by a recurrence
@@ -127,10 +129,11 @@ class InitialDatum:
     def _axis_product(self, axis, pts):
         """amplitude * axis(0, pts[..., 0]) * ... in axis order; zeros
         without calling ``axis`` at amplitude 0."""
-        out = np.full(pts.shape[:-1], self.amplitude)
-        if self.amplitude != 0.0:
-            for j in range(self.dimension):
-                out = out * axis(j, pts[..., j])
+        if self.amplitude == 0.0:
+            return np.zeros(pts.shape[:-1])
+        out = self.amplitude * axis(0, pts[..., 0])
+        for j in range(1, self.dimension):
+            out = out * axis(j, pts[..., j])
         return out
 
     def values(self, x):
@@ -139,11 +142,13 @@ class InitialDatum:
         return self._axis_product(self.axis_value, pts)
 
     def fourier_transform(self, xi):
-        """Closed-form transform at real points (..., n), of shape (...)."""
+        """Closed-form transform at real points (..., n), of shape (...):
+        float64 when the datum has no phase (and at amplitude 0), else
+        complex128."""
         pts = as_points(xi, self.dimension)
         out = self._axis_product(self.axis_fourier, pts)
         phase = None if self.amplitude == 0.0 else self.fourier_phase(pts)
-        return out.astype(complex) if phase is None else out * phase
+        return out if phase is None else out * phase
 
 
 @dataclass(frozen=True)
@@ -292,6 +297,8 @@ class Shifted(InitialDatum):
 
     def axis_fourier(self, j, xi_j):
         s = self.dilation
+        if s == 1.0:
+            return self.base.axis_fourier(j, xi_j)
         return s * self.base.axis_fourier(j, s * xi_j)
 
     def fourier_phase(self, pts):

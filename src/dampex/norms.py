@@ -82,9 +82,9 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
     """(integral_region |f(t, xi)|^2 dxi)^{1/2} for every t of ``ts`` at once.
 
     ``f(ts, radii, dirs)`` receives the times as a 1-D array, R radii and an
-    (m, n) array of unit directions and returns the complex values at the
-    points r * d, of shape (len(ts), R, m): one row per time, one column
-    per shell.  All times share one truncation radius (the largest any of
+    (m, n) array of unit directions and returns the real or complex values
+    at the points r * d, of shape (len(ts), R, m): one row per time, one
+    column per shell.  All times share one truncation radius (the largest any of
     them needs), one angular rule (stable for every time) and one set of
     radial panels, each sampled once for all times; every time still
     converges to its own relative target ``tol``.  ``inner_scales`` gives
@@ -136,10 +136,10 @@ def region_l2_norm(f, region: FrequencyRegion, tol=1e-9, *,
                    inner_scale=None, breakpoints=()) -> QuadResult:
     """(integral_region |f(xi)|^2 dxi)^{1/2}: ``norm_curve`` at one time.
 
-    ``f`` must accept an (m, n) array of points and return complex values of
-    shape (m,); it is sampled on the shells' points.  ``inner_scale`` and
-    ``breakpoints`` act as in ``norm_curve``; norms below VALUE_FLOOR =
-    1e-14 count as converged at zero.
+    ``f`` must accept an (m, n) array of points and return real or complex
+    values of shape (m,); it is sampled on the shells' points.
+    ``inner_scale`` and ``breakpoints`` act as in ``norm_curve``; norms
+    below VALUE_FLOOR = 1e-14 count as converged at zero.
     """
     def on_shells(ts, radii, dirs):
         pts = (radii[:, None, None] * dirs).reshape(-1, region.dimension)

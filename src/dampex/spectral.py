@@ -114,8 +114,10 @@ class SpectralSolution:
             _check_off_sphere(s, f"representation {rep}")
         shape = t.shape + s.shape
         pts, s = pts.reshape(-1, self.dimension), s.ravel()
-        f0 = self.u0.fourier_transform(pts)
-        f1 = self.u1.fourier_transform(pts)
+        # complex even for phase-free data, so every form rounds as it
+        # always has and ``solve`` keeps its signed zeros
+        f0 = self.u0.fourier_transform(pts).astype(complex, copy=False)
+        f1 = self.u1.fourier_transform(pts).astype(complex, copy=False)
         t = t[:, None] if t.ndim else t
         out = _REP_FORMULAS[rep](t, s, f0, f1)
         # [()] turns the 0-d result of one point at one time into a scalar
@@ -133,6 +135,8 @@ class SpectralSolution:
         is ``evaluate``'s regular form on the shells: the transforms and
         ``poly`` are evaluated once per point, e^{-t}, K(t, r^2) and
         e^{-t r^2} once per (t, r).  Continuous across the unit sphere.
+        The values are float64 when the transforms and ``poly`` are real
+        (phase-free data), else complex128.
         """
         ts = np.asarray(ts, dtype=float)[:, None, None]
         radii = np.asarray(radii, dtype=float)
@@ -179,4 +183,9 @@ class LowFrequencySymbol:
         pts = as_points(xi, self.v.dimension)
         s = np.sum(pts * pts, axis=-1)
         _check_off_sphere(s, "the symbol")
-        return self.v.fourier_transform(pts) / (1.0 - s)
+        v_hat = self.v.fourier_transform(pts)
+        if np.iscomplexobj(v_hat):
+            return v_hat / (1.0 - s)
+        # numpy's complex quotient by the real 1 - s scales the real part
+        # by the reciprocal; the product keeps its bits
+        return v_hat * (1.0 / (1.0 - s))

@@ -15,6 +15,9 @@ number the package computes another way:
   times one phase;
 * the residual integrand evaluated point by point through
   ``SpectralSolution.evaluate``, against the shell route of the norms;
+* the transform, the polynomials, the low-frequency symbol and the
+  residual integrand in complex128 throughout, with every unit factor,
+  against the real-valued kernels that keep their bits;
 * the truncation probe with one field call for the interior shells and
   one per bundle, against the probe that samples both in its first call;
 * grid suprema of the Taylor-remainder and symbol-gap ratios, the
@@ -33,7 +36,7 @@ from dampex import (Box, Gaussian, GaussianMonomial, InitialDatum,
                     InsufficientOrderError, LowFrequencySymbol, MomentTable,
                     Shifted, SpectralSolution, SumDatum, build_expansion,
                     gaussian_monomial_integral, heat_partial_sum, moment_table,
-                    weighted_l1_norm)
+                    stable_heat_difference, weighted_l1_norm)
 from dampex.indices import indices_of_degree
 from dampex.norms import radial_gaussian_integral
 from dampex.quadrature import (QUAD_LIMIT, TRUNCATION_CAP, TRUNCATION_FLOOR,
@@ -94,6 +97,69 @@ def per_axis_fourier_transform(v: InitialDatum, xi) -> np.ndarray:
     for j in range(v.dimension):
         out = out * complex_axis_fourier(v, j, pts[..., j])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Complex kernels
+
+
+def complex_fourier_transform(v: InitialDatum, xi) -> np.ndarray:
+    """The transform in complex128: the amplitude filled in, the real axis
+    factors multiplied in axis order (a translation dilates even by 1),
+    the product cast to complex or times its phase; a sum adds its terms."""
+    pts = np.asarray(xi, dtype=float)
+    if isinstance(v, SumDatum):
+        return sum(complex_fourier_transform(t, pts) for t in v.terms)
+    out = np.full(pts.shape[:-1], v.amplitude)
+    if v.amplitude != 0.0:
+        for j in range(v.dimension):
+            out = out * _dilated_axis_fourier(v, j, pts[..., j])
+    phase = None if v.amplitude == 0.0 else v.fourier_phase(pts)
+    return out.astype(complex) if phase is None else out * phase
+
+
+def _dilated_axis_fourier(v: InitialDatum, j: int, xi_j) -> np.ndarray:
+    if isinstance(v, Shifted):
+        s = v.dilation
+        return s * _dilated_axis_fourier(v.base, j, s * xi_j)
+    return v.axis_fourier(j, xi_j)
+
+
+def complex_term_loop(poly, xi) -> np.ndarray:
+    """An expansion polynomial at points (..., n), accumulated in complex128
+    with every factor of every term: coefficient times |xi|^p, |xi|^0
+    included, times a monomial grown from an all-ones array."""
+    pts = np.asarray(xi, dtype=float)
+    s = np.sum(pts * pts, axis=-1)
+    acc = np.zeros(pts.shape[:-1], dtype=complex)
+    for t in poly.terms:
+        mono = np.ones_like(s)
+        for j, a in enumerate(t.monomial):
+            if a:
+                mono = mono * pts[..., j] ** a
+        acc = acc + t.coefficient * s ** (t.radial_power // 2) * mono
+    return acc
+
+
+def complex_symbol(v: InitialDatum, xi) -> np.ndarray:
+    """v_hat(xi) / (1 - |xi|^2) as a complex quotient."""
+    pts = np.asarray(xi, dtype=float)
+    s = np.sum(pts * pts, axis=-1)
+    return complex_fourier_transform(v, pts) / (1.0 - s)
+
+
+def complex_residual_shells(sol: SpectralSolution, ts, radii, dirs,
+                            poly) -> np.ndarray:
+    """``SpectralSolution.residual_shells`` from the complex transforms and
+    term loop: the regular form minus poly e^{-t r^2} on the shells."""
+    ts = np.asarray(ts, dtype=float)[:, None, None]
+    radii = np.asarray(radii, dtype=float)
+    pts = radii[:, None, None] * dirs
+    s = (radii * radii)[:, None]
+    f0 = complex_fourier_transform(sol.u0, pts)
+    f1 = complex_fourier_transform(sol.u1, pts)
+    u_hat = np.exp(-ts) * f0 + stable_heat_difference(ts, s) * (f0 + f1)
+    return u_hat - np.exp(-ts * s) * complex_term_loop(poly, pts)
 
 
 # ---------------------------------------------------------------------------

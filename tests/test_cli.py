@@ -1,5 +1,6 @@
 """CLI surface: every subcommand exercised end to end."""
 
+import hashlib
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 from dampex import cli
 from dampex.cli import main
 from dampex.initial_data import pair_from_config
-from dampex.spectral import SpectralSolution
+from dampex.spectral import REPRESENTATIONS, SpectralSolution
 
 
 @pytest.fixture()
@@ -197,6 +198,41 @@ def test_solve_csv_is_byte_identical_to_the_row_loop(dimension, rep, tmp_path,
     assert 0.0 in values
     assert any(0 < abs(v) < sys.float_info.min for v in values)
     assert _solve_outputs(argv, tmp_path, capsys) == (expected, expected)
+
+
+# sha256 of the solve CSV of a phase-free pair at 0, 0.37, 5 and 720 on
+# lin:-2.1,2.1,15, which holds xi = 0 and |xi| > 1; forms 2.1 and 2.3 write
+# -0.0 in the im column.  evaluate takes the real transforms as complex, so
+# every form keeps these bytes
+_PINNED_SOLVE_SHA256 = {
+    (1, "2.1"): "e247b5b95a522c42b34a70f5c26af8daf0234307aa2d08de69d5557c27663709",
+    (1, "2.2"): "d8f46dd49ddd4d68c5c5a3210c75fb1285e42c40737bb3f2a7cceb3f5d64b776",
+    (1, "2.3"): "01fbdddd40a533dbc46f3026703f2d1be422693068d4c030386d5d5a39ac8a14",
+    (1, "2.4"): "b3556fe446aa237850579acc5673147a78ca172ac24333b76231120c937a224a",
+    (2, "2.1"): "6d5bd6837f34727ae0228d1878f68dc04b32820b1aacb21b0d5adcc08c6cfcf3",
+    (2, "2.2"): "a867a8f8bb558b5356f54e08f98ee774d5d7817b82d9f0144169ca1d3baf8d0d",
+    (2, "2.3"): "0a46364a7c3ffd9106bb0f650d9d3c7c0157944cd96dd45630cc2346c5a9019e",
+    (2, "2.4"): "1ae6b5e7a898c8ce13b547fb36c522b0cdb780ea5662e1ea8854c1197456c5a3",
+}
+
+
+@pytest.mark.parametrize("rep", REPRESENTATIONS)
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_solve_bytes_of_phase_free_data_are_pinned(dimension, rep, tmp_path):
+    cfg = tmp_path / "pair.json"
+    cfg.write_text(json.dumps({
+        "dimension": dimension,
+        "u0": {"family": "gaussian", "scale": 0.8, "amplitude": 1.1},
+        "u1": {"family": "box", "half_width": 0.7, "amplitude": -0.6}}),
+        encoding="utf-8")
+    out = tmp_path / "sol.csv"
+    assert main(["solve", "--data", str(cfg), "--t", "0.0,0.37,5.0,720.0",
+                 "--xi-grid", "lin:-2.1,2.1,15", "--rep", rep,
+                 "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert (b",-0.0\n" in data) == (rep in ("2.1", "2.3"))
+    assert (hashlib.sha256(data).hexdigest()
+            == _PINNED_SOLVE_SHA256[dimension, rep])
 
 
 def _count_forks(monkeypatch):

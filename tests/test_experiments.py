@@ -41,6 +41,15 @@ class TestTimeGrid:
         ts = TimeGrid(1.0, 100.0, 5).values()
         assert np.allclose(np.diff(np.log(ts)), np.log(10.0) / 2)
 
+    def test_values_are_built_once_and_read_only(self):
+        grid = TimeGrid(1.0, 100.0, 5)
+        ts = grid.values()
+        assert grid.values() is ts
+        assert np.array_equal(ts, np.geomspace(1.0, 100.0, 5))
+        with pytest.raises(ValueError):
+            ts[0] = 2.0
+        assert ts[0] == 1.0
+
 
 class TestRateFit:
     def test_gaussian_leading_order(self, grid):
@@ -626,6 +635,16 @@ class TestCampaignState:
             ["residual", 1, 9, 2], ["vanishing", 1, 9, 2],
             # shifted-gauss-2d: k = 1
             ["residual", 2, 9, 7], ["vanishing", 2, 9, 7]]
+
+    def test_default_campaign_builds_each_time_grid_once(self, tmp_path,
+                                                         monkeypatch):
+        # the two grids build their times when the config is checked; the
+        # eleven curves read them
+        calls, geomspace = [], np.geomspace
+        monkeypatch.setattr(np, "geomspace",
+                            lambda *a, **k: calls.append(a) or geomspace(*a, **k))
+        run_report(default_config(), tmp_path / "out")
+        assert calls == [(100.0, 1e4, 9), (1.0, 1e4, 17)]
 
     def test_default_summary_bytes_and_build_counts(self, tmp_path,
                                                     monkeypatch):
