@@ -132,16 +132,36 @@ def cmd_solve(args):
 
 def _format_rows(t, coords, row):
     """The CSV rows of the values ``row`` at time ``t`` and the points
-    whose text is ``coords``."""
+    whose text is ``coords``, built by one ``%`` over a row template.
+
+    When at most half of the block's re and im values are distinct doubles,
+    as for radially symmetric or box data, each distinct one is formatted
+    once and its text gathered into every place it takes; otherwise ``%r``
+    formats every value.  Values are told apart by their bits, so ``0.0``
+    and ``-0.0`` keep their own text.  Both ways give the bytes of ``repr``
+    per value."""
+    if not coords:
+        return ""
     head = repr(t)
-    return "".join([f"{head},{c},{re!r},{im!r}\n" for c, re, im
-                    in zip(coords, row.real.tolist(), row.imag.tolist())])
+    # flattened before np.unique, whose inverse took the input's shape in
+    # numpy 2.0
+    pairs = np.stack([row.real, row.imag], axis=-1).ravel()
+    bits, where = np.unique(pairs.view(np.int64), return_inverse=True)
+    if 2 * bits.size <= pairs.size:
+        texts = np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                         dtype=object)
+        spec, values = "%s", texts[where].tolist()
+    else:
+        spec, values = "%r", pairs.tolist()
+    cell = f",{spec},{spec}\n"
+    return (head + "," + (cell + head + ",").join(coords) + cell) % tuple(values)
 
 
 def _write_rows(handle, ts, vals, coords):
-    """Write the rows of every time.  With two usable CPUs a forked child
-    formats the second half of each time's rows while this process formats
-    and writes the first half; the bytes are those of one process."""
+    """Write the rows of every time through ``_format_rows``.  With two
+    usable CPUs a forked child formats the second half of each time's rows
+    while this process formats and writes the first half; both halves come
+    from the one formatter, so the bytes are those of one process."""
     mid = len(coords) // 2
     child = _fork_formatter(ts, vals, coords, mid) if ts else None
     if child is None:

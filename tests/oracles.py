@@ -20,6 +20,8 @@ number the package computes another way:
   against the real-valued kernels that keep their bits;
 * the truncation probe with one field call for the interior shells and
   one per bundle, against the probe that samples both in its first call;
+* the ``solve`` CSV rows by one f-string and two ``repr`` calls per row,
+  against the formatter that formats each distinct value once;
 * grid suprema of the Taylor-remainder and symbol-gap ratios, the
   boundedness proxies for the two key estimates behind the expansions.
 """
@@ -385,6 +387,18 @@ def truncation_radius_per_bundle(field, dimension, start, *, rows):
         r *= TRUNCATION_GROWTH
     top = bundle_max(TRUNCATION_CAP)
     return TRUNCATION_CAP, top * _surface(dimension, TRUNCATION_CAP) * TRUNCATION_CAP
+
+
+# ---------------------------------------------------------------------------
+# CSV rows
+
+
+def format_rows_row_loop(t, coords, row) -> str:
+    """The ``solve`` CSV rows of the values ``row`` at time ``t`` and the
+    points whose text is ``coords``, one f-string per row."""
+    head = repr(t)
+    return "".join([f"{head},{c},{re!r},{im!r}\n" for c, re, im
+                    in zip(coords, row.real.tolist(), row.imag.tolist())])
 
 
 # ---------------------------------------------------------------------------

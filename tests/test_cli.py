@@ -16,6 +16,7 @@ from dampex import cli
 from dampex.cli import main
 from dampex.initial_data import pair_from_config
 from dampex.spectral import REPRESENTATIONS, SpectralSolution
+from oracles import format_rows_row_loop
 
 
 @pytest.fixture()
@@ -288,6 +289,101 @@ def test_solve_formats_the_rows_of_a_failed_child(tmp_path, capsys,
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _row(re, im):
+    """The complex row with these bits in its re and im parts."""
+    row = np.empty(len(re), dtype=complex)
+    row.real, row.imag = re, im
+    return row
+
+
+_NANS = np.array([0x7FF8000000000001, 0x7FF8000000000002],
+                 dtype=np.uint64).view(np.float64)
+# (re, im) of each crafted block, and whether at most half of its values are
+# distinct, so each distinct one is formatted once
+_CRAFTED_ROWS = {
+    "all-equal": ([0.5] * 6, [0.5] * 6, True),
+    "all-distinct": ([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], False),
+    "half-distinct": ([1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0], True),
+    "one-over-half": ([1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 5.0], False),
+    "signed-zeros": ([0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, 0.0, -0.0], True),
+    "nan-payloads": ([_NANS[0], _NANS[1], _NANS[0]],
+                     [_NANS[1], _NANS[0], _NANS[1]], True),
+    "extremes": ([np.inf, -np.inf, 5e-324, 1e16, 1e-05],
+                 [1e-05, 1e16, -5e-324, -np.inf, np.inf], False),
+    "one-point": ([0.25], [-0.0], False),
+    "empty": ([], [], True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CRAFTED_ROWS))
+def test_format_rows_writes_the_bytes_of_the_row_loop(name, monkeypatch):
+    re, im, shared = _CRAFTED_ROWS[name]
+    row = _row(re, im)
+    coords = [f"{0.5 * j!r},{-0.5 * j!r}" for j in range(len(re))]
+    assert np.array_equal(row.real.view(np.int64), np.array(re).view(np.int64))
+    reprs = []
+    monkeypatch.setattr(cli, "repr", lambda v: reprs.append(v) or repr(v),
+                        raising=False)
+    text = cli._format_rows(0.37, coords, row)
+    assert text == format_rows_row_loop(0.37, coords, row)
+    distinct = len(set(np.array(re + im).view(np.int64).tolist()))
+    # the head, and each distinct value on the shared-text branch
+    assert len(reprs) == (1 + distinct * shared if coords else 0)
+    assert (text.count("\n"), text.count("nan")) == (
+        len(re), 2 * len(re) * (name == "nan-payloads"))
+
+
+def test_solve_formats_each_distinct_value_once(tmp_path, monkeypatch):
+    # a radial pair repeats each value at the points of one radius; the
+    # shifted pair of _solve_pair repeats too few and takes %r
+    radial = {"dimension": 2, "u0": {"family": "gaussian", "scale": 1.0},
+              "u1": {"family": "gaussian", "scale": 0.7, "amplitude": 1.3}}
+    cfg = tmp_path / "radial.json"
+    cfg.write_text(json.dumps(radial), encoding="utf-8")
+    shifted, shifted_cfg = _solve_pair(2, tmp_path)
+    grid, ts = "lin:-2,2,41", [0.37, 5.0]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    reprs = []
+    monkeypatch.setattr(cli, "repr", lambda v: reprs.append(v) or repr(v),
+                        raising=False)
+    rows = len(ts) * 41 ** 2
+    for pair, path, shared in ((radial, str(cfg), True),
+                               (shifted, shifted_cfg, False)):
+        u0, u1 = pair_from_config(pair)
+        vals = SpectralSolution(u0=u0, u1=u1).evaluate(
+            np.asarray(ts), cli._parse_xi_grid(grid, 2)[1], rep="2.4")
+        distinct = sum(np.unique(np.stack([row.real, row.imag], axis=-1)
+                                 .view(np.int64)).size for row in vals)
+        reprs.clear()
+        out = tmp_path / "sol.csv"
+        assert main(["solve", "--data", path, "--t", "0.37,5.0",
+                     "--xi-grid", grid, "--out", str(out)]) == 0
+        assert out.read_bytes() == _reference_solve_csv(pair, ts, grid, "auto")
+        # 41 axis values, one head per time and, on the shared-text branch,
+        # each distinct value of each time
+        assert len(reprs) == 41 + len(ts) + distinct * shared
+        assert (4 * distinct < 2 * rows) == shared
+
+
+@pytest.mark.parametrize("forked", [True, False])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_solve_on_an_empty_grid_writes_the_header_alone(dimension, forked,
+                                                        tmp_path, capsys,
+                                                        monkeypatch):
+    _, cfg = _solve_pair(dimension, tmp_path)
+    if forked:
+        forks = _count_forks(monkeypatch)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        forks = []
+    header = ("t," + ",".join(f"xi{j + 1}" for j in range(dimension))
+              + ",re,im\n").encode()
+    argv = ["solve", "--data", cfg, "--t", "0.0,0.37", "--xi-grid",
+            "lin:-1,1,0"]
+    assert _solve_outputs(argv, tmp_path, capsys) == (header, header)
+    assert len(forks) == 2 * forked
 
 
 def test_solve_without_times_writes_the_header_alone(pair_cfg, tmp_path):

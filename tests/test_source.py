@@ -30,6 +30,8 @@ the multiplier K, so ``evaluate`` and the residual integrand share it.
 
 One function forks, and it ends its child with ``os._exit``: a child that
 returned into the caller would run its code, and flush its buffers, twice.
+Every ``solve`` row, from either process, comes from ``cli._format_rows``,
+the one function of the CLI that fills a row template.
 
 One record holds a quadrature result: ``quadrature.QuadResult`` is the only
 dataclass with an ``error_estimate`` field, so no re-wrap drops ``stalled``.
@@ -225,15 +227,21 @@ def test_definition_guard_sees_class_bodies_only():
     assert _classes_defining(tree, "fourier_transform") == ["A", "C"]
 
 
-def _holders(node, match, enclosing=None):
-    """Names of the innermost functions (None at module level) holding a
-    node for which ``match`` is true."""
+def _sites(node, match, enclosing=None):
+    """The name of the innermost function (None at module level) holding
+    each node for which ``match`` is true, in source order."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         enclosing = node.name
-    found = {enclosing} if match(node) else set()
+    found = [enclosing] if match(node) else []
     for child in ast.iter_child_nodes(node):
-        found |= _holders(child, match, enclosing)
+        found += _sites(child, match, enclosing)
     return found
+
+
+def _holders(node, match):
+    """Names of the innermost functions (None at module level) holding a
+    node for which ``match`` is true."""
+    return set(_sites(node, match))
 
 
 def _raisers(tree, text):
@@ -354,9 +362,8 @@ def _callers(tree, module, attr):
         and node.func.value.id == module))
 
 
-def _name_callers(tree, name):
-    """Names of the innermost functions (None at module level) holding a
-    call of ``name``, bare or as an attribute."""
+def _calls_of(name):
+    """Match a call of ``name``, bare or as an attribute."""
     def calls(node):
         if not isinstance(node, ast.Call):
             return False
@@ -364,7 +371,13 @@ def _name_callers(tree, name):
         return name == (func.id if isinstance(func, ast.Name) else
                         func.attr if isinstance(func, ast.Attribute) else None)
 
-    return _holders(tree, calls)
+    return calls
+
+
+def _name_callers(tree, name):
+    """Names of the innermost functions (None at module level) holding a
+    call of ``name``, bare or as an attribute."""
+    return _holders(tree, _calls_of(name))
 
 
 def test_one_kernel_takes_the_regular_form():
@@ -407,6 +420,40 @@ def test_call_guard_sees_the_innermost_function_and_only_calls():
                      "os.fork()\n")
     assert _callers(tree, "os", "fork") == {"inner", "child", None}
     assert _callers(tree, "os", "_exit") == {"child"}
+
+
+def _is_row_template(node):
+    """True for a ``%`` whose left side holds a string literal and for a
+    comprehension of f-strings that hold a newline."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+        return any(isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                   for sub in ast.walk(node.left))
+    return (isinstance(node, (ast.ListComp, ast.GeneratorExp))
+            and isinstance(node.elt, ast.JoinedStr)
+            and any(isinstance(part, ast.Constant) and "\n" in part.value
+                    for part in node.elt.values))
+
+
+def test_every_solve_row_comes_from_one_formatter():
+    # the serial loop, this process's half, its stand-in for a failed child
+    # and the child all call _format_rows, and no other function of the CLI
+    # fills a row template, so the two processes write the bytes of one
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert sorted(_sites(tree, _calls_of("_format_rows"))) == [
+        "_fork_formatter", "_write_rows", "_write_rows", "_write_rows"]
+    assert _holders(tree, _is_row_template) == {"_format_rows"}
+
+
+def test_row_template_guard_sees_percent_templates_and_row_loops():
+    tree = ast.parse("def table(v): return ('%s,' + head) % tuple(v)\n"
+                     "def rows(c, v): return ''.join([f'{a},{b!r}\\n' "
+                     "for a, b in zip(c, v)])\n"
+                     "def lines(r): return '\\n'.join(f'{x!r}' for x in r)\n"
+                     "def message(n): return f'{n} failed\\n', n % 3\n"
+                     "def each(f): return [f(x) for x in (1, 2)], "
+                     "self.f(0), f\n")
+    assert _holders(tree, _is_row_template) == {"table", "rows"}
+    assert _sites(tree, _calls_of("f")) == ["each", "each"]
 
 
 def _dataclasses_declaring(tree, field):
