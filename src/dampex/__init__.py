@@ -5,7 +5,7 @@ from .errors import (ConfigError, DampexError, InsufficientOrderError,
                      QuadratureError, SingularEvaluationError)
 from .expansion import (ExpansionPolynomial, Term, build_expansion,
                         check_property_A, check_property_B, check_property_C,
-                        combine, heat_partial_sum)
+                        combine)
 from .experiments import (Case, TimeGrid, default_config,
                           expected_decay_slope, fit_decay_rate,
                           heat_comparison, property_suite, run_report,

@@ -30,8 +30,7 @@ import numpy as np
 from .errors import ConfigError, InsufficientOrderError
 from .indices import (Alpha, degree, i_power, indices_of_degree,
                       multi_factorial)
-from .initial_data import (MAX_MOMENT_ORDER, InitialDatum, MomentTable,
-                           as_points, moment_table)
+from .initial_data import MAX_MOMENT_ORDER, MomentTable, as_points
 
 KINDS = ("A", "B", "C")
 
@@ -160,19 +159,11 @@ def combine(polys) -> ExpansionPolynomial:
                                terms=terms)
 
 
-def heat_partial_sum(table: MomentTable, order: int) -> ExpansionPolynomial:
-    """sum_{|alpha| <= order} M_alpha (i xi)^alpha; order -1 gives zero."""
-    if order < 0:
-        return ExpansionPolynomial(kind="sum", order=-1,
-                                   dimension=table.dimension, terms=())
-    return combine([build_expansion("C", j, table) for j in range(order + 1)])
-
-
-def series_ball(v: InitialDatum, order: int, radius: float):
+def series_ball(tables, order: int, radius: float):
     """The radius rho of the ball |xi| < rho on which the moment series
     tail sum_{order < |alpha| <= top} M_alpha (i xi)^alpha stands in for
-    v_hat - heat_partial_sum(order), the order ``top`` of that tail, and a
-    moment table of ``v`` to at least ``top`` (and ``order``).
+    v_hat - sum_{|alpha| <= order} M_alpha (i xi)^alpha, and the order
+    ``top`` of that tail; ``tables(m)`` gives v's moments to order >= m.
 
     With the layer bounds S_j = sum_{|alpha| = j} |M_alpha|, the difference
     rounds to about eps * head, head = sum_{j <= order} S_j rho^j, and the
@@ -181,39 +172,38 @@ def series_ball(v: InitialDatum, order: int, radius: float):
     ball the difference keeps three quarters of its digits, and at which
     the series reaches roundoff by MAX_MOMENT_ORDER: ``top`` is the first
     order at which two consecutive layers (one parity class of layers may
-    vanish) are at most eps times the tail.  The table's order doubles
-    whenever the search needs a layer past it.  Data without a head, whose
+    vanish) are at most eps times the tail.  It asks for twice the order
+    whenever it needs a layer past its table.  Data without a head, whose
     difference does not cancel, or whose table leaves the floats as it
     grows, get rho = 0: the difference everywhere.
     """
     eps = np.finfo(float).eps
-    table = moment_table(v, max(order, 0))
+    table = tables(max(order, 0))
     try:
         bounds = _layer_bounds(table)
     except OverflowError:           # a layer bound beyond the largest float
-        return 0.0, order, table
+        return 0.0, order
     if not any(bounds[:order + 1]):
-        return 0.0, order, table
+        return 0.0, order
     while radius > 0.0:
         head = math.fsum(bounds[j] * radius ** j for j in range(order + 1))
         tail, previous = 0.0, math.inf
         for j in range(order + 1, MAX_MOMENT_ORDER + 1):
             if j > table.order:
                 try:
-                    grown = moment_table(v, min(2 * j, MAX_MOMENT_ORDER))
-                    bounds = _layer_bounds(grown)
+                    table = tables(min(2 * j, MAX_MOMENT_ORDER))
+                    bounds = _layer_bounds(table)
                 except (ConfigError, OverflowError):    # a moment or a bound
-                    return 0.0, order, table            # beyond the floats
-                table = grown
+                    return 0.0, order                   # beyond the floats
             layer = bounds[j] * radius ** j
             tail += layer
             if tail > eps ** 0.25 * head:
                 break
             if max(previous, layer) <= eps * tail:
-                return radius, j, table
+                return radius, j
             previous = layer
         radius /= 2.0
-    return 0.0, order, table
+    return 0.0, order
 
 
 def _layer_bounds(table: MomentTable) -> list[float]:

@@ -20,14 +20,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .expansion import (build_expansion, check_property_A, check_property_B,
-                        check_property_C, combine, heat_partial_sum,
-                        series_ball)
+                        check_property_C, combine, series_ball)
 from .indices import degree
 from .initial_data import (MAX_MOMENT_ORDER, InitialDatum, MomentTable,
                            check_keys, integer, listed, moment_table, number,
                            pair_from_config)
-from .norms import (LOW_RADIUS, FrequencyRegion, heat_increment_norm,
-                    norm_curve, poly_gaussian_l2_norm, residual_norm_curve)
+from .norms import (LOW_RADIUS, FrequencyRegion, norm_curve,
+                    poly_gaussian_l2_norm, residual_norm_curve)
 from .spectral import LowFrequencySymbol, SpectralSolution
 
 DEGENERACY_FLOOR = 1e-12
@@ -153,10 +152,19 @@ class Case:
             orders.append(self.property_order)
         return max(orders)
 
-    @cached_property
+    @property
     def table(self) -> MomentTable:
-        """Moments up to ``moment_order``."""
-        return moment_table(self.solution.v, self.moment_order)
+        """The case's one moment table, to at least ``moment_order``."""
+        return self.table_to(self.moment_order)
+
+    def table_to(self, order: int) -> MomentTable:
+        """The case's moment table: built to ``moment_order`` first and
+        rebuilt to ``order`` when it holds less; no moment moves as it grows."""
+        table = self._memo.get("table")
+        if table is None or table.order < order:
+            table = moment_table(self.solution.v, max(order, self.moment_order))
+            self._memo["table"] = table
+        return table
 
     def _once(self, key, compute):
         if key not in self._memo:
@@ -166,7 +174,7 @@ class Case:
     def expansion(self, kind: str, k: int):
         """The kind/order polynomial of v = u0 + u1, built once."""
         return self._once(("expansion", kind, k),
-                          lambda: build_expansion(kind, k, self.table))
+                          lambda: build_expansion(kind, k, self.table_to(k)))
 
     def increment_constant(self, k: int) -> float:
         """Half-ball norm of the order-k increment, by the exact monomial algebra."""
@@ -190,10 +198,10 @@ class Case:
 
     def tail_ball(self, m: int):
         """The radius, at most LOW_RADIUS, of the ball on which the
-        heat-vanishing gap past order m is the moment-series tail, the
-        tail's top order and a moment table to that order (``series_ball``)."""
+        heat-vanishing gap past order m is the moment-series tail, and the
+        tail's top order (``series_ball`` on the case's table)."""
         return self._once(("tail ball", m), lambda: series_ball(
-            self.solution.v, m, LOW_RADIUS))
+            self.table_to, m, LOW_RADIUS))
 
     def vanishing_curve(self, m: int, ell: float, grid: TimeGrid, tol: float):
         """Grid times and the norms || |xi|^ell (v_hat - P_m) e^{-t|xi|^2} ||
@@ -209,13 +217,14 @@ class Case:
         def compute():
             v = self.solution.v
             ts = grid.values()
-            rho, top, table = self.tail_ball(m)
+            rho, top = self.tail_ball(m)
             if rho * rho * ts[-1] < 1.0:
                 rho, top = 0.0, m
-            head = heat_partial_sum(table, m)
+            layers = [self.expansion("C", j) for j in range(top + 1)]
+            zero = [self.expansion("A", -1)]
+            head = combine(layers[:m + 1] or zero)
             # no layers only when rho = 0: no point is inside then
-            tail = combine([build_expansion("C", j, table)
-                            for j in range(m + 1, top + 1)] or [head])
+            tail = combine(layers[m + 1:] or zero)
 
             def base(radii, dirs):
                 # real when the transform and the polynomials are
@@ -382,10 +391,9 @@ def heat_comparison(case: Case, k: int, grid: TimeGrid, tol=1e-9):
     positive heat increment there.  So the gap is asserted for k <= 1 only,
     and the heat-flow sandwich for every k.
     """
-    table = case.table
     inc = case.increment_constant(k)
-    heat_half = heat_increment_norm(k, table, radius=0.5)
-    heat_full = heat_increment_norm(k, table, radius=None)
+    heat_half = poly_gaussian_l2_norm(case.expansion("C", k), radius=0.5)
+    heat_full = poly_gaussian_l2_norm(case.expansion("C", k), radius=None)
     gap = abs(inc - heat_half) / max(inc, heat_half, 1e-300)
     rate = expected_decay_slope(case.solution.dimension, k)
     # the heat residual || (v_hat - P_{k-1}) e^{-t|xi|^2} || is the

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .indices import Alpha, degree, indices_up_to, multi_factorial
+from .indices import Alpha, degree, i_power, indices_up_to, multi_factorial
 from .quadrature import adaptive_1d
 
 _SUPPORT_EPS = 1e-18
@@ -218,7 +218,7 @@ class GaussianMonomial(InitialDatum):
                 * herm * np.exp(-a * xi_j * xi_j))
 
     def fourier_phase(self, pts):
-        return (1 + 0j, -1j, -1 + 0j, 1j)[degree(self.exponents) % 4]
+        return i_power(-degree(self.exponents))
 
     def axis_moments(self, j, order):
         return _gaussian_axis_moments(self.scale, self.exponents[j], order)

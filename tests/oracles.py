@@ -22,6 +22,8 @@ number the package computes another way:
   one per bundle, against the probe that samples both in its first call;
 * the ``solve`` CSV rows by one f-string and two ``repr`` calls per row,
   against the formatter that formats each distinct value once;
+* the heat partial sum P_m built from one moment table, against the
+  Case's heat-vanishing head and tail, which read its own C_j;
 * grid suprema of the Taylor-remainder and symbol-gap ratios, the
   boundedness proxies for the two key estimates behind the expansions.
 """
@@ -34,11 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from dampex import (Box, Gaussian, GaussianMonomial, InitialDatum,
-                    InsufficientOrderError, LowFrequencySymbol, MomentTable,
-                    Shifted, SpectralSolution, SumDatum, build_expansion,
-                    gaussian_monomial_integral, heat_partial_sum, moment_table,
-                    stable_heat_difference, weighted_l1_norm)
+from dampex import (Box, ExpansionPolynomial, Gaussian, GaussianMonomial,
+                    InitialDatum, InsufficientOrderError, LowFrequencySymbol,
+                    MomentTable, Shifted, SpectralSolution, SumDatum,
+                    build_expansion, combine, gaussian_monomial_integral,
+                    moment_table, stable_heat_difference, weighted_l1_norm)
 from dampex.indices import indices_of_degree
 from dampex.norms import radial_gaussian_integral
 from dampex.quadrature import (QUAD_LIMIT, TRUNCATION_CAP, TRUNCATION_FLOOR,
@@ -403,6 +405,14 @@ def format_rows_row_loop(t, coords, row) -> str:
 
 # ---------------------------------------------------------------------------
 # Grid-based remainder ratios (boundedness proxies for the two key bounds)
+
+
+def heat_partial_sum(table: MomentTable, order: int) -> ExpansionPolynomial:
+    """sum_{|alpha| <= order} M_alpha (i xi)^alpha; order -1 gives zero."""
+    if order < 0:
+        return ExpansionPolynomial(kind="sum", order=-1,
+                                   dimension=table.dimension, terms=())
+    return combine([build_expansion("C", j, table) for j in range(order + 1)])
 
 
 def _ray_grid(dimension: int, radii) -> np.ndarray:

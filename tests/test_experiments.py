@@ -10,11 +10,11 @@ import pytest
 
 import dampex
 from dampex import (Box, Case, ConfigError, Gaussian,
-                    Shifted, SpectralSolution, TimeGrid, default_config,
-                    expected_decay_slope,
-                    fit_decay_rate, heat_comparison, property_suite,
-                    run_report, sandwich_check, vanishing_limit_check,
-                    zero_datum)
+                    Shifted, SpectralSolution, TimeGrid, build_expansion,
+                    default_config, expected_decay_slope,
+                    fit_decay_rate, heat_comparison, moment_table,
+                    property_suite, run_report, sandwich_check,
+                    vanishing_limit_check, zero_datum)
 from dampex.experiments import load_config, validate_config
 
 
@@ -588,10 +588,38 @@ class TestCampaignState:
     def test_default_campaign_table_and_build_counts(self, tmp_path,
                                                      monkeypatch):
         # the residual curves read each case's A_{k-1}: four tables and four
-        # polynomials fewer than when each curve built its own
+        # polynomials fewer than when each curve built its own.  The series
+        # ball grows the case's one table, and the heat-vanishing head and
+        # tail and both heat constants read the case's C_j: twelve tables
+        # and twelve polynomials fewer than when the ball grew private
+        # tables and each of those built its own C_j
         counts = self._count_builds(monkeypatch)
         run_report(default_config(), tmp_path / "out")
-        assert counts == {"moment_table": 20, "build_expansion": 73}
+        assert counts == {"moment_table": 8, "build_expansion": 61}
+
+    def test_the_case_table_grows_without_moving_a_polynomial(self, grid):
+        # A_{-1} reads no moments, so either curve may be a fresh case's
+        # first call
+        v = Shifted(base=Gaussian(dimension=2, scale=1.0), center=(0.5, -0.3),
+                    dilation=1.0)
+        for first in (lambda case: case.residual_curve(0, grid, 1e-9),
+                      lambda case: case.vanishing_curve(-1, 0.0, grid, 1e-9)):
+            ts, norms = first(_case(v, checks=("rate", "heat")))
+            assert len(norms) == len(ts) and np.all(norms > 0)
+        # polynomials built before the series ball grew the table keep
+        # the terms a table to the grown order gives them
+        case = _case(v, checks=("heat", "properties"), k_values=(1,))
+        built = {(kind, k): case.expansion(kind, k)
+                 for kind in ("A", "B", "C")
+                 for k in range(-1 if kind == "A" else 0,
+                                case.property_order + 1)}
+        start = case.table.order
+        case.vanishing_curve(0, 0.0, grid, 1e-9)
+        grown = case.table.order
+        assert grown > start == case.moment_order
+        table = moment_table(case.solution.v, grown)
+        for (kind, k), poly in built.items():
+            assert poly.terms == build_expansion(kind, k, table).terms
 
     def test_default_campaign_field_calls_per_curve(self, tmp_path,
                                                     monkeypatch):

@@ -12,7 +12,6 @@ from dampex import (Box, FrequencyRegion, Gaussian, GaussianMonomial,
                     heat_increment_norm, moment_table, poly_gaussian_l2_norm,
                     region_l2_norm, residual_norm, zero_datum)
 from dampex import norms, quadrature
-from dampex.expansion import heat_partial_sum
 from dampex.norms import (norm_curve, regularised_lower_gamma,
                           residual_norm_curve)
 from dampex.quadrature import (BATCH_POINTS, TRUNCATION_CAP, adaptive_1d,
@@ -21,7 +20,8 @@ from dampex.quadrature import (BATCH_POINTS, TRUNCATION_CAP, adaptive_1d,
                                truncation_radius)
 
 from conftest import catalog_1d, catalog_2d, catalog_3d
-from oracles import (heat_increment_moment_sum, increment_lower_constant,
+from oracles import (heat_increment_moment_sum, heat_partial_sum,
+                     increment_lower_constant,
                      increment_lower_constant_1d, lower_bound_constants,
                      radial_factor_1d, symbol_gap_sup_ratio,
                      taylor_remainder_sup_ratio, truncation_radius_per_bundle)
