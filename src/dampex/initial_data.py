@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .indices import Alpha, degree, i_power, indices_up_to, multi_factorial
+from .indices import Alpha, degree, indices_up_to, multi_factorial
 from .quadrature import adaptive_1d
 
 _SUPPORT_EPS = 1e-18
@@ -107,7 +107,7 @@ class InitialDatum:
 
     def fourier_phase(self, pts):
         """The unimodular factor of the transform at points (..., n): None
-        when it is 1, else a complex constant or array."""
+        (no factor), a real ±1, or a complex constant or array."""
         return None
 
     def axis_moments(self, j, order) -> list[float]:
@@ -218,7 +218,8 @@ class GaussianMonomial(InitialDatum):
                 * herm * np.exp(-a * xi_j * xi_j))
 
     def fourier_phase(self, pts):
-        return i_power(-degree(self.exponents))
+        # (-i)^|beta|; a real 1, not None, keeps a shifted datum's zero bytes
+        return (1.0, -1j, -1.0, 1j)[degree(self.exponents) % 4]
 
     def axis_moments(self, j, order):
         return _gaussian_axis_moments(self.scale, self.exponents[j], order)

@@ -110,7 +110,8 @@ def per_axis_fourier_transform(v: InitialDatum, xi) -> np.ndarray:
 def complex_fourier_transform(v: InitialDatum, xi) -> np.ndarray:
     """The transform in complex128: the amplitude filled in, the real axis
     factors multiplied in axis order (a translation dilates even by 1),
-    the product cast to complex or times its phase; a sum adds its terms."""
+    the product cast to complex or times its phase taken as complex; a sum
+    adds its terms."""
     pts = np.asarray(xi, dtype=float)
     if isinstance(v, SumDatum):
         return sum(complex_fourier_transform(t, pts) for t in v.terms)
@@ -119,7 +120,8 @@ def complex_fourier_transform(v: InitialDatum, xi) -> np.ndarray:
         for j in range(v.dimension):
             out = out * _dilated_axis_fourier(v, j, pts[..., j])
     phase = None if v.amplitude == 0.0 else v.fourier_phase(pts)
-    return out.astype(complex) if phase is None else out * phase
+    return (out.astype(complex) if phase is None
+            else out * np.asarray(phase, dtype=complex))
 
 
 def _dilated_axis_fourier(v: InitialDatum, j: int, xi_j) -> np.ndarray:

@@ -66,6 +66,59 @@ class TestRateFit:
         assert fit["status"] == "rejected" and curve is None
         assert "increment vanishes" in fit["diagnostic"]
 
+    @staticmethod
+    def _mp_line(mp, x, y):
+        """Slope and intercept of the least-squares line through the
+        float64 points (x, y), by mpmath's QR solver at 30 digits."""
+        with mp.workdps(30):
+            design = mp.matrix([[1, mp.mpf(float(v))] for v in x])
+            (intercept, slope), _ = mp.qr_solve(
+                design, mp.matrix([mp.mpf(float(v)) for v in y]))
+            return float(slope), float(intercept)
+
+    def _assert_fit_matches_mpmath(self, mp, entry, ts, norms):
+        half = len(ts) // 2
+        slope, intercept = self._mp_line(mp, np.log(ts[half:]),
+                                         np.log(norms[half:]))
+        assert abs(entry["slope"] - slope) <= 1e-14 * abs(slope)
+        assert abs(entry["intercept"] - intercept) <= 1e-14 * abs(intercept)
+
+    def test_default_campaign_fits_match_mpmath(self):
+        # np.polyfit missed the box-1d k = 2 intercept by 7.4e-14 relative
+        mp = pytest.importorskip("mpmath")
+        run = validate_config(default_config())
+        fits = [fit_decay_rate(case, k, run.grid, tol=run.tol)
+                for case in run.cases for k in case.k_values]
+        assert len(fits) == 4
+        for entry, (ts, norms) in fits:
+            self._assert_fit_matches_mpmath(mp, entry, ts, norms)
+
+    def test_hand_made_points_fit_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+
+        class Points:
+            """A case whose residual curve is fixed: five fitted points
+            after four the fit skips."""
+            name = "points"
+            solution = SpectralSolution(u0=zero_datum(1), u1=zero_datum(1))
+            curve = (np.array([1.0, 2.0, 3.0, 5.0, 1e3, 1.7e3, 2.9e3, 6.1e3,
+                               1.3e4]),
+                     np.array([1.0, 1.0, 1.0, 1.0, 3.1e-2, 2.4e-2, 1.7e-2,
+                               1.6e-2, 9.3e-3]))
+
+            def increment_constant(self, k):
+                return 1.0
+
+            def increment_vanishes(self, k):
+                return False
+
+            def residual_curve(self, k, grid, tol):
+                return self.curve
+
+        entry, (ts, norms) = fit_decay_rate(Points(), 0, None)
+        self._assert_fit_matches_mpmath(mp, entry, ts, norms)
+        assert entry["fit_residual"] > 0.05
+
     def test_expected_slopes_table(self):
         assert expected_decay_slope(1, 0) == -0.25
         assert expected_decay_slope(2, 1) == -1.0
@@ -522,9 +575,12 @@ class TestCampaignState:
     # 3.3147164962192016e-17 -> 0.0, homogeneity k = 2
     # 1.1415580103045311e-16 -> 0.0, additivity k = 3 7.063650495059712e-18
     # -> 0.0, recurrence k = 3 7.575601117178397e-17 -> 0.0, homogeneity
-    # k = 3 7.823655490691388e-17 -> 0.0
+    # k = 3 7.823655490691388e-17 -> 0.0.  The closed-form line in place of
+    # np.polyfit moved only the four rate entries' slope (at most 1.8e-15
+    # relative), intercept (7.1e-14) and fit_residual (3.4e-9), and made
+    # the bytes the same under every AVX2-or-later OpenBLAS kernel
     DEFAULT_SUMMARY_SHA256 = (
-        "d260662dc95a5b2c448111da1bc96111efa6058b03f36a08c0e65def7bd0222c")
+        "9f37348a16cbbf6d4de492f69c40abcdfcc64c7c26eb781a809c696df3fe382c")
 
     @staticmethod
     def _count_quadratures(monkeypatch):
@@ -690,3 +746,51 @@ class TestCampaignState:
         # each (case, kind, order) polynomial is built once per campaign
         assert builds and max(builds.values()) == 1
         assert summary["passed"]
+
+
+def _openblas_config():
+    """numpy's OpenBLAS build line, or "" for another BLAS."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return blas.get("openblas configuration") or ""
+    except (KeyError, TypeError, ValueError):
+        return ""
+
+
+# the instructions each forced kernel runs; a CPU without them would trap
+_KERNEL_NEEDS = {"SkylakeX": "AVX512F", "Haswell": "AVX2", "Zen": "AVX2"}
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNEL_NEEDS))
+def test_default_summary_bytes_under_every_avx2_blas_kernel(kernel, tmp_path):
+    """The default campaign writes the pinned summary bytes whichever
+    AVX2-or-later OpenBLAS kernel runs it.
+
+    OPENBLAS_CORETYPE forces a kernel on the child process alone.  The
+    pre-AVX2 kernels (Prescott, Nehalem, Sandybridge) are left out: their
+    dot products sum the quadrature's ``@`` reductions (``_gk21``,
+    ``angular_sums``, ``_sums_and_roundoff``) in another order, which moves
+    the curves by up to 3e-16 and so the bytes.
+    """
+    import hashlib
+    import os
+    import subprocess
+    import sys
+    if "DYNAMIC_ARCH" not in _openblas_config():
+        pytest.skip("numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH, "
+                    "so OPENBLAS_CORETYPE picks no kernel")
+    from numpy._core._multiarray_umath import __cpu_features__
+    if not __cpu_features__.get(_KERNEL_NEEDS[kernel]):
+        pytest.skip(f"this CPU lacks {_KERNEL_NEEDS[kernel]}, which the "
+                    f"{kernel} kernel needs")
+    src = str(Path(dampex.__file__).parents[1])
+    code = ("import sys; from dampex import default_config, run_report; "
+            "run_report(default_config(), sys.argv[1])")
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    digest = hashlib.sha256((tmp_path / "summary.json").read_bytes())
+    assert digest.hexdigest() == TestCampaignState.DEFAULT_SUMMARY_SHA256

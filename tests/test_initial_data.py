@@ -397,8 +397,9 @@ def _kernel_family(n):
 # multiplications
 EXACT_KERNELS = {"gaussian", "box", "zero", "monomial-odd", "monomial-even",
                  "sum-unshifted"}
-# the kernels without a phase factor, whose transforms are float64
-PHASE_FREE_KERNELS = {"gaussian", "box", "zero"}
+# the kernels whose transforms are float64: no phase factor, or the real
+# -1 or 1 of a monomial of even degree
+REAL_KERNELS = {"gaussian", "box", "zero", "monomial-even", "sum-unshifted"}
 
 
 class TestTransformKernels:
@@ -412,8 +413,8 @@ class TestTransformKernels:
         xi = np.random.default_rng(n).normal(scale=3.0, size=(600, n))
         got = v.fourier_transform(xi)
         want = per_axis_fourier_transform(v, xi)
-        # phase-free data keeps its real product real
-        dtype = np.float64 if name in PHASE_FREE_KERNELS else np.complex128
+        # data with a real phase or none keeps its real product real
+        dtype = np.float64 if name in REAL_KERNELS else np.complex128
         assert got.dtype == dtype and got.shape == (600,)
         if name in EXACT_KERNELS:
             assert np.array_equal(got, want)

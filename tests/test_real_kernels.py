@@ -1,9 +1,10 @@
 """Real-valued kernels against the complex ones of ``oracles``, bit for bit.
 
-Phase-free transforms and polynomials with real coefficients are float64;
-their values must be the real parts of the complex128 kernels, byte for
-byte, with nothing but zeros left in the imaginary parts.  Complex results
-must equal the complex kernels.
+Real transforms (no phase, or the real -1 of a monomial of degree 2 mod 4)
+and polynomials with real coefficients are float64; their values must be
+the real parts of the complex128 kernels, byte for byte, with nothing but
+zeros left in the imaginary parts.  Complex results must equal the complex
+kernels.
 """
 
 import numpy as np
@@ -20,9 +21,10 @@ from oracles import (complex_fourier_transform, complex_residual_shells,
 # guard of 1e-12) and past it
 RADII = np.array([0.0, 1e-3, 0.25, 0.5, 0.999, 1.0 - 1e-9, 1.0 + 1e-9,
                   1.001, 1.5, 3.7])
-PHASE_FREE = {"gaussian", "box", "sum"}
+# data with a real transform; "monomial-even" has degree 2, phase -1
+REAL = {"gaussian", "box", "sum", "monomial-even"}
 # data whose odd moments vanish: every polynomial has real coefficients
-EVEN = PHASE_FREE | {"monomial-even"}
+EVEN = REAL
 
 
 def _data(n):
@@ -86,7 +88,7 @@ class TestRealKernels:
         v = _data(n)[name]
         pts = _points(n)
         got = v.fourier_transform(pts)
-        assert got.dtype == (np.float64 if name in PHASE_FREE
+        assert got.dtype == (np.float64 if name in REAL
                              else np.complex128)
         _assert_same_bits(got, complex_fourier_transform(v, pts))
 
@@ -108,7 +110,7 @@ class TestRealKernels:
         want = complex_symbol(v, pts)
         assert got.real.tobytes() == want.real.tobytes()
         assert (np.abs(got) ** 2).tobytes() == (np.abs(want) ** 2).tobytes()
-        if name in PHASE_FREE:
+        if name in REAL:
             assert got.dtype == np.float64 and np.all(want.imag == 0.0)
         else:
             # a complex transform still takes the complex quotient
@@ -125,7 +127,7 @@ class TestRealKernels:
             poly = build_expansion("A", k - 1, table)
             got = sol.residual_shells(ts, RADII, dirs, poly)
             want = complex_residual_shells(sol, ts, RADII, dirs, poly)
-            assert got.dtype == (np.float64 if name in PHASE_FREE
+            assert got.dtype == (np.float64 if name in REAL
                                  else np.complex128)
             _assert_same_bits(got, want)
             assert ((np.abs(got) ** 2).tobytes()

@@ -11,6 +11,11 @@ tests call belong in ``tests/oracles.py``.
 
 The package runs on numpy alone; scipy stays a test-only reference.
 
+No reported number goes through a general linear solver: nothing calls or
+imports ``polyfit``, ``lstsq`` or ``numpy.linalg``.  LAPACK's rounding
+follows the CPU's BLAS kernel, and ``np.polyfit`` once gave the decay fit
+other bytes under AVX2 kernels than under AVX-512 ones.
+
 The benchmark's tracer counts transforms by wrapping the
 ``fourier_transform`` attributes of ``InitialDatum`` and ``SumDatum``; a
 definition on any other class would hide its calls from those counts.
@@ -198,6 +203,53 @@ def test_import_guard_sees_every_import_form():
                      "from . import norms\n"
                      "def f():\n    import numpy as np\n")
     assert list(_imported_packages(tree)) == ["scipy", "scipy", "numpy"]
+
+
+SOLVER_NAMES = {"polyfit", "lstsq", "linalg"}
+
+
+def _solver_uses(tree):
+    """Names of the innermost functions (None at module level) holding a
+    call or an import that names ``polyfit``, ``lstsq`` or ``linalg``."""
+    def names(node):
+        if isinstance(node, ast.Call):
+            return {sub.id if isinstance(sub, ast.Name) else sub.attr
+                    for sub in ast.walk(node.func)
+                    if isinstance(sub, (ast.Name, ast.Attribute))}
+        if isinstance(node, ast.Import):
+            return {part for alias in node.names
+                    for part in alias.name.split(".")}
+        if isinstance(node, ast.ImportFrom):
+            return ({alias.name for alias in node.names}
+                    | set((node.module or "").split(".")))
+        return set()
+
+    return _holders(tree, lambda node: bool(names(node) & SOLVER_NAMES))
+
+
+def test_no_reported_number_goes_through_a_solver():
+    found = sorted(f"{path.name} ({name or 'module level'})"
+                   for path in SRC.glob("*.py")
+                   for name in _solver_uses(
+                       ast.parse(path.read_text(encoding="utf-8"))))
+    assert not found, "solver calls or imports: " + ", ".join(found)
+
+
+def test_solver_guard_sees_calls_and_imports():
+    tree = ast.parse("import numpy.linalg as la\n"
+                     "def fit(x, y): return np.polyfit(x, y, 1)\n"
+                     "def solve(a, b): return numpy.linalg.lstsq(a, b)[0]\n"
+                     "def bare(a, b): return lstsq(a, b)\n"
+                     "def norm(x):\n    from numpy import linalg\n"
+                     "    return 0\n"
+                     "def nested():\n"
+                     "    def inner(d): return np.linalg.norm(d)\n"
+                     "    return inner\n"
+                     "def other(x, polyfit):\n"
+                     "    return np.polyval(x, 'lstsq'), polyfit, x.fit()\n"
+                     "from numpy.polynomial import hermite\n")
+    assert _solver_uses(tree) == {None, "fit", "solve", "bare", "norm",
+                                  "inner"}
 
 
 def _classes_defining(tree, name):
