@@ -69,15 +69,15 @@ def _parse_xi_grid(text, dimension):
         lo, hi, count = rest.split(",")
         lo, hi = (number(float(b), f"xi grid {text!r} bound",
                          need="bounds must be finite") for b in (lo, hi))
-        axis = np.linspace(lo, hi, int(count))
-    except ValueError as exc:
-        raise ConfigError(f"bad xi grid {text!r}: {exc}") from exc
-    try:
+        count = int(count)
+        axis = np.linspace(lo, hi, count)
         grids = np.meshgrid(*([axis] * dimension), indexing="ij")
         return axis, np.stack([g.ravel() for g in grids], axis=-1)
+    except ValueError as exc:
+        raise ConfigError(f"bad xi grid {text!r}: {exc}") from exc
     except MemoryError as exc:
         raise ConfigError(f"bad xi grid {text!r}: cannot hold its "
-                          f"{axis.size}**{dimension} points") from exc
+                          f"{count}**{dimension} points") from exc
 
 
 def _grid_coordinates(axis, dimension):

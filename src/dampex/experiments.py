@@ -251,8 +251,7 @@ def _weighted_norms(base, ell, region, ts, tol, breakpoints=()):
         weight = radii ** ell * np.exp(-np.multiply.outer(ts, radii * radii))
         return weight[..., None] * base(radii, dirs)
 
-    curve = norm_curve(gap, region, ts, tol, inner_scales=1.0 / np.sqrt(ts),
-                       breakpoints=breakpoints)
+    curve = norm_curve(gap, region, ts, tol, breakpoints=breakpoints)
     return np.array([nrm.value for nrm in curve])
 
 

@@ -119,9 +119,9 @@ class InitialDatum:
         """True when axis moment m vanishes by a parity argument."""
         raise NotImplementedError
 
-    def axis_interval(self, j):
-        """Interval outside which the axis profile is below
-        _SUPPORT_EPS times its peak."""
+    def axis_interval(self, j, gamma=0.0):
+        """Interval outside which the axis profile, times the weight
+        (1 + |y|)^gamma, is below _SUPPORT_EPS times its peak."""
         raise NotImplementedError
 
     # -- assembled surface ----------------------------------------------------
@@ -177,8 +177,8 @@ class Gaussian(InitialDatum):
     def axis_moment_is_zero(self, j, m):
         return m % 2 == 1
 
-    def axis_interval(self, j):
-        r = math.sqrt(4.0 * self.scale * math.log(1.0 / _SUPPORT_EPS)) + 1.0
+    def axis_interval(self, j, gamma=0.0):
+        r = _gaussian_reach(self.scale, gamma) + 1.0
         return (-r, r)
 
 
@@ -227,8 +227,8 @@ class GaussianMonomial(InitialDatum):
     def axis_moment_is_zero(self, j, m):
         return (m + self.exponents[j]) % 2 == 1
 
-    def axis_interval(self, j):
-        r = (math.sqrt(4.0 * self.scale * math.log(1.0 / _SUPPORT_EPS))
+    def axis_interval(self, j, gamma=0.0):
+        r = (_gaussian_reach(self.scale, gamma)
              + 3.0 * math.sqrt(self.scale) * (1 + self.exponents[j]))
         return (-r, r)
 
@@ -263,7 +263,7 @@ class Box(InitialDatum):
     def axis_moment_is_zero(self, j, m):
         return m % 2 == 1
 
-    def axis_interval(self, j):
+    def axis_interval(self, j, gamma=0.0):
         return (-self.half_width, self.half_width)
 
 
@@ -335,8 +335,9 @@ class Shifted(InitialDatum):
             return self.base.axis_moment_is_zero(j, m)
         return all(self.base.axis_moment_is_zero(j, q) for q in range(m + 1))
 
-    def axis_interval(self, j):
-        lo, hi = self.base.axis_interval(j)
+    def axis_interval(self, j, gamma=0.0):
+        # base ends under (1 + |y|)^gamma; their scaled margins cover s > 1
+        lo, hi = self.base.axis_interval(j, gamma)
         c, s = self.center[j], self.dilation
         return (c + s * lo, c + s * hi)
 
@@ -372,9 +373,20 @@ class SumDatum(InitialDatum):
     def fourier_transform(self, xi):
         return sum(t.fourier_transform(xi) for t in self.terms)
 
-    def axis_interval(self, j):
-        los, his = zip(*(t.axis_interval(j) for t in self.terms))
+    def axis_interval(self, j, gamma=0.0):
+        los, his = zip(*(t.axis_interval(j, gamma) for t in self.terms))
         return (min(los), max(his))
+
+
+def _gaussian_reach(scale, gamma):
+    """The radius past which (1 + |y|)^gamma e^{-y^2/(4 scale)} stays below
+    _SUPPORT_EPS: the fixed point of rho = sqrt(4 scale (log 1/_SUPPORT_EPS
+    + gamma log(1 + rho))), climbed from 0 (it contracts at rate < 1/2)."""
+    last, rho = -1.0, 0.0
+    while rho > last:
+        last, rho = rho, math.sqrt(4.0 * scale * (
+            math.log(1.0 / _SUPPORT_EPS) + gamma * math.log1p(rho)))
+    return rho
 
 
 def zero_datum(dimension: int) -> InitialDatum:
@@ -487,12 +499,12 @@ def weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10) -> float:
 
     The panel engine integrates one axis at a time: the integral over axis
     j runs at once for every fixed outer point (x_0, ..., x_{j-1}), one
-    integrand row per point.  All rows share their panels, so a jump inside
-    a panel would cost every row its bisections: axis j is split at 0 and
-    at the ends of every term's ``axis_interval(j)`` (a box's faces, a
-    shifted box's mapped faces) that lie inside the domain.  The rows go
-    to the next axis in chunks, so a chunk's panels serve only its own
-    rows and memory stays flat.
+    integrand row per point, over the terms' ``axis_interval(j, gamma)``.
+    All rows share their panels, so a jump inside a panel would cost every
+    row its bisections: axis j is split at 0 and at the ends of every
+    term's interval (a box's faces, a shifted box's mapped faces) that lie
+    inside the domain.  The rows go to the next axis in chunks, so a
+    chunk's panels serve only its own rows and memory stays flat.
     """
     gamma, tol = float(gamma), float(tol)
     n = v.dimension
@@ -513,8 +525,8 @@ def weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10) -> float:
             r = np.sqrt((pts * pts).sum(axis=-1))
             return (1.0 + r) ** gamma * np.abs(v.values(pts))
 
-        lo, hi = v.axis_interval(j)
-        ends = [x for t in summands(v) for x in t.axis_interval(j)]
+        lo, hi = v.axis_interval(j, gamma)
+        ends = [x for t in summands(v) for x in t.axis_interval(j, gamma)]
         return adaptive_1d(f, lo, hi, tol, breakpoints=(0.0, *ends)).value
 
     return float(over_axis(0, np.empty((1, 0)))[0])

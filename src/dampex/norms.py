@@ -2,14 +2,14 @@
 
 The quadrature route (`norm_curve`) integrates |f|^2 over balls, annuli,
 exteriors or all of R^n (n <= 3) and never looks inside f.  It samples f
-shell by shell: f receives the times, R radii and m unit directions (the
-two directions +-1 on the line) and returns the (T, R, m) values at the
-points r * d, so whatever depends only on (t, |xi|) is computed once per
-(time, radius).  The closed-form route evaluates the same norms for
-polynomial-times-Gaussian integrands through exact sphere moments and
-incomplete-gamma radial factors.  Keeping both routes independent is the point: the tests check
-each closed form against the generic quadrature of the very polynomial it
-summarises.
+shell by shell, in every dimension through ``integrate_radial``: f gets
+the times, R radii and m unit directions (+-1 on the line) and returns
+the (T, R, m) values at the points r * d, so whatever depends only on
+(t, |xi|) is computed once per (time, radius).  The closed-form route
+evaluates the same norms for polynomial-times-Gaussian integrands through
+exact sphere moments and incomplete-gamma radial factors.  Keeping both
+routes independent is the point: the tests check each closed form against
+the generic quadrature of the very polynomial it summarises.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import numpy as np
 from .expansion import ExpansionPolynomial, build_expansion
 from .indices import Alpha, degree
 from .initial_data import MomentTable, moment_table
-from .quadrature import (QuadResult, adaptive_1d, angular_sums,
-                         integrate_radial, radial_breakpoints,
+from .quadrature import (QuadResult, integrate_radial, radial_breakpoints,
                          truncation_radius)
 from .spectral import SpectralSolution
 
@@ -72,13 +71,8 @@ class FrequencyRegion:
         return math.isfinite(self.r_hi)
 
 
-# the two points of the "unit sphere" of the line and their counting weights
-_LINE_DIRS = np.array([[1.0], [-1.0]])
-_LINE_WEIGHTS = np.ones(2)
-
-
 def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
-               inner_scales=None, breakpoints=()) -> list[QuadResult]:
+               breakpoints=()) -> list[QuadResult]:
     """(integral_region |f(t, xi)|^2 dxi)^{1/2} for every t of ``ts`` at once.
 
     ``f(ts, radii, dirs)`` receives the times as a 1-D array, R radii and an
@@ -87,20 +81,17 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
     column per shell.  All times share one truncation radius (the largest any of
     them needs), one angular rule (stable for every time) and one set of
     radial panels, each sampled once for all times; every time still
-    converges to its own relative target ``tol``.  ``inner_scales`` gives
-    per time the width of an integrand concentrated near the origin
-    (1/sqrt(t) for heat-type weights); the radial split points are the
-    union of their geometric ladders plus the kinks in ``breakpoints``.
-    Norms below VALUE_FLOOR = 1e-14 are reported as converged at zero (the
-    relative target is meaningless there); the floor squared acts as the
-    absolute tolerance of the underlying integrals.  Returns one QuadResult
-    per time, each carrying the evaluation count and the ``stalled`` flag
-    of the whole curve.
+    converges to its own relative target ``tol``.  The radial split points
+    are the union of the times' geometric ladders from their heat widths
+    1/sqrt(max(t, 1)) (none for a NaN time) plus the kinks in
+    ``breakpoints``.  Norms below VALUE_FLOOR = 1e-14 are reported as
+    converged at zero (the relative target is meaningless there); the
+    floor squared acts as the absolute tolerance of the underlying
+    integrals.  Returns one QuadResult per time, each carrying the points
+    sampled and the ``stalled`` flag of the whole curve.
     """
     ts = np.asarray(ts, dtype=float)
     n = region.dimension
-    scales = [None] * len(ts) if inner_scales is None else list(inner_scales)
-    abs_floor = VALUE_FLOOR * VALUE_FLOOR
 
     def field(radii, dirs):
         return np.abs(f(ts, radii, dirs)) ** 2
@@ -108,45 +99,37 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
     lo, hi = region.r_lo, region.r_hi
     tail = np.zeros(len(ts))
     if not region.bounded:
-        start = max([4.0, 2.0 * lo] + [4.0 * s for s in scales if s])
-        hi, tail = truncation_radius(field, n, start, rows=len(ts))
+        hi, tail = truncation_radius(field, n, max(4.0, 2.0 * lo), rows=len(ts))
         if hi <= lo:
             return [QuadResult(0.0, math.sqrt(e), 0) for e in tail]
 
-    brk = sorted(set().union(
-        *(radial_breakpoints(lo, hi, s, breakpoints) for s in scales)))
-    if n == 1:
-        res = adaptive_1d(
-            lambda r: angular_sums(field, r, _LINE_DIRS, _LINE_WEIGHTS, len(ts)),
-            lo, hi, tol, abs_floor=abs_floor, breakpoints=brk)
-        evaluations = 2 * res.evaluations
-    else:
-        res = integrate_radial(field, n, lo, hi, tol, extra_breakpoints=brk,
-                               abs_floor=abs_floor, rows=len(ts))
-        evaluations = res.evaluations
+    brk = sorted(set().union(*(
+        radial_breakpoints(lo, hi, s, breakpoints)
+        for s in 1.0 / np.sqrt(np.maximum(ts, 1.0)))))
+    res = integrate_radial(field, n, lo, hi, tol, extra_breakpoints=brk,
+                           abs_floor=VALUE_FLOOR * VALUE_FLOOR, rows=len(ts))
     out = []
     for total, err2 in zip(res.value, res.error_estimate + tail):
         value = math.sqrt(max(total, 0.0))
         err = err2 / (2.0 * value) if value > 0 else math.sqrt(err2)
-        out.append(QuadResult(value, float(err), evaluations, res.stalled))
+        out.append(QuadResult(value, float(err), res.evaluations, res.stalled))
     return out
 
 
 def region_l2_norm(f, region: FrequencyRegion, tol=1e-9, *,
-                   inner_scale=None, breakpoints=()) -> QuadResult:
+                   t=math.nan) -> QuadResult:
     """(integral_region |f(xi)|^2 dxi)^{1/2}: ``norm_curve`` at one time.
 
     ``f`` must accept an (m, n) array of points and return real or complex
-    values of shape (m,); it is sampled on the shells' points.
-    ``inner_scale`` and ``breakpoints`` act as in ``norm_curve``; norms
+    values of shape (m,); it is sampled on the shells' points.  ``t`` is
+    the time whose heat width the panels resolve (none by default); norms
     below VALUE_FLOOR = 1e-14 count as converged at zero.
     """
     def on_shells(ts, radii, dirs):
         pts = (radii[:, None, None] * dirs).reshape(-1, region.dimension)
         return np.asarray(f(pts)).reshape(1, len(radii), len(dirs))
 
-    (norm,) = norm_curve(on_shells, region, (math.nan,), tol,
-                         inner_scales=(inner_scale,), breakpoints=breakpoints)
+    (norm,) = norm_curve(on_shells, region, (t,), tol)
     return norm
 
 
@@ -255,8 +238,6 @@ def residual_norm_curve(sol: SpectralSolution, ts, poly: ExpansionPolynomial,
     if np.any(ts <= 0):
         raise ValueError("t must be positive")
     region = region or FrequencyRegion.full(sol.dimension)
-    kinks = (LOW_RADIUS, HIGH_RADIUS)
     return norm_curve(
         lambda ts, radii, dirs: sol.residual_shells(ts, radii, dirs, poly),
-        region, ts, tol, inner_scales=1.0 / np.sqrt(np.maximum(ts, 1.0)),
-        breakpoints=kinks)
+        region, ts, tol, breakpoints=(LOW_RADIUS, HIGH_RADIUS))

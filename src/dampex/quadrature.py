@@ -8,15 +8,15 @@ error and samples the 21 nodes of all of them in one integrand call.  An
 integrand may return several rows of values (one per time of a curve);
 every row converges to its own tolerance on the shared panels.
 
-Integrals over R^2 / R^3 pair a fixed angular rule (trapezoid on the
-circle, Gauss-Legendre x trapezoid product rule on the sphere) with the
-panel engine in the radius.  Their integrands are fields on shells:
-``field(radii, dirs)`` receives R radii and an (m, n) array of unit
-directions and returns the (T, R, m) values at the points r * d, one row
-per integral (T = ``rows``, which every caller passes).  So a field can
-compute whatever depends only on the radius once per radius and not once
-per point.  The angular resolution is chosen once per call by doubling
-until probed shell averages stabilise, so repeated runs are
+Integrals over R^n (n <= 3) pair an angular rule (the line's two points
++-1, trapezoid on the circle, Gauss-Legendre x trapezoid on the sphere)
+with the panel engine in the radius.  Their integrands are fields on
+shells: ``field(radii, dirs)`` receives R radii and an (m, n) array of
+unit directions and returns the (T, R, m) values at the points r * d, one
+row per integral (T = ``rows``, which every caller passes).  So a field
+can compute whatever depends only on the radius once per radius and not
+once per point.  The circle's or sphere's rule is chosen once per call by
+doubling until probed shell averages stabilise, so repeated runs are
 deterministic; the two coarsest rules are probed in one field call.
 Unbounded domains are truncated where the integrand falls below a
 relative floor of its running peak; the truncation estimate is folded
@@ -210,15 +210,15 @@ def adaptive_1d(f, lo, hi, tol, *, abs_floor=1e-300, breakpoints=()) -> QuadResu
                       evaluations, stalled=True)
 
 
-def radial_breakpoints(lo, hi, inner_scale=None, extra=()):
+def radial_breakpoints(lo, hi, inner_scale, extra=()):
     """Deterministic radial split points: an inner geometric ladder plus kinks.
 
     The ladder resolves integrands concentrated near the origin at scale
-    ``inner_scale`` (for example 1/sqrt(t) for heat-type weights) that a
-    plain adaptive pass over [lo, hi] could step over entirely.
+    ``inner_scale`` (for example 1/sqrt(t) for heat-type weights; none for
+    NaN) that a plain adaptive pass over [lo, hi] could step over entirely.
     """
     pts = {p for p in extra if lo < p < hi}
-    if inner_scale is not None and inner_scale > 0:
+    if inner_scale > 0:
         r = inner_scale
         while r < hi:
             if r > lo:
@@ -229,6 +229,16 @@ def radial_breakpoints(lo, hi, inner_scale=None, extra=()):
 
 # ---------------------------------------------------------------------------
 # angular rules
+
+
+def _read_only(*arrays):
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+# the "unit sphere" of the line: its two points and their counting weights
+_LINE_RULE = _read_only(np.array([[1.0], [-1.0]]), np.ones(2))
 
 
 def circle_nodes(m):
@@ -265,10 +275,8 @@ def _level_count(dimension):
 def _angular_rule(dimension, level):
     """(dirs, weights) of angular rule ``level`` (0 the coarsest)."""
     size = _LEVEL_SIZES[dimension][level]
-    rule = circle_nodes(size) if dimension == 2 else sphere_nodes(*size)
-    for array in rule:
-        array.setflags(write=False)
-    return rule
+    return _read_only(*(circle_nodes(size) if dimension == 2
+                        else sphere_nodes(*size)))
 
 
 def _angular_levels(dimension):
@@ -360,13 +368,9 @@ def choose_angular_rule(field, dimension, probe_radii, tol, *, rows):
 @cache
 def _probe_directions(dimension):
     if dimension == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    elif dimension == 2:
-        dirs, _ = circle_nodes(8)
-    else:
-        dirs, _ = sphere_nodes(4, 6)
-    dirs.setflags(write=False)
-    return dirs
+        return _LINE_RULE[0]
+    dirs, _ = circle_nodes(8) if dimension == 2 else sphere_nodes(4, 6)
+    return _read_only(dirs)[0]
 
 
 def _surface(dimension, r):
@@ -415,20 +419,24 @@ def truncation_radius(field, dimension, start, *, rows):
 
 
 # ---------------------------------------------------------------------------
-# radial-shell integration for n >= 2
+# radial-shell integration
 
 
 def integrate_radial(field, dimension, lo, hi, tol, *, rows, extra_breakpoints=(),
                      abs_floor=1e-300) -> QuadResult:
-    """Integral of ``field`` over the shell lo <= |x| <= hi in R^2 or R^3.
+    """Integral of ``field`` over the shell lo <= |x| <= hi in R^n, n <= 3.
 
     ``field`` is a field on shells with ``rows`` rows, one integral per row
     on shared panels.  Each panel round samples its radial nodes x angular
-    directions together.
+    directions together; ``evaluations`` counts those points alone, and
+    the line's exact rule needs no choice.
     """
-    probe_radii = _probe_list(lo, hi, extra_breakpoints)
-    dirs, weights, angular_delta = choose_angular_rule(
-        field, dimension, probe_radii, tol / 5.0, rows=rows)
+    if dimension == 1:
+        (dirs, weights), angular_delta = _LINE_RULE, 0.0
+    else:
+        dirs, weights, angular_delta = choose_angular_rule(
+            field, dimension, _probe_list(lo, hi, extra_breakpoints),
+            tol / 5.0, rows=rows)
 
     def shell(r):
         return r ** (dimension - 1) * angular_sums(field, r, dirs, weights, rows)
@@ -437,9 +445,8 @@ def integrate_radial(field, dimension, lo, hi, tol, *, rows, extra_breakpoints=(
                       breakpoints=extra_breakpoints)
     # angular stabilisation error enters roughly with the shell measure
     ang_err = angular_delta * max(hi - lo, 0.0) * max(hi, 1.0) ** (dimension - 1)
-    # one evaluation per radial sample, plus one per sample and direction
     return QuadResult(res.value, res.error_estimate + ang_err,
-                      res.evaluations * (len(weights) + 1), res.stalled)
+                      res.evaluations * len(weights), res.stalled)
 
 
 def _probe_list(lo, hi, breakpoints):

@@ -336,18 +336,19 @@ def scipy_weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10,
     def f(x):
         return (1.0 + math.hypot(*x)) ** gamma * abs(float(v.values(np.asarray(x))))
 
-    return nested_quad(f, v, tol, points=points)
+    return nested_quad(f, v, tol, points=points, gamma=gamma)
 
 
 def nested_quad(field, v: InitialDatum, tol, *, abs_floor=1e-300,
-                points=()) -> float:
-    """Integral of the scalar ``field(x)`` over the axis intervals of ``v``:
-    scipy's adaptive ``quad`` nested per axis, every axis split at 0 and at
-    the given ``points`` inside it, one Python call per point."""
+                points=(), gamma=0.0) -> float:
+    """Integral of the scalar ``field(x)`` over the axis intervals of ``v``
+    under the weight (1 + |x|)^gamma: scipy's adaptive ``quad`` nested per
+    axis, every axis split at 0 and at the given ``points`` inside it, one
+    Python call per point."""
     n = v.dimension
 
     def level(axis, fixed):
-        lo, hi = v.axis_interval(axis)
+        lo, hi = v.axis_interval(axis, gamma)
         if axis == n - 1:
             def f(x):
                 return field(fixed + (x,))

@@ -492,6 +492,19 @@ def test_solve_grid_too_large_to_hold_exits_2(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("config error: ")
 
 
+def test_solve_axis_too_large_to_hold_exits_2(tmp_path, capsys):
+    # 1e15 points on the line alone: 7.1 PiB, beyond the 47-bit address
+    # space, so numpy refuses the axis itself without allocating it
+    _, cfg = _solve_pair(1, tmp_path)
+    out = tmp_path / "x.csv"
+    assert main(["solve", "--data", cfg, "--t", "1.0", "--xi-grid",
+                 "lin:-1,1,1000000000000000", "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ")
+    assert "1000000000000000**1 points" in captured.err
+
+
 @pytest.mark.parametrize("command", ["moments", "solve", "expansion", "norm"])
 def test_unwritable_out_exits_2(command, datum_cfg, pair_cfg, tmp_path, capsys):
     out = tmp_path / "missing" / "out.csv"

@@ -584,7 +584,8 @@ class TestCampaignState:
 
     @staticmethod
     def _count_quadratures(monkeypatch):
-        """Record (evaluations, stalled) of every adaptive_1d result."""
+        """Record (evaluations, stalled) of every adaptive_1d result, by
+        every name the package binds it under."""
         from dampex import initial_data, norms, quadrature
         results = []
         real = quadrature.adaptive_1d
@@ -595,7 +596,8 @@ class TestCampaignState:
             return res
 
         for module in (quadrature, norms, initial_data):
-            monkeypatch.setattr(module, "adaptive_1d", counted)
+            if hasattr(module, "adaptive_1d"):
+                monkeypatch.setattr(module, "adaptive_1d", counted)
         return results
 
     def test_two_campaigns_do_the_same_quadrature_work(self, tmp_path,

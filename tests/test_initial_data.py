@@ -261,6 +261,17 @@ class TestWeightedNorms:
         assert weighted_l1_norm(v, gamma, tol=tol) == pytest.approx(
             expected, rel=10 * tol)
 
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    @pytest.mark.parametrize("gamma", [20, 30, 40])
+    def test_heavy_weights_reach_the_weighted_tail(self, s, gamma):
+        # the weight moves the integrand's bulk out to |x| ~ sqrt(2 s gamma);
+        # cut where the bare profile ends, the norm was short by 4.7e-7 at
+        # s = 1, gamma = 40
+        expected = sum(math.comb(gamma, j) * (4 * s) ** ((j + 1) / 2)
+                       * math.gamma((j + 1) / 2) for j in range(gamma + 1))
+        assert weighted_l1_norm(Gaussian(dimension=1, scale=s), gamma) == (
+            pytest.approx(expected, rel=1e-10))
+
     @pytest.mark.parametrize("v, gamma", [
         (Shifted(base=Gaussian(dimension=2, scale=1.0), center=(0.5, -0.3),
                  dilation=1.3), 2.5),

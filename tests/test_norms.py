@@ -76,8 +76,7 @@ class TestRegionEngine:
         # heat-type concentration at scale 1/sqrt(t) far below the region size
         t = 1e4
         f = lambda pts: np.exp(-t * np.sum(pts * pts, axis=-1)) + 0j
-        res = region_l2_norm(f, FrequencyRegion.ball(2.0, 1), 1e-10,
-                             inner_scale=1.0 / math.sqrt(t))
+        res = region_l2_norm(f, FrequencyRegion.ball(2.0, 1), 1e-10, t=t)
         expected = (math.pi / (2 * t)) ** 0.25
         assert res.value == pytest.approx(expected, rel=1e-9)
 
@@ -149,7 +148,7 @@ class TestPanelEngine:
         assert exact > 0
         ts = np.geomspace(1.0, 1e4, 9)
         curve = norm_curve(_heat_weighted(poly), FrequencyRegion.full(n), ts,
-                           1e-11, inner_scales=1.0 / np.sqrt(ts))
+                           1e-11)
         assert len(curve) == len(ts)
         for nrm, t in zip(curve, ts):
             assert nrm.value == pytest.approx(t ** (-n / 4 - k / 2) * exact,
@@ -199,11 +198,10 @@ class TestPanelEngine:
 
         ts = np.geomspace(1.0, 1e4, 17)
         region = FrequencyRegion.full(n)
-        curve = norm_curve(gap, region, ts, 1e-9, inner_scales=1.0 / np.sqrt(ts))
+        curve = norm_curve(gap, region, ts, 1e-9)
         curve_calls = len(calls)
         calls.clear()
-        (first,) = norm_curve(gap, region, ts[:1], 1e-9,
-                              inner_scales=1.0 / np.sqrt(ts[:1]))
+        (first,) = norm_curve(gap, region, ts[:1], 1e-9)
         assert curve_calls <= 3 * len(calls)
         assert curve[0].value == pytest.approx(first.value, rel=1e-9)
 
@@ -316,20 +314,21 @@ class TestAngularRuleReuse:
     # (n, region, k, t, norm, evaluations) as computed when the residual was
     # evaluated point by point through evaluate's former default, which
     # switched between the split forms and the regular one; reusing the
-    # rules and passing the row count down changed no bit of these
+    # rules and passing the row count down changed no bit of these.  The
+    # counts are the points the panel rounds sample
     PINNED = [
-        (2, "full", 0, 10.0, 6.056485491628974, 2499),
-        (2, "ball", 1, 30.0, 0.15305760852371306, 714),
-        (2, "annulus", 2, 100.0, 0.0013637565261636643, 714),
-        (2, "ext", 0, 50.0, 0.9910031172133901, 1428),
-        (2, "full", 1, 300.0, 0.015305885760095212, 3213),
-        (2, "ext", 2, 10.0, 0.08014523477348881, 3213),
-        (3, "full", 2, 10.0, 0.24863850223397158, 13797),
-        (3, "ball", 0, 100.0, 2.466062285515298, 3066),
-        (3, "annulus", 1, 30.0, 0.26975842522090554, 4599),
-        (3, "ext", 1, 1000.0, 0.0025392765922862, 16863),
-        (3, "ball", 2, 20.0, 0.04304450575899152, 3066),
-        (3, "annulus", 0, 1000.0, 0.39251886092442867, 3066),
+        (2, "full", 0, 10.0, 6.056485491628974, 2352),
+        (2, "ball", 1, 30.0, 0.15305760852371306, 672),
+        (2, "annulus", 2, 100.0, 0.0013637565261636643, 672),
+        (2, "ext", 0, 50.0, 0.9910031172133901, 1344),
+        (2, "full", 1, 300.0, 0.015305885760095212, 3024),
+        (2, "ext", 2, 10.0, 0.08014523477348881, 3024),
+        (3, "full", 2, 10.0, 0.24863850223397158, 13608),
+        (3, "ball", 0, 100.0, 2.466062285515298, 3024),
+        (3, "annulus", 1, 30.0, 0.26975842522090554, 4536),
+        (3, "ext", 1, 1000.0, 0.0025392765922862, 16632),
+        (3, "ball", 2, 20.0, 0.04304450575899152, 3024),
+        (3, "annulus", 0, 1000.0, 0.39251886092442867, 3024),
     ]
     # the same norms, bit for bit, from the shell route (radial multipliers
     # once per (t, r)); it moved them by at most 6.4e-15 relative.  The
@@ -398,7 +397,7 @@ class TestAngularRuleReuse:
         ts = np.geomspace(10.0, 1e3, times)
         for region in (FrequencyRegion.full(n), FrequencyRegion.ball(0.5, n)):
             sizes.clear()
-            norm_curve(residual, region, ts, inner_scales=1.0 / np.sqrt(ts))
+            norm_curve(residual, region, ts)
             assert sizes and min(sizes) > 1
 
 
@@ -429,9 +428,64 @@ class TestShellFieldCalls:
         monkeypatch.setattr(SpectralSolution, "residual_shells", counted)
         res = residual_norm(_pinned_pair(3), 10.0, 2)
         # two truncation calls (the interior shells ride with the first
-        # bundle), one rule choice, three panel rounds: points per call
+        # bundle), one rule choice, three panel rounds: points per call;
+        # the evaluations are the panel rounds' points
         assert calls == [216, 96, 1400, 7560, 3024, 3024]
-        assert res.evaluations == 13797
+        assert res.evaluations == 13608
+
+    @staticmethod
+    def _pair(n):
+        return SpectralSolution(u0=_shifted_gaussian(n),
+                                u1=Box(dimension=n, half_width=0.8))
+
+    @staticmethod
+    def _regions(n):
+        return (FrequencyRegion.full(n), FrequencyRegion.ball(0.5, n),
+                FrequencyRegion.exterior(2.0, n))
+
+    def test_every_norm_is_one_radial_integral(self, monkeypatch):
+        # one engine in every dimension: the line's two points are its
+        # angular rule
+        calls = []
+        real = norms.integrate_radial
+        monkeypatch.setattr(norms, "integrate_radial", lambda *args, **kwargs:
+                            calls.append(args[1]) or real(*args, **kwargs))
+        for n in (1, 2, 3):
+            for region in self._regions(n):
+                calls.clear()
+                assert residual_norm(self._pair(n), 30.0, 1, region).value > 0
+                assert calls == [n]
+
+    def test_evaluations_count_the_panel_points(self, monkeypatch):
+        # the truncation and rule-choice probes sample the field too, but
+        # only the panel rounds' points are evaluations
+        received, probing = [], []
+        real = SpectralSolution.residual_shells
+
+        def counted(self, ts, radii, dirs, poly):
+            if not probing:
+                received.append(len(radii) * len(dirs))
+            return real(self, ts, radii, dirs, poly)
+
+        def probe(module, name):
+            real_probe = getattr(module, name)
+
+            def probed(*args, **kwargs):
+                probing.append(name)
+                try:
+                    return real_probe(*args, **kwargs)
+                finally:
+                    probing.pop()
+            monkeypatch.setattr(module, name, probed)
+
+        monkeypatch.setattr(SpectralSolution, "residual_shells", counted)
+        probe(norms, "truncation_radius")
+        probe(quadrature, "choose_angular_rule")
+        for n in (1, 2, 3):
+            for region in self._regions(n):
+                received.clear()
+                res = residual_norm(self._pair(n), 30.0, 1, region)
+                assert res.evaluations == sum(received) > 0
 
 
 def _probe_field(kind):
