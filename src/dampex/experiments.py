@@ -191,9 +191,8 @@ class Case:
         A_{k-1}."""
         def compute():
             ts = grid.values()
-            curve = residual_norm_curve(self.solution, ts,
-                                        self.expansion("A", k - 1), tol=tol)
-            return ts, np.array([nrm.value for nrm in curve])
+            return ts, residual_norm_curve(self.solution, ts,
+                                           self.expansion("A", k - 1), tol=tol).value
         return self._once(("curve", k, grid, tol), compute)
 
     def tail_ball(self, m: int):
@@ -251,8 +250,7 @@ def _weighted_norms(base, ell, region, ts, tol, breakpoints=()):
         weight = radii ** ell * np.exp(-np.multiply.outer(ts, radii * radii))
         return weight[..., None] * base(radii, dirs)
 
-    curve = norm_curve(gap, region, ts, tol, breakpoints=breakpoints)
-    return np.array([nrm.value for nrm in curve])
+    return norm_curve(gap, region, ts, tol, breakpoints=breakpoints).value
 
 
 def fit_decay_rate(case: Case, k: int, grid: TimeGrid, tol=1e-9,

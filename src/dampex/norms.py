@@ -72,7 +72,7 @@ class FrequencyRegion:
 
 
 def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
-               breakpoints=()) -> list[QuadResult]:
+               breakpoints=()) -> QuadResult:
     """(integral_region |f(t, xi)|^2 dxi)^{1/2} for every t of ``ts`` at once.
 
     ``f(ts, radii, dirs)`` receives the times as a 1-D array, R radii and an
@@ -87,8 +87,8 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
     ``breakpoints``.  Norms below VALUE_FLOOR = 1e-14 are reported as
     converged at zero (the relative target is meaningless there); the
     floor squared acts as the absolute tolerance of the underlying
-    integrals.  Returns one QuadResult per time, each carrying the points
-    sampled and the ``stalled`` flag of the whole curve.
+    integrals.  Returns one QuadResult: (len(ts),) arrays of norms and
+    estimates, one count of the points sampled and the ``stalled`` flag.
     """
     ts = np.asarray(ts, dtype=float)
     n = region.dimension
@@ -101,19 +101,23 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
     if not region.bounded:
         hi, tail = truncation_radius(field, n, max(4.0, 2.0 * lo), rows=len(ts))
         if hi <= lo:
-            return [QuadResult(0.0, math.sqrt(e), 0) for e in tail]
+            return QuadResult(np.zeros(len(ts)), np.sqrt(tail), 0)
 
     brk = sorted(set().union(*(
         radial_breakpoints(lo, hi, s, breakpoints)
         for s in 1.0 / np.sqrt(np.maximum(ts, 1.0)))))
     res = integrate_radial(field, n, lo, hi, tol, extra_breakpoints=brk,
                            abs_floor=VALUE_FLOOR * VALUE_FLOOR, rows=len(ts))
-    out = []
-    for total, err2 in zip(res.value, res.error_estimate + tail):
-        value = math.sqrt(max(total, 0.0))
-        err = err2 / (2.0 * value) if value > 0 else math.sqrt(err2)
-        out.append(QuadResult(value, float(err), res.evaluations, res.stalled))
-    return out
+    value = np.sqrt(np.maximum(res.value, 0.0))
+    err2 = res.error_estimate + tail
+    err = np.divide(err2, 2.0 * value, out=np.sqrt(err2), where=value > 0)
+    return QuadResult(value, err, res.evaluations, res.stalled)
+
+
+def _at_one_time(curve: QuadResult) -> QuadResult:
+    """Row 0 of a one-time ``curve``, its norm and estimate as floats."""
+    return QuadResult(float(curve.value[0]), float(curve.error_estimate[0]),
+                      curve.evaluations, curve.stalled)
 
 
 def region_l2_norm(f, region: FrequencyRegion, tol=1e-9, *,
@@ -129,8 +133,7 @@ def region_l2_norm(f, region: FrequencyRegion, tol=1e-9, *,
         pts = (radii[:, None, None] * dirs).reshape(-1, region.dimension)
         return np.asarray(f(pts)).reshape(1, len(radii), len(dirs))
 
-    (norm,) = norm_curve(on_shells, region, (t,), tol)
-    return norm
+    return _at_one_time(norm_curve(on_shells, region, (t,), tol))
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +224,15 @@ def residual_norm(sol: SpectralSolution, t: float, k: int,
     the moments of v = u0 + u1.
     """
     poly = build_expansion("A", k - 1, moment_table(sol.v, max(k - 1, 0)))
-    return residual_norm_curve(sol, (t,), poly, region, tol)[0]
+    return _at_one_time(residual_norm_curve(sol, (t,), poly, region, tol))
 
 
 def residual_norm_curve(sol: SpectralSolution, ts, poly: ExpansionPolynomial,
                         region: FrequencyRegion | None = None,
-                        tol=1e-9) -> list[QuadResult]:
-    """|| u_hat(t) - poly e^{-t |xi|^2} || at every t of ``ts``, integrated
-    on shared panels; ``poly`` is the caller's profile A_{k-1}.
+                        tol=1e-9) -> QuadResult:
+    """|| u_hat(t) - poly e^{-t |xi|^2} || at every t of ``ts`` as one
+    ``norm_curve`` record: per-time arrays and one ``evaluations`` count;
+    ``poly`` is the caller's profile A_{k-1}.
 
     Each time's inner ladder starts at its heat width 1/sqrt(max(t, 1));
     LOW_RADIUS and HIGH_RADIUS bracket the unit sphere, where the solution's

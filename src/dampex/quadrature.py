@@ -88,12 +88,13 @@ _TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class QuadResult:
-    """An integral with its error estimate; value and estimate are arrays
-    with one entry per row when the integrand returns (T, m) values.
+    """One record per integral call: value and error estimate are (T,)
+    arrays, one entry per row or time (a 1-D integrand is one row), or
+    floats for a norm at one time.
 
-    ``evaluations`` counts the abscissae (or points) sampled.  ``stalled``
-    is set when the panel budget ran out and the result was accepted
-    within STALL_SLACK times the tolerance.
+    ``evaluations`` counts the abscissae (or points) sampled for all rows.
+    ``stalled`` is set when the panel budget ran out and the result was
+    accepted within STALL_SLACK times the tolerance.
     """
 
     value: float | np.ndarray
@@ -102,20 +103,16 @@ class QuadResult:
     stalled: bool = False
 
 
-def _scalar_or_rows(x):
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def _gk21(f, a, b):
     """Kronrod integrals of f on the panels [a_i, b_i], their QUADPACK error
     estimates and the roundoff floors under those estimates, each shaped
-    (P,) or (T, P) after the rows of f."""
+    (T, P) after the T rows of f (one for a 1-D f)."""
     centre = 0.5 * (a + b)
     half = 0.5 * (b - a)
     width = np.abs(half)
     fx = np.asarray(f((centre[:, None] + half[:, None] * _NODES).ravel()),
                     dtype=float)
-    fv = fx.reshape(fx.shape[:-1] + (len(a), 21))
+    fv = fx.reshape(-1, len(a), 21)
     resk = fv @ _KRONROD
     err = np.abs(resk - fv @ _GAUSS) * width
     resabs = (np.abs(fv) @ _KRONROD) * width
@@ -135,8 +132,7 @@ def _panels_to_split(excess, slack, a, b, budget):
     largest excess until the rest fit; at most ``budget`` panels in all,
     the worst relative to their row's slack first.
     """
-    excess = np.atleast_2d(excess)
-    slack = np.atleast_1d(slack)[:, None]
+    slack = slack[:, None]
     order = np.argsort(-excess, axis=1, kind="stable")
     ranked = np.take_along_axis(excess, order, axis=1)
     # the excess left once every panel ranked before this one is split
@@ -155,19 +151,20 @@ def _panels_to_split(excess, slack, a, b, budget):
 def adaptive_1d(f, lo, hi, tol, *, abs_floor=1e-300, breakpoints=()) -> QuadResult:
     """Integrate f on [lo, hi] with relative tolerance tol.
 
-    ``f`` maps a 1-D array of abscissae to values of shape (m,), or (T, m)
-    for T integrands at once; row t converges to its own target
-    max(tol |I_t|, abs_floor), or once every panel's estimate is down to its
-    roundoff floor (50 eps times the panel's integral of |f|, as in
-    QUADPACK), below which no bisection can certify more.  ``breakpoints``
-    marks interior points where the integrand is not smooth or changes
-    scale (the heat ladder of ``radial_breakpoints``, LOW_RADIUS and
-    HIGH_RADIUS around the unit sphere, the edge of a heat-vanishing tail
-    ball, the origin and the summands' support ends in a weighted L1
-    norm); the initial panels are split there.
-    When QUAD_LIMIT panels are used up first, a result within STALL_SLACK
-    times the target is returned with ``stalled=True`` and a worse one
-    raises QuadratureError.
+    ``f`` maps a 1-D array of abscissae to (m,) values, one row, or (T, m)
+    for T rows; the result holds (T,) arrays and one ``evaluations`` count
+    for all rows.  Row t converges to its own target max(tol |I_t|,
+    abs_floor), or once every panel's estimate is down to its roundoff
+    floor (50 eps times the panel's integral of |f|, as in QUADPACK),
+    below which no bisection can certify more.  ``breakpoints`` marks
+    interior points where the integrand is not smooth or changes scale
+    (the heat ladder of ``radial_breakpoints``, LOW_RADIUS and HIGH_RADIUS
+    around the unit sphere, the edge of a heat-vanishing tail ball, the
+    origin and the summands' support ends in a weighted L1 norm); the
+    initial panels are split there.  When QUAD_LIMIT panels are used up
+    first, a result within STALL_SLACK times the target is returned with
+    ``stalled=True``, a worse one raises QuadratureError, and so does an
+    integrand that is not finite, saying so.
     """
     edges = np.array([lo, *sorted(p for p in set(breakpoints) if lo < p < hi), hi],
                      dtype=float)
@@ -180,8 +177,7 @@ def adaptive_1d(f, lo, hi, tol, *, abs_floor=1e-300, breakpoints=()) -> QuadResu
         roundoff = floor.sum(axis=-1)
         target = np.maximum(np.maximum(tol * np.abs(total), abs_floor), roundoff)
         if np.all(error <= target):
-            return QuadResult(_scalar_or_rows(total), _scalar_or_rows(error),
-                              evaluations)
+            return QuadResult(total, error, evaluations)
         idx = _panels_to_split(err - floor, target - roundoff, a, b,
                                QUAD_LIMIT - len(a))
         if len(idx) == 0:
@@ -200,14 +196,14 @@ def adaptive_1d(f, lo, hi, tol, *, abs_floor=1e-300, breakpoints=()) -> QuadResu
     slack = np.maximum(STALL_SLACK * tol * np.abs(total), target)
     bad = ~(error <= slack)
     if np.any(bad):
-        worst = int(np.argmax(np.atleast_1d(np.where(bad, error / slack, -1.0))))
-        v, e = np.atleast_1d(total)[worst], np.atleast_1d(error)[worst]
+        worst = int(np.argmax(np.where(bad, error / slack, -1.0)))
+        v, e = total[worst], error[worst]
         raise QuadratureError(
             f"1-D quadrature stalled on [{lo}, {hi}]: value={v:.6e}, "
-            f"estimate={e:.3e}, target={tol:.1e}",
+            f"estimate={e:.3e}, target={tol:.1e}" if np.isfinite([v, e]).all()
+            else f"1-D quadrature: the integrand is not finite on [{lo}, {hi}]",
             value=float(v), error_estimate=float(e))
-    return QuadResult(_scalar_or_rows(total), _scalar_or_rows(error),
-                      evaluations, stalled=True)
+    return QuadResult(total, error, evaluations, stalled=True)
 
 
 def radial_breakpoints(lo, hi, inner_scale, extra=()):
@@ -407,7 +403,7 @@ def truncation_radius(field, dimension, start, *, rows):
                                           bundle(min(r, TRUNCATION_CAP))]))
     peak = maxima[..., :len(interior)].max(axis=-1)
     if np.all(peak <= 0.0):
-        return r, np.zeros_like(peak)
+        return min(r, TRUNCATION_CAP), np.zeros_like(peak)
     top = maxima[..., len(interior):].max(axis=-1)
     while r < TRUNCATION_CAP:
         peak = np.maximum(peak, top)

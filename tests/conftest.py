@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dampex import Box, Gaussian, GaussianMonomial, Shifted
+from dampex import (Box, Gaussian, GaussianMonomial, Shifted, add_data,
+                    gauss_kernel, zero_datum)
 
 
 def catalog_1d():
@@ -38,6 +39,19 @@ def catalog_3d():
 
 def catalog_all():
     return catalog_1d() + catalog_2d() + catalog_3d()
+
+
+def catalog_families(n):
+    """One datum of every config family in dimension n: the separable
+    families, each shifted, and a sum of three of them."""
+    gauss = Gaussian(dimension=n, scale=0.7, amplitude=1.3)
+    mono = GaussianMonomial(dimension=n, exponents=(1, 2, 3)[:n], scale=0.6)
+    box = Box(dimension=n, half_width=0.9)
+    center = (0.4, -0.3, 0.25)[:n]
+    shifted = [Shifted(base=base, center=center, dilation=s)
+               for base, s in ((gauss, 1.5), (mono, 0.8), (box, 2.0))]
+    return [gauss, mono, box, gauss_kernel(n, 0.5), zero_datum(n), *shifted,
+            add_data(gauss, shifted[2], mono)]
 
 
 @pytest.fixture

@@ -303,7 +303,7 @@ def quadrature_raw_moment(v: InitialDatum, alpha, tol=1e-10, *,
             res = adaptive_1d(lambda y, j=j, m=m: y**m * v.axis_value(j, y),
                               lo, hi, tol / (v.dimension + 1), abs_floor=abs_floor,
                               breakpoints=(0.0,))
-            total *= res.value
+            total *= res.value[0]
         return total
 
     def f(x):
@@ -322,7 +322,7 @@ def absolute_moment(v: InitialDatum, gamma: float, tol=1e-10) -> float:
         lo, hi = v.axis_interval(0)
         return adaptive_1d(
             lambda y: np.abs(y) ** gamma * np.abs(v.values(y[:, None])),
-            lo, hi, tol, breakpoints=(0.0,)).value
+            lo, hi, tol, breakpoints=(0.0,)).value[0]
 
     def f(x):
         return math.hypot(*x) ** gamma * abs(float(v.values(np.asarray(x))))
@@ -383,7 +383,7 @@ def truncation_radius_per_bundle(field, dimension, start, *, rows):
     r = max(start, 1.0)
     peak = shell_max(r * np.array([1e-3, 1e-2, 0.1, 0.5, 1.0]))
     if np.all(peak <= 0.0):
-        return r, np.zeros_like(peak)
+        return min(r, TRUNCATION_CAP), np.zeros_like(peak)
     while r < TRUNCATION_CAP:
         top = bundle_max(r)
         peak = np.maximum(peak, top)

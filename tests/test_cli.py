@@ -86,6 +86,24 @@ def test_weighted_norms_of_sign_changing_data_finish_or_fail_cleanly(
         assert not out.exists()
 
 
+def test_moments_name_an_integrand_that_is_not_finite(tmp_path, capsys):
+    # (1 + r)^400 overflows where the Gaussian reads 0: the weighted
+    # integrand is NaN there, which no bisection can mend
+    data = tmp_path / "g.json"
+    data.write_text(json.dumps({"family": "gaussian", "dimension": 2,
+                                "scale": 1.0}), encoding="utf-8")
+    out = tmp_path / "F.json"
+    with np.errstate(all="ignore"):
+        rc = main(["moments", "--data", str(data), "--max-order", "0",
+                   "--gammas", "400", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(
+        "error: 1-D quadrature: the integrand is not finite on [")
+    assert "stalled" not in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("gammas", ["-1", "nan", "inf", "0,-inf"])
 def test_moments_rejects_bad_weights_before_writing(datum_cfg, tmp_path, capsys,
                                                     gammas):

@@ -12,10 +12,10 @@ from dampex import (Box, Case, Gaussian, InsufficientOrderError, Shifted,
                     check_property_C, combine, moment_table,
                     property_suite, zero_datum)
 from dampex.expansion import ExpansionPolynomial, Term, series_ball
-from dampex.indices import indices_of_degree
+from dampex.indices import degree, indices_of_degree
 from dampex.initial_data import GaussianMonomial
 
-from conftest import catalog_1d, catalog_2d, catalog_3d
+from conftest import catalog_1d, catalog_2d, catalog_3d, catalog_families
 from oracles import heat_partial_sum
 
 
@@ -341,6 +341,18 @@ class TestStructure:
         # M_0 |xi|^2 + i^2 M_2 xi^2 collapses to (M_0 - M_2) xi^2
         assert b2.canonical == (((2,), table.moment((0,)) - table.moment((2,))),)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_coefficients_mirror_to_their_conjugates(self, n):
+        # real moments times i^|alpha|: c (-1)^|alpha| = conj(c), so
+        # P(-xi) = conj P(xi) for every kind (== takes -0.0 for 0.0)
+        for v in catalog_families(n):
+            table = moment_table(v, 4)
+            for kind in ("A", "B", "C"):
+                for k in range(5):
+                    for alpha, c in build_expansion(kind, k, table).canonical:
+                        assert c * (-1) ** degree(alpha) == c.conjugate(), (
+                            v, kind, k, alpha)
+
     def test_combine_concatenates_terms(self, gaussian_1d):
         table = moment_table(gaussian_1d, 2)
         c0 = build_expansion("C", 0, table)
@@ -387,6 +399,20 @@ class TestSeriesBall:
         v = GaussianMonomial(dimension=1, exponents=(1,))
         assert moment_table(v, 0).is_exact_zero((0,))
         assert series_ball(_tables(v), 0, 0.5) == (0.0, 0)
+
+    def test_a_table_that_leaves_the_floats_as_it_grows_gets_no_ball(self):
+        # M_0 = 2e-5 is finite, but M_2 ~ 1e150 h^2 / 3 is not: growing the
+        # table for the first tail layer raises, and the ball is empty
+        box = Box(dimension=1, half_width=1e155, amplitude=1e-160)
+        asked = []
+
+        def tables(order):
+            asked.append(order)
+            return moment_table(box, order)
+
+        assert moment_table(box, 0).moment((0,)) == pytest.approx(2e-5)
+        assert series_ball(tables, 0, 0.5) == (0.0, 0)
+        assert asked == [0, 2]
 
 
 class TestBatchEvaluation:

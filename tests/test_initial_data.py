@@ -15,7 +15,7 @@ from dampex import initial_data
 from dampex.indices import indices_up_to
 from dampex.quadrature import adaptive_1d
 
-from conftest import catalog_all
+from conftest import catalog_all, catalog_families
 from oracles import (absolute_moment, per_axis_fourier_transform,
                      quadrature_raw_moment, scipy_weighted_l1_norm)
 
@@ -337,6 +337,15 @@ class TestFourierTransforms:
         mass = moment_table(v, 0).raw((0,) * v.dimension)
         assert v.fourier_transform(xi0)[0] == pytest.approx(mass, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_transform_at_minus_xi_is_the_conjugate(self, n):
+        # every catalog datum is real, so v_hat(-xi) = conj v_hat(xi)
+        xi = np.random.default_rng(n).uniform(-6.0, 6.0, (200, n))
+        for v in catalog_families(n):
+            ref = np.conj(v.fourier_transform(xi))
+            gap = np.abs(v.fourier_transform(-xi) - ref)
+            assert np.all(gap <= 4 * np.finfo(float).eps * np.abs(ref)), v
+
     def test_box_transform_zero_at_pi(self):
         b = Box(dimension=1, half_width=1.0)
         val = b.fourier_transform(np.array([[math.pi]]))[0]
@@ -459,9 +468,9 @@ def quadrature_transform(v, xi):
     from dampex.quadrature import adaptive_1d
     lo, hi = v.axis_interval(0)
     re = adaptive_1d(lambda y: np.cos(-y * xi[0]) * v.values(y[:, None]),
-                     lo, hi, 1e-11, abs_floor=1e-12, breakpoints=(0.0,)).value
+                     lo, hi, 1e-11, abs_floor=1e-12, breakpoints=(0.0,)).value[0]
     im = adaptive_1d(lambda y: np.sin(-y * xi[0]) * v.values(y[:, None]),
-                     lo, hi, 1e-11, abs_floor=1e-12, breakpoints=(0.0,)).value
+                     lo, hi, 1e-11, abs_floor=1e-12, breakpoints=(0.0,)).value[0]
     return complex(re, im)
 
 

@@ -11,12 +11,12 @@ from dampex import (Box, FrequencyRegion, Gaussian, GaussianMonomial,
                     build_expansion, gaussian_monomial_integral,
                     heat_increment_norm, moment_table, poly_gaussian_l2_norm,
                     region_l2_norm, residual_norm, zero_datum)
-from dampex import norms, quadrature
+from dampex import QuadratureError, norms, quadrature
 from dampex.norms import (norm_curve, regularised_lower_gamma,
                           residual_norm_curve)
-from dampex.quadrature import (BATCH_POINTS, TRUNCATION_CAP, adaptive_1d,
-                               angular_sums, choose_angular_rule, circle_nodes,
-                               integrate_radial, sphere_nodes,
+from dampex.quadrature import (BATCH_POINTS, TRUNCATION_CAP, QuadResult,
+                               adaptive_1d, angular_sums, choose_angular_rule,
+                               circle_nodes, integrate_radial, sphere_nodes,
                                truncation_radius)
 
 from conftest import catalog_1d, catalog_2d, catalog_3d
@@ -149,10 +149,10 @@ class TestPanelEngine:
         ts = np.geomspace(1.0, 1e4, 9)
         curve = norm_curve(_heat_weighted(poly), FrequencyRegion.full(n), ts,
                            1e-11)
-        assert len(curve) == len(ts)
-        for nrm, t in zip(curve, ts):
-            assert nrm.value == pytest.approx(t ** (-n / 4 - k / 2) * exact,
-                                              rel=1e-9, abs=0)
+        assert curve.value.shape == (len(ts),)
+        for value, t in zip(curve.value, ts):
+            assert value == pytest.approx(t ** (-n / 4 - k / 2) * exact,
+                                          rel=1e-9, abs=0)
 
     def test_value_floor_holds_a_tiny_norm_to_its_closed_form(self, monkeypatch):
         # |f|^2 = a^2 (e^{-2 r^2/w^2} + e^{-2 (r-p)^2/s^2}) on the ball
@@ -173,13 +173,13 @@ class TestPanelEngine:
             return np.broadcast_to(vals, (len(ts),) + vals.shape)
 
         region = FrequencyRegion.ball(1.0, 1)
-        (nrm,) = norm_curve(field, region, [1.0])
-        assert abs(nrm.value / exact - 1) < 1e-6
+        nrm = norm_curve(field, region, [1.0])
+        assert abs(nrm.value[0] / exact - 1) < 1e-6
         # a floor at 1e-13 accepts the first round, which misses the bump
         monkeypatch.setattr(norms, "VALUE_FLOOR", 1e-13)
-        (first,) = norm_curve(field, region, [1.0])
+        first = norm_curve(field, region, [1.0])
         assert first.evaluations == 2 * 21 < nrm.evaluations
-        assert abs(first.value / exact - 1) > 0.01
+        assert abs(first.value[0] / exact - 1) > 0.01
 
     def test_curve_batches_its_integrand_calls(self):
         # in 1-D a refinement round stays far below the batch cap, so the
@@ -201,9 +201,54 @@ class TestPanelEngine:
         curve = norm_curve(gap, region, ts, 1e-9)
         curve_calls = len(calls)
         calls.clear()
-        (first,) = norm_curve(gap, region, ts[:1], 1e-9)
+        first = norm_curve(gap, region, ts[:1], 1e-9)
         assert curve_calls <= 3 * len(calls)
-        assert curve[0].value == pytest.approx(first.value, rel=1e-9)
+        assert curve.value[0] == pytest.approx(first.value[0], rel=1e-9)
+
+    def test_a_curve_is_one_record_of_per_time_arrays(self):
+        # one QuadResult for all times: (T,) norms and estimates, the
+        # points of the whole curve counted once, a zero row reported as
+        # zero; a norm at one time is that record's row 0 as floats
+        poly = build_expansion("B", 1, moment_table(_shifted_gaussian(2), 1))
+        heat = _heat_weighted(poly)
+
+        def field(ts, radii, dirs):
+            return np.minimum(ts, 1.0)[:, None, None] * heat(ts, radii, dirs)
+
+        ts = np.array([0.0, 1.0, 10.0])
+        region = FrequencyRegion.full(2)
+        curve = norm_curve(field, region, ts, 1e-10)
+        assert type(curve) is QuadResult
+        assert curve.value.shape == curve.error_estimate.shape == (len(ts),)
+        assert type(curve.evaluations) is int and curve.evaluations > 0
+        assert not curve.stalled
+        assert curve.value[0] == curve.error_estimate[0] == 0.0
+        assert np.all(curve.value[1:] > 0)
+        assert np.all(np.isfinite(curve.error_estimate))
+        sol = SpectralSolution(u0=_shifted_gaussian(2), u1=zero_datum(2))
+        poly = build_expansion("A", 0, moment_table(sol.v, 0))
+        curve = residual_norm_curve(sol, ts[1:], poly)
+        assert curve.value.shape == curve.error_estimate.shape == (2,)
+        one, single = residual_norm(sol, ts[1], 1), residual_norm_curve(
+            sol, ts[1:2], poly)
+        assert type(one.value) is float and type(one.error_estimate) is float
+        assert one == QuadResult(float(single.value[0]),
+                                 float(single.error_estimate[0]),
+                                 single.evaluations, single.stalled)
+
+    def test_every_integrand_is_rows(self):
+        # a 1-D integrand is one row: (1,) arrays, as (T, m) values give (T,)
+        one = adaptive_1d(lambda x: np.exp(-x * x), -8.0, 8.0, 1e-12)
+        assert one.value.shape == one.error_estimate.shape == (1,)
+        assert one.value[0] == pytest.approx(SQRT_PI, rel=1e-12)
+        rows = adaptive_1d(lambda x: np.stack([np.exp(-x * x), x * x]),
+                           -8.0, 8.0, 1e-12)
+        assert rows.value.shape == rows.error_estimate.shape == (2,)
+        assert rows.value[0] == one.value[0]
+        radial = integrate_radial(
+            _shell_field(lambda pts: np.exp(-np.sum(pts * pts, axis=-1))),
+            3, 0.0, 8.0, 1e-10, rows=1)
+        assert radial.value.shape == radial.error_estimate.shape == (1,)
 
     def test_field_calls_stay_under_the_batch_cap(self):
         # 17 times on the finest sphere rule: one shell alone is 1152 x 17
@@ -236,9 +281,9 @@ class TestPanelEngine:
         for row, t in zip(rows, ts):
             assert np.array_equal(row, sol.residual_shells((t,), radii, dirs, poly)[0])
         curve = residual_norm_curve(sol, ts, poly)
-        for nrm, t in zip(curve, ts):
-            assert nrm.value == pytest.approx(residual_norm(sol, t, 1).value,
-                                              rel=1e-9)
+        for value, t in zip(curve.value, ts):
+            assert value == pytest.approx(residual_norm(sol, t, 1).value,
+                                          rel=1e-9)
 
     def test_evaluations_count_the_abscissae_received(self):
         received = []
@@ -269,6 +314,16 @@ class TestPanelEngine:
         radial = integrate_radial(_shell_field(gaussian), 2, 0.0, 8.0, tol, rows=1)
         assert not radial.stalled
         assert radial.value == pytest.approx(math.pi / 2.0, rel=1e-9)
+
+    def test_a_non_finite_integrand_is_named(self):
+        # nothing stalls when the integrand itself is NaN or infinite
+        for bad in (np.nan, np.inf):
+            with np.errstate(invalid="ignore"), pytest.raises(
+                    QuadratureError,
+                    match=r"^1-D quadrature: the integrand is not finite on "
+                          r"\[0\.0, 2\.0\]$"):
+                adaptive_1d(lambda x: np.where(x > 1.5, bad, x), 0.0, 2.0,
+                            1e-10)
 
     def test_region_norms_carry_the_stall_flag(self):
         # the norm is the panel engine's own record, stall flag included
@@ -531,6 +586,49 @@ class TestTruncationProbe:
             assert start < radius < TRUNCATION_CAP and tail.any()
         else:
             assert radius == TRUNCATION_CAP
+
+    @pytest.mark.parametrize("start", [600.0, 2e9])
+    def test_the_radius_is_capped_from_every_start(self, start):
+        # from 2e9 every interior probe of a Gaussian reads 0, from 600
+        # the first does not; both stop at the cap with no tail, so an
+        # exterior probed from there samples nothing
+        gauss = _shell_field(lambda pts: np.exp(-np.sum(pts * pts, axis=-1)))
+        radius, tail = truncation_radius(gauss, 2, start, rows=1)
+        assert radius == TRUNCATION_CAP
+        assert tail.tolist() == [0.0]
+        expected = truncation_radius_per_bundle(gauss, 2, start, rows=1)
+        assert expected[0] == radius and expected[1].tolist() == [0.0]
+        region = FrequencyRegion.exterior(start, 2)
+        assert region_l2_norm(lambda pts: np.exp(-np.sum(pts * pts, axis=-1)),
+                              region) == QuadResult(0.0, 0.0, 0)
+
+    def test_an_exterior_past_the_cap_reports_its_tail_bound(self):
+        # 1/(1 + t r^2) is not negligible at the cap: past it the norm is
+        # 0 with the square root of the tail bound as its error, and no
+        # point is sampled
+        region = FrequencyRegion.exterior(600.0, 2)
+        ts = np.array([1.0, 4.0])
+
+        def f(ts, radii, dirs):
+            r2 = np.broadcast_to((radii * radii)[:, None], (len(radii), len(dirs)))
+            return 1.0 / (1.0 + np.multiply.outer(ts, r2))
+
+        radius, tail = truncation_radius(
+            lambda radii, dirs: np.abs(f(ts, radii, dirs)) ** 2, 2, 1200.0,
+            rows=len(ts))
+        assert radius == TRUNCATION_CAP and np.all(tail > 0)
+        curve = norm_curve(f, region, ts)
+        assert curve.value.tolist() == [0.0, 0.0]
+        assert curve.error_estimate.tolist() == np.sqrt(tail).tolist()
+        assert curve.evaluations == 0 and not curve.stalled
+
+        def g(pts):
+            return 1.0 / (1.0 + np.sum(pts * pts, axis=-1))
+
+        _, (one_tail,) = truncation_radius(
+            _shell_field(lambda pts: np.abs(g(pts)) ** 2), 2, 1200.0, rows=1)
+        assert one_tail > 0
+        assert region_l2_norm(g, region) == QuadResult(0.0, math.sqrt(one_tail), 0)
 
     def test_first_call_holds_interior_shells_and_first_bundle(self):
         field, rows = _probe_field("heat")
