@@ -146,8 +146,13 @@ def _format_rows(t, coords, row):
     # flattened before np.unique, whose inverse took the input's shape in
     # numpy 2.0
     pairs = np.stack([row.real, row.imag], axis=-1).ravel()
-    bits, where = np.unique(pairs.view(np.int64), return_inverse=True)
-    if 2 * bits.size <= pairs.size:
+    # a sort and a count of changes decide, and only a gather needs the
+    # inverse; the sorted copy goes before either branch builds its lists
+    ranked = np.sort(pairs.view(np.int64))
+    distinct = 1 + np.count_nonzero(ranked[1:] != ranked[:-1])
+    del ranked
+    if 2 * distinct <= pairs.size:
+        bits, where = np.unique(pairs.view(np.int64), return_inverse=True)
         texts = np.array([repr(v) for v in bits.view(np.float64).tolist()],
                          dtype=object)
         spec, values = "%s", texts[where].tolist()
@@ -341,7 +346,11 @@ PARSER = build_parser()
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        # a value that leaves the floats ends in the program's own error
+        # (a non-finite integrand is named), so numpy's warnings on the way
+        # would only precede that one line
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

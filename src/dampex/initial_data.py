@@ -523,7 +523,17 @@ def weighted_l1_norm(v: InitialDatum, gamma: float, tol=1e-10) -> float:
                      for i in range(0, len(rows), L1_ROW_CHUNK)]
                 ).reshape(pts.shape[:2])
             r = np.sqrt((pts * pts).sum(axis=-1))
-            return (1.0 + r) ** gamma * np.abs(v.values(pts))
+            magnitude = np.abs(v.values(pts))
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = (1.0 + r) ** gamma * magnitude
+            bad = ~np.isfinite(out)
+            if bad.any():
+                # (1 + r)^gamma overflows where |v| underflows: only there
+                # is the product taken in log space
+                with np.errstate(over="ignore", divide="ignore"):
+                    out[bad] = np.exp(gamma * np.log1p(r[bad])
+                                      + np.log(magnitude[bad]))
+            return out
 
         lo, hi = v.axis_interval(j, gamma)
         ends = [x for t in summands(v) for x in t.axis_interval(j, gamma)]

@@ -3,7 +3,8 @@
 The quadrature route (`norm_curve`) integrates |f|^2 over balls, annuli,
 exteriors or all of R^n (n <= 3) and never looks inside f.  It samples f
 shell by shell, in every dimension through ``integrate_radial``: f gets
-the times, R radii and m unit directions (+-1 on the line) and returns
+the times, R radii and m unit directions (one of each antipodal pair;
++1 on the line) and returns
 the (T, R, m) values at the points r * d, so whatever depends only on
 (t, |xi|) is computed once per (time, radius).  The closed-form route
 evaluates the same norms for polynomial-times-Gaussian integrands through
@@ -84,7 +85,10 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
     converges to its own relative target ``tol``.  The radial split points
     are the union of the times' geometric ladders from their heat widths
     1/sqrt(max(t, 1)) (none for a NaN time) plus the kinks in
-    ``breakpoints``.  Norms below VALUE_FLOOR = 1e-14 are reported as
+    ``breakpoints``.  The integrand must satisfy |f(t, -xi)| = |f(t, xi)|,
+    as the transforms of real data and the polynomials built from their
+    moments do: every rule samples one direction of each antipodal pair
+    at twice its weight.  Norms below VALUE_FLOOR = 1e-14 are reported as
     converged at zero (the relative target is meaningless there); the
     floor squared acts as the absolute tolerance of the underlying
     integrals.  Returns one QuadResult: (len(ts),) arrays of norms and
@@ -125,9 +129,11 @@ def region_l2_norm(f, region: FrequencyRegion, tol=1e-9, *,
     """(integral_region |f(xi)|^2 dxi)^{1/2}: ``norm_curve`` at one time.
 
     ``f`` must accept an (m, n) array of points and return real or complex
-    values of shape (m,); it is sampled on the shells' points.  ``t`` is
-    the time whose heat width the panels resolve (none by default); norms
-    below VALUE_FLOOR = 1e-14 count as converged at zero.
+    values of shape (m,); it is sampled on the shells' points, one of
+    each antipodal pair, so it must satisfy |f(-xi)| = |f(xi)|, as
+    transforms of real data do.  ``t`` is the time whose heat width the
+    panels resolve (none by default); norms below VALUE_FLOOR = 1e-14
+    count as converged at zero.
     """
     def on_shells(ts, radii, dirs):
         pts = (radii[:, None, None] * dirs).reshape(-1, region.dimension)

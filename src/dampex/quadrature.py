@@ -8,14 +8,17 @@ error and samples the 21 nodes of all of them in one integrand call.  An
 integrand may return several rows of values (one per time of a curve);
 every row converges to its own tolerance on the shared panels.
 
-Integrals over R^n (n <= 3) pair an angular rule (the line's two points
-+-1, trapezoid on the circle, Gauss-Legendre x trapezoid on the sphere)
-with the panel engine in the radius.  Their integrands are fields on
-shells: ``field(radii, dirs)`` receives R radii and an (m, n) array of
-unit directions and returns the (T, R, m) values at the points r * d, one
-row per integral (T = ``rows``, which every caller passes).  So a field
-can compute whatever depends only on the radius once per radius and not
-once per point.  The circle's or sphere's rule is chosen once per call by
+Integrals over R^n (n <= 3) pair an angular rule (the line's point +1,
+trapezoid on the circle, Gauss-Legendre x trapezoid on the sphere) with
+the panel engine in the radius.  Every rule, and every set of truncation
+probe directions, holds one direction of each antipodal pair at twice its
+weight, since the integrands are even (``norms.norm_curve`` states the
+contract); the other half would only repeat the sums.  Their integrands
+are fields on shells: ``field(radii, dirs)`` receives R radii and an
+(m, n) array of unit directions and returns the (T, R, m) values at the
+points r * d, one row per integral (T = ``rows``, which every caller
+passes).  So a field can compute whatever depends only on the radius once
+per radius and not once per point.  The circle's or sphere's rule is chosen once per call by
 doubling until probed shell averages stabilise, so repeated runs are
 deterministic; the two coarsest rules are probed in one field call.
 Unbounded domains are truncated where the integrand falls below a
@@ -24,9 +27,10 @@ into the reported error.  A field call holds whole shells up to
 BATCH_POINTS values (points x rows).  The cap is sized to hold a
 campaign curve's angular probe (9 times on the two coarsest circle
 rules) in one call and a panel round in a few; only a shell larger than
-that (the finest sphere rule at 17 times) is sampled in slices of its
-directions.  This keeps one call's transients near 1 MiB.  A bare 1-D
-integrand receives the 21 nodes of at most QUAD_LIMIT panels per call.
+that (the finest sphere rule, 576 directions, at more than 28 times) is
+sampled in slices of its directions.  This keeps one call's transients
+near 1 MiB.  A bare 1-D integrand receives the 21 nodes of at most
+QUAD_LIMIT panels per call.
 
 Each angular rule and each set of truncation probe directions is built
 once per process, on first use, and kept as read-only arrays; a rule
@@ -233,8 +237,9 @@ def _read_only(*arrays):
     return arrays
 
 
-# the "unit sphere" of the line: its two points and their counting weights
-_LINE_RULE = _read_only(np.array([[1.0], [-1.0]]), np.ones(2))
+# the "unit sphere" of the line: of its two points +-1, +1 at twice the
+# counting weight (see _half_rule)
+_LINE_RULE = _read_only(np.array([[1.0]]), np.array([2.0]))
 
 
 def circle_nodes(m):
@@ -255,6 +260,22 @@ def sphere_nodes(m_polar, m_azim):
     return dirs, weights
 
 
+def _half_rule(dimension, size):
+    """One direction of each antipodal pair of a full rule, at twice its
+    weight, as read-only arrays: the full rule's sums of an even integrand
+    from half the points.
+
+    The circle of m nodes (m even) keeps theta in [0, pi), its first m/2;
+    the sphere keeps mu > 0, its second half: the polar count is even, so
+    no node has mu = 0, and the azimuthal count is even, so (phi + pi, -mu)
+    is the node opposite (phi, mu).
+    """
+    dirs, weights = circle_nodes(size) if dimension == 2 else sphere_nodes(*size)
+    half = len(weights) // 2
+    keep = slice(None, half) if dimension == 2 else slice(half, None)
+    return _read_only(dirs[keep], 2.0 * weights[keep])
+
+
 # the angular rules of each dimension, coarsest first: circle node counts,
 # sphere (polar, azimuthal) node counts
 _LEVEL_SIZES = {2: (16, 32, 64, 128, 256, 512),
@@ -269,10 +290,9 @@ def _level_count(dimension):
 
 @cache
 def _angular_rule(dimension, level):
-    """(dirs, weights) of angular rule ``level`` (0 the coarsest)."""
-    size = _LEVEL_SIZES[dimension][level]
-    return _read_only(*(circle_nodes(size) if dimension == 2
-                        else sphere_nodes(*size)))
+    """(dirs, weights) of angular rule ``level`` (0 the coarsest), one
+    direction of each antipodal pair of its full rule."""
+    return _half_rule(dimension, _LEVEL_SIZES[dimension][level])
 
 
 def _angular_levels(dimension):
@@ -363,10 +383,11 @@ def choose_angular_rule(field, dimension, probe_radii, tol, *, rows):
 
 @cache
 def _probe_directions(dimension):
+    """One of each antipodal pair: +1, 4 of 8 circle and 12 of 24 sphere
+    directions."""
     if dimension == 1:
         return _LINE_RULE[0]
-    dirs, _ = circle_nodes(8) if dimension == 2 else sphere_nodes(4, 6)
-    return _read_only(dirs)[0]
+    return _half_rule(dimension, 8 if dimension == 2 else (4, 6))[0]
 
 
 def _surface(dimension, r):
@@ -423,9 +444,11 @@ def integrate_radial(field, dimension, lo, hi, tol, *, rows, extra_breakpoints=(
     """Integral of ``field`` over the shell lo <= |x| <= hi in R^n, n <= 3.
 
     ``field`` is a field on shells with ``rows`` rows, one integral per row
-    on shared panels.  Each panel round samples its radial nodes x angular
-    directions together; ``evaluations`` counts those points alone, and
-    the line's exact rule needs no choice.
+    on shared panels; it must be even, field(r, -d) = field(r, d), since
+    every rule samples one direction of each antipodal pair.  Each panel
+    round samples its radial nodes x angular directions together;
+    ``evaluations`` counts those points alone, and the line's exact rule
+    needs no choice.
     """
     if dimension == 1:
         (dirs, weights), angular_delta = _LINE_RULE, 0.0

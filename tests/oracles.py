@@ -20,6 +20,9 @@ number the package computes another way:
   against the real-valued kernels that keep their bits;
 * the truncation probe with one field call for the interior shells and
   one per bundle, against the probe that samples both in its first call;
+* the full angular rules, probe directions and two-point line, both
+  directions of every antipodal pair at their own weights, against the
+  half rules the norms sample;
 * the ``solve`` CSV rows by one f-string and two ``repr`` calls per row,
   against the formatter that formats each distinct value once;
 * the heat partial sum P_m built from one moment table, against the
@@ -40,12 +43,14 @@ from dampex import (Box, ExpansionPolynomial, Gaussian, GaussianMonomial,
                     InitialDatum, InsufficientOrderError, LowFrequencySymbol,
                     MomentTable, Shifted, SpectralSolution, SumDatum,
                     build_expansion, combine, gaussian_monomial_integral,
-                    moment_table, stable_heat_difference, weighted_l1_norm)
+                    moment_table, quadrature, stable_heat_difference,
+                    weighted_l1_norm)
 from dampex.indices import indices_of_degree
 from dampex.norms import radial_gaussian_integral
-from dampex.quadrature import (QUAD_LIMIT, TRUNCATION_CAP, TRUNCATION_FLOOR,
-                               TRUNCATION_GROWTH, _on_shells, _probe_directions,
-                               _surface, adaptive_1d)
+from dampex.quadrature import (_LEVEL_SIZES, QUAD_LIMIT, TRUNCATION_CAP,
+                               TRUNCATION_FLOOR, TRUNCATION_GROWTH, _on_shells,
+                               _probe_directions, _surface, adaptive_1d,
+                               circle_nodes, sphere_nodes)
 
 # ---------------------------------------------------------------------------
 # Pointwise residual
@@ -392,6 +397,36 @@ def truncation_radius_per_bundle(field, dimension, start, *, rows):
         r *= TRUNCATION_GROWTH
     top = bundle_max(TRUNCATION_CAP)
     return TRUNCATION_CAP, top * _surface(dimension, TRUNCATION_CAP) * TRUNCATION_CAP
+
+
+# ---------------------------------------------------------------------------
+# Full angular rules
+
+# the line's two points and their counting weights
+FULL_LINE_RULE = (np.array([[1.0], [-1.0]]), np.ones(2))
+
+
+def full_angular_rule(dimension, level):
+    """Angular rule ``level`` with both directions of every antipodal pair,
+    each at its own weight: the rule ``quadrature._angular_rule`` halves."""
+    size = _LEVEL_SIZES[dimension][level]
+    return circle_nodes(size) if dimension == 2 else sphere_nodes(*size)
+
+
+def full_probe_directions(dimension):
+    """The truncation probe's 2 line, 8 circle and 24 sphere directions."""
+    if dimension == 1:
+        return FULL_LINE_RULE[0]
+    return (circle_nodes(8) if dimension == 2 else sphere_nodes(4, 6))[0]
+
+
+def use_full_rules(monkeypatch):
+    """Make every norm sample both directions of each antipodal pair: the
+    full rules in place of the half ones in the rule choice, the
+    truncation probe and the line."""
+    monkeypatch.setattr(quadrature, "_angular_rule", full_angular_rule)
+    monkeypatch.setattr(quadrature, "_probe_directions", full_probe_directions)
+    monkeypatch.setattr(quadrature, "_LINE_RULE", FULL_LINE_RULE)
 
 
 # ---------------------------------------------------------------------------

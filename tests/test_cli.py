@@ -14,6 +14,7 @@ import pytest
 
 from dampex import cli
 from dampex.cli import main
+from dampex.experiments import default_config
 from dampex.initial_data import pair_from_config
 from dampex.spectral import REPRESENTATIONS, SpectralSolution
 from oracles import format_rows_row_loop
@@ -87,21 +88,51 @@ def test_weighted_norms_of_sign_changing_data_finish_or_fail_cleanly(
 
 
 def test_moments_name_an_integrand_that_is_not_finite(tmp_path, capsys):
-    # (1 + r)^400 overflows where the Gaussian reads 0: the weighted
-    # integrand is NaN there, which no bisection can mend
+    # (1 + r)^400 e^{-r^2/4} peaks near r = 19 at about e^{1100}: the
+    # weighted integrand leaves the floats, which no bisection can mend
     data = tmp_path / "g.json"
     data.write_text(json.dumps({"family": "gaussian", "dimension": 2,
                                 "scale": 1.0}), encoding="utf-8")
     out = tmp_path / "F.json"
-    with np.errstate(all="ignore"):
-        rc = main(["moments", "--data", str(data), "--max-order", "0",
-                   "--gammas", "400", "--out", str(out)])
+    rc = main(["moments", "--data", str(data), "--max-order", "0",
+               "--gammas", "400", "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err.startswith(
         "error: 1-D quadrature: the integrand is not finite on [")
     assert "stalled" not in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["moments", "report"])
+def test_an_integrand_that_leaves_the_floats_prints_one_error_line(tmp_path,
+                                                                    command):
+    # numpy warns of the overflow on the way to the program's own error;
+    # stderr holds that error line alone, in a process of its own (pytest
+    # would catch the warnings of an in-process call)
+    gauss = {"family": "gaussian", "dimension": 2, "scale": 1.0}
+    if command == "moments":
+        data = tmp_path / "g.json"
+        data.write_text(json.dumps(gauss), encoding="utf-8")
+        argv = ["moments", "--data", str(data), "--max-order", "0",
+                "--gammas", "400"]
+    else:
+        # |xi|^400 e^{-t |xi|^2} at t = 1 peaks at about e^{860}
+        config = default_config()
+        config["cases"] = [{**config["cases"][0], "ells": [400]}]
+        path = tmp_path / "campaign.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["report", "--config", str(path), "--out-dir",
+                str(tmp_path / "out")]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-m", "dampex.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2
+    assert run.stderr.startswith(
+        "error: 1-D quadrature: the integrand is not finite on [")
+    assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
 
 
 @pytest.mark.parametrize("gammas", ["-1", "nan", "inf", "0,-inf"])

@@ -683,8 +683,9 @@ class TestCampaignState:
                                                     monkeypatch):
         # a field call holds whole shells up to BATCH_POINTS values, and the
         # truncation probe's interior shells ride in its first bundle's
-        # call; a change to either shows here.  Each curve in campaign
-        # order: its integrand, dimension, times and field calls
+        # call; a change to either shows here, and so does the size of a
+        # shell (one direction of each antipodal pair).  Each curve in
+        # campaign order: its integrand, dimension, times and field calls
         from dampex import experiments
         curves = []
 
@@ -714,13 +715,13 @@ class TestCampaignState:
             # gauss-1d: rate and sandwich, heat, two gamma floors, low
             # frequency on the half ball (bounded: no truncation)
             ["residual", 1, 9, 2], ["vanishing", 1, 9, 2],
-            ["vanishing", 1, 17, 4], ["vanishing", 1, 17, 4],
+            ["vanishing", 1, 17, 3], ["vanishing", 1, 17, 3],
             ["vanishing", 1, 17, 1],
             # box-1d: k = 0 and k = 2
             ["residual", 1, 9, 2], ["vanishing", 1, 9, 2],
             ["residual", 1, 9, 2], ["vanishing", 1, 9, 2],
             # shifted-gauss-2d: k = 1
-            ["residual", 2, 9, 7], ["vanishing", 2, 9, 7]]
+            ["residual", 2, 9, 5], ["vanishing", 2, 9, 5]]
 
     def test_default_campaign_builds_each_time_grid_once(self, tmp_path,
                                                          monkeypatch):

@@ -1,6 +1,7 @@
 """Catalog data: closed-form moments, transforms and weighted norms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,23 @@ class TestWeightedNorms:
                        * math.gamma((j + 1) / 2) for j in range(gamma + 1))
         assert weighted_l1_norm(Gaussian(dimension=1, scale=s), gamma) == (
             pytest.approx(expected, rel=1e-10))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_finite_norm_whose_weight_overflows(self, n):
+        # (1 + r)^200 overflows where the Gaussian underflows to 0, near the
+        # ends of the axis interval; the norm itself is finite, and no
+        # warning of the overflow escapes
+        mp = pytest.importorskip("mpmath")
+        gamma = 200
+        with mp.workdps(30):
+            area = {1: 2, 2: 2 * mp.pi}[n]
+            reference = area * mp.quad(
+                lambda r: (1 + r) ** gamma * mp.exp(-r * r / 4) * r ** (n - 1),
+                [0, 10, 20, 30, 40, 60, mp.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = weighted_l1_norm(Gaussian(dimension=n, scale=1.0), gamma)
+        assert got == pytest.approx(float(reference), rel=1e-10)
 
     @pytest.mark.parametrize("v, gamma", [
         (Shifted(base=Gaussian(dimension=2, scale=1.0), center=(0.5, -0.3),

@@ -12,6 +12,7 @@ from dampex import (Box, FrequencyRegion, Gaussian, GaussianMonomial,
                     heat_increment_norm, moment_table, poly_gaussian_l2_norm,
                     region_l2_norm, residual_norm, zero_datum)
 from dampex import QuadratureError, norms, quadrature
+from dampex.indices import indices_of_degree
 from dampex.norms import (norm_curve, regularised_lower_gamma,
                           residual_norm_curve)
 from dampex.quadrature import (BATCH_POINTS, TRUNCATION_CAP, QuadResult,
@@ -20,11 +21,13 @@ from dampex.quadrature import (BATCH_POINTS, TRUNCATION_CAP, QuadResult,
                                truncation_radius)
 
 from conftest import catalog_1d, catalog_2d, catalog_3d
-from oracles import (heat_increment_moment_sum, heat_partial_sum,
+from oracles import (FULL_LINE_RULE, full_angular_rule, full_probe_directions,
+                     heat_increment_moment_sum, heat_partial_sum,
                      increment_lower_constant,
                      increment_lower_constant_1d, lower_bound_constants,
                      radial_factor_1d, symbol_gap_sup_ratio,
-                     taylor_remainder_sup_ratio, truncation_radius_per_bundle)
+                     taylor_remainder_sup_ratio, truncation_radius_per_bundle,
+                     use_full_rules)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -178,7 +181,7 @@ class TestPanelEngine:
         # a floor at 1e-13 accepts the first round, which misses the bump
         monkeypatch.setattr(norms, "VALUE_FLOOR", 1e-13)
         first = norm_curve(field, region, [1.0])
-        assert first.evaluations == 2 * 21 < nrm.evaluations
+        assert first.evaluations == 21 < nrm.evaluations
         assert abs(first.value[0] / exact - 1) > 0.01
 
     def test_curve_batches_its_integrand_calls(self):
@@ -251,8 +254,9 @@ class TestPanelEngine:
         assert radial.value.shape == radial.error_estimate.shape == (1,)
 
     def test_field_calls_stay_under_the_batch_cap(self):
-        # 17 times on the finest sphere rule: one shell alone is 1152 x 17
-        # values, more than the cap, so its directions go out in slices
+        # 17 times on the full finest sphere rule: one shell alone is
+        # 1152 x 17 values, more than the cap, so its directions go out in
+        # slices
         ts = np.geomspace(1.0, 1e4, 17)
         sizes = []
 
@@ -370,20 +374,21 @@ class TestAngularRuleReuse:
     # evaluated point by point through evaluate's former default, which
     # switched between the split forms and the regular one; reusing the
     # rules and passing the row count down changed no bit of these.  The
-    # counts are the points the panel rounds sample
+    # counts are the points the panel rounds sample, one direction of each
+    # antipodal pair: half those of the full rules
     PINNED = [
-        (2, "full", 0, 10.0, 6.056485491628974, 2352),
-        (2, "ball", 1, 30.0, 0.15305760852371306, 672),
-        (2, "annulus", 2, 100.0, 0.0013637565261636643, 672),
-        (2, "ext", 0, 50.0, 0.9910031172133901, 1344),
-        (2, "full", 1, 300.0, 0.015305885760095212, 3024),
-        (2, "ext", 2, 10.0, 0.08014523477348881, 3024),
-        (3, "full", 2, 10.0, 0.24863850223397158, 13608),
-        (3, "ball", 0, 100.0, 2.466062285515298, 3024),
-        (3, "annulus", 1, 30.0, 0.26975842522090554, 4536),
-        (3, "ext", 1, 1000.0, 0.0025392765922862, 16632),
-        (3, "ball", 2, 20.0, 0.04304450575899152, 3024),
-        (3, "annulus", 0, 1000.0, 0.39251886092442867, 3024),
+        (2, "full", 0, 10.0, 6.056485491628974, 1176),
+        (2, "ball", 1, 30.0, 0.15305760852371306, 336),
+        (2, "annulus", 2, 100.0, 0.0013637565261636643, 336),
+        (2, "ext", 0, 50.0, 0.9910031172133901, 672),
+        (2, "full", 1, 300.0, 0.015305885760095212, 1512),
+        (2, "ext", 2, 10.0, 0.08014523477348881, 1512),
+        (3, "full", 2, 10.0, 0.24863850223397158, 6804),
+        (3, "ball", 0, 100.0, 2.466062285515298, 1512),
+        (3, "annulus", 1, 30.0, 0.26975842522090554, 2268),
+        (3, "ext", 1, 1000.0, 0.0025392765922862, 8316),
+        (3, "ball", 2, 20.0, 0.04304450575899152, 1512),
+        (3, "annulus", 0, 1000.0, 0.39251886092442867, 1512),
     ]
     # the same norms, bit for bit, from the shell route (radial multipliers
     # once per (t, r)); it moved them by at most 6.4e-15 relative.  The
@@ -394,19 +399,22 @@ class TestAngularRuleReuse:
     # shifted transform as a real product times one phase e^{-i c.xi} moved
     # six of them by at most 7.5e-15 relative (2-D annulus k = 2).  Taking
     # u_hat from the regular form's own grouping e^{-t} u0_hat + K (u0_hat +
-    # u1_hat) moved five by at most 4.9e-15 relative (2-D annulus k = 2)
+    # u1_hat) moved five by at most 4.9e-15 relative (2-D annulus k = 2).
+    # Sampling one direction of each antipodal pair at twice its weight
+    # moved four by at most 1.0e-15 relative (2-D annulus k = 2); the full
+    # rules still give the values before that, bit for bit
     SHELL_VALUES = {
         (2, "full", 0, 10.0): 6.056485491628974,
         (2, "ball", 1, 30.0): 0.15305760852371306,
-        (2, "annulus", 2, 100.0): 0.0013637565261636522,
+        (2, "annulus", 2, 100.0): 0.0013637565261636509,
         (2, "ext", 0, 50.0): 0.9910031172133901,
-        (2, "full", 1, 300.0): 0.015305885760095212,
-        (2, "ext", 2, 10.0): 0.08014523477348875,
+        (2, "full", 1, 300.0): 0.01530588576009521,
+        (2, "ext", 2, 10.0): 0.08014523477348877,
         (3, "full", 2, 10.0): 0.24863850223397146,
         (3, "ball", 0, 100.0): 2.4660622855152976,
         (3, "annulus", 1, 30.0): 0.26975842522090554,
         (3, "ext", 1, 1000.0): 0.0025392765922861997,
-        (3, "ball", 2, 20.0): 0.0430445057589917,
+        (3, "ball", 2, 20.0): 0.04304450575899171,
         (3, "annulus", 0, 1000.0): 0.39251886092442867,
     }
 
@@ -435,7 +443,7 @@ class TestAngularRuleReuse:
         field = _shell_field(lambda pts: np.exp(-np.sum(pts * pts, axis=-1)))
         dirs, weights, _ = choose_angular_rule(field, n, [0.5, 1.0], 1e-10, rows=1)
         assert built == expected
-        assert len(weights) == {2: 16, 3: 72}[n]
+        assert len(weights) == {2: 8, 3: 36}[n]
         assert not dirs.flags.writeable and not weights.flags.writeable
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -461,7 +469,9 @@ class TestShellFieldCalls:
 
     @pytest.mark.parametrize("n, coarsest, second", [(2, 16, 32), (3, 72, 128)])
     def test_first_two_rules_share_one_field_call(self, n, coarsest, second):
-        # a radial field stops the choice at the coarsest rule
+        # a radial field stops the choice at the coarsest rule; each rule
+        # of ``coarsest`` or ``second`` full nodes samples half of them,
+        # one direction of each antipodal pair
         calls = []
 
         def field(radii, dirs):
@@ -469,8 +479,8 @@ class TestShellFieldCalls:
             return np.exp(-radii * radii)[None, :, None] * np.ones(len(dirs))
 
         dirs, weights, _ = choose_angular_rule(field, n, [0.5, 1.0], 1e-10, rows=1)
-        assert calls == [coarsest + second]
-        assert len(weights) == coarsest
+        assert calls == [(coarsest + second) // 2]
+        assert len(weights) == coarsest // 2
 
     def test_full_space_3d_request_makes_pinned_field_calls(self, monkeypatch):
         calls = []
@@ -485,8 +495,8 @@ class TestShellFieldCalls:
         # two truncation calls (the interior shells ride with the first
         # bundle), one rule choice, three panel rounds: points per call;
         # the evaluations are the panel rounds' points
-        assert calls == [216, 96, 1400, 7560, 3024, 3024]
-        assert res.evaluations == 13608
+        assert calls == [108, 48, 700, 3780, 1512, 1512]
+        assert res.evaluations == 6804
 
     @staticmethod
     def _pair(n):
@@ -643,6 +653,104 @@ class TestTruncationProbe:
         bundle = np.array([4.0, 5.7, 8.3, 4.0 * 1.013 + 0.5])
         np.testing.assert_array_equal(seen[0], np.concatenate([interior, bundle]))
         assert len(seen) > 2 and all(len(radii) == 4 for radii in seen[1:])
+
+
+def _half_and_full_sets():
+    """Every set of directions a norm samples, its full set and the
+    largest |alpha| whose even monomial omega^{2 alpha} its weights
+    integrate exactly (None for the probes, which carry no weights)."""
+    sets = {"line": (quadrature._LINE_RULE, FULL_LINE_RULE, 8)}
+    for n, sizes in quadrature._LEVEL_SIZES.items():
+        for level, size in enumerate(sizes):
+            # trapezoid: trigonometric degree m - 1; Gauss-Legendre in mu:
+            # degree 2 p - 1
+            exact = size - 1 if n == 2 else min(2 * size[0] - 1, size[1] - 1)
+            sets[f"{n}-D level {level}"] = (quadrature._angular_rule(n, level),
+                                            full_angular_rule(n, level),
+                                            exact // 2)
+    for n in (1, 2, 3):
+        sets[f"{n}-D probes"] = ((quadrature._probe_directions(n), None),
+                                 (full_probe_directions(n), None), None)
+    return sets
+
+
+_SETS = _half_and_full_sets()
+
+
+class TestHalfRules:
+    """Every norm samples one direction of each antipodal pair at twice its
+    weight.  Its integrands are even, |f(-xi)| = |f(xi)|, so the full
+    rules give the same norms from twice the points."""
+
+    @pytest.mark.parametrize("name", list(_SETS))
+    def test_a_half_set_and_its_antipodes_are_the_full_set(self, name):
+        (dirs, weights), (full_dirs, full_weights), _ = _SETS[name]
+        assert not dirs.flags.writeable
+        # no direction's antipode is in the set: every d_i + d_j stays
+        # farther from 0 than half the full set's closest two directions
+        gaps = np.abs(full_dirs[:, None, :] - full_dirs[None, :, :]).max(axis=-1)
+        spacing = gaps[~np.eye(len(full_dirs), dtype=bool)].min()
+        sums = np.abs(dirs[:, None, :] + dirs[None, :, :]).max(axis=-1)
+        assert sums.min() > 0.5 * spacing > 0
+        assert 2 * len(dirs) == len(full_dirs)
+        both = np.concatenate([dirs, -dirs])
+        gaps = np.abs(full_dirs[:, None, :] - both[None, :, :]).max(axis=-1)
+        match = gaps.argmin(axis=1)
+        assert gaps.min(axis=1).max() <= 4 * np.finfo(float).eps
+        assert sorted(match) == list(range(len(both)))
+        if weights is not None:
+            np.testing.assert_array_equal(
+                np.concatenate([weights, weights])[match], 2.0 * full_weights)
+
+    @pytest.mark.parametrize("name", [name for name in _SETS
+                                      if "probes" not in name])
+    def test_weights_sum_to_the_sphere(self, name):
+        (dirs, weights), _, _ = _SETS[name]
+        area = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[dirs.shape[1]]
+        assert weights.sum() == pytest.approx(area, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("name", [name for name in _SETS
+                                      if "probes" not in name])
+    def test_even_monomials_are_exact(self, name):
+        # every omega^{2 alpha} within the rule's exactness, up to the
+        # degree where the Gamma functions of the closed form stay finite
+        (dirs, weights), _, exact = _SETS[name]
+        n = dirs.shape[1]
+        top = min(exact, 160)
+        for d in range(top + 1):
+            for alpha in indices_of_degree(n, d):
+                got = np.prod(dirs ** (2 * np.array(alpha)), axis=1) @ weights
+                assert got == pytest.approx(
+                    norms.sphere_monomial_integral(alpha), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n, kind, k, t",
+                             [case[:4] for case in TestAngularRuleReuse.PINNED])
+    def test_pinned_norms_match_the_full_rules(self, monkeypatch, n, kind, k, t):
+        region = _heat_region(kind, n, t)
+        half = residual_norm(_pinned_pair(n), t, k, region)
+        use_full_rules(monkeypatch)
+        full = residual_norm(_pinned_pair(n), t, k, region)
+        assert half.value == pytest.approx(full.value, rel=1e-14, abs=0.0)
+        assert full.evaluations == 2 * half.evaluations
+
+    def test_one_dimensional_curves_match_the_full_rules(self, monkeypatch):
+        ts = np.geomspace(1.0, 1e4, 9)
+        regions = (FrequencyRegion.full(1), FrequencyRegion.ball(0.5, 1),
+                   FrequencyRegion.exterior(2.0, 1))
+
+        def curves():
+            for u0 in catalog_1d():
+                sol = SpectralSolution(u0=u0, u1=Box(dimension=1, half_width=0.8))
+                poly = build_expansion("A", 1, moment_table(sol.v, 1))
+                for region in regions:
+                    yield residual_norm_curve(sol, ts, poly, region)
+
+        half = list(curves())
+        use_full_rules(monkeypatch)
+        for one, full in zip(half, curves(), strict=True):
+            np.testing.assert_allclose(one.value, full.value, rtol=1e-14,
+                                       atol=0.0)
+            assert full.evaluations == 2 * one.evaluations
 
 
 class TestAngularErrorTerm:
