@@ -83,8 +83,8 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
     them needs), one angular rule (stable for every time) and one set of
     radial panels, each sampled once for all times; every time still
     converges to its own relative target ``tol``.  The radial split points
-    are the union of the times' geometric ladders from their heat widths
-    1/sqrt(max(t, 1)) (none for a NaN time) plus the kinks in
+    are one ladder from the narrowest heat width 1/sqrt(max(t, 1)), that of
+    the largest time, doubling (none for a NaN time), plus the kinks in
     ``breakpoints``.  The integrand must satisfy |f(t, -xi)| = |f(t, xi)|,
     as the transforms of real data and the polynomials built from their
     moments do: every rule samples one direction of each antipodal pair
@@ -107,9 +107,8 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
         if hi <= lo:
             return QuadResult(np.zeros(len(ts)), np.sqrt(tail), 0)
 
-    brk = sorted(set().union(*(
-        radial_breakpoints(lo, hi, s, breakpoints)
-        for s in 1.0 / np.sqrt(np.maximum(ts, 1.0)))))
+    brk = radial_breakpoints(lo, hi, 1.0 / np.sqrt(np.maximum(ts.max(), 1.0)),
+                             breakpoints)
     res = integrate_radial(field, n, lo, hi, tol, extra_breakpoints=brk,
                            abs_floor=VALUE_FLOOR * VALUE_FLOOR, rows=len(ts))
     value = np.sqrt(np.maximum(res.value, 0.0))
@@ -240,9 +239,9 @@ def residual_norm_curve(sol: SpectralSolution, ts, poly: ExpansionPolynomial,
     ``norm_curve`` record: per-time arrays and one ``evaluations`` count;
     ``poly`` is the caller's profile A_{k-1}.
 
-    Each time's inner ladder starts at its heat width 1/sqrt(max(t, 1));
-    LOW_RADIUS and HIGH_RADIUS bracket the unit sphere, where the solution's
-    two decay rates e^{-t|xi|^2} and e^{-t} cross.
+    One ladder from the narrowest heat width 1/sqrt(max(t, 1)), doubling,
+    serves every time; LOW_RADIUS and HIGH_RADIUS bracket the unit sphere,
+    where the solution's two decay rates e^{-t|xi|^2} and e^{-t} cross.
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts <= 0):

@@ -58,7 +58,7 @@ STALL_SLACK = 100.0         # a stalled integral is accepted within this x tol
 TRUNCATION_FLOOR = 1e-18   # a shell below this x the running peak is negligible
 TRUNCATION_GROWTH = 1.5    # ratio of successive truncation probe radii
 TRUNCATION_CAP = 512.0     # largest truncation radius
-_LADDER_FACTOR = 10.0
+_LADDER_FACTOR = 2.0
 
 # Kronrod abscissae on [0, 1], descending (odd positions are the Gauss
 # nodes), their Kronrod weights, and the Gauss weights of the odd positions
@@ -211,11 +211,11 @@ def adaptive_1d(f, lo, hi, tol, *, abs_floor=1e-300, breakpoints=()) -> QuadResu
 
 
 def radial_breakpoints(lo, hi, inner_scale, extra=()):
-    """Deterministic radial split points: an inner geometric ladder plus kinks.
+    """Deterministic radial split points: one inner ladder plus kinks.
 
-    The ladder resolves integrands concentrated near the origin at scale
-    ``inner_scale`` (for example 1/sqrt(t) for heat-type weights; none for
-    NaN) that a plain adaptive pass over [lo, hi] could step over entirely.
+    The ladder starts at the narrowest heat width ``inner_scale`` (none
+    for NaN) and doubles: its edges are exactly inner_scale * 2^j, and
+    every wider heat width lies within a factor 2 of one.
     """
     pts = {p for p in extra if lo < p < hi}
     if inner_scale > 0:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dampex import (Box, Gaussian, GaussianMonomial, Shifted, add_data,
-                    gauss_kernel, zero_datum)
+                    gauss_kernel, initial_data, norms, quadrature, zero_datum)
 
 
 def catalog_1d():
@@ -52,6 +52,29 @@ def catalog_families(n):
                for base, s in ((gauss, 1.5), (mono, 0.8), (box, 2.0))]
     return [gauss, mono, box, gauss_kernel(n, 0.5), zero_datum(n), *shifted,
             add_data(gauss, shifted[2], mono)]
+
+
+@pytest.fixture
+def quadratures(monkeypatch):
+    """One [rounds, result] record per adaptive_1d call, by every name the
+    package binds it under; a panel round is one integrand call."""
+    calls = []
+    real = quadrature.adaptive_1d
+
+    def counted(f, *args, **kwargs):
+        call = [0, None]
+        calls.append(call)
+
+        def each_round(x):
+            call[0] += 1
+            return f(x)
+        call[1] = real(each_round, *args, **kwargs)
+        return call[1]
+
+    for module in (quadrature, norms, initial_data):
+        if hasattr(module, "adaptive_1d"):
+            monkeypatch.setattr(module, "adaptive_1d", counted)
+    return calls
 
 
 @pytest.fixture

@@ -578,47 +578,36 @@ class TestCampaignState:
     # k = 3 7.823655490691388e-17 -> 0.0.  The closed-form line in place of
     # np.polyfit moved only the four rate entries' slope (at most 1.8e-15
     # relative), intercept (7.1e-14) and fit_residual (3.4e-9), and made
-    # the bytes the same under every AVX2-or-later OpenBLAS kernel
+    # the bytes the same under every AVX2-or-later OpenBLAS kernel.  One
+    # doubling heat ladder per curve in place of the union of the times'
+    # ratio-10 ladders moved fit_residual by at most 6.8e-10 relative,
+    # intercept 4.0e-12, the vanishing fractions 8.6e-13, min_ratio 3.1e-13,
+    # slope 9.3e-14 and upper_envelope 6.8e-16, and no status
     DEFAULT_SUMMARY_SHA256 = (
-        "9f37348a16cbbf6d4de492f69c40abcdfcc64c7c26eb781a809c696df3fe382c")
-
-    @staticmethod
-    def _count_quadratures(monkeypatch):
-        """Record (evaluations, stalled) of every adaptive_1d result, by
-        every name the package binds it under."""
-        from dampex import initial_data, norms, quadrature
-        results = []
-        real = quadrature.adaptive_1d
-
-        def counted(*args, **kwargs):
-            res = real(*args, **kwargs)
-            results.append((res.evaluations, res.stalled))
-            return res
-
-        for module in (quadrature, norms, initial_data):
-            if hasattr(module, "adaptive_1d"):
-                monkeypatch.setattr(module, "adaptive_1d", counted)
-        return results
+        "b775c05e6a8d531c3df2e838a24a1ab9a9b105908da6d8d8dd5832ad3c98939c")
 
     def test_two_campaigns_do_the_same_quadrature_work(self, tmp_path,
-                                                      monkeypatch):
-        results = self._count_quadratures(monkeypatch)
+                                                      quadratures):
         work, outputs = [], []
         for run in ("a", "b"):
-            results.clear()
+            quadratures.clear()
             run_report(default_config(), tmp_path / run)
-            work.append((len(results), sum(e for e, _ in results)))
+            work.append((len(quadratures),
+                         sum(res.evaluations for _, res in quadratures)))
             outputs.append({p.name: p.read_bytes()
                             for p in (tmp_path / run).iterdir()})
         # one heat-vanishing curve per floor of gamma, none stalling; the
-        # residual panels break only at LOW_RADIUS and HIGH_RADIUS
-        assert work == [(11, 5691), (11, 5691)]
+        # residual panels break only at LOW_RADIUS, HIGH_RADIUS and one
+        # doubling heat ladder
+        assert work == [(11, 2499), (11, 2499)]
         assert outputs[0] == outputs[1]
 
-    def test_default_campaign_accepts_no_stall(self, tmp_path, monkeypatch):
-        results = self._count_quadratures(monkeypatch)
+    def test_default_campaign_accepts_no_stall(self, tmp_path, quadratures):
+        # each of the eleven curves converges on the initial panels of its
+        # doubling heat ladder, in one round
         assert run_report(default_config(), tmp_path / "out")["passed"]
-        assert results and not any(stalled for _, stalled in results)
+        assert [rounds for rounds, _ in quadratures] == [1] * 11
+        assert not any(res.stalled for _, res in quadratures)
 
     @staticmethod
     def _count_builds(monkeypatch):
@@ -721,7 +710,7 @@ class TestCampaignState:
             ["residual", 1, 9, 2], ["vanishing", 1, 9, 2],
             ["residual", 1, 9, 2], ["vanishing", 1, 9, 2],
             # shifted-gauss-2d: k = 1
-            ["residual", 2, 9, 5], ["vanishing", 2, 9, 5]]
+            ["residual", 2, 9, 4], ["vanishing", 2, 9, 3]]
 
     def test_default_campaign_builds_each_time_grid_once(self, tmp_path,
                                                          monkeypatch):

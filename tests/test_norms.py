@@ -17,7 +17,8 @@ from dampex.norms import (norm_curve, regularised_lower_gamma,
                           residual_norm_curve)
 from dampex.quadrature import (BATCH_POINTS, TRUNCATION_CAP, QuadResult,
                                adaptive_1d, angular_sums, choose_angular_rule,
-                               circle_nodes, integrate_radial, sphere_nodes,
+                               circle_nodes, integrate_radial,
+                               radial_breakpoints, sphere_nodes,
                                truncation_radius)
 
 from conftest import catalog_1d, catalog_2d, catalog_3d
@@ -377,18 +378,18 @@ class TestAngularRuleReuse:
     # counts are the points the panel rounds sample, one direction of each
     # antipodal pair: half those of the full rules
     PINNED = [
-        (2, "full", 0, 10.0, 6.056485491628974, 1176),
+        (2, "full", 0, 10.0, 6.056485491628974, 1680),
         (2, "ball", 1, 30.0, 0.15305760852371306, 336),
-        (2, "annulus", 2, 100.0, 0.0013637565261636643, 336),
-        (2, "ext", 0, 50.0, 0.9910031172133901, 672),
-        (2, "full", 1, 300.0, 0.015305885760095212, 1512),
-        (2, "ext", 2, 10.0, 0.08014523477348881, 1512),
-        (3, "full", 2, 10.0, 0.24863850223397158, 6804),
+        (2, "annulus", 2, 100.0, 0.0013637565261636643, 504),
+        (2, "ext", 0, 50.0, 0.9910031172133901, 1176),
+        (2, "full", 1, 300.0, 0.015305885760095212, 1680),
+        (2, "ext", 2, 10.0, 0.08014523477348881, 1848),
+        (3, "full", 2, 10.0, 0.24863850223397158, 6048),
         (3, "ball", 0, 100.0, 2.466062285515298, 1512),
-        (3, "annulus", 1, 30.0, 0.26975842522090554, 2268),
-        (3, "ext", 1, 1000.0, 0.0025392765922862, 8316),
+        (3, "annulus", 1, 30.0, 0.26975842522090554, 3024),
+        (3, "ext", 1, 1000.0, 0.0025392765922862, 6804),
         (3, "ball", 2, 20.0, 0.04304450575899152, 1512),
-        (3, "annulus", 0, 1000.0, 0.39251886092442867, 1512),
+        (3, "annulus", 0, 1000.0, 0.39251886092442867, 2268),
     ]
     # the same norms, bit for bit, from the shell route (radial multipliers
     # once per (t, r)); it moved them by at most 6.4e-15 relative.  The
@@ -402,17 +403,19 @@ class TestAngularRuleReuse:
     # u1_hat) moved five by at most 4.9e-15 relative (2-D annulus k = 2).
     # Sampling one direction of each antipodal pair at twice its weight
     # moved four by at most 1.0e-15 relative (2-D annulus k = 2); the full
-    # rules still give the values before that, bit for bit
+    # rules still give the values before that, bit for bit.  One doubling
+    # heat ladder in place of a ratio-10 one moved five by at most 4.7e-14
+    # relative (2-D ext k = 2) and the counts above
     SHELL_VALUES = {
         (2, "full", 0, 10.0): 6.056485491628974,
         (2, "ball", 1, 30.0): 0.15305760852371306,
-        (2, "annulus", 2, 100.0): 0.0013637565261636509,
-        (2, "ext", 0, 50.0): 0.9910031172133901,
+        (2, "annulus", 2, 100.0): 0.0013637565261636648,
+        (2, "ext", 0, 50.0): 0.9910031172133896,
         (2, "full", 1, 300.0): 0.01530588576009521,
-        (2, "ext", 2, 10.0): 0.08014523477348877,
-        (3, "full", 2, 10.0): 0.24863850223397146,
+        (2, "ext", 2, 10.0): 0.08014523477349256,
+        (3, "full", 2, 10.0): 0.24863850223397152,
         (3, "ball", 0, 100.0): 2.4660622855152976,
-        (3, "annulus", 1, 30.0): 0.26975842522090554,
+        (3, "annulus", 1, 30.0): 0.2697584252209055,
         (3, "ext", 1, 1000.0): 0.0025392765922861997,
         (3, "ball", 2, 20.0): 0.04304450575899171,
         (3, "annulus", 0, 1000.0): 0.39251886092442867,
@@ -420,11 +423,14 @@ class TestAngularRuleReuse:
 
     @pytest.mark.parametrize("n, kind, k, t, pointwise, evaluations", PINNED)
     def test_residual_norms_are_pinned(self, n, kind, k, t, pointwise,
-                                       evaluations):
+                                       evaluations, quadratures):
         res = residual_norm(_pinned_pair(n), t, k, _heat_region(kind, n, t))
         assert res.value == self.SHELL_VALUES[(n, kind, k, t)]
         assert res.value == pytest.approx(pointwise, rel=1e-12, abs=0.0)
         assert res.evaluations == evaluations
+        # the doubling heat ladder's initial panels converge at once; a
+        # ratio-10 ladder took 21 rounds over these twelve requests
+        assert [rounds for rounds, _ in quadratures] == [1]
 
     def test_each_sphere_level_is_built_once(self, monkeypatch):
         built = _count_rule_builds(monkeypatch)
@@ -464,6 +470,58 @@ class TestAngularRuleReuse:
             assert sizes and min(sizes) > 1
 
 
+class TestHeatLadder:
+    """One panel ladder per norm: from the narrowest heat width, doubling."""
+
+    @staticmethod
+    def _breakpoints(monkeypatch):
+        """(lo, hi, breakpoints) of every radial integral a norm makes."""
+        seen = []
+        real = norms.integrate_radial
+
+        def spy(field, n, lo, hi, tol, **kwargs):
+            seen.append((lo, hi, tuple(kwargs["extra_breakpoints"])))
+            return real(field, n, lo, hi, tol, **kwargs)
+
+        monkeypatch.setattr(norms, "integrate_radial", spy)
+        return seen
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("ts", [(2.0, 30.0, 700.0), (1e4, 100.0),
+                                    (0.25, 0.5)])
+    def test_a_curve_has_one_ladder_from_its_largest_time(self, monkeypatch,
+                                                          n, ts):
+        seen = self._breakpoints(monkeypatch)
+        sol = _pinned_pair(2) if n == 2 else SpectralSolution(
+            u0=_shifted_gaussian(1), u1=Box(dimension=1, half_width=0.8))
+        poly = build_expansion("A", 0, moment_table(sol.v, 0))
+        residual_norm_curve(sol, ts, poly)
+        [(lo, hi, brk)] = seen
+        w = 1.0 / math.sqrt(max(max(ts), 1.0))
+        ladder = {w * 2.0 ** j for j in range(64) if lo < w * 2.0 ** j < hi}
+        kinks = {p for p in (norms.LOW_RADIUS, norms.HIGH_RADIUS) if lo < p < hi}
+        assert ladder and brk == tuple(sorted(ladder | kinks))
+
+    @pytest.mark.parametrize("w", [1.0 / math.sqrt(7.0), 1e-3, 1.0])
+    def test_the_ladder_doubles_exactly(self, w):
+        ladder = radial_breakpoints(0.0, 100.0, w)
+        assert ladder[0] == w and ladder[-1] < 100.0 <= 2.0 * ladder[-1]
+        ratios = [b / a for a, b in zip(ladder, ladder[1:])]
+        assert ratios == [2.0] * (len(ladder) - 1)
+
+    def test_a_nan_time_gives_only_the_kinks(self, monkeypatch):
+        seen = self._breakpoints(monkeypatch)
+
+        def gauss(ts, radii, dirs):
+            return np.exp(-radii * radii)[None, :, None] * np.ones(len(dirs))
+
+        norm_curve(gauss, FrequencyRegion.full(2), (math.nan,),
+                   breakpoints=(0.5, 2.0))
+        region_l2_norm(lambda pts: np.exp(-np.sum(pts * pts, axis=-1)),
+                       FrequencyRegion.full(2))
+        assert [brk for _, _, brk in seen] == [(0.5, 2.0), ()]
+
+
 class TestShellFieldCalls:
     """Norm integrands are sampled shell by shell, in few field calls."""
 
@@ -493,10 +551,10 @@ class TestShellFieldCalls:
         monkeypatch.setattr(SpectralSolution, "residual_shells", counted)
         res = residual_norm(_pinned_pair(3), 10.0, 2)
         # two truncation calls (the interior shells ride with the first
-        # bundle), one rule choice, three panel rounds: points per call;
-        # the evaluations are the panel rounds' points
-        assert calls == [108, 48, 700, 3780, 1512, 1512]
-        assert res.evaluations == 6804
+        # bundle), one rule choice probing every ladder edge, one panel
+        # round: points per call; the evaluations are the panel round's
+        assert calls == [108, 48, 1000, 6048]
+        assert res.evaluations == 6048
 
     @staticmethod
     def _pair(n):
