@@ -270,11 +270,11 @@ def cmd_norm(args):
         res = residual_norm(sol, t, args.k, region, tol=args.tol)
         rows.append({"t": t, "norm": res.value,
                      "error_estimate": res.error_estimate,
-                     "evaluations": res.evaluations})
+                     "evaluations": res.evaluations, "stalled": res.stalled})
     if args.out and args.out.endswith(".csv"):
-        lines = ["t,norm,error_estimate,evaluations"]
+        lines = ["t,norm,error_estimate,evaluations,stalled"]
         lines += [f"{r['t']!r},{r['norm']!r},{r['error_estimate']!r},"
-                  f"{r['evaluations']}" for r in rows]
+                  f"{r['evaluations']},{json.dumps(r['stalled'])}" for r in rows]
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
         _emit({"k": args.k, "region": args.region, "results": rows}, args.out)

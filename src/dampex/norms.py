@@ -29,7 +29,7 @@ from .spectral import SpectralSolution
 
 LOW_RADIUS = 0.5            # residual-norm split radii inside and outside
 HIGH_RADIUS = 2.0           # the unit sphere
-VALUE_FLOOR = 1e-14         # norms below it count as converged at zero
+VALUE_FLOOR = 1e-14         # its square is the integrals' absolute tolerance
 _EPS = np.finfo(float).eps
 
 
@@ -85,14 +85,23 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
     converges to its own relative target ``tol``.  The radial split points
     are one ladder from the narrowest heat width 1/sqrt(max(t, 1)), that of
     the largest time, doubling (none for a NaN time), plus the kinks in
-    ``breakpoints``.  The integrand must satisfy |f(t, -xi)| = |f(t, xi)|,
-    as the transforms of real data and the polynomials built from their
-    moments do: every rule samples one direction of each antipodal pair
-    at twice its weight.  Norms below VALUE_FLOOR = 1e-14 are reported as
-    converged at zero (the relative target is meaningless there); the
-    floor squared acts as the absolute tolerance of the underlying
-    integrals.  Returns one QuadResult: (len(ts),) arrays of norms and
-    estimates, one count of the points sampled and the ``stalled`` flag.
+    ``breakpoints``.  An unbounded region is truncated from radius
+    max(4, 2 r_lo) outward, or, when every time is already negligible
+    there, at the first ladder edge past which every probed shell is: the
+    ladder edges above 2 r_lo ride in the truncation probe, so an
+    exterior keeps at least its shell [r_lo, 2 r_lo] and the panels are a
+    prefix of those up to max(4, 2 r_lo).  The integrand must satisfy
+    |f(t, -xi)| = |f(t, xi)|, as the transforms of real data and the
+    polynomials built from their moments do: every rule samples one
+    direction of each antipodal pair at twice its weight.  Each integral
+    of |f|^2 converges to its relative target ``tol`` or to the absolute
+    tolerance VALUE_FLOOR^2 (VALUE_FLOOR = 1e-14), whichever is larger,
+    so a norm below VALUE_FLOOR carries an absolute estimate.  The
+    estimate of a norm is its integral's error delta (panels, angular term
+    and truncation tail) taken through the square root: delta / (2 norm),
+    capped at sqrt(delta) since |sqrt(a) - sqrt(b)| <= sqrt|a - b|.
+    Returns one QuadResult: (len(ts),) arrays of norms and estimates, one
+    count of the points sampled and the ``stalled`` flag.
     """
     ts = np.asarray(ts, dtype=float)
     n = region.dimension
@@ -101,19 +110,24 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
         return np.abs(f(ts, radii, dirs)) ** 2
 
     lo, hi = region.r_lo, region.r_hi
+    width = 1.0 / np.sqrt(np.maximum(ts.max(), 1.0))
     tail = np.zeros(len(ts))
     if not region.bounded:
-        hi, tail = truncation_radius(field, n, max(4.0, 2.0 * lo), rows=len(ts))
+        start = max(4.0, 2.0 * lo)
+        edges = radial_breakpoints(2.0 * lo, start, width)
+        hi, tail = truncation_radius(field, n, start, rows=len(ts), edges=edges)
         if hi <= lo:
             return QuadResult(np.zeros(len(ts)), np.sqrt(tail), 0)
 
-    brk = radial_breakpoints(lo, hi, 1.0 / np.sqrt(np.maximum(ts.max(), 1.0)),
-                             breakpoints)
+    brk = radial_breakpoints(lo, hi, width, breakpoints)
     res = integrate_radial(field, n, lo, hi, tol, extra_breakpoints=brk,
                            abs_floor=VALUE_FLOOR * VALUE_FLOOR, rows=len(ts))
     value = np.sqrt(np.maximum(res.value, 0.0))
     err2 = res.error_estimate + tail
-    err = np.divide(err2, 2.0 * value, out=np.sqrt(err2), where=value > 0)
+    # |sqrt(a) - sqrt(b)| <= sqrt|a - b| caps the linearised err2 / (2 value)
+    root = np.sqrt(err2)
+    err = np.minimum(
+        np.divide(err2, 2.0 * value, out=root.copy(), where=value > 0), root)
     return QuadResult(value, err, res.evaluations, res.stalled)
 
 
@@ -131,8 +145,8 @@ def region_l2_norm(f, region: FrequencyRegion, tol=1e-9, *,
     values of shape (m,); it is sampled on the shells' points, one of
     each antipodal pair, so it must satisfy |f(-xi)| = |f(xi)|, as
     transforms of real data do.  ``t`` is the time whose heat width the
-    panels resolve (none by default); norms below VALUE_FLOOR = 1e-14
-    count as converged at zero.
+    panels resolve (none by default); a norm below VALUE_FLOOR = 1e-14
+    carries an absolute estimate.
     """
     def on_shells(ts, radii, dirs):
         pts = (radii[:, None, None] * dirs).reshape(-1, region.dimension)

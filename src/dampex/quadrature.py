@@ -22,8 +22,12 @@ per radius and not once per point.  The circle's or sphere's rule is chosen once
 doubling until probed shell averages stabilise, so repeated runs are
 deterministic; the two coarsest rules are probed in one field call.
 Unbounded domains are truncated where the integrand falls below a
-relative floor of its running peak; the truncation estimate is folded
-into the reported error.  A field call holds whole shells up to
+relative floor of its running peak: the probe searches outward from a
+start radius, or, when the integrand is already negligible there, cuts
+inward to the first of the caller's radii (``norms.norm_curve`` passes its
+heat-ladder edges, none below twice an exterior's inner radius) past
+which every probed shell is negligible.  The truncation estimate is
+folded into the reported error.  A field call holds whole shells up to
 BATCH_POINTS values (points x rows).  The cap is sized to hold a
 campaign curve's angular probe (9 times on the two coarsest circle
 rules) in one call and a panel round in a few; only a shell larger than
@@ -394,17 +398,22 @@ def _surface(dimension, r):
     return {1: 2.0, 2: 2.0 * np.pi * r, 3: 4.0 * np.pi * r**2}[dimension]
 
 
-def truncation_radius(field, dimension, start, *, rows):
+def truncation_radius(field, dimension, start, *, rows, edges=()):
     """Radius beyond which ``field`` is negligible relative to its peak.
 
-    Probes geometric shells along fixed directions; also returns a crude
-    upper bound for the discarded tail, to be folded into error estimates.
-    Each shell is sampled at a bundle of nearby radii so oscillatory
-    integrands (sinc-type transforms) cannot hide a crest between probes.
-    ``field`` is a field on shells with ``rows`` rows, probed for every row
-    in one call per bundle; a few interior shells ride in the first
-    bundle's call.  The radius is the largest any row needs and the tail
-    bound has one entry per row.
+    Probes geometric shells outward from ``start`` along fixed directions;
+    also returns a crude upper bound for the discarded tail, to be folded
+    into error estimates.  Each shell is sampled at a bundle of nearby
+    radii so oscillatory integrands (sinc-type transforms) cannot hide a
+    crest between probes.  ``field`` is a field on shells with ``rows``
+    rows, probed for every row in one call per bundle; a few interior
+    shells and the ascending ``edges`` below ``start`` ride in the first
+    bundle's call.  When the bundle at ``start`` is already negligible the
+    radius is cut inward to the smallest of ``edges`` past which every
+    probed shell is negligible too (``start`` if none is).  The radius is
+    the largest any row needs and the tail bound, the largest dropped
+    probe times the shell measure at the radius times the radius, has one
+    entry per row.
     """
     dirs = _probe_directions(dimension)
 
@@ -417,15 +426,27 @@ def truncation_radius(field, dimension, start, *, rows):
         return np.array([r, r + 1.7, r + 4.3, r * 1.013 + 0.5])
 
     r = max(start, 1.0)
+    edges = np.asarray(edges, dtype=float)
     # include a few interior shells so the peak is seen even for
     # integrands concentrated near the origin
-    interior = r * np.array([1e-3, 1e-2, 0.1, 0.5, 1.0])
-    maxima = shell_maxima(np.concatenate([interior,
-                                          bundle(min(r, TRUNCATION_CAP))]))
-    peak = maxima[..., :len(interior)].max(axis=-1)
+    inner = np.concatenate([r * np.array([1e-3, 1e-2, 0.1, 0.5, 1.0]), edges])
+    probed = np.concatenate([inner, bundle(min(r, TRUNCATION_CAP))])
+    maxima = shell_maxima(probed)
+    peak = maxima[..., :len(inner)].max(axis=-1)
     if np.all(peak <= 0.0):
         return min(r, TRUNCATION_CAP), np.zeros_like(peak)
-    top = maxima[..., len(interior):].max(axis=-1)
+    top = maxima[..., len(inner):].max(axis=-1)
+    if r < TRUNCATION_CAP:
+        peak = np.maximum(peak, top)
+        # the largest probe at or past each edge, (T, edges); none is
+        # negligible unless the bundle at r is
+        past = np.where(probed >= edges[:, None], maxima[..., None, :],
+                        0.0).max(axis=-1)
+        cut = np.flatnonzero(np.all(past <= TRUNCATION_FLOOR * peak[:, None],
+                                    axis=0))
+        if len(cut):
+            e = edges[cut[0]]
+            return e, past[:, cut[0]] * _surface(dimension, e) * e
     while r < TRUNCATION_CAP:
         peak = np.maximum(peak, top)
         if np.all(top <= TRUNCATION_FLOOR * peak):

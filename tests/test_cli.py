@@ -16,6 +16,7 @@ from dampex import cli
 from dampex.cli import main
 from dampex.experiments import default_config
 from dampex.initial_data import pair_from_config
+from dampex.quadrature import QuadResult
 from dampex.spectral import REPRESENTATIONS, SpectralSolution
 from oracles import format_rows_row_loop
 
@@ -617,12 +618,32 @@ def test_norm_subcommand_json_and_csv(pair_cfg, tmp_path, capsys):
                "--region", "ball:0.5", "--tol", "1e-8"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["results"][0]["norm"] > 0
+    [row] = payload["results"]
+    assert row["norm"] > 0
+    # every row carries the panel engine's stall flag, as JSON and CSV
+    assert set(row) == {"t", "norm", "error_estimate", "evaluations", "stalled"}
+    assert row["stalled"] is False
     out = tmp_path / "norms.csv"
     rc = main(["norm", "--data", pair_cfg, "--t", "100,1000", "--k", "0",
                "--region", "full", "--out", str(out)])
     assert rc == 0
-    assert out.read_text().startswith("t,norm")
+    header, *lines = out.read_text().splitlines()
+    assert header == "t,norm,error_estimate,evaluations,stalled"
+    assert [line.split(",")[-1] for line in lines] == ["false", "false"]
+
+
+def test_norm_reports_an_accepted_stall(pair_cfg, tmp_path, monkeypatch):
+    # a norm the panel engine accepted after its budget ran out
+    monkeypatch.setattr(cli, "residual_norm", lambda *args, **kwargs:
+                        QuadResult(0.5, 1e-9, 4200, stalled=True))
+    args = ["norm", "--data", pair_cfg, "--t", "3", "--k", "0"]
+    assert main(args + ["--out", str(tmp_path / "norms.csv")]) == 0
+    assert (tmp_path / "norms.csv").read_text() == (
+        "t,norm,error_estimate,evaluations,stalled\n3.0,0.5,1e-09,4200,true\n")
+    assert main(args + ["--out", str(tmp_path / "norms.json")]) == 0
+    payload = json.loads((tmp_path / "norms.json").read_text())
+    assert payload["results"] == [{"t": 3.0, "norm": 0.5, "error_estimate": 1e-9,
+                                   "evaluations": 4200, "stalled": True}]
 
 
 def test_norm_bad_region_spec(pair_cfg):

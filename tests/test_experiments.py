@@ -598,8 +598,8 @@ class TestCampaignState:
                             for p in (tmp_path / run).iterdir()})
         # one heat-vanishing curve per floor of gamma, none stalling; the
         # residual panels break only at LOW_RADIUS, HIGH_RADIUS and one
-        # doubling heat ladder
-        assert work == [(11, 2499), (11, 2499)]
+        # doubling heat ladder, which an unbounded norm also stops at
+        assert work == [(11, 1911), (11, 1911)]
         assert outputs[0] == outputs[1]
 
     def test_default_campaign_accepts_no_stall(self, tmp_path, quadratures):
@@ -710,7 +710,7 @@ class TestCampaignState:
             ["residual", 1, 9, 2], ["vanishing", 1, 9, 2],
             ["residual", 1, 9, 2], ["vanishing", 1, 9, 2],
             # shifted-gauss-2d: k = 1
-            ["residual", 2, 9, 4], ["vanishing", 2, 9, 3]]
+            ["residual", 2, 9, 3], ["vanishing", 2, 9, 3]]
 
     def test_default_campaign_builds_each_time_grid_once(self, tmp_path,
                                                          monkeypatch):

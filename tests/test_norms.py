@@ -381,13 +381,13 @@ class TestAngularRuleReuse:
         (2, "full", 0, 10.0, 6.056485491628974, 1680),
         (2, "ball", 1, 30.0, 0.15305760852371306, 336),
         (2, "annulus", 2, 100.0, 0.0013637565261636643, 504),
-        (2, "ext", 0, 50.0, 0.9910031172133901, 1176),
-        (2, "full", 1, 300.0, 0.015305885760095212, 1680),
+        (2, "ext", 0, 50.0, 0.9910031172133901, 672),
+        (2, "full", 1, 300.0, 0.015305885760095212, 672),
         (2, "ext", 2, 10.0, 0.08014523477348881, 1848),
         (3, "full", 2, 10.0, 0.24863850223397158, 6048),
         (3, "ball", 0, 100.0, 2.466062285515298, 1512),
         (3, "annulus", 1, 30.0, 0.26975842522090554, 3024),
-        (3, "ext", 1, 1000.0, 0.0025392765922862, 6804),
+        (3, "ext", 1, 1000.0, 0.0025392765922862, 2268),
         (3, "ball", 2, 20.0, 0.04304450575899152, 1512),
         (3, "annulus", 0, 1000.0, 0.39251886092442867, 2268),
     ]
@@ -405,13 +405,15 @@ class TestAngularRuleReuse:
     # moved four by at most 1.0e-15 relative (2-D annulus k = 2); the full
     # rules still give the values before that, bit for bit.  One doubling
     # heat ladder in place of a ratio-10 one moved five by at most 4.7e-14
-    # relative (2-D ext k = 2) and the counts above
+    # relative (2-D ext k = 2) and the counts above.  Stopping an unbounded
+    # norm at the first ladder edge past its integrand moved one by 1.1e-16
+    # relative (2-D full k = 1) and cut three counts
     SHELL_VALUES = {
         (2, "full", 0, 10.0): 6.056485491628974,
         (2, "ball", 1, 30.0): 0.15305760852371306,
         (2, "annulus", 2, 100.0): 0.0013637565261636648,
         (2, "ext", 0, 50.0): 0.9910031172133896,
-        (2, "full", 1, 300.0): 0.01530588576009521,
+        (2, "full", 1, 300.0): 0.015305885760095209,
         (2, "ext", 2, 10.0): 0.08014523477349256,
         (3, "full", 2, 10.0): 0.24863850223397152,
         (3, "ball", 0, 100.0): 2.4660622855152976,
@@ -550,10 +552,11 @@ class TestShellFieldCalls:
 
         monkeypatch.setattr(SpectralSolution, "residual_shells", counted)
         res = residual_norm(_pinned_pair(3), 10.0, 2)
-        # two truncation calls (the interior shells ride with the first
-        # bundle), one rule choice probing every ladder edge, one panel
-        # round: points per call; the evaluations are the panel round's
-        assert calls == [108, 48, 1000, 6048]
+        # two truncation calls (the interior shells and the four ladder
+        # edges below 4 ride with the first bundle), one rule choice probing
+        # every ladder edge, one panel round: points per call; the
+        # evaluations are the panel round's
+        assert calls == [156, 48, 1000, 6048]
         assert res.evaluations == 6048
 
     @staticmethod
@@ -712,6 +715,163 @@ class TestTruncationProbe:
         np.testing.assert_array_equal(seen[0], np.concatenate([interior, bundle]))
         assert len(seen) > 2 and all(len(radii) == 4 for radii in seen[1:])
 
+
+
+def _heat_field(t):
+    """e^{-2 t r^2} (1 + omega_1 / 2)^2 on shells: |f|^2 of an anisotropic
+    heat profile at time t, one row."""
+    def field(radii, dirs):
+        return (np.exp(-2.0 * t * radii * radii)[:, None]
+                * (1.0 + 0.5 * dirs[:, 0]) ** 2)[None]
+    return field
+
+
+class TestInwardCut:
+    """An unbounded norm whose integrand is negligible at its start radius
+    stops at the first heat-ladder edge past which every probed shell is
+    negligible, never below twice an exterior's inner radius."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """(edges, radius, tail) of every truncation and (lo, hi,
+        breakpoints, result) of every radial integral a norm makes."""
+        seen = {"truncation": [], "radial": []}
+        real_cut, real_radial = norms.truncation_radius, norms.integrate_radial
+
+        def cut(*args, **kwargs):
+            radius, tail = real_cut(*args, **kwargs)
+            seen["truncation"].append((kwargs.get("edges"), radius, tail))
+            return radius, tail
+
+        def radial(field, n, lo, hi, tol, **kwargs):
+            res = real_radial(field, n, lo, hi, tol, **kwargs)
+            seen["radial"].append((lo, hi, tuple(kwargs["extra_breakpoints"]),
+                                   res))
+            return res
+
+        monkeypatch.setattr(norms, "truncation_radius", cut)
+        monkeypatch.setattr(norms, "integrate_radial", radial)
+        return seen
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("t", [1e2, 1e4, 1e8])
+    def test_a_heat_field_is_cut_at_its_ladder_edge(self, n, t):
+        from scipy import integrate as si
+        w = 1.0 / math.sqrt(t)
+        radius, (tail,) = truncation_radius(_heat_field(t), n, 4.0, rows=1,
+                                            edges=radial_breakpoints(0.0, 4.0, w))
+        # e^{-2 t r^2} is within 1e-18 of its peak up to 4.55 w: the edge
+        # 4 w keeps e^{-32}, the edge 8 w drops e^{-128}
+        assert radius == 8.0 * w
+        # the dropped shells by a fine radial quadrature times the exact
+        # angular integral |S| (1 + 1 / (4 n)) of (1 + omega_1 / 2)^2
+        radial, radial_err = si.quad(
+            lambda r: r ** (n - 1) * math.exp(-2.0 * t * r * r),
+            radius, radius + 20.0 * w, epsabs=0.0, epsrel=1e-12, limit=200)
+        dropped = {2: 2.0 * math.pi, 3: 4.0 * math.pi}[n] * (1.0 + 0.25 / n) * radial
+        assert radial_err < 1e-6 * radial and 0.0 < dropped <= tail
+
+    @pytest.mark.parametrize("lo, cut", [(0.0, 8.0), (0.02, 8.0), (0.045, 16.0)])
+    def test_the_cut_keeps_twice_the_inner_radius(self, monkeypatch, lo, cut):
+        # at t = 1e4 the heat field is negligible past 8 w = 0.08; an
+        # exterior of 0.045 keeps [0.045, 0.09] and stops at the next edge
+        seen = self._spy(monkeypatch)
+        t = 1e4
+        w = 1.0 / math.sqrt(t)
+
+        def heat(ts, radii, dirs):
+            return np.exp(-np.multiply.outer(ts, radii * radii))[..., None] \
+                * np.ones(len(dirs))
+
+        curve = norm_curve(heat, FrequencyRegion(2, lo), (t,))
+        [(edges, radius, _)] = seen["truncation"]
+        [(r_lo, hi, brk, _)] = seen["radial"]
+        assert edges == radial_breakpoints(2.0 * lo, 4.0, w)
+        assert radius == hi == cut * w and hi >= 2.0 * lo
+        # the panels are those of the uncut ladder below the cut
+        assert brk == tuple(p for p in radial_breakpoints(r_lo, 4.0, w) if p < hi)
+        # integral over |xi| > lo of e^{-2 t |xi|^2}: pi e^{-2 t lo^2} / (2 t)
+        exact = math.sqrt(math.pi * math.exp(-2.0 * t * lo * lo) / (2.0 * t))
+        assert curve.value[0] == pytest.approx(exact, rel=1e-9)
+
+    def test_a_probed_bump_past_the_peak_holds_the_cut(self):
+        # 1e-12 of the peak on the shell of the edge 128 w: every edge up to
+        # it has a probe past it above the floor, so the cut is the next
+        t = 1e4
+        w = 1.0 / math.sqrt(t)
+        heat = _heat_field(t)
+
+        def bumped(radii, dirs):
+            bump = 1e-12 * np.exp(-((radii - 128.0 * w) / 0.05) ** 2)
+            return heat(radii, dirs) + bump[None, :, None]
+
+        edges = radial_breakpoints(0.0, 4.0, w)
+        assert truncation_radius(heat, 2, 4.0, rows=1, edges=edges)[0] == 8.0 * w
+        radius, _ = truncation_radius(bumped, 2, 4.0, rows=1, edges=edges)
+        assert radius == 256.0 * w
+
+    # an exterior of 2 at t = 30 holds only the high-frequency part
+    # e^{-t}-small; 2 r_lo = 4 leaves no edge, and an exterior of 0.5 is cut
+    PARENT = [(2, 2.0, 1.2574045545922108e-13), (2, 0.5, 0.000377978793203763),
+              (3, 2.0, 3.65494379037794e-13), (3, 0.5, 0.001178077382250469)]
+
+    @pytest.mark.parametrize("n, lo, value", PARENT)
+    def test_an_exterior_keeps_its_value(self, n, lo, value):
+        res = residual_norm(_pinned_pair(n), 30.0, 1, FrequencyRegion.exterior(lo, n))
+        assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("t, evaluations, rel", [(1e8, 672, 1e-8),
+                                                     (1e12, 672, 1e-7)])
+    def test_a_narrow_gaussian_norm_stays_near_its_width(self, t, evaluations,
+                                                         rel):
+        # a 2-D unit Gaussian with u1 = 0 at k = 0: u_hat(t) = 4 pi
+        # e^{-t |xi|^2} (1 + O(|xi|^4)) up to e^{-t}, whose norm is
+        # 4 pi sqrt(pi / (2 t)) to O(t^-2).  Cut at 0.0008 and 8e-6, the
+        # norms sample 672 points (3,192 and 4,200 to radius 4).  What is
+        # left of the estimate at t = 1e12, 8.5e-8 relative, is the angular
+        # roundoff floor spread over the shell measure (ROADMAP item 16)
+        sol = SpectralSolution(u0=Gaussian(dimension=2), u1=zero_datum(2))
+        res = residual_norm(sol, t, 0)
+        exact = 4.0 * math.pi * math.sqrt(math.pi / (2.0 * t))
+        assert res.evaluations == evaluations <= 1000
+        assert abs(res.value - exact) <= res.error_estimate <= rel * res.value
+
+    @pytest.mark.parametrize("t", [1e30, 1e300])
+    def test_a_tiny_norm_caps_its_estimate(self, monkeypatch, t):
+        # the integral's error delta is far above the squared norm, so the
+        # estimate is sqrt(delta), not delta / (2 norm) (363 and 3.6e137)
+        seen = self._spy(monkeypatch)
+        sol = SpectralSolution(u0=Gaussian(dimension=2), u1=zero_datum(2))
+        res = residual_norm(sol, t, 0)
+        [(_, _, (tail,))] = seen["truncation"]
+        [(_, _, _, radial)] = seen["radial"]
+        delta = radial.error_estimate[0] + tail
+        exact = 4.0 * math.pi * math.sqrt(math.pi / (2.0 * t))
+        assert res.value == pytest.approx(exact, rel=1e-15)
+        assert delta > 4.0 * res.value ** 2
+        assert res.error_estimate == math.sqrt(delta) < 1e-12
+
+    def test_the_estimate_keeps_its_linearisation_below_the_cap(self,
+                                                               monkeypatch):
+        # delta <= 4 value^2: delta / (2 value), bit for bit
+        seen = self._spy(monkeypatch)
+        sol = SpectralSolution(u0=Gaussian(dimension=2), u1=zero_datum(2))
+        res = residual_norm(sol, 1e4, 0)
+        [(_, _, (tail,))] = seen["truncation"]
+        [(_, _, _, radial)] = seen["radial"]
+        delta = radial.error_estimate[0] + tail
+        assert res.error_estimate == delta / (2.0 * res.value)
+
+    def test_a_nan_time_probes_no_edge(self, monkeypatch):
+        seen = self._spy(monkeypatch)
+
+        def gauss(pts):
+            return np.exp(-np.sum(pts * pts, axis=-1))
+
+        region_l2_norm(gauss, FrequencyRegion.full(2))
+        region_l2_norm(gauss, FrequencyRegion.full(2), t=1e4)
+        edges = [edges for edges, _, _ in seen["truncation"]]
+        assert edges == [(), radial_breakpoints(0.0, 4.0, 0.01)]
 
 def _half_and_full_sets():
     """Every set of directions a norm samples, its full set and the
