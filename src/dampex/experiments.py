@@ -9,6 +9,7 @@ identical configs produce identical JSON output byte for byte.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -69,11 +70,14 @@ def expected_decay_slope(dimension: int, k: int) -> float:
 
 _CHECKS = ("rate", "sandwich", "heat", "vanishing_heat",
            "vanishing_low_frequency", "properties")
-_DEFAULT_CHECKS = ("rate", "sandwich", "heat", "properties")
 _CASE_KEYS = {"name", "data", "k_values", "checks", "gammas", "ells"}
 _CURVES = {"rate": "norms", "sandwich": "ratios"}  # check: curve label
-_CAMPAIGN_KEYS = {"seed", "quad_tol", "rate_tolerance", "property_tolerance",
-                  "decay_fraction", "t_grid", "vanishing_t_grid", "cases"}
+# the campaign settings a config may leave out, at their defaults
+_SETTINGS = {"quad_tol": 1e-9, "rate_tolerance": 0.05,
+             "property_tolerance": 1e-12, "decay_fraction": 0.1,
+             "t_grid": {"t_min": 100.0, "t_max": 1.0e4, "points": 9},
+             "vanishing_t_grid": {"t_min": 1.0, "t_max": 1.0e4, "points": 17}}
+_CAMPAIGN_KEYS = {"seed", "cases", *_SETTINGS}
 
 
 @dataclass(eq=False)
@@ -86,7 +90,7 @@ class Case:
     name: str
     u0: InitialDatum
     u1: InitialDatum
-    checks: tuple[str, ...] = _DEFAULT_CHECKS
+    checks: tuple[str, ...] = ("rate", "sandwich", "heat", "properties")
     k_values: tuple[int, ...] = (0,)
     gammas: tuple[float, ...] = (0.0,)
     ells: tuple[float, ...] = (0.0,)
@@ -104,12 +108,13 @@ class Case:
         check_keys(cfg, _CASE_KEYS, f"case {name!r}")
         u0, u1 = pair_from_config(cfg["data"])
         weight = (lambda w: w >= 0, "must be a finite number >= 0")
-        # gammas and ells stay as given: the summary echoes them
+        # a list left out takes its field's default; gammas and ells stay
+        # as given: the summary echoes them
         case = cls(name=name, u0=u0, u1=u1,
-                   checks=listed(cfg, "checks", _DEFAULT_CHECKS, _known_check),
-                   k_values=listed(cfg, "k_values", (0,), integer),
-                   gammas=listed(cfg, "gammas", (0.0,), number, *weight),
-                   ells=listed(cfg, "ells", (0.0,), number, *weight))
+                   checks=listed(cfg, "checks", cls.checks, _known_check),
+                   k_values=listed(cfg, "k_values", cls.k_values, integer),
+                   gammas=listed(cfg, "gammas", cls.gammas, number, *weight),
+                   ells=listed(cfg, "ells", cls.ells, number, *weight))
         files = [case.curve_file(check, k)[1] for k in case.k_values
                  for check in _CURVES if check in case.checks]
         try:
@@ -438,12 +443,8 @@ def default_config() -> dict:
     """A bundled campaign that exercises every check in a few minutes."""
     return {
         "seed": 20250810,
-        "quad_tol": 1e-9,
-        "rate_tolerance": 0.05,
-        "property_tolerance": 1e-12,
-        "decay_fraction": 0.1,
-        "t_grid": {"t_min": 100.0, "t_max": 1.0e4, "points": 9},
-        "vanishing_t_grid": {"t_min": 1.0, "t_max": 1.0e4, "points": 17},
+        # a copy: callers may change the dict they get
+        **copy.deepcopy(_SETTINGS),
         "cases": [
             {
                 "name": "gauss-1d",
@@ -510,21 +511,19 @@ def validate_config(cfg: dict) -> Campaign:
         raise ConfigError('campaign config must be an object with a "cases" list')
     check_keys(cfg, _CAMPAIGN_KEYS, "the campaign")
 
-    def setting(key, default, valid=lambda x: x > 0,
-                need="must be a finite number > 0"):
-        return float(number(cfg.get(key, default), key, valid, need))
+    def setting(key, valid=lambda x: x > 0, need="must be a finite number > 0"):
+        return float(number(cfg.get(key, _SETTINGS[key]), key, valid, need))
 
     # no check draws random points, so "seed" drives nothing; it is still
     # checked, and summary.json echoes it with the config
     integer(cfg.get("seed", 0), "seed")
     run = Campaign(
-        grid=_grid(cfg, "t_grid", {"t_min": 100.0, "t_max": 1e4, "points": 9}),
-        vanishing_grid=_grid(cfg, "vanishing_t_grid",
-                             {"t_min": 1.0, "t_max": 1e4, "points": 17}),
-        tol=setting("quad_tol", 1e-9),
-        rate_tol=setting("rate_tolerance", 0.05),
-        prop_tol=setting("property_tolerance", 1e-12),
-        fraction=setting("decay_fraction", 0.1, lambda x: 0 < x <= 1,
+        grid=_grid(cfg, "t_grid"),
+        vanishing_grid=_grid(cfg, "vanishing_t_grid"),
+        tol=setting("quad_tol"),
+        rate_tol=setting("rate_tolerance"),
+        prop_tol=setting("property_tolerance"),
+        fraction=setting("decay_fraction", lambda x: 0 < x <= 1,
                          "must be a finite number in (0, 1]"),
         cases=tuple(Case.from_config(case) for case in cfg["cases"]))
     names = [case.name for case in run.cases]
@@ -534,9 +533,9 @@ def validate_config(cfg: dict) -> Campaign:
     return run
 
 
-def _grid(cfg, key, default) -> TimeGrid:
+def _grid(cfg, key) -> TimeGrid:
     try:
-        return TimeGrid(**cfg.get(key, default))
+        return TimeGrid(**cfg.get(key, _SETTINGS[key]))
     except (TypeError, ConfigError) as exc:
         raise ConfigError(f"bad {key}: {exc}") from exc
 

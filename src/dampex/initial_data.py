@@ -297,9 +297,8 @@ class Shifted(InitialDatum):
         return self.base.axis_value(j, (y - self.center[j]) / self.dilation)
 
     def axis_fourier(self, j, xi_j):
+        # no shortcut for s = 1: 1.0 * x is x, bit for bit
         s = self.dilation
-        if s == 1.0:
-            return self.base.axis_fourier(j, xi_j)
         return s * self.base.axis_fourier(j, s * xi_j)
 
     def fourier_phase(self, pts):
@@ -312,7 +311,7 @@ class Shifted(InitialDatum):
         phase = np.empty(shift.shape, dtype=complex)
         phase.real = np.cos(shift)
         phase.imag = -np.sin(shift)
-        base = self.base.fourier_phase(pts if s == 1.0 else s * pts)
+        base = self.base.fourier_phase(s * pts)
         return phase if base is None else phase * base
 
     def axis_moments(self, j, order):

@@ -85,15 +85,15 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
     converges to its own relative target ``tol``.  The radial split points
     are one ladder from the narrowest heat width 1/sqrt(max(t, 1)), that of
     the largest time, doubling (none for a NaN time), plus the kinks in
-    ``breakpoints``.  An unbounded region is truncated from radius
-    max(4, 2 r_lo) outward, or, when every time is already negligible
-    there, at the first ladder edge past which every probed shell is: the
-    ladder edges above 2 r_lo ride in the truncation probe, so an
-    exterior keeps at least its shell [r_lo, 2 r_lo] and the panels are a
-    prefix of those up to max(4, 2 r_lo).  The integrand must satisfy
-    |f(t, -xi)| = |f(t, xi)|, as the transforms of real data and the
-    polynomials built from their moments do: every rule samples one
-    direction of each antipodal pair at twice its weight.  Each integral
+    ``breakpoints``.  An unbounded region is truncated at the first
+    candidate past which every time is negligible: the ladder edges
+    between 2 r_lo and the start max(4, 2 r_lo), the start, then radii
+    growing from it.  So an exterior keeps at least its shell
+    [r_lo, 2 r_lo] and the panels are a prefix of those up to the start.
+    The integrand must satisfy |f(t, -xi)| = |f(t, xi)|, as the
+    transforms of real data and the polynomials built from their moments
+    do: every rule samples one direction of each antipodal pair at twice
+    its weight.  Each integral
     of |f|^2 converges to its relative target ``tol`` or to the absolute
     tolerance VALUE_FLOOR^2 (VALUE_FLOOR = 1e-14), whichever is larger,
     so a norm below VALUE_FLOOR carries an absolute estimate.  The

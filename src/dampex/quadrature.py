@@ -21,13 +21,13 @@ passes).  So a field can compute whatever depends only on the radius once
 per radius and not once per point.  The circle's or sphere's rule is chosen once per call by
 doubling until probed shell averages stabilise, so repeated runs are
 deterministic; the two coarsest rules are probed in one field call.
-Unbounded domains are truncated where the integrand falls below a
-relative floor of its running peak: the probe searches outward from a
-start radius, or, when the integrand is already negligible there, cuts
-inward to the first of the caller's radii (``norms.norm_curve`` passes its
-heat-ladder edges, none below twice an exterior's inner radius) past
-which every probed shell is negligible.  The truncation estimate is
-folded into the reported error.  A field call holds whole shells up to
+Unbounded domains are truncated at the first candidate radius past
+which every probed shell is below a relative floor of the running peak;
+the candidates are the caller's radii below a start radius
+(``norms.norm_curve`` passes its heat-ladder edges, none below twice an
+exterior's inner radius), the start radius and then radii growing
+outward from it.  The truncation estimate is folded into the reported
+error.  A field call holds whole shells up to
 BATCH_POINTS values (points x rows).  The cap is sized to hold a
 campaign curve's angular probe (9 times on the two coarsest circle
 rules) in one call and a panel round in a few; only a shell larger than
@@ -399,21 +399,22 @@ def _surface(dimension, r):
 
 
 def truncation_radius(field, dimension, start, *, rows, edges=()):
-    """Radius beyond which ``field`` is negligible relative to its peak.
+    """Radius beyond which ``field``, a field on shells with ``rows`` rows,
+    is negligible relative to its peak, and a crude bound for the dropped
+    tail, one entry per row, to be folded into error estimates.
 
-    Probes geometric shells outward from ``start`` along fixed directions;
-    also returns a crude upper bound for the discarded tail, to be folded
-    into error estimates.  Each shell is sampled at a bundle of nearby
-    radii so oscillatory integrands (sinc-type transforms) cannot hide a
-    crest between probes.  ``field`` is a field on shells with ``rows``
-    rows, probed for every row in one call per bundle; a few interior
-    shells and the ascending ``edges`` below ``start`` ride in the first
-    bundle's call.  When the bundle at ``start`` is already negligible the
-    radius is cut inward to the smallest of ``edges`` past which every
-    probed shell is negligible too (``start`` if none is).  The radius is
-    the largest any row needs and the tail bound, the largest dropped
-    probe times the shell measure at the radius times the radius, has one
-    entry per row.
+    One rule stops the probe: the radius is the first candidate past which
+    every shell probed in the current field call is below TRUNCATION_FLOOR
+    times the running peak, for every row, and the tail bound is that
+    largest probe times the shell measure at the radius times the radius.
+    The first call holds a few interior shells, the ascending ``edges``
+    below ``start`` and the bundle at r = max(start, 1); its candidates are
+    the edges, then r.  Each later call holds the bundle at r grown by
+    TRUNCATION_GROWTH, its only candidate.  A bundle samples nearby radii,
+    so oscillatory integrands (sinc-type transforms) cannot hide a crest
+    between probes.  A field whose interior shells all vanish stops at r
+    with no tail; one that reaches TRUNCATION_CAP stops there, its tail
+    from the cap's bundle.
     """
     dirs = _probe_directions(dimension)
 
@@ -435,24 +436,22 @@ def truncation_radius(field, dimension, start, *, rows, edges=()):
     peak = maxima[..., :len(inner)].max(axis=-1)
     if np.all(peak <= 0.0):
         return min(r, TRUNCATION_CAP), np.zeros_like(peak)
-    top = maxima[..., len(inner):].max(axis=-1)
-    if r < TRUNCATION_CAP:
-        peak = np.maximum(peak, top)
-        # the largest probe at or past each edge, (T, edges); none is
-        # negligible unless the bundle at r is
-        past = np.where(probed >= edges[:, None], maxima[..., None, :],
+    candidates = np.append(edges, r)
+    while r < TRUNCATION_CAP:
+        peak = np.maximum(peak, maxima.max(axis=-1))
+        # the largest probe at or past each candidate, (T, candidates)
+        past = np.where(probed >= candidates[:, None], maxima[..., None, :],
                         0.0).max(axis=-1)
         cut = np.flatnonzero(np.all(past <= TRUNCATION_FLOOR * peak[:, None],
                                     axis=0))
         if len(cut):
-            e = edges[cut[0]]
-            return e, past[:, cut[0]] * _surface(dimension, e) * e
-    while r < TRUNCATION_CAP:
-        peak = np.maximum(peak, top)
-        if np.all(top <= TRUNCATION_FLOOR * peak):
-            return r, top * _surface(dimension, r) * r
+            c = candidates[cut[0]]
+            return c, past[:, cut[0]] * _surface(dimension, c) * c
         r *= TRUNCATION_GROWTH
-        top = shell_maxima(bundle(min(r, TRUNCATION_CAP))).max(axis=-1)
+        candidates, probed = np.array([r]), bundle(min(r, TRUNCATION_CAP))
+        maxima = shell_maxima(probed)
+    # the last four probes are the bundle at the cap
+    top = maxima[..., -4:].max(axis=-1)
     return TRUNCATION_CAP, top * _surface(dimension, TRUNCATION_CAP) * TRUNCATION_CAP
 
 

@@ -19,7 +19,9 @@ number the package computes another way:
   residual integrand in complex128 throughout, with every unit factor,
   against the real-valued kernels that keep their bits;
 * the truncation probe with one field call for the interior shells and
-  one per bundle, against the probe that samples both in its first call;
+  one per bundle, and two stopping rules (an inward cut over the caller's
+  edges, then the outward search), against the probe that samples both
+  in its first call and stops by one rule;
 * the full angular rules, probe directions and two-point line, both
   directions of every antipodal pair at their own weights, against the
   half rules the norms sample;
@@ -372,30 +374,47 @@ def nested_quad(field, v: InitialDatum, tol, *, abs_floor=1e-300,
 # Truncation
 
 
-def truncation_radius_per_bundle(field, dimension, start, *, rows):
-    """``truncation_radius`` with the interior shells in a field call of
-    their own and each bundle in one call: the same probes, stopping rule
-    and tail bound."""
+def truncation_radius_per_bundle(field, dimension, start, *, rows, edges=()):
+    """``truncation_radius`` by two stopping rules, with the interior
+    shells and ``edges`` in a field call of their own and each bundle in
+    one call: first the inward cut to the smallest edge past which every
+    shell probed with the first bundle is negligible, then the outward
+    search over the bundles, each stopping on its own probes alone.  The
+    same probes, radius and tail bound."""
     dirs = _probe_directions(dimension)
 
-    def shell_max(radii):
+    def shell_maxima(radii):
         return _on_shells(field, radii, dirs, lambda vals: vals.max(axis=-1),
-                          rows).max(axis=-1)
+                          rows)
 
-    def bundle_max(r):
-        return shell_max(np.array([r, r + 1.7, r + 4.3, r * 1.013 + 0.5]))
+    def bundle(r):
+        return np.array([r, r + 1.7, r + 4.3, r * 1.013 + 0.5])
 
     r = max(start, 1.0)
-    peak = shell_max(r * np.array([1e-3, 1e-2, 0.1, 0.5, 1.0]))
+    edges = np.asarray(edges, dtype=float)
+    inner = np.concatenate([r * np.array([1e-3, 1e-2, 0.1, 0.5, 1.0]), edges])
+    inner_maxima = shell_maxima(inner)
+    peak = inner_maxima.max(axis=-1)
     if np.all(peak <= 0.0):
         return min(r, TRUNCATION_CAP), np.zeros_like(peak)
+    first = True
     while r < TRUNCATION_CAP:
-        top = bundle_max(r)
+        radii = bundle(r)
+        maxima = shell_maxima(radii)
+        top = maxima.max(axis=-1)
         peak = np.maximum(peak, top)
+        if first:
+            probed = np.concatenate([inner, radii])
+            everything = np.concatenate([inner_maxima, maxima], axis=-1)
+            for e in edges:
+                past = np.where(probed >= e, everything, 0.0).max(axis=-1)
+                if np.all(past <= TRUNCATION_FLOOR * peak):
+                    return e, past * _surface(dimension, e) * e
+            first = False
         if np.all(top <= TRUNCATION_FLOOR * peak):
             return r, top * _surface(dimension, r) * r
         r *= TRUNCATION_GROWTH
-    top = bundle_max(TRUNCATION_CAP)
+    top = shell_maxima(bundle(TRUNCATION_CAP)).max(axis=-1)
     return TRUNCATION_CAP, top * _surface(dimension, TRUNCATION_CAP) * TRUNCATION_CAP
 
 

@@ -15,6 +15,7 @@ from dampex import (Box, Case, ConfigError, Gaussian,
                     fit_decay_rate, heat_comparison, moment_table,
                     property_suite, run_report, sandwich_check,
                     vanishing_limit_check, zero_datum)
+from dampex.cli import main
 from dampex.experiments import load_config, validate_config
 
 
@@ -492,6 +493,17 @@ class TestRunReport:
     def test_default_config_is_valid(self):
         validate_config(default_config())
 
+    def test_left_out_settings_take_the_default_config_values(self):
+        # one table holds the defaults; a caller that changes the config it
+        # got changes neither the next one nor what a bare campaign reads
+        changed = default_config()
+        changed["t_grid"]["points"] = 3
+        changed["quad_tol"] = 1e-3
+        settings = {**default_config(), "cases": []}
+        bare = validate_config({"cases": []})
+        assert bare == validate_config(settings)
+        assert (bare.grid, bare.tol) == (TimeGrid(100.0, 1e4, 9), 1e-9)
+
     @pytest.mark.parametrize("where, key", [
         (None, None), ("top", "quad_tolerance"), ("case", "k_value"),
         ("pair", "u2")])
@@ -540,6 +552,54 @@ class TestRunReport:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(small_config), encoding="utf-8")
         assert load_config(p) == small_config
+
+
+class TestFailVerdicts:
+    """A residual or heat-residual curve a thousand times too small keeps
+    every ratio below 1/2: the sandwich and the heat comparison fail with
+    no empirical delta, the report counts both and ``dampex report``
+    exits 1.  The rate fit only sees the curve's slope and passes."""
+
+    @staticmethod
+    def _shrink(monkeypatch, method):
+        real = getattr(Case, method)
+
+        def shrunk(self, *args):
+            ts, norms = real(self, *args)
+            return ts, norms * 1e-3
+
+        monkeypatch.setattr(Case, method, shrunk)
+
+    def test_a_small_residual_fails_the_sandwich(self, grid, monkeypatch):
+        self._shrink(monkeypatch, "residual_curve")
+        rep, (_, ratios) = sandwich_check(
+            _case(Gaussian(dimension=1, scale=1.0)), 0, grid)
+        assert rep["status"] == "fail" and rep["empirical_delta"] is None
+        assert np.all(ratios < 0.5)
+
+    def test_a_small_heat_residual_fails_the_comparison(self, grid,
+                                                        monkeypatch):
+        self._shrink(monkeypatch, "vanishing_curve")
+        rep, (_, ratios) = heat_comparison(
+            _case(Gaussian(dimension=1, scale=1.0)), 0, grid)
+        assert rep["relative_gap"] <= 1e-12
+        assert rep["status"] == "fail" and rep["empirical_delta"] is None
+        assert np.all(ratios < 0.5)
+
+    def test_the_report_counts_both_and_exits_1(self, small_config, tmp_path,
+                                               monkeypatch):
+        self._shrink(monkeypatch, "residual_curve")
+        self._shrink(monkeypatch, "vanishing_curve")
+        summary = run_report(small_config, tmp_path / "out")
+        statuses = {e["check"]: e["status"] for e in summary["entries"]
+                    if e["check"] != "property"}
+        assert statuses == {"rate": "pass", "sandwich": "fail",
+                            "heat": "fail", "vanishing_heat": "pass"}
+        assert summary["n_failed"] == 2 and not summary["passed"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(small_config), encoding="utf-8")
+        assert main(["report", "--config", str(config),
+                     "--out-dir", str(tmp_path / "cli")]) == 1
 
 
 def _counting(calls, key, fn):

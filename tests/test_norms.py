@@ -873,6 +873,70 @@ class TestInwardCut:
         edges = [edges for edges, _, _ in seen["truncation"]]
         assert edges == [(), radial_breakpoints(0.0, 4.0, 0.01)]
 
+
+def _exit(radius, tail, start, edges):
+    """The exit of ``truncation_radius`` that returned ``radius`` and
+    ``tail`` from ``start`` with ``edges``."""
+    if radius == TRUNCATION_CAP:
+        return "cap"
+    if radius in edges:
+        return "edge"
+    if radius == max(start, 1.0):
+        return "start" if tail.any() else "zero"
+    return "grow"
+
+
+class TestOneStoppingRule:
+    """One rule over the ladder edges, the start radius and each outward
+    bundle gives, at every exit, the radius and tail bound of two rules:
+    an inward cut over the edges, then the outward search over the
+    bundles, each bundle in its own field call."""
+
+    @staticmethod
+    def _assert_two_rules(field, n, start, rows, edges, stop):
+        radius, tail = truncation_radius(field, n, start, rows=rows,
+                                         edges=edges)
+        expected = truncation_radius_per_bundle(field, n, start, rows=rows,
+                                                edges=edges)
+        assert radius == expected[0]
+        assert tail.tobytes() == expected[1].tobytes()
+        assert _exit(radius, tail, start, edges) == stop
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("t, stop", [
+        (1e2, "edge"), (1e4, "edge"), (1e8, "edge"), (2.0, "start"),
+        (0.2, "grow")])
+    def test_a_heat_field(self, n, t, stop):
+        # e^{-2 t r^2} at t = 2 is negligible at 4 but not at the edge
+        # 2 sqrt(2); at t = 0.2 not until the bundle at 13.5
+        edges = radial_breakpoints(0.0, 4.0, 1.0 / math.sqrt(max(t, 1.0)))
+        self._assert_two_rules(_heat_field(t), n, 4.0, 1, edges, stop)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind, start, stop", [
+        ("heat", 4.0, "grow"), ("sinc", 4.0, "cap"), ("zero", 4.0, "zero"),
+        ("outer", 4.0, "zero"), ("heat", 600.0, "cap"), ("sinc", 600.0, "cap")])
+    def test_a_probe_field(self, n, kind, start, stop):
+        field, rows = _probe_field(kind)
+        edges = radial_breakpoints(0.0, start, 1.0 / math.sqrt(10.0))
+        self._assert_two_rules(field, n, start, rows, edges, stop)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_the_floor_follows_the_running_peak(self, n):
+        # a bump at r = 25, 1e12 times the interior peak, sets the floor
+        # once a bundle reaches it: 1e-18 of it is first reached past
+        # 43.2, at the bundle 4 * 1.5^6; 1e-18 of the interior peak only
+        # past 48.5
+        def field(radii, dirs):
+            radial = (np.exp(-radii * radii)
+                      + 1e12 * np.exp(-(radii - 25.0) ** 2 / 8.0))
+            return (radial[:, None] * (1.0 + 0.5 * dirs[:, 0]) ** 2)[None]
+
+        edges = radial_breakpoints(0.0, 4.0, 0.1)
+        self._assert_two_rules(field, n, 4.0, 1, edges, "grow")
+        assert truncation_radius(field, n, 4.0, rows=1)[0] == 4.0 * 1.5 ** 6
+
+
 def _half_and_full_sets():
     """Every set of directions a norm samples, its full set and the
     largest |alpha| whose even monomial omega^{2 alpha} its weights

@@ -49,6 +49,9 @@ dataclass with an ``error_estimate`` field, so no re-wrap drops ``stalled``.
 Each check writes its own summary entry: only the four checks and the
 property-entry helper hold a dict display with a ``"status"`` key.
 
+One rule stops the truncation probe: ``quadrature.truncation_radius``
+tests the floor once, over one list of candidate radii.
+
 The benchmark's tracer binds package names by ``getattr`` with no default;
 its install must keep working, or every traced benchmark run fails.  Its
 after-hooks also read package results, so one traced operation of the
@@ -618,6 +621,41 @@ def test_status_guard_sees_dict_displays_with_the_key_only():
                      "def read(e): return e['status'] == 'pass'\n"
                      "x = {'status': None}\n")
     assert _status_writers(tree) == {"inner", "merged", None}
+
+
+def _comparisons_with(tree, function, name):
+    """The number of comparisons that read ``name``, bare or as an
+    attribute, inside the functions called ``function``."""
+    def reads(node):
+        return any((isinstance(sub, ast.Name) and sub.id == name)
+                   or (isinstance(sub, ast.Attribute) and sub.attr == name)
+                   for sub in ast.walk(node))
+
+    return sum(isinstance(sub, ast.Compare) and reads(sub)
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name == function
+               for sub in ast.walk(node))
+
+
+def test_one_rule_stops_the_truncation_probe():
+    # an inward cut over the ladder edges and an outward search over the
+    # bundles were two rules, each with its own floor test and tail bound;
+    # a third stopping rule has to change this count
+    tree = ast.parse((SRC / "quadrature.py").read_text(encoding="utf-8"))
+    assert _comparisons_with(tree, "truncation_radius", "TRUNCATION_FLOOR") == 1
+
+
+def test_comparison_guard_sees_nested_and_attribute_reads_only():
+    tree = ast.parse("def rule(x, peak):\n"
+                     "    def inner(y): return y <= FLOOR * peak\n"
+                     "    if x < q.FLOOR: return x\n"
+                     "    bound = FLOOR * peak\n"
+                     "    return x > bound\n"
+                     "def other(x): return x <= FLOOR\n"
+                     "y = 1 < FLOOR\n")
+    assert _comparisons_with(tree, "rule", "FLOOR") == 2
+    assert _comparisons_with(tree, "other", "FLOOR") == 1
 
 
 def test_the_benchmark_tracer_installs():
