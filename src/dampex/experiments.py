@@ -26,9 +26,9 @@ from .indices import degree
 from .initial_data import (MAX_MOMENT_ORDER, InitialDatum, MomentTable,
                            check_keys, integer, listed, moment_table, number,
                            pair_from_config)
-from .norms import (LOW_RADIUS, FrequencyRegion, norm_curve,
-                    poly_gaussian_l2_norm, residual_norm_curve)
-from .spectral import LowFrequencySymbol, SpectralSolution
+from .norms import (LOW_RADIUS, RESIDUAL_BREAKPOINTS, FrequencyRegion,
+                    norm_curve, poly_gaussian_l2_norm)
+from .spectral import LowFrequencySymbol, Shells, SpectralSolution
 
 DEGENERACY_FLOOR = 1e-12  # increment constant over max(1, |moments| to k)
 NAME_MAX = 255              # bytes in a file name on Linux and macOS
@@ -85,7 +85,9 @@ class Case:
     """One campaign case: the data pair, its checks and the work they share
     (moment table, polynomials, increment constants, residual and
     vanishing curves), each computed on first use and kept as long as the
-    case."""
+    case.  The full-space curves are integrated as stacks of rows: all
+    that ``run_report`` names at once (``integrate_curves``), any other
+    alone, as a stack of one."""
 
     name: str
     u0: InitialDatum
@@ -193,12 +195,9 @@ class Case:
 
     def residual_curve(self, k: int, grid: TimeGrid, tol: float):
         """Grid times and the full-space residual norms for the case's
-        A_{k-1}."""
-        def compute():
-            ts = grid.values()
-            return ts, residual_norm_curve(self.solution, ts,
-                                           self.expansion("A", k - 1), tol=tol).value
-        return self._once(("curve", k, grid, tol), compute)
+        A_{k-1}: the stack of ``integrate_curves`` that took them, else a
+        stack of one."""
+        return self._curve(("residual", k, grid), tol)
 
     def tail_ball(self, m: int):
         """The radius, at most LOW_RADIUS, of the ball on which the
@@ -209,8 +208,9 @@ class Case:
 
     def vanishing_curve(self, m: int, ell: float, grid: TimeGrid, tol: float):
         """Grid times and the norms || |xi|^ell (v_hat - P_m) e^{-t|xi|^2} ||
-        over R^n, P_m the moment series to order m.  Every gamma with
-        floor m shares the curve.
+        over R^n, P_m the moment series to order m: the stack of
+        ``integrate_curves`` that took them, else a stack of one.  Every
+        gamma with floor m shares the curve.
 
         Near xi = 0 the difference v_hat - P_m cancels; inside the
         ``tail_ball`` the gap is the series tail past m instead, and the
@@ -218,44 +218,89 @@ class Case:
         1/sqrt(t) of every grid time holds too small a share of the norms
         for the difference's roundoff in it to count, and is not used.
         """
-        def compute():
-            v = self.solution.v
-            ts = grid.values()
-            rho, top = self.tail_ball(m)
-            if rho * rho * ts[-1] < 1.0:
-                rho, top = 0.0, m
-            layers = [self.expansion("C", j) for j in range(top + 1)]
-            zero = [self.expansion("A", -1)]
-            head = combine(layers[:m + 1] or zero)
-            # no layers only when rho = 0: no point is inside then
-            tail = combine(layers[m + 1:] or zero)
+        return self._curve(("vanishing", m, ell, grid), tol)
 
-            def base(radii, dirs):
-                # real when the transform and the polynomials are
-                pts = radii[:, None, None] * dirs
-                inner = radii < rho
-                outer = v.fourier_transform(pts[~inner]) - head(pts[~inner])
-                if not inner.any():
-                    return outer
+    def _curve(self, key, tol):
+        if (*key, tol) not in self._memo:
+            self.integrate_curves([key], tol)
+        return self._memo[(*key, tol)]
+
+    def integrate_curves(self, keys, tol: float):
+        """Integrate the full-space curves named by ``keys`` that the case
+        does not hold yet as one ``norm_curve`` over a stack of rows, and
+        keep each as its own (times, norms).
+
+        A key is ("residual", k, grid), the curve of ``residual_curve``, or
+        ("vanishing", m, ell, grid), that of ``vanishing_curve``; a repeated
+        key is one row set.  The stack shares one truncation, angular rule
+        and set of panels, with the union of its members' breakpoints, and
+        every row still converges to its own target ``tol``.  A field call
+        takes the shell points and the transforms of u0, u1 and v once for
+        all members; a stall in any row raises for the whole stack.
+        """
+        keys = [key for key in dict.fromkeys(keys)
+                if (*key, tol) not in self._memo]
+        if not keys:
+            return
+        members = [self._residual_rows(*key[1:]) if key[0] == "residual"
+                   else self._gap_rows(*key[1:]) for key in keys]
+
+        def stack(ts, radii, dirs):
+            shells = Shells(radii, dirs)
+            return np.concatenate([rows_on(shells) for _, _, rows_on in members])
+
+        norms = norm_curve(
+            stack, FrequencyRegion.full(self.solution.dimension),
+            np.concatenate([ts for ts, _, _ in members]), tol,
+            breakpoints=[b for _, kinks, _ in members for b in kinks]).value
+        start = 0
+        for key, (ts, _, _) in zip(keys, members):
+            self._memo[(*key, tol)] = ts, norms[start:start + len(ts)]
+            start += len(ts)
+
+    def _residual_rows(self, k, grid):
+        """A residual curve as a stack member: its times, its breakpoints
+        (those of every residual norm) and its rows on a ``Shells``."""
+        ts, poly = grid.values(), self.expansion("A", k - 1)
+
+        def rows_on(shells):
+            return self.solution.residual_shells(
+                ts, shells.radii, shells.dirs, poly, shells)
+        return ts, RESIDUAL_BREAKPOINTS, rows_on
+
+    def _gap_rows(self, m, ell, grid):
+        """A heat-vanishing curve as a stack member: its times, its tail
+        ball's radius as its breakpoint and its rows on a ``Shells``."""
+        v, ts = self.solution.v, grid.values()
+        rho, top = self.tail_ball(m)
+        if rho * rho * ts[-1] < 1.0:
+            rho, top = 0.0, m
+        layers = [self.expansion("C", j) for j in range(top + 1)]
+        zero = [self.expansion("A", -1)]
+        head = combine(layers[:m + 1] or zero)
+        # no layers only when rho = 0: no point is inside then
+        tail = combine(layers[m + 1:] or zero)
+
+        def rows_on(shells):
+            # real when the transform and the polynomials are
+            pts, inner = shells.pts, shells.radii < rho
+            if not inner.any():
+                gap = shells.transform(v) - head(pts)
+            else:
                 inside = tail(pts[inner])
-                out = np.empty(pts.shape[:-1], np.result_type(inside, outer))
-                out[inner] = inside
-                out[~inner] = outer
-                return out
-
-            return ts, _weighted_norms(base, ell, FrequencyRegion.full(v.dimension),
-                                       ts, tol, breakpoints=(rho,))
-        return self._once(("vanishing", m, ell, grid, tol), compute)
+                outer = shells.transform(v)[~inner] - head(pts[~inner])
+                gap = np.empty(pts.shape[:-1], np.result_type(inside, outer))
+                gap[inner] = inside
+                gap[~inner] = outer
+            return _heat_weight(ts, shells.radii, ell) * gap
+        return ts, (rho,), rows_on
 
 
-def _weighted_norms(base, ell, region, ts, tol, breakpoints=()):
-    """The norms over ``region`` of r^ell e^{-t r^2} base(radii, dirs), one
-    per time of ``ts``; ``base`` returns the (R, m) values on shells."""
-    def gap(ts, radii, dirs):
-        weight = radii ** ell * np.exp(-np.multiply.outer(ts, radii * radii))
-        return weight[..., None] * base(radii, dirs)
-
-    return norm_curve(gap, region, ts, tol, breakpoints=breakpoints).value
+def _heat_weight(ts, radii, ell):
+    """r^ell e^{-t r^2} for every time of ``ts`` and radius of ``radii``,
+    shaped (T, R, 1) to weigh (R, m) values on shells."""
+    weight = radii ** ell * np.exp(-np.multiply.outer(ts, radii * radii))
+    return weight[..., None]
 
 
 def fit_decay_rate(case: Case, k: int, grid: TimeGrid, tol=1e-9,
@@ -362,12 +407,12 @@ def vanishing_limit_check(case: Case, grid: TimeGrid, *, variant="heat",
         profile = case.expansion("A", k)
         symbol = LowFrequencySymbol(v)
 
-        def base(radii, dirs):
+        def gap(ts, radii, dirs):
             pts = radii[:, None, None] * dirs
-            return symbol(pts) - profile(pts)
+            return _heat_weight(ts, radii, ell) * (symbol(pts) - profile(pts))
 
         ts = grid.values()
-        norms = _weighted_norms(base, ell, FrequencyRegion.ball(0.5, n), ts, tol)
+        norms = norm_curve(gap, FrequencyRegion.ball(0.5, n), ts, tol).value
     else:
         raise ValueError("variant must be 'heat' or 'low_frequency'")
     scaled = ts ** exponent * norms
@@ -548,12 +593,18 @@ def _known_check(name, what):
 
 def run_report(cfg: dict, out_dir) -> dict:
     """Execute a campaign, write summary.json plus per-case curve files and
-    return the summary."""
+    return the summary.
+
+    Before its checks, each case integrates the full-space curves they
+    will read as one stack (``Case.integrate_curves``); the checks then
+    read them through ``Case.residual_curve`` and ``Case.vanishing_curve``.
+    """
     run = validate_config(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for case in run.cases:
+        case.integrate_curves(_curve_keys(case, run), run.tol)
         curves = {}
         # grid by keyword: the benchmark's tracer reads the curve length there
         on_grid = {"grid": run.grid, "tol": run.tol}
@@ -595,6 +646,24 @@ def run_report(cfg: dict, out_dir) -> dict:
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return summary
+
+
+def _curve_keys(case: Case, run: Campaign):
+    """The keys of the full-space curves that the case's checks read, in
+    campaign order: no residual curve for an order whose increment
+    vanishes, as the rate and sandwich checks then read none."""
+    keys = []
+    for k in case.k_values:
+        if (not set(_CURVES).isdisjoint(case.checks)
+                and not case.increment_vanishes(k)):
+            keys.append(("residual", k, run.grid))
+        if "heat" in case.checks:
+            # the heat residual is the heat-vanishing curve at order k - 1
+            keys.append(("vanishing", k - 1, 0.0, run.grid))
+    if "vanishing_heat" in case.checks:
+        keys += [("vanishing", math.floor(gamma), ell, run.vanishing_grid)
+                 for gamma, ell in itertools.product(case.gammas, case.ells)]
+    return keys
 
 
 def _write_csv(path: Path, header, ts, vals):

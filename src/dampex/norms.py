@@ -29,6 +29,7 @@ from .spectral import SpectralSolution
 
 LOW_RADIUS = 0.5            # residual-norm split radii inside and outside
 HIGH_RADIUS = 2.0           # the unit sphere
+RESIDUAL_BREAKPOINTS = (LOW_RADIUS, HIGH_RADIUS)  # every residual's kinks
 VALUE_FLOOR = 1e-14         # its square is the integrals' absolute tolerance
 _EPS = np.finfo(float).eps
 
@@ -82,7 +83,10 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
     column per shell.  All times share one truncation radius (the largest any of
     them needs), one angular rule (stable for every time) and one set of
     radial panels, each sampled once for all times; every time still
-    converges to its own relative target ``tol``.  The radial split points
+    converges to its own relative target ``tol``.  The rows need not be
+    one curve's: a case stacks the rows of all its full-space curves, each
+    row with its own time (``experiments.Case.integrate_curves``), and
+    ``breakpoints`` then holds every member's kinks.  The radial split points
     are one ladder from the narrowest heat width 1/sqrt(max(t, 1)), that of
     the largest time, doubling (none for a NaN time), plus the kinks in
     ``breakpoints``.  An unbounded region is truncated at the first
@@ -263,4 +267,4 @@ def residual_norm_curve(sol: SpectralSolution, ts, poly: ExpansionPolynomial,
     region = region or FrequencyRegion.full(sol.dimension)
     return norm_curve(
         lambda ts, radii, dirs: sol.residual_shells(ts, radii, dirs, poly),
-        region, ts, tol, breakpoints=(LOW_RADIUS, HIGH_RADIUS))
+        region, ts, tol, breakpoints=RESIDUAL_BREAKPOINTS)

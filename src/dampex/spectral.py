@@ -25,6 +25,8 @@ The solution operator is a radial Fourier multiplier, so the residual
 integrand of the norms, ``residual_shells``, takes K and the heat weight
 e^{-t r^2} once per (t, r) on shells xi = r d, and u_hat from the same
 regular-form kernel as ``evaluate``, which serves the ``solve`` grids.
+``Shells`` holds one field call's points and takes each datum's transform
+there once, for every integrand that the call evaluates.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ class SpectralSolution:
 
     # -- residual on shells ---------------------------------------------------
 
-    def residual_shells(self, ts, radii, dirs, poly):
+    def residual_shells(self, ts, radii, dirs, poly, shells=None):
         """Gap u_hat(t, xi) - poly(xi) e^{-t |xi|^2} at every t of ``ts`` on
         the shells xi = r d, r in ``radii``, d a row of the (m, n) array
         ``dirs``: shape (len(ts), len(radii), m).
@@ -134,18 +136,38 @@ class SpectralSolution:
         the integrand of every residual norm in the decay estimates.  u_hat
         is ``evaluate``'s regular form on the shells: the transforms and
         ``poly`` are evaluated once per point, e^{-t}, K(t, r^2) and
-        e^{-t r^2} once per (t, r).  Continuous across the unit sphere.
+        e^{-t r^2} once per (t, r).  ``shells``, the caller's ``Shells`` at
+        these radii and directions, shares its points and transforms with
+        the caller's other integrands.  Continuous across the unit sphere.
         The values are float64 when the transforms and ``poly`` are real
         (phase-free data), else complex128.
         """
         ts = np.asarray(ts, dtype=float)[:, None, None]
-        radii = np.asarray(radii, dtype=float)
-        pts = radii[:, None, None] * dirs
-        s = (radii * radii)[:, None]
+        if shells is None:
+            shells = Shells(radii, dirs)
+        s = (shells.radii * shells.radii)[:, None]
         # no name holds u_hat, so numpy subtracts in place in its buffer
-        return (_rep_24(ts, s, self.u0.fourier_transform(pts),
-                        self.u1.fourier_transform(pts))
-                - np.exp(-ts * s) * poly(pts))
+        return (_rep_24(ts, s, shells.transform(self.u0),
+                        shells.transform(self.u1))
+                - np.exp(-ts * s) * poly(shells.pts))
+
+
+class Shells:
+    """The points xi = r d of the shells at ``radii`` and the (m, n) unit
+    directions ``dirs``, shape (R, m, n), and the data transforms there,
+    each taken once: integrands that share one field call share them."""
+
+    def __init__(self, radii, dirs):
+        self.radii, self.dirs = np.asarray(radii, dtype=float), dirs
+        self.pts = self.radii[:, None, None] * dirs
+        self._transforms = {}
+
+    def transform(self, datum: InitialDatum):
+        """``datum.fourier_transform`` at the points, shape (R, m)."""
+        key = id(datum)
+        if key not in self._transforms:
+            self._transforms[key] = datum.fourier_transform(self.pts)
+        return self._transforms[key]
 
 
 def _rep_21(t, s, f0, f1):

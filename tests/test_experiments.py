@@ -642,9 +642,15 @@ class TestCampaignState:
     # doubling heat ladder per curve in place of the union of the times'
     # ratio-10 ladders moved fit_residual by at most 6.8e-10 relative,
     # intercept 4.0e-12, the vanishing fractions 8.6e-13, min_ratio 3.1e-13,
-    # slope 9.3e-14 and upper_envelope 6.8e-16, and no status
+    # slope 9.3e-14 and upper_envelope 6.8e-16, and no status.  One stack
+    # of rows per case for its full-space curves, on shared panels, moved
+    # box-1d k = 2's fit_residual by 1.5e-10 relative, intercept 1.3e-12,
+    # min_ratio 3.9e-14 and slope 3.3e-14, upper_envelope at k = 0 of
+    # gauss-1d and box-1d by 1.8e-16 and the vanishing_heat
+    # terminal_fraction and peak_fraction at gamma 2 and 2.5 by 1.6e-16;
+    # shifted-gauss-2d kept its bytes, and no status moved
     DEFAULT_SUMMARY_SHA256 = (
-        "b775c05e6a8d531c3df2e838a24a1ab9a9b105908da6d8d8dd5832ad3c98939c")
+        "ce31987dc4926c46bcda2bf1ec89093d8acbb13d555a33f381327d4c2eec18a1")
 
     def test_two_campaigns_do_the_same_quadrature_work(self, tmp_path,
                                                       quadratures):
@@ -656,17 +662,19 @@ class TestCampaignState:
                          sum(res.evaluations for _, res in quadratures)))
             outputs.append({p.name: p.read_bytes()
                             for p in (tmp_path / run).iterdir()})
-        # one heat-vanishing curve per floor of gamma, none stalling; the
-        # residual panels break only at LOW_RADIUS, HIGH_RADIUS and one
-        # doubling heat ladder, which an unbounded norm also stops at
-        assert work == [(11, 1911), (11, 1911)]
+        # one stack of full-space curves per case (one heat-vanishing row
+        # set per floor of gamma) and the low-frequency ball, none
+        # stalling; the panels break only at LOW_RADIUS, HIGH_RADIUS, the
+        # tail balls and one doubling heat ladder, which an unbounded norm
+        # also stops at
+        assert work == [(4, 798), (4, 798)]
         assert outputs[0] == outputs[1]
 
     def test_default_campaign_accepts_no_stall(self, tmp_path, quadratures):
-        # each of the eleven curves converges on the initial panels of its
-        # doubling heat ladder, in one round
+        # each of the three stacks and the ball converges on the initial
+        # panels of its doubling heat ladder, in one round
         assert run_report(default_config(), tmp_path / "out")["passed"]
-        assert [rounds for rounds, _ in quadratures] == [1] * 11
+        assert [rounds for rounds, _ in quadratures] == [1] * 4
         assert not any(res.stalled for _, res in quadratures)
 
     @staticmethod
@@ -733,44 +741,33 @@ class TestCampaignState:
         # a field call holds whole shells up to BATCH_POINTS values, and the
         # truncation probe's interior shells ride in its first bundle's
         # call; a change to either shows here, and so does the size of a
-        # shell (one direction of each antipodal pair).  Each curve in
-        # campaign order: its integrand, dimension, times and field calls
+        # shell (one direction of each antipodal pair).  Each quadrature in
+        # campaign order: its region, dimension, rows and field calls
         from dampex import experiments
         curves = []
+        real = experiments.norm_curve
 
-        def counted(fn):
-            def wrapper(*args):
-                curves[-1][-1] += 1
-                return fn(*args)
-            return wrapper
+        def spied(f, region, ts, *args, **kwargs):
+            record = ["ball" if region.bounded else "full", region.dimension,
+                      len(ts), 0]
+            curves.append(record)
 
-        real_curve, real_norms = (experiments.residual_norm_curve,
-                                  experiments._weighted_norms)
+            def counted(*fargs):
+                record[-1] += 1
+                return f(*fargs)
+            return real(counted, region, ts, *args, **kwargs)
 
-        def residual_curve(sol, ts, *args, **kwargs):
-            curves.append(["residual", sol.dimension, len(ts), 0])
-            return real_curve(sol, ts, *args, **kwargs)
-
-        def weighted_norms(base, ell, region, ts, *args, **kwargs):
-            curves.append(["vanishing", region.dimension, len(ts), 0])
-            return real_norms(counted(base), ell, region, ts, *args, **kwargs)
-
-        monkeypatch.setattr(SpectralSolution, "residual_shells",
-                            counted(SpectralSolution.residual_shells))
-        monkeypatch.setattr(experiments, "residual_norm_curve", residual_curve)
-        monkeypatch.setattr(experiments, "_weighted_norms", weighted_norms)
+        monkeypatch.setattr(experiments, "norm_curve", spied)
         run_report(default_config(), tmp_path / "out")
         assert curves == [
-            # gauss-1d: rate and sandwich, heat, two gamma floors, low
-            # frequency on the half ball (bounded: no truncation)
-            ["residual", 1, 9, 2], ["vanishing", 1, 9, 2],
-            ["vanishing", 1, 17, 3], ["vanishing", 1, 17, 3],
-            ["vanishing", 1, 17, 1],
-            # box-1d: k = 0 and k = 2
-            ["residual", 1, 9, 2], ["vanishing", 1, 9, 2],
-            ["residual", 1, 9, 2], ["vanishing", 1, 9, 2],
-            # shifted-gauss-2d: k = 1
-            ["residual", 2, 9, 3], ["vanishing", 2, 9, 3]]
+            # gauss-1d: one stack of the rate and sandwich residual (9
+            # times), the heat gap at k - 1 (9) and two gamma floors (17
+            # each); the low-frequency half ball (bounded: no truncation)
+            ["full", 1, 52, 3], ["ball", 1, 17, 1],
+            # box-1d: residuals and heat gaps at k = 0 and 2
+            ["full", 1, 36, 2],
+            # shifted-gauss-2d: the residual and the heat gap at k = 1
+            ["full", 2, 18, 4]]
 
     def test_default_campaign_builds_each_time_grid_once(self, tmp_path,
                                                          monkeypatch):
@@ -798,6 +795,124 @@ class TestCampaignState:
         # each (case, kind, order) polynomial is built once per campaign
         assert builds and max(builds.values()) == 1
         assert summary["passed"]
+
+
+def _read_curve(case, key, tol):
+    """The curve ``key`` (a key of ``Case.integrate_curves``) of ``case``,
+    read through the accessor a check reads it by."""
+    if key[0] == "residual":
+        return case.residual_curve(*key[1:], tol)
+    return case.vanishing_curve(*key[1:], tol)
+
+
+def _drawn_config(seed, monkeypatch):
+    """The benchmark's drawn campaign: ``default_config()`` with drawn data;
+    ``default_config()`` itself for seed None."""
+    if seed is None:
+        return default_config()
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    return workloads.campaign_config(np.random.default_rng([seed, 1]),
+                                     workloads.DatumLedger())
+
+
+class TestCurveStacks:
+    """``run_report`` integrates a case's full-space curves as one stack of
+    rows; a curve asked for alone is a stack of one."""
+
+    # sha256 prefixes of the norms' bytes when each curve was its own
+    # quadrature, before stacks: the residual in 1-D and 2-D, the heat gap
+    # at k - 1 and the heat-vanishing gap without and with a tail ball
+    LONE_SHA256 = {
+        ("gauss-1d", "residual", 0, "t_grid"): "245910b07c0410cc",
+        ("gauss-1d", "vanishing", -1, "t_grid"): "eeb9bc50538893a9",
+        ("gauss-1d", "vanishing", 0, "vanishing_t_grid"): "35dcbc41e7b868cf",
+        ("gauss-1d", "vanishing", 2, "vanishing_t_grid"): "95e5e82b0144e422",
+        ("box-1d", "residual", 0, "t_grid"): "da6412dd6d6c151f",
+        ("box-1d", "vanishing", -1, "t_grid"): "f92a9a43562faad8",
+        ("box-1d", "residual", 2, "t_grid"): "d3d7f1b58430cb0d",
+        ("box-1d", "vanishing", 1, "t_grid"): "14509405994ce248",
+        ("shifted-gauss-2d", "residual", 1, "t_grid"): "fc77bfb73b2d8063",
+        ("shifted-gauss-2d", "vanishing", 0, "t_grid"): "cdf0430297ff42d8",
+    }
+
+    @pytest.mark.parametrize("name, kind, order, grid_key", list(LONE_SHA256),
+                             ids=lambda part: str(part))
+    def test_a_curve_alone_keeps_its_bytes(self, name, kind, order, grid_key):
+        import hashlib
+        run = validate_config(default_config())
+        case = next(case for case in run.cases if case.name == name)
+        grid = run.grid if grid_key == "t_grid" else run.vanishing_grid
+        key = ((kind, order, grid) if kind == "residual"
+               else (kind, order, 0.0, grid))
+        ts, norms = _read_curve(case, key, run.tol)
+        assert ts is grid.values()
+        digest = hashlib.sha256(norms.tobytes()).hexdigest()[:16]
+        assert digest == self.LONE_SHA256[name, kind, order, grid_key]
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_stacked_curves_agree_with_lone_ones(self, seed, tmp_path,
+                                                 monkeypatch):
+        from dampex import experiments
+        cfg = _drawn_config(seed, monkeypatch)
+        stacked, alone = validate_config(cfg), validate_config(cfg)
+        for case, lone in zip(stacked.cases, alone.cases):
+            keys = experiments._curve_keys(case, stacked)
+            case.integrate_curves(keys, stacked.tol)
+            for key in keys:
+                ts, norms = _read_curve(case, key, stacked.tol)
+                lone_ts, lone_norms = _read_curve(lone, key, stacked.tol)
+                assert np.array_equal(ts, lone_ts)
+                assert np.allclose(norms, lone_norms, rtol=1e-11, atol=0.0)
+        statuses = [e["status"] for e in run_report(
+            cfg, tmp_path / "stacked")["entries"]]
+        # with no curve named up front, each check integrates its own
+        monkeypatch.setattr(experiments, "_curve_keys", lambda case, run: [])
+        assert [e["status"] for e in run_report(
+            cfg, tmp_path / "lone")["entries"]] == statuses
+
+    def test_the_stack_holds_only_the_curves_the_checks_read(self, tmp_path,
+                                                             monkeypatch):
+        # zero mass: the order-0 increment vanishes, and the rate and
+        # sandwich checks read no curve at k = 0, so none is integrated.  A
+        # repeated k and gammas with one floor give one row set each
+        from dampex import experiments
+        events = []
+        real_stack, real_curve = Case.integrate_curves, experiments.norm_curve
+        real_fit = experiments.fit_decay_rate
+        monkeypatch.setattr(Case, "integrate_curves", lambda case, keys, tol:
+                            events.append(("stack", list(keys)))
+                            or real_stack(case, keys, tol))
+        monkeypatch.setattr(experiments, "norm_curve",
+                            lambda f, region, ts, *args, **kwargs:
+                            events.append(("rows", len(ts)))
+                            or real_curve(f, region, ts, *args, **kwargs))
+        monkeypatch.setattr(experiments, "fit_decay_rate",
+                            lambda *args, **kwargs: events.append(("rate",))
+                            or real_fit(*args, **kwargs))
+        cfg = {"cases": [{
+            "name": "odd", "k_values": [0, 1, 1], "gammas": [0.0, 0.5, 1.0],
+            "checks": ["rate", "sandwich", "heat", "vanishing_heat"],
+            "data": {"dimension": 1, "u1": {"family": "zero"},
+                     "u0": {"family": "gaussian_monomial", "exponents": [1]}}}]}
+        summary = run_report(cfg, tmp_path / "out")
+        run = validate_config(cfg)
+        grid, late = run.grid, run.vanishing_grid
+        assert events[:2] == [
+            ("stack", [("vanishing", -1, 0.0, grid), ("residual", 1, grid),
+                       ("vanishing", 0, 0.0, grid), ("residual", 1, grid),
+                       ("vanishing", 0, 0.0, grid), ("vanishing", 0, 0.0, late),
+                       ("vanishing", 0, 0.0, late), ("vanishing", 1, 0.0, late)]),
+            # the residual at k = 1 and heat gaps at -1 and 0 on the t grid
+            # (9 times each); gaps at 0 and 1 on the vanishing grid (17)
+            ("rows", 3 * 9 + 2 * 17)]
+        assert events[2:] == [("rate",)] * 3
+        statuses = {(e["check"], e.get("k")): e["status"]
+                    for e in summary["entries"]}
+        assert statuses["rate", 0] == "rejected"
+        assert statuses["sandwich", 0] == "skipped"
+        assert statuses["rate", 1] == "pass"
 
 
 def _openblas_config():

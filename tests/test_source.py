@@ -55,7 +55,10 @@ tests the floor once, over one list of candidate radii.
 The benchmark's tracer binds package names by ``getattr`` with no default;
 its install must keep working, or every traced benchmark run fails.  Its
 after-hooks also read package results, so one traced operation of the
-``campaign`` and ``norm-multid`` workloads runs too.
+``campaign`` and ``norm-multid`` workloads runs too.  The benchmark
+checks every campaign it draws against its own oracle, and one failed
+check sinks a run: 100 untraced campaigns at each of two seeds must pass
+it.
 """
 
 import ast
@@ -694,3 +697,22 @@ def test_a_traced_benchmark_operation_runs(workload, counted, tmp_path):
     assert (result["attempted"], result["failed"]) == (2, 0), result["failures"]
     counts = result["counts"]
     assert all(counts.get(key, 0) > 0 for key in counted), counts
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_the_benchmark_campaign_check_passes(seed, tmp_path):
+    # a 20 s benchmark run draws 1,000 to 2,500 campaigns and fails on any
+    # output its oracle rejects; 100 of them, as the benchmark runs them
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "run.json"
+    run = subprocess.run(
+        [sys.executable, "perfbench/worker.py", "--workload", "campaign",
+         "--seed", str(seed), "--ops", "100",
+         "--work", str(tmp_path / "work"), "--out", str(out)],
+        cwd=root, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(out.read_text(encoding="utf-8"))
+    # the warm-up operation and the 100 timed ones
+    assert (result["attempted"], result["failed"]) == (101, 0), \
+        result["failures"]
