@@ -19,6 +19,11 @@ from .initial_data import (datum_or_pair_sum, integer, moment_table, number,
 from .norms import FrequencyRegion, residual_norm
 from .spectral import REPRESENTATIONS, SpectralSolution
 
+# grid points per ``evaluate`` call of ``solve``, and rows per chunk of one
+# time's CSV: the values are held whole, their text a few chunks at a time
+CHUNK_POINTS = 1 << 13
+CHUNK_ROWS = 1 << 12
+
 
 def _emit(payload, out):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -76,18 +81,28 @@ def _parse_xi_grid(text, dimension):
     except ValueError as exc:
         raise ConfigError(f"bad xi grid {text!r}: {exc}") from exc
     except MemoryError as exc:
-        raise ConfigError(f"bad xi grid {text!r}: cannot hold its "
-                          f"{count}**{dimension} points") from exc
+        raise ConfigError(_too_large(text, count, dimension)) from exc
 
 
-def _grid_coordinates(axis, dimension):
-    """The CSV text of every point of ``_parse_xi_grid``, in its ``ij`` order
-    (first axis slowest).  Each axis value is formatted once."""
+def _too_large(text, count, dimension):
+    """The message of a grid whose points, values or text cannot be held."""
+    return (f"bad xi grid {text!r}: cannot hold its {count}**{dimension} "
+            "points")
+
+
+def _grid_coordinates(axis, dimension, rows):
+    """The CSV text of the points of ``_parse_xi_grid`` at the indices
+    ``rows`` of its ``ij`` order (first axis slowest).  Each axis value is
+    formatted once, and the text of the first ``dimension - 1`` coordinates
+    once per distinct head."""
     values = [repr(c) for c in axis.tolist()]
-    coords = values
+    heads = [""]
     for _ in range(dimension - 1):
-        coords = [f"{head},{c}" for head in coords for c in values]
-    return coords
+        heads = [f"{head}{c}," for head in heads for c in values]
+    head, last = np.divmod(rows, len(values))
+    heads = np.array(heads, dtype=object)[head].tolist()
+    return [h + c for h, c in
+            zip(heads, np.array(values, dtype=object)[last].tolist())]
 
 
 def cmd_moments(args):
@@ -116,38 +131,80 @@ def cmd_solve(args):
     ts = _parse_times(args.t, positive=False)
     axis, pts = _parse_xi_grid(args.xi_grid, sol.dimension)
     rep = "2.4" if args.rep == "auto" else args.rep
-    # every value is computed before the first byte is written, so a failed
-    # evaluation leaves no partial output; without times nothing is
-    # evaluated and the header is written alone
-    vals = sol.evaluate(np.asarray(ts), pts, rep=rep) if ts else ()
-    coords = _grid_coordinates(axis, sol.dimension)
     header = ("t," + ",".join(f"xi{j + 1}" for j in range(sol.dimension))
               + ",re,im\n")
-    with (open(args.out, "w", encoding="utf-8") if args.out
-          else contextlib.nullcontext(sys.stdout)) as handle:
+    with contextlib.ExitStack() as stack:
+        # every value is computed, and this process's point text built,
+        # before the output is opened, so a failed evaluation or a grid too
+        # large to hold leaves no output; without times nothing is
+        # evaluated and the header is written alone
+        try:
+            vals = _evaluate(sol, ts, pts, rep)
+            del pts
+            child = (_fork_formatter(ts, vals, axis, sol.dimension)
+                     if ts else None)
+            pipe = None
+            if child is not None:
+                # the read end closes before the wait, so a child blocked
+                # on a full pipe ends with BrokenPipeError
+                stack.callback(os.waitpid, child[0], 0)
+                pipe = stack.enter_context(open(child[1], "rb"))
+            # alone this process formats every chunk, with a child the even
+            # ones, and the child the odd ones
+            step = 1 if pipe is None else 2
+            coords = _grid_coordinates(
+                axis, sol.dimension, _chunk_rows(vals.shape[1], 0, step))
+        except MemoryError as exc:
+            raise ConfigError(_too_large(args.xi_grid, len(axis),
+                                         sol.dimension)) from exc
+        handle = stack.enter_context(
+            open(args.out, "w", encoding="utf-8") if args.out
+            else contextlib.nullcontext(sys.stdout))
         handle.write(header)
-        _write_rows(handle, ts, vals, coords)
+        _write_rows(handle, pipe, step, ts, vals, axis, sol.dimension, coords)
     return 0
+
+
+def _evaluate(sol, ts, pts, rep):
+    """The values at the times ``ts`` (rows) and the points ``pts``
+    (columns), evaluated CHUNK_POINTS points at a time into one array; a
+    singular point raises from the first chunk that holds it."""
+    vals = np.empty((len(ts), len(pts)), dtype=complex)
+    for start in range(0, len(pts) if ts else 0, CHUNK_POINTS):
+        stop = start + CHUNK_POINTS
+        vals[:, start:stop] = sol.evaluate(np.asarray(ts), pts[start:stop],
+                                           rep=rep)
+    return vals
+
+
+def _chunk_rows(size, first, step):
+    """The indices of the rows of every ``step``-th chunk from chunk
+    ``first`` on, of a time of ``size`` rows; chunk i holds the CHUNK_ROWS
+    rows from i * CHUNK_ROWS on."""
+    index = np.arange(size)
+    return index[index // CHUNK_ROWS % step == first]
 
 
 def _format_rows(t, coords, row):
     """The CSV rows of the values ``row`` at time ``t`` and the points
-    whose text is ``coords``, built by one ``%`` over a row template.
+    whose text is ``coords``, yielded CHUNK_ROWS rows at a time, each chunk
+    built by one ``%`` over a row template.
 
-    When at most half of the block's re and im values are distinct doubles,
-    as for radially symmetric or box data, each distinct one is formatted
-    once and its text gathered into every place it takes; otherwise ``%r``
-    formats every value.  Values are told apart by their bits, so ``0.0``
-    and ``-0.0`` keep their own text.  Both ways give the bytes of ``repr``
-    per value."""
+    When at most half of the re and im values of ``row`` are distinct
+    doubles, as for radially symmetric or box data, each distinct one is
+    formatted once and its text gathered into every place it takes;
+    otherwise ``%r`` formats every value.  The rule is applied once over
+    all of ``row``, one process's rows of one time.  Values are told apart
+    by their bits, so ``0.0`` and ``-0.0`` keep their own text.  Both ways
+    give the bytes of ``repr`` per value."""
     if not coords:
-        return ""
+        return
     head = repr(t)
     # flattened before np.unique, whose inverse took the input's shape in
     # numpy 2.0
     pairs = np.stack([row.real, row.imag], axis=-1).ravel()
     # a sort and a count of changes decide, and only a gather needs the
-    # inverse; the sorted copy goes before either branch builds its lists
+    # inverse; the sorted copy goes before either branch builds its values
     ranked = np.sort(pairs.view(np.int64))
     distinct = 1 + np.count_nonzero(ranked[1:] != ranked[:-1])
     del ranked
@@ -155,42 +212,45 @@ def _format_rows(t, coords, row):
         bits, where = np.unique(pairs.view(np.int64), return_inverse=True)
         texts = np.array([repr(v) for v in bits.view(np.float64).tolist()],
                          dtype=object)
-        spec, values = "%s", texts[where].tolist()
+        spec, values = "%s", texts[where]
     else:
-        spec, values = "%r", pairs.tolist()
+        spec, values = "%r", pairs
     cell = f",{spec},{spec}\n"
-    return (head + "," + (cell + head + ",").join(coords) + cell) % tuple(values)
+    for start in range(0, len(coords), CHUNK_ROWS):
+        block = coords[start:start + CHUNK_ROWS]
+        yield ((head + "," + (cell + head + ",").join(block) + cell)
+               % tuple(values[2 * start:2 * (start + len(block))].tolist()))
 
 
-def _write_rows(handle, ts, vals, coords):
-    """Write the rows of every time through ``_format_rows``.  With two
-    usable CPUs a forked child formats the second half of each time's rows
-    while this process formats and writes the first half; both halves come
-    from the one formatter, so the bytes are those of one process."""
-    mid = len(coords) // 2
-    child = _fork_formatter(ts, vals, coords, mid) if ts else None
-    if child is None:
-        for t, row in zip(ts, vals):
-            handle.write(_format_rows(t, coords, row))
-        return
-    pid, read_end = child
-    try:
-        with open(read_end, "rb") as pipe:
-            chunk = b""
-            for t, row in zip(ts, vals):
-                handle.write(_format_rows(t, coords[:mid], row[:mid]))
-                chunk = None if chunk is None else _read_chunk(pipe)
-                # after EOF or a short chunk this process formats the rest
-                handle.write(_format_rows(t, coords[mid:], row[mid:])
-                             if chunk is None else chunk.decode())
-    finally:
-        os.waitpid(pid, 0)
+def _write_rows(handle, pipe, step, ts, vals, axis, dimension, coords):
+    """Write the rows of every time, chunk by chunk in grid order.
+
+    This process formats every ``step``-th chunk from the first, whose
+    points' text is ``coords``; with a child's ``pipe`` it copies each other
+    chunk from there as bytes.  After EOF or a short chunk it formats the
+    child's chunks itself, each from the text of its own points.  Every
+    chunk comes from ``_format_rows``, so the bytes are those of one
+    process."""
+    size = vals.shape[1]
+    rows = _chunk_rows(size, 0, step)
+    buffer = bytearray()
+    for t, row in zip(ts, vals):
+        own = _format_rows(t, coords, row[rows])
+        for i in range(-(-size // CHUNK_ROWS)):
+            if i % step == 0:
+                handle.write(next(own))
+            elif pipe is None or not _copy_chunk(pipe, handle, buffer):
+                pipe = None
+                lost = np.arange(size)[i * CHUNK_ROWS:(i + 1) * CHUNK_ROWS]
+                handle.write("".join(_format_rows(
+                    t, _grid_coordinates(axis, dimension, lost), row[lost])))
 
 
-def _fork_formatter(ts, vals, coords, mid):
-    """(pid, pipe read end) of a child that formats the rows from ``mid`` on
-    at every time and sends them as one length-prefixed chunk per time;
-    None without two usable CPUs or when the fork fails."""
+def _fork_formatter(ts, vals, axis, dimension):
+    """(pid, pipe read end) of a child that formats the odd row chunks of
+    every time and sends each, length-prefixed, as soon as it is
+    formatted; None without two usable CPUs or when the fork fails.  The
+    child builds the text of its own points only."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2):
         return None
@@ -204,31 +264,48 @@ def _fork_formatter(ts, vals, coords, mid):
     if pid:
         os.close(write_end)
         return pid, read_end
-    # the header waits unflushed in the inherited output buffer, so the
-    # child never touches the output and leaves only through _exit; a
-    # parent that stops reading ends it with BrokenPipeError.  The child
-    # only formats text, so it never needs the threads fork leaves behind
+    # the child never touches the output, whose buffer may hold text this
+    # process wrote before, and leaves only through _exit; a parent that
+    # stops reading ends it with BrokenPipeError.  The child only formats
+    # text, so it never needs the threads fork leaves behind
     status = 1
     try:
         os.close(read_end)
+        rows = _chunk_rows(vals.shape[1], 1, 2)
+        coords = _grid_coordinates(axis, dimension, rows)
         with open(write_end, "wb") as pipe:
             for t, row in zip(ts, vals):
-                chunk = _format_rows(t, coords[mid:], row[mid:]).encode()
-                pipe.write(len(chunk).to_bytes(8, "little") + chunk)
+                for text in _format_rows(t, coords, row[rows]):
+                    chunk = text.encode()
+                    pipe.write(len(chunk).to_bytes(8, "little"))
+                    pipe.write(chunk)
+                    pipe.flush()
         status = 0
     finally:
         os._exit(status)
 
 
-def _read_chunk(pipe):
-    """The next length-prefixed chunk of ``pipe``, or None at EOF or when
-    the chunk is cut short."""
+def _copy_chunk(pipe, handle, buffer):
+    """Copy the next length-prefixed chunk of ``pipe`` to ``handle`` as
+    bytes through ``buffer``, grown to the largest chunk; False, and
+    nothing written, at EOF or when the chunk is cut short."""
     prefix = pipe.read(8)
     if len(prefix) < 8:
-        return None
+        return False
     size = int.from_bytes(prefix, "little")
-    chunk = pipe.read(size)
-    return chunk if len(chunk) == size else None
+    if len(buffer) < size:
+        buffer.extend(bytes(size - len(buffer)))
+    with memoryview(buffer)[:size] as view:
+        if pipe.readinto(view) < size:
+            return False
+        if hasattr(handle, "buffer"):
+            # the text layer flushes first, so its bytes come before these
+            handle.flush()
+            handle.buffer.write(view)
+        else:
+            # an in-memory text output takes text
+            handle.write(str(view, "utf-8"))
+    return True
 
 
 def cmd_expansion(args):

@@ -1,12 +1,14 @@
 """CLI surface: every subcommand exercised end to end."""
 
 import hashlib
+import io
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -295,7 +297,8 @@ def _count_forks(monkeypatch):
 
 
 def test_solve_child_formats_a_one_point_grid(tmp_path, capsys, monkeypatch):
-    # one point: this process's half of each time is empty
+    # one point: the one chunk of each time is this process's, and the
+    # child's share is empty
     pair, cfg = _solve_pair(2, tmp_path)
     forks = _count_forks(monkeypatch)
     argv = ["solve", "--data", cfg, "--t", "0.0,5.0", "--xi-grid",
@@ -324,6 +327,8 @@ def test_solve_formats_the_rows_of_a_failed_child(tmp_path, capsys,
                                                   monkeypatch):
     pair, cfg = _solve_pair(3, tmp_path)
     forks = _count_forks(monkeypatch)
+    # 343 rows a time in chunks of 64, so the child's share is 3 chunks
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 64)
     me, format_rows = os.getpid(), cli._format_rows
 
     def parent_only(*args):
@@ -339,6 +344,158 @@ def test_solve_formats_the_rows_of_a_failed_child(tmp_path, capsys,
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _phase_free_pair(dimension, tmp_path):
+    """A Gaussian and box pair, whose transforms are real and repeat their
+    values, and the path of its config."""
+    pair = {"dimension": dimension,
+            "u0": {"family": "gaussian", "scale": 0.8, "amplitude": 1.1},
+            "u1": {"family": "box", "half_width": 0.7, "amplitude": -0.6}}
+    cfg = tmp_path / "pair.json"
+    cfg.write_text(json.dumps(pair), encoding="utf-8")
+    return pair, str(cfg)
+
+
+def _grid_at_chunk_edge(dimension, rows, monkeypatch):
+    """A grid of one row per time, or with ``rows`` ("C-1", "C", "C+1" or
+    "2C+1") rows per time in chunks of C rows.  1-D grids meet the module's
+    CHUNK_ROWS; 2-D and 3-D grids of 5 points an axis (25 and 125 rows)
+    meet a CHUNK_ROWS cut to them, and evaluate 7 points at a time."""
+    if rows == "1":
+        return "lin:0.3,0.3,1"
+    if dimension == 1:
+        chunk = cli.CHUNK_ROWS
+        count = {"C-1": chunk - 1, "C": chunk, "C+1": chunk + 1,
+                 "2C+1": 2 * chunk + 1}[rows]
+        return f"lin:-2,2,{count}"
+    size = 5 ** dimension
+    monkeypatch.setattr(cli, "CHUNK_ROWS", {
+        "C-1": size + 1, "C": size, "C+1": size - 1,
+        "2C+1": (size - 1) // 2}[rows])
+    monkeypatch.setattr(cli, "CHUNK_POINTS", 7)
+    return "lin:-2,2,5"
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "one-cpu"])
+@pytest.mark.parametrize("phase", [True, False], ids=["complex", "phase-free"])
+@pytest.mark.parametrize("rows", ["1", "C-1", "C", "C+1", "2C+1"])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_solve_bytes_at_chunk_edges(dimension, rows, phase, forked, tmp_path,
+                                    capsys, monkeypatch):
+    pair, cfg = (_solve_pair if phase else _phase_free_pair)(dimension,
+                                                             tmp_path)
+    grid = _grid_at_chunk_edge(dimension, rows, monkeypatch)
+    if forked:
+        forks = _count_forks(monkeypatch)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        forks = []
+    ts = [0.0, 0.37, 5.0]
+    argv = ["solve", "--data", cfg, "--t", ",".join(map(repr, ts)),
+            "--xi-grid", grid]
+    expected = _reference_solve_csv(pair, ts, grid, "auto")
+    assert _solve_outputs(argv, tmp_path, capsys) == (expected, expected)
+    assert len(forks) == 2 * forked
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("sent", [0, 1])
+def test_solve_writes_the_rows_of_a_child_that_dies_midway(sent, tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+    # 7 x 7 rows a time in chunks of 10: the child takes chunks 1 and 3 of
+    # each of the two times, and dies after sending its 0th chunk (within
+    # the first time) or its 1st (between the times)
+    pair, cfg = _solve_pair(2, tmp_path)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 10)
+    me, format_rows = os.getpid(), cli._format_rows
+    sent_by_child, calls = [], []
+
+    def dying(*args):
+        if os.getpid() == me:
+            calls.append(1)
+        for text in format_rows(*args):
+            if os.getpid() != me:
+                if len(sent_by_child) > sent:
+                    raise RuntimeError("child dies")
+                sent_by_child.append(1)
+            yield text
+
+    monkeypatch.setattr(cli, "_format_rows", dying)
+    argv = ["solve", "--data", cfg, "--t", "0.37,5.0", "--xi-grid",
+            "lin:-1.5,1.5,7"]
+    expected = _reference_solve_csv(pair, [0.37, 5.0], "lin:-1.5,1.5,7",
+                                    "auto")
+    assert _solve_outputs(argv, tmp_path, capsys) == (expected, expected)
+    assert len(forks) == 2
+    # per run: this process's rows of each time, then each chunk the child
+    # did not send, formatted on its own
+    assert len(calls) == 2 * (2 + 4 - (sent + 1))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_chunk_is_copied_as_bytes_after_the_text_before_it(tmp_path):
+    read_end, write_end = os.pipe()
+    chunk = b"0.37,1.0,2.0,3.0\n"
+    # a whole chunk, then a prefix that promises more than follows
+    os.write(write_end, len(chunk).to_bytes(8, "little") + chunk
+             + (40).to_bytes(8, "little") + chunk)
+    os.close(write_end)
+    out = tmp_path / "sol.csv"
+    buffer = bytearray(4)
+    with open(read_end, "rb") as pipe, \
+            open(out, "w", encoding="utf-8") as handle:
+        handle.write("t,xi1,re,im\n")
+        assert cli._copy_chunk(pipe, handle, buffer)
+        handle.write("5.0,")
+        # the short chunk and then EOF write nothing
+        assert not cli._copy_chunk(pipe, handle, buffer)
+        assert not cli._copy_chunk(pipe, handle, buffer)
+    assert out.read_bytes() == b"t,xi1,re,im\n" + chunk + b"5.0,"
+    assert len(buffer) == 40
+
+
+def test_solve_forked_into_an_in_memory_output(tmp_path, monkeypatch):
+    # an output without a byte layer takes the child's chunks as text
+    pair, cfg = _solve_pair(2, tmp_path)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 10)
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert main(["solve", "--data", cfg, "--t", "0.37,5.0", "--xi-grid",
+                 "lin:-1.5,1.5,7"]) == 0
+    assert sys.stdout.getvalue().encode() == _reference_solve_csv(
+        pair, [0.37, 5.0], "lin:-1.5,1.5,7", "auto")
+    assert len(forks) == 1
+
+
+def test_solve_holds_its_values_and_a_bounded_text(tmp_path, monkeypatch):
+    # the benchmark's warm-up request, 46**3 points at three times, on the
+    # forked path: the values take 4.5 MiB, and with the text of this
+    # process's points and a few chunks the peak stays within 20 MiB; a
+    # half-block of text per time took it to 31 MiB
+    cfg = tmp_path / "radial.json"
+    cfg.write_text(json.dumps({
+        "dimension": 3,
+        "u0": {"family": "gaussian", "scale": 0.86, "amplitude": 1.3},
+        "u1": {"family": "gaussian", "scale": 0.69, "amplitude": 1.19}}),
+        encoding="utf-8")
+    forks = _count_forks(monkeypatch)
+    out = tmp_path / "sol.csv"
+    tracemalloc.start()
+    try:
+        assert main(["solve", "--data", str(cfg), "--t", "0.48,3.9,42.0",
+                     "--xi-grid", "lin:-2.1,2.1,46", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(forks) == 1
+    assert peak <= 20 * 2 ** 20
+    with open(out, "rb") as handle:
+        assert sum(1 for _ in handle) == 1 + 3 * 46 ** 3
 
 
 def _row(re, im):
@@ -376,7 +533,7 @@ def test_format_rows_writes_the_bytes_of_the_row_loop(name, monkeypatch):
     reprs = []
     monkeypatch.setattr(cli, "repr", lambda v: reprs.append(v) or repr(v),
                         raising=False)
-    text = cli._format_rows(0.37, coords, row)
+    text = "".join(cli._format_rows(0.37, coords, row))
     assert text == format_rows_row_loop(0.37, coords, row)
     distinct = len(set(np.array(re + im).view(np.int64).tolist()))
     # the head, and each distinct value on the shared-text branch
@@ -495,8 +652,9 @@ def test_solve_rejects_non_finite_grid_bounds(pair_cfg, tmp_path, capsys,
 
 def test_solve_output_failing_under_a_blocked_child_exits_2(tmp_path, capsys,
                                                              monkeypatch):
-    # the child's half of a time is far more than a pipe holds, so it is
-    # still writing when the output fails; closing the pipe must end it
+    # the child's chunk of a time, 4,096 rows, is far more than a pipe
+    # holds, so it is still writing when the output fails; closing the pipe
+    # must end it
     class FailingOutput:
         def __init__(self):
             self.writes = 0
@@ -553,6 +711,56 @@ def test_solve_axis_too_large_to_hold_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("config error: ")
     assert "1000000000000000**1 points" in captured.err
+
+
+def _assert_too_large(argv, tmp_path, capsys, points):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert f"cannot hold its {points} points" in captured.err
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ")
+
+
+def test_solve_values_too_large_to_hold_exit_2(tmp_path, capsys,
+                                               monkeypatch):
+    # the values of every time are allocated before the output is opened
+    _, cfg = _solve_pair(2, tmp_path)
+    empty = np.empty
+
+    def refuse(shape, *args, **kwargs):
+        if shape == (2, 25):
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse)
+    _assert_too_large(["solve", "--data", cfg, "--t", "0.37,5.0",
+                       "--xi-grid", "lin:-1,1,5"], tmp_path, capsys, "5**2")
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "one-cpu"])
+def test_solve_text_too_large_to_hold_exits_2(forked, tmp_path, capsys,
+                                              monkeypatch):
+    # this process's point text is built before the output is opened; a
+    # child that cannot hold its own leaves, and is waited for
+    def refuse(*args):
+        raise MemoryError
+
+    _, cfg = _solve_pair(2, tmp_path)
+    if forked:
+        forks = _count_forks(monkeypatch)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        forks = []
+    monkeypatch.setattr(cli, "_grid_coordinates", refuse)
+    _assert_too_large(["solve", "--data", cfg, "--t", "0.37,5.0",
+                       "--xi-grid", "lin:-1,1,5"], tmp_path, capsys, "5**2")
+    assert len(forks) == 2 * forked
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("command", ["moments", "solve", "expansion", "norm"])

@@ -500,12 +500,13 @@ def _is_row_template(node):
 
 
 def test_every_solve_row_comes_from_one_formatter():
-    # the serial loop, this process's half, its stand-in for a failed child
-    # and the child all call _format_rows, and no other function of the CLI
-    # fills a row template, so the two processes write the bytes of one
+    # this process's chunks, alone or beside a child, its stand-in for the
+    # chunks of a failed child and the child's chunks all come from
+    # _format_rows, and no other function of the CLI fills a row template,
+    # so the two processes write the bytes of one
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     assert sorted(_sites(tree, _calls_of("_format_rows"))) == [
-        "_fork_formatter", "_write_rows", "_write_rows", "_write_rows"]
+        "_fork_formatter", "_write_rows", "_write_rows"]
     assert _holders(tree, _is_row_template) == {"_format_rows"}
 
 
@@ -715,4 +716,24 @@ def test_the_benchmark_campaign_check_passes(seed, tmp_path):
     result = json.loads(out.read_text(encoding="utf-8"))
     # the warm-up operation and the 100 timed ones
     assert (result["attempted"], result["failed"]) == (101, 0), \
+        result["failures"]
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_the_benchmark_solve_check_passes(seed, tmp_path):
+    # the benchmark's solve check reads every row of each CSV and compares
+    # 64 random ones with evaluate; a wrong or missing row of the forked
+    # formatter fails it.  The warm-up and 4 timed requests, as the
+    # benchmark runs them
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "run.json"
+    run = subprocess.run(
+        [sys.executable, "perfbench/worker.py", "--workload", "solve-grid",
+         "--seed", str(seed), "--ops", "4",
+         "--work", str(tmp_path / "work"), "--out", str(out)],
+        cwd=root, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert (result["attempted"], result["failed"]) == (5, 0), \
         result["failures"]
