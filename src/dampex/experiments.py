@@ -28,7 +28,7 @@ from .initial_data import (MAX_MOMENT_ORDER, InitialDatum, MomentTable,
                            pair_from_config)
 from .norms import (LOW_RADIUS, RESIDUAL_BREAKPOINTS, FrequencyRegion,
                     norm_curve, poly_gaussian_l2_norm)
-from .spectral import LowFrequencySymbol, Shells, SpectralSolution
+from .spectral import LowFrequencySymbol, SpectralSolution
 
 DEGENERACY_FLOOR = 1e-12  # increment constant over max(1, |moments| to k)
 NAME_MAX = 255              # bytes in a file name on Linux and macOS
@@ -234,7 +234,8 @@ class Case:
         ("vanishing", m, ell, grid), that of ``vanishing_curve``; a repeated
         key is one row set.  The stack shares one truncation, angular rule
         and set of panels, with the union of its members' breakpoints, and
-        every row still converges to its own target ``tol``.  A field call
+        every row still converges to its own target ``tol``.  Each member
+        is an integrand on the field call's one ``Shells``, so the call
         takes the shell points and the transforms of u0, u1 and v once for
         all members; a stall in any row raises for the whole stack.
         """
@@ -245,8 +246,7 @@ class Case:
         members = [self._residual_rows(*key[1:]) if key[0] == "residual"
                    else self._gap_rows(*key[1:]) for key in keys]
 
-        def stack(ts, radii, dirs):
-            shells = Shells(radii, dirs)
+        def stack(shells):
             return np.concatenate([rows_on(shells) for _, _, rows_on in members])
 
         norms = norm_curve(
@@ -264,8 +264,7 @@ class Case:
         ts, poly = grid.values(), self.expansion("A", k - 1)
 
         def rows_on(shells):
-            return self.solution.residual_shells(
-                ts, shells.radii, shells.dirs, poly, shells)
+            return self.solution.residual_shells(ts, shells, poly)
         return ts, RESIDUAL_BREAKPOINTS, rows_on
 
     def _gap_rows(self, m, ell, grid):
@@ -292,15 +291,8 @@ class Case:
                 gap = np.empty(pts.shape[:-1], np.result_type(inside, outer))
                 gap[inner] = inside
                 gap[~inner] = outer
-            return _heat_weight(ts, shells.radii, ell) * gap
+            return shells.heat(ts, ell) * gap
         return ts, (rho,), rows_on
-
-
-def _heat_weight(ts, radii, ell):
-    """r^ell e^{-t r^2} for every time of ``ts`` and radius of ``radii``,
-    shaped (T, R, 1) to weigh (R, m) values on shells."""
-    weight = radii ** ell * np.exp(-np.multiply.outer(ts, radii * radii))
-    return weight[..., None]
 
 
 def fit_decay_rate(case: Case, k: int, grid: TimeGrid, tol=1e-9,
@@ -407,11 +399,12 @@ def vanishing_limit_check(case: Case, grid: TimeGrid, *, variant="heat",
         profile = case.expansion("A", k)
         symbol = LowFrequencySymbol(v)
 
-        def gap(ts, radii, dirs):
-            pts = radii[:, None, None] * dirs
-            return _heat_weight(ts, radii, ell) * (symbol(pts) - profile(pts))
-
         ts = grid.values()
+
+        def gap(shells):
+            pts = shells.pts
+            return shells.heat(ts, ell) * (symbol(pts) - profile(pts))
+
         norms = norm_curve(gap, FrequencyRegion.ball(0.5, n), ts, tol).value
     else:
         raise ValueError("variant must be 'heat' or 'low_frequency'")

@@ -2,11 +2,11 @@
 
 The quadrature route (`norm_curve`) integrates |f|^2 over balls, annuli,
 exteriors or all of R^n (n <= 3) and never looks inside f.  It samples f
-shell by shell, in every dimension through ``integrate_radial``: f gets
-the times, R radii and m unit directions (one of each antipodal pair;
-+1 on the line) and returns
-the (T, R, m) values at the points r * d, so whatever depends only on
-(t, |xi|) is computed once per (time, radius).  The closed-form route
+shell by shell, in every dimension through ``integrate_radial``: each
+field call builds one ``spectral.Shells`` at R radii and m unit directions
+(one of each antipodal pair; +1 on the line), and f returns the (T, R, m)
+values at its points r * d, so whatever depends only on (t, |xi|) is
+computed once per (time, radius).  The closed-form route
 evaluates the same norms for polynomial-times-Gaussian integrands through
 exact sphere moments and incomplete-gamma radial factors.  Keeping both
 routes independent is the point: the tests check each closed form against
@@ -25,7 +25,7 @@ from .indices import Alpha, degree
 from .initial_data import MomentTable, moment_table
 from .quadrature import (QuadResult, integrate_radial, radial_breakpoints,
                          truncation_radius)
-from .spectral import SpectralSolution
+from .spectral import Shells, SpectralSolution
 
 LOW_RADIUS = 0.5            # residual-norm split radii inside and outside
 HIGH_RADIUS = 2.0           # the unit sphere
@@ -77,10 +77,10 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
                breakpoints=()) -> QuadResult:
     """(integral_region |f(t, xi)|^2 dxi)^{1/2} for every t of ``ts`` at once.
 
-    ``f(ts, radii, dirs)`` receives the times as a 1-D array, R radii and an
-    (m, n) array of unit directions and returns the real or complex values
-    at the points r * d, of shape (len(ts), R, m): one row per time, one
-    column per shell.  All times share one truncation radius (the largest any of
+    ``f(shells)`` receives one ``Shells`` per field call, at R radii and m
+    unit directions, and returns the real or complex values at its points
+    r * d, of shape (len(ts), R, m): one row per time of ``ts``, one column
+    per shell.  All times share one truncation radius (the largest any of
     them needs), one angular rule (stable for every time) and one set of
     radial panels, each sampled once for all times; every time still
     converges to its own relative target ``tol``.  The rows need not be
@@ -111,7 +111,7 @@ def norm_curve(f, region: FrequencyRegion, ts, tol=1e-9, *,
     n = region.dimension
 
     def field(radii, dirs):
-        return np.abs(f(ts, radii, dirs)) ** 2
+        return np.abs(f(Shells(radii, dirs))) ** 2
 
     lo, hi = region.r_lo, region.r_hi
     width = 1.0 / np.sqrt(np.maximum(ts.max(), 1.0))
@@ -152,9 +152,10 @@ def region_l2_norm(f, region: FrequencyRegion, tol=1e-9, *,
     panels resolve (none by default); a norm below VALUE_FLOOR = 1e-14
     carries an absolute estimate.
     """
-    def on_shells(ts, radii, dirs):
-        pts = (radii[:, None, None] * dirs).reshape(-1, region.dimension)
-        return np.asarray(f(pts)).reshape(1, len(radii), len(dirs))
+    def on_shells(shells):
+        pts = shells.pts
+        return np.asarray(f(pts.reshape(-1, region.dimension))).reshape(
+            1, *pts.shape[:-1])
 
     return _at_one_time(norm_curve(on_shells, region, (t,), tol))
 
@@ -265,6 +266,5 @@ def residual_norm_curve(sol: SpectralSolution, ts, poly: ExpansionPolynomial,
     if np.any(ts <= 0):
         raise ValueError("t must be positive")
     region = region or FrequencyRegion.full(sol.dimension)
-    return norm_curve(
-        lambda ts, radii, dirs: sol.residual_shells(ts, radii, dirs, poly),
-        region, ts, tol, breakpoints=RESIDUAL_BREAKPOINTS)
+    return norm_curve(lambda shells: sol.residual_shells(ts, shells, poly),
+                      region, ts, tol, breakpoints=RESIDUAL_BREAKPOINTS)

@@ -25,8 +25,8 @@ The solution operator is a radial Fourier multiplier, so the residual
 integrand of the norms, ``residual_shells``, takes K and the heat weight
 e^{-t r^2} once per (t, r) on shells xi = r d, and u_hat from the same
 regular-form kernel as ``evaluate``, which serves the ``solve`` grids.
-``Shells`` holds one field call's points and takes each datum's transform
-there once, for every integrand that the call evaluates.
+``Shells`` holds one field call's points and heat weights and takes each
+datum's transform there once, for every integrand that the call evaluates.
 """
 
 from __future__ import annotations
@@ -127,40 +127,43 @@ class SpectralSolution:
 
     # -- residual on shells ---------------------------------------------------
 
-    def residual_shells(self, ts, radii, dirs, poly, shells=None):
+    def residual_shells(self, ts, shells: Shells, poly):
         """Gap u_hat(t, xi) - poly(xi) e^{-t |xi|^2} at every t of ``ts`` on
-        the shells xi = r d, r in ``radii``, d a row of the (m, n) array
-        ``dirs``: shape (len(ts), len(radii), m).
+        the points of ``shells``: shape (len(ts), R, m).
 
         ``poly`` is any callable on points (an expansion polynomial); this is
         the integrand of every residual norm in the decay estimates.  u_hat
         is ``evaluate``'s regular form on the shells: the transforms and
         ``poly`` are evaluated once per point, e^{-t}, K(t, r^2) and
-        e^{-t r^2} once per (t, r).  ``shells``, the caller's ``Shells`` at
-        these radii and directions, shares its points and transforms with
-        the caller's other integrands.  Continuous across the unit sphere.
-        The values are float64 when the transforms and ``poly`` are real
-        (phase-free data), else complex128.
+        e^{-t r^2} once per (t, r), and the transforms are shared with the
+        other integrands of the field call.  Continuous across the unit
+        sphere.  The values are float64 when the transforms and ``poly``
+        are real (phase-free data), else complex128.
         """
-        ts = np.asarray(ts, dtype=float)[:, None, None]
-        if shells is None:
-            shells = Shells(radii, dirs)
+        ts = np.asarray(ts, dtype=float)
         s = (shells.radii * shells.radii)[:, None]
         # no name holds u_hat, so numpy subtracts in place in its buffer
-        return (_rep_24(ts, s, shells.transform(self.u0),
+        return (_rep_24(ts[:, None, None], s, shells.transform(self.u0),
                         shells.transform(self.u1))
-                - np.exp(-ts * s) * poly(shells.pts))
+                - shells.heat(ts) * poly(shells.pts))
 
 
 class Shells:
     """The points xi = r d of the shells at ``radii`` and the (m, n) unit
-    directions ``dirs``, shape (R, m, n), and the data transforms there,
-    each taken once: integrands that share one field call share them."""
+    directions ``dirs``, shape (R, m, n), their heat weights and the data
+    transforms there, each transform taken once: ``norms.norm_curve``
+    builds one per field call, and every integrand of the call reads it."""
 
     def __init__(self, radii, dirs):
-        self.radii, self.dirs = np.asarray(radii, dtype=float), dirs
+        self.radii = np.asarray(radii, dtype=float)
         self.pts = self.radii[:, None, None] * dirs
         self._transforms = {}
+
+    def heat(self, ts, ell=0.0):
+        """r^ell e^{-t r^2} for every time of ``ts`` and every radius,
+        shaped (T, R, 1) to weigh (R, m) values on the shells."""
+        r = self.radii
+        return (r ** ell * np.exp(-np.multiply.outer(ts, r * r)))[..., None]
 
     def transform(self, datum: InitialDatum):
         """``datum.fourier_transform`` at the points, shape (R, m)."""

@@ -296,9 +296,10 @@ def _count_forks(monkeypatch):
     return forks
 
 
-def test_solve_child_formats_a_one_point_grid(tmp_path, capsys, monkeypatch):
+def test_a_forked_one_point_grid_writes_the_reference_bytes(tmp_path, capsys,
+                                                           monkeypatch):
     # one point: the one chunk of each time is this process's, and the
-    # child's share is empty
+    # child's share is empty; each of the two outputs still forks once
     pair, cfg = _solve_pair(2, tmp_path)
     forks = _count_forks(monkeypatch)
     argv = ["solve", "--data", cfg, "--t", "0.0,5.0", "--xi-grid",

@@ -915,6 +915,63 @@ class TestCurveStacks:
         assert statuses["rate", 1] == "pass"
 
 
+def _field_calls(monkeypatch):
+    """Per field call of every ``norm_curve``, the ``Shells`` built in it
+    and the arguments of each integrand call; and the ``Shells`` built
+    outside any field call."""
+    from dampex import experiments, norms, spectral
+    calls, stray = [], []
+    real_init, real_curve = spectral.Shells.__init__, norms.norm_curve
+
+    def init(self, *args):
+        real_init(self, *args)
+        (calls[-1]["built"] if calls else stray).append(self)
+
+    def curve(f, *args, **kwargs):
+        def integrand(*received):
+            calls[-1]["received"].append(received)
+            return f(*received)
+        return real_curve(integrand, *args, **kwargs)
+
+    def spied(real):
+        def sampling(field, *args, **kwargs):
+            def counted(radii, dirs):
+                calls.append({"built": [], "received": []})
+                return field(radii, dirs)
+            return real(counted, *args, **kwargs)
+        return sampling
+
+    monkeypatch.setattr(spectral.Shells, "__init__", init)
+    for module in (norms, experiments):
+        monkeypatch.setattr(module, "norm_curve", curve)
+    for name in ("integrate_radial", "truncation_radius"):
+        monkeypatch.setattr(norms, name, spied(getattr(norms, name)))
+    return calls, stray
+
+
+@pytest.mark.parametrize("run", ["campaign", "norm"])
+def test_every_field_call_hands_its_integrand_one_shells(run, tmp_path,
+                                                         monkeypatch):
+    # the default campaign's stacks and low-frequency ball, and one
+    # ``dampex norm`` request: each field call builds one Shells, and its
+    # integrand receives that object and nothing else
+    calls, stray = _field_calls(monkeypatch)
+    if run == "campaign":
+        run_report(default_config(), tmp_path / "out")
+    else:
+        data = tmp_path / "pair.json"
+        data.write_text(json.dumps({
+            "dimension": 2, "u0": {"family": "gaussian", "scale": 1.0},
+            "u1": {"family": "box", "half_width": 0.8}}), encoding="utf-8")
+        assert main(["norm", "--data", str(data), "--t", "10", "--k", "1",
+                     "--out", str(tmp_path / "norm.json")]) == 0
+    assert calls and not stray
+    assert [len(call["built"]) for call in calls] == [1] * len(calls)
+    for call in calls:
+        [(received,)] = call["received"]
+        assert received is call["built"][0]
+
+
 def _openblas_config():
     """numpy's OpenBLAS build line, or "" for another BLAS."""
     try:

@@ -20,6 +20,7 @@ from dampex.quadrature import (BATCH_POINTS, TRUNCATION_CAP, QuadResult,
                                circle_nodes, integrate_radial,
                                radial_breakpoints, sphere_nodes,
                                truncation_radius)
+from dampex.spectral import Shells
 
 from conftest import catalog_1d, catalog_2d, catalog_3d
 from oracles import (FULL_LINE_RULE, full_angular_rule, full_probe_directions,
@@ -134,10 +135,10 @@ def _shifted_gaussian(n):
                    center=(0.5, -0.3, 0.2)[:n], dilation=1.0)
 
 
-def _heat_weighted(poly):
-    def f(ts, radii, dirs):
-        heat = np.exp(-np.multiply.outer(ts, radii * radii))
-        return heat[..., None] * poly(radii[:, None, None] * dirs)
+def _heat_weighted(poly, ts):
+    def f(shells):
+        heat = np.exp(-np.multiply.outer(ts, shells.radii * shells.radii))
+        return heat[..., None] * poly(shells.pts)
     return f
 
 
@@ -151,8 +152,8 @@ class TestPanelEngine:
         exact = poly_gaussian_l2_norm(poly)
         assert exact > 0
         ts = np.geomspace(1.0, 1e4, 9)
-        curve = norm_curve(_heat_weighted(poly), FrequencyRegion.full(n), ts,
-                           1e-11)
+        curve = norm_curve(_heat_weighted(poly, ts), FrequencyRegion.full(n),
+                           ts, 1e-11)
         assert curve.value.shape == (len(ts),)
         for value, t in zip(curve.value, ts):
             assert value == pytest.approx(t ** (-n / 4 - k / 2) * exact,
@@ -171,10 +172,10 @@ class TestPanelEngine:
                            + erf(math.sqrt(2) * p / s)))
         amp, exact = 1e-11 / math.sqrt(unit), 1e-11
 
-        def field(ts, radii, dirs):
-            r = np.broadcast_to(radii[:, None], (len(radii), len(dirs)))
+        def field(shells):
+            r = np.broadcast_to(shells.radii[:, None], shells.pts.shape[:-1])
             vals = amp * (np.exp(-(r / w) ** 2) + 1j * np.exp(-((r - p) / s) ** 2))
-            return np.broadcast_to(vals, (len(ts),) + vals.shape)
+            return vals[None]
 
         region = FrequencyRegion.ball(1.0, 1)
         nrm = norm_curve(field, region, [1.0])
@@ -194,18 +195,20 @@ class TestPanelEngine:
         partial = heat_partial_sum(moment_table(v, 1), 1)
         calls = []
 
-        def gap(ts, radii, dirs):
-            calls.append(len(radii) * len(dirs))
-            pts = radii[:, None, None] * dirs
-            heat = np.exp(-np.multiply.outer(ts, radii * radii))
-            return heat[..., None] * (v.fourier_transform(pts) - partial(pts))
+        def gap(ts):
+            def rows(shells):
+                pts, radii = shells.pts, shells.radii
+                calls.append(pts.shape[0] * pts.shape[1])
+                heat = np.exp(-np.multiply.outer(ts, radii * radii))
+                return heat[..., None] * (v.fourier_transform(pts) - partial(pts))
+            return rows
 
         ts = np.geomspace(1.0, 1e4, 17)
         region = FrequencyRegion.full(n)
-        curve = norm_curve(gap, region, ts, 1e-9)
+        curve = norm_curve(gap(ts), region, ts, 1e-9)
         curve_calls = len(calls)
         calls.clear()
-        first = norm_curve(gap, region, ts[:1], 1e-9)
+        first = norm_curve(gap(ts[:1]), region, ts[:1], 1e-9)
         assert curve_calls <= 3 * len(calls)
         assert curve.value[0] == pytest.approx(first.value[0], rel=1e-9)
 
@@ -214,12 +217,12 @@ class TestPanelEngine:
         # points of the whole curve counted once, a zero row reported as
         # zero; a norm at one time is that record's row 0 as floats
         poly = build_expansion("B", 1, moment_table(_shifted_gaussian(2), 1))
-        heat = _heat_weighted(poly)
-
-        def field(ts, radii, dirs):
-            return np.minimum(ts, 1.0)[:, None, None] * heat(ts, radii, dirs)
-
         ts = np.array([0.0, 1.0, 10.0])
+        heat = _heat_weighted(poly, ts)
+
+        def field(shells):
+            return np.minimum(ts, 1.0)[:, None, None] * heat(shells)
+
         region = FrequencyRegion.full(2)
         curve = norm_curve(field, region, ts, 1e-10)
         assert type(curve) is QuadResult
@@ -282,9 +285,10 @@ class TestPanelEngine:
         ts = np.geomspace(1.0, 1e3, 5)
         radii = np.random.default_rng(3).uniform(0.0, 2.0, 100)
         dirs = np.array([[1.0], [-1.0]]) if n == 1 else circle_nodes(16)[0]
-        rows = sol.residual_shells(ts, radii, dirs, poly)
+        rows = sol.residual_shells(ts, Shells(radii, dirs), poly)
         for row, t in zip(rows, ts):
-            assert np.array_equal(row, sol.residual_shells((t,), radii, dirs, poly)[0])
+            assert np.array_equal(
+                row, sol.residual_shells((t,), Shells(radii, dirs), poly)[0])
         curve = residual_norm_curve(sol, ts, poly)
         for value, t in zip(curve.value, ts):
             assert value == pytest.approx(residual_norm(sol, t, 1).value,
@@ -461,11 +465,12 @@ class TestAngularRuleReuse:
         sol = _pinned_pair(n)
         poly = build_expansion("A", 0, moment_table(sol.v, 0))
 
-        def residual(ts, radii, dirs):
-            sizes.append(len(radii) * len(dirs))
-            return sol.residual_shells(ts, radii, dirs, poly)
-
         ts = np.geomspace(10.0, 1e3, times)
+
+        def residual(shells):
+            sizes.append(shells.pts.shape[0] * shells.pts.shape[1])
+            return sol.residual_shells(ts, shells, poly)
+
         for region in (FrequencyRegion.full(n), FrequencyRegion.ball(0.5, n)):
             sizes.clear()
             norm_curve(residual, region, ts)
@@ -514,8 +519,9 @@ class TestHeatLadder:
     def test_a_nan_time_gives_only_the_kinks(self, monkeypatch):
         seen = self._breakpoints(monkeypatch)
 
-        def gauss(ts, radii, dirs):
-            return np.exp(-radii * radii)[None, :, None] * np.ones(len(dirs))
+        def gauss(shells):
+            return np.exp(-shells.radii * shells.radii)[None, :, None] \
+                * np.ones(shells.pts.shape[1])
 
         norm_curve(gauss, FrequencyRegion.full(2), (math.nan,),
                    breakpoints=(0.5, 2.0))
@@ -546,9 +552,9 @@ class TestShellFieldCalls:
         calls = []
         real = SpectralSolution.residual_shells
 
-        def counted(self, ts, radii, dirs, poly):
-            calls.append(len(radii) * len(dirs))
-            return real(self, ts, radii, dirs, poly)
+        def counted(self, ts, shells, poly):
+            calls.append(shells.pts.shape[0] * shells.pts.shape[1])
+            return real(self, ts, shells, poly)
 
         monkeypatch.setattr(SpectralSolution, "residual_shells", counted)
         res = residual_norm(_pinned_pair(3), 10.0, 2)
@@ -588,10 +594,10 @@ class TestShellFieldCalls:
         received, probing = [], []
         real = SpectralSolution.residual_shells
 
-        def counted(self, ts, radii, dirs, poly):
+        def counted(self, ts, shells, poly):
             if not probing:
-                received.append(len(radii) * len(dirs))
-            return real(self, ts, radii, dirs, poly)
+                received.append(shells.pts.shape[0] * shells.pts.shape[1])
+            return real(self, ts, shells, poly)
 
         def probe(module, name):
             real_probe = getattr(module, name)
@@ -680,12 +686,13 @@ class TestTruncationProbe:
         region = FrequencyRegion.exterior(600.0, 2)
         ts = np.array([1.0, 4.0])
 
-        def f(ts, radii, dirs):
-            r2 = np.broadcast_to((radii * radii)[:, None], (len(radii), len(dirs)))
+        def f(shells):
+            r2 = np.broadcast_to((shells.radii * shells.radii)[:, None],
+                                 shells.pts.shape[:-1])
             return 1.0 / (1.0 + np.multiply.outer(ts, r2))
 
         radius, tail = truncation_radius(
-            lambda radii, dirs: np.abs(f(ts, radii, dirs)) ** 2, 2, 1200.0,
+            lambda radii, dirs: np.abs(f(Shells(radii, dirs))) ** 2, 2, 1200.0,
             rows=len(ts))
         assert radius == TRUNCATION_CAP and np.all(tail > 0)
         curve = norm_curve(f, region, ts)
@@ -779,9 +786,10 @@ class TestInwardCut:
         t = 1e4
         w = 1.0 / math.sqrt(t)
 
-        def heat(ts, radii, dirs):
-            return np.exp(-np.multiply.outer(ts, radii * radii))[..., None] \
-                * np.ones(len(dirs))
+        def heat(shells):
+            radii = shells.radii
+            return np.exp(-np.multiply.outer((t,), radii * radii))[..., None] \
+                * np.ones(shells.pts.shape[1])
 
         curve = norm_curve(heat, FrequencyRegion(2, lo), (t,))
         [(edges, radius, _)] = seen["truncation"]

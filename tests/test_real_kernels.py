@@ -13,6 +13,7 @@ import pytest
 from dampex import (Box, Gaussian, GaussianMonomial, LowFrequencySymbol,
                     REPRESENTATIONS, Shifted, SpectralSolution, SumDatum,
                     build_expansion, moment_table)
+from dampex.spectral import Shells
 
 from oracles import (complex_fourier_transform, complex_residual_shells,
                      complex_symbol, complex_term_loop)
@@ -125,7 +126,7 @@ class TestRealKernels:
         dirs = _directions(n, 60)
         for k in range(4):
             poly = build_expansion("A", k - 1, table)
-            got = sol.residual_shells(ts, RADII, dirs, poly)
+            got = sol.residual_shells(ts, Shells(RADII, dirs), poly)
             want = complex_residual_shells(sol, ts, RADII, dirs, poly)
             assert got.dtype == (np.float64 if name in REAL
                                  else np.complex128)

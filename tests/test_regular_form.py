@@ -12,6 +12,7 @@ import pytest
 
 from dampex import Box, Gaussian, Shifted, SpectralSolution
 from dampex.cli import main
+from dampex.spectral import Shells
 
 mp = pytest.importorskip("mpmath")
 
@@ -117,7 +118,8 @@ def test_residual_shells_match_the_50_digit_solution(name, rng):
     radii, dirs = _shells(rng, u0.dimension)
     pts = (radii[:, None, None] * dirs).reshape(-1, u0.dimension)
     got = SpectralSolution(u0=u0, u1=u1).residual_shells(
-        np.array(TIMES), radii, dirs, lambda xi: np.zeros(xi.shape[:-1]))
+        np.array(TIMES), Shells(radii, dirs),
+        lambda xi: np.zeros(xi.shape[:-1]))
     assert got.shape == (len(TIMES), len(radii), len(dirs))
     worst = _worst_by_time(got.reshape(len(TIMES), -1),
                            np.repeat(radii, len(dirs))[:, None],

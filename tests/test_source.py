@@ -43,6 +43,11 @@ the tables a campaign reads, and the series ball asks the case for one.
 The single-time ``residual_norm`` and the ``moments`` and ``expansion``
 commands build their own.
 
+One class forms the points of a shell field call: only
+``spectral.Shells.__init__`` multiplies radii by directions, and only
+``norms.norm_curve`` builds a ``Shells``, so every integrand of a field
+call reads the same points, heat weights and transforms.
+
 One record holds a quadrature result: ``quadrature.QuadResult`` is the only
 dataclass with an ``error_estimate`` field, so no re-wrap drops ``stalled``.
 
@@ -58,7 +63,8 @@ after-hooks also read package results, so one traced operation of the
 ``campaign`` and ``norm-multid`` workloads runs too.  The benchmark
 checks every campaign it draws against its own oracle, and one failed
 check sinks a run: 100 untraced campaigns at each of two seeds must pass
-it.
+it.  Its norm check compares each ``dampex norm`` request with a pinned
+or oracle value: 300 untraced requests at each of two seeds must pass it.
 """
 
 import ast
@@ -558,6 +564,50 @@ def test_qualified_guard_names_classes_and_nested_functions():
         "Case.table", "Case.nested.inner", "command", ""}
 
 
+def _names(node):
+    """Every name read in ``node``, as an ast ``Name`` or ``Attribute``."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def _is_shell_product(node):
+    """True for a product with ``radii`` on one side and ``dirs`` on the
+    other."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    left, right = _names(node.left), _names(node.right)
+    return (("radii" in left and "dirs" in right)
+            or ("dirs" in left and "radii" in right))
+
+
+def test_one_class_forms_the_shell_points():
+    # the low-frequency gap, the single-point norm and the residual each
+    # once formed radii[:, None, None] * dirs of their own, beside a Shells
+    # that the campaign's stack built per field call
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    products = {(module, name) for module, tree in trees.items()
+                for name in _qualified_holders(tree, _is_shell_product)}
+    builders = {(module, name) for module, tree in trees.items()
+                for name in _qualified_holders(tree, _calls_of("Shells"))}
+    assert products == {("spectral", "Shells.__init__")}
+    assert builders == {("norms", "norm_curve.field")}
+
+
+def test_shell_guard_sees_products_on_either_side_only():
+    tree = ast.parse("class Shells:\n"
+                     "    def __init__(self, radii, dirs):\n"
+                     "        self.pts = self.radii[:, None, None] * dirs\n"
+                     "def gap(radii, dirs): return dirs * radii[:, None]\n"
+                     "def field(radii, dirs): return f(Shells(radii, dirs))\n"
+                     "def other(r, dirs, radii):\n"
+                     "    return r * g(dirs), radii + dirs, radii * r\n")
+    assert _qualified_holders(tree, _is_shell_product) == {
+        "Shells.__init__", "gap"}
+    assert _qualified_holders(tree, _calls_of("Shells")) == {"field"}
+
+
 def _dataclasses_declaring(tree, field):
     """Names of the dataclasses in ``tree`` whose body annotates ``field``."""
     def is_dataclass(deco):
@@ -736,4 +786,24 @@ def test_the_benchmark_solve_check_passes(seed, tmp_path):
     assert run.returncode == 0, run.stderr
     result = json.loads(out.read_text(encoding="utf-8"))
     assert (result["attempted"], result["failed"]) == (5, 0), \
+        result["failures"]
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_the_benchmark_norm_check_passes(seed, tmp_path):
+    # the benchmark's norm check compares each request with the scipy
+    # oracle, its pinned value or both; 300 requests, as the benchmark
+    # runs them
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "run.json"
+    run = subprocess.run(
+        [sys.executable, "perfbench/worker.py", "--workload", "norm-multid",
+         "--seed", str(seed), "--ops", "300",
+         "--work", str(tmp_path / "work"), "--out", str(out)],
+        cwd=root, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(out.read_text(encoding="utf-8"))
+    # the warm-up request and the 300 timed ones
+    assert (result["attempted"], result["failed"]) == (301, 0), \
         result["failures"]

@@ -12,6 +12,7 @@ from dampex import (Box, Gaussian, LowFrequencySymbol, REPRESENTATIONS, Shifted,
                     build_expansion, gauss_kernel, moment_table,
                     stable_heat_difference, zero_datum)
 from dampex.quadrature import circle_nodes, sphere_nodes
+from dampex.spectral import Shells
 
 from oracles import residual_curve
 
@@ -254,14 +255,15 @@ class TestResidual:
         table = moment_table(sol.v, 0)
         poly = build_expansion("A", 0, table)
         radii = np.linspace(0.0, 2.0, 5)
-        assert np.all(sol.residual_shells((3.0,), radii, _LINE, poly) == 0)
+        assert np.all(sol.residual_shells((3.0,), Shells(radii, _LINE), poly) == 0)
 
     def test_time_zero_residual_at_origin_is_minus_second_mass(self):
         u0 = Gaussian(dimension=1, scale=1.0)
         u1 = Gaussian(dimension=1, scale=0.5, amplitude=0.3)
         sol = SpectralSolution(u0=u0, u1=u1)
         poly = build_expansion("A", 0, moment_table(sol.v, 0))
-        val = complex(sol.residual_shells((0.0,), np.zeros(1), _LINE, poly)[0, 0, 0])
+        val = complex(sol.residual_shells(
+            (0.0,), Shells(np.zeros(1), _LINE), poly)[0, 0, 0])
         assert val == pytest.approx(-moment_table(u1, 0).raw((0,)), rel=1e-12)
 
     def test_against_high_precision_rederivation(self):
@@ -278,7 +280,8 @@ class TestResidual:
         u0 = Gaussian(dimension=1, scale=1.0)
         sol = SpectralSolution(u0=u0, u1=zero_datum(1))
         poly = build_expansion("A", 2, moment_table(sol.v, 2))
-        got = sol.residual_shells((10.0,), np.array([0.1]), _LINE, poly)[0, 0]
+        got = sol.residual_shells(
+            (10.0,), Shells(np.array([0.1]), _LINE), poly)[0, 0]
         assert complex(got[0]) == pytest.approx(expected, rel=1e-12)
         assert got[1] == got[0]
 
@@ -299,7 +302,8 @@ class TestResidual:
         s = np.sum(pts * pts, axis=-1)
         for k in (0, 1, 2):
             poly = build_expansion("A", k, moment_table(sol.v, k))
-            got = sol.residual_shells(ts, radii, dirs, poly).reshape(len(ts), -1)
+            got = sol.residual_shells(ts, Shells(radii, dirs), poly).reshape(
+                len(ts), -1)
             ref = residual_curve(sol, ts, pts, poly)
             scale = (np.abs(sol.evaluate(ts, pts))
                      + np.abs(poly(pts) * np.exp(-np.multiply.outer(ts, s))))
