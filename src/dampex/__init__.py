@@ -3,13 +3,11 @@ for a wave equation carrying both frictional and viscoelastic damping."""
 
 from .errors import (ConfigError, DampexError, InsufficientOrderError,
                      QuadratureError, SingularEvaluationError)
-from .expansion import (ExpansionPolynomial, Term, build_expansion,
-                        check_property_A, check_property_B, check_property_C,
-                        combine)
+from .expansion import ExpansionPolynomial, Term, build_expansion, combine
 from .experiments import (Case, TimeGrid, default_config,
                           expected_decay_slope, fit_decay_rate,
-                          heat_comparison, property_suite, run_report,
-                          sandwich_check, vanishing_limit_check)
+                          heat_comparison, run_report, sandwich_check,
+                          vanishing_limit_check)
 from .initial_data import (Box, Gaussian, GaussianMonomial, InitialDatum,
                            MomentTable, Shifted, SumDatum, add_data,
                            datum_from_config, gauss_kernel, moment_table,

@@ -1,4 +1,4 @@
-"""Moment-built expansion polynomials and their algebraic identities.
+"""Moment-built expansion polynomials.
 
 Three kinds of polynomials in the frequency variable are built from a
 moment table:
@@ -12,11 +12,18 @@ moment table:
 * kind ``"C"`` — the flat moment layer sum_{|alpha| == k} M_alpha (i xi)^alpha,
   the increment of the plain heat flow.
 
+All three come from one moment table through the layers of ``_layers``,
+so the identities A_k = A_{k-1} + B_k (additivity), B_k = |xi|^2 B_{k-2} +
+C_k (the recurrence) and the homogeneity of B_k hold by construction for
+every datum: they are tests of this module, not checks a campaign runs.
+
 Terms are kept unsimplified (radial power and monomial separate) so each
-polynomial mirrors its defining formula one-to-one; ``canonical()`` expands
-the radial powers into monomials for structural checks.  A term
-(coefficient, p, alpha) means coefficient * |xi|^p * xi^alpha with the
-i^{|alpha|} factor folded into the complex coefficient.
+polynomial mirrors its defining formula one-to-one; ``canonical`` expands
+the radial powers into monomials, for ``dampex expansion --print
+canonical``, the structural-zero test and the exact Gaussian norms of
+``poly_gaussian_l2_norm``.  A term (coefficient, p, alpha) means
+coefficient * |xi|^p * xi^alpha with the i^{|alpha|} factor folded into
+the complex coefficient.
 """
 
 from __future__ import annotations
@@ -28,8 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, InsufficientOrderError
-from .indices import (Alpha, degree, i_power, indices_of_degree,
-                      multi_factorial)
+from .indices import Alpha, i_power, indices_of_degree, multi_factorial
 from .initial_data import MAX_MOMENT_ORDER, MomentTable, as_points
 
 KINDS = ("A", "B", "C")
@@ -211,62 +217,3 @@ def _layer_bounds(table: MomentTable) -> list[float]:
     return [math.fsum(abs(table.moment(alpha))
                       for alpha in indices_of_degree(table.dimension, j))
             for j in range(table.order + 1)]
-
-
-# ---------------------------------------------------------------------------
-# Checkable identities
-
-
-def _property_entry(name: str, order: int, deviation: float,
-                    tolerance: float) -> dict:
-    """The summary entry of one identity check; ``max_deviation`` is relative
-    to the largest left-hand coefficient."""
-    return {"check": "property", "name": name, "k": order,
-            "status": "pass" if deviation <= tolerance else "fail",
-            "max_deviation": deviation, "tolerance": tolerance}
-
-
-def _deviation(lhs: ExpansionPolynomial, rhs) -> float:
-    """max |coefficient of lhs - sum(rhs)| over the canonical monomials,
-    over max(1, max |coefficient of lhs|)."""
-    diff = dict(lhs.canonical)
-    for poly in rhs:
-        for mono, c in poly.canonical:
-            diff[mono] = diff.get(mono, 0.0) - c
-    return max(map(abs, diff.values()), default=0.0) / _scale(lhs)
-
-
-def _scale(poly: ExpansionPolynomial) -> float:
-    return max([1.0] + [abs(c) for _, c in poly.canonical])
-
-
-def check_property_A(a_k: ExpansionPolynomial, a_prev: ExpansionPolynomial,
-                     b_k: ExpansionPolynomial, tolerance=1e-12) -> dict:
-    """Additivity: profile_k == profile_{k-1} + increment_k, coefficientwise."""
-    return _property_entry("additivity", a_k.order,
-                           _deviation(a_k, (a_prev, b_k)), tolerance)
-
-
-def check_property_B(b_k: ExpansionPolynomial, b_prev: ExpansionPolynomial,
-                     top: ExpansionPolynomial, tolerance=1e-12) -> dict:
-    """Recurrence: increment_k == |xi|^2 increment_{k-2} + top layer,
-    coefficientwise."""
-    if b_k.order < 2:
-        raise ValueError("the recurrence needs k >= 2")
-    raised = ExpansionPolynomial(
-        kind=b_prev.kind, order=b_prev.order + 2, dimension=b_prev.dimension,
-        terms=tuple(Term(t.coefficient, t.radial_power + 2, t.monomial)
-                    for t in b_prev.terms))
-    return _property_entry("recurrence", b_k.order,
-                           _deviation(b_k, (raised, top)), tolerance)
-
-
-def check_property_C(poly: ExpansionPolynomial, tolerance=1e-12) -> dict:
-    """Homogeneity: every canonical monomial of increment_k has degree k, so
-    increment_k(xi/c) == c^{-k} increment_k(xi) for every c > 0.  The
-    deviation is the largest |coefficient| of another degree."""
-    if poly.kind != "B":
-        raise ValueError("homogeneity holds for kind 'B' polynomials")
-    off = [abs(c) for mono, c in poly.canonical if degree(mono) != poly.order]
-    return _property_entry("homogeneity", poly.order,
-                           max(off, default=0.0) / _scale(poly), tolerance)

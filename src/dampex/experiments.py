@@ -1,10 +1,15 @@
 """Verification campaigns: decay-rate fits, two-sided sandwich checks,
-vanishing-limit proxies, heat-flow comparison and the property suite.
+vanishing-limit proxies and the heat-flow comparison.
+
+Every check here is one a datum can fail.  The identities of
+``build_expansion`` (additivity, the recurrence, homogeneity) hold by
+construction for every datum, so they are tests of the code, in the test
+suite, and no campaign runs them.
 
 Everything here is deterministic: quadrature is adaptive but seeded by
-nothing, the property suite compares exact polynomial coefficients and
-draws no random points, and report payloads carry no wall-clock data, so
-identical configs produce identical JSON output byte for byte.
+nothing, no check draws random points, and report payloads carry no
+wall-clock data, so identical configs produce identical JSON output byte
+for byte.
 """
 
 from __future__ import annotations
@@ -20,8 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .expansion import (build_expansion, check_property_A, check_property_B,
-                        check_property_C, combine, series_ball)
+from .expansion import build_expansion, combine, series_ball
 from .indices import degree
 from .initial_data import (MAX_MOMENT_ORDER, InitialDatum, MomentTable,
                            check_keys, integer, listed, moment_table, number,
@@ -32,6 +36,10 @@ from .spectral import LowFrequencySymbol, SpectralSolution
 
 DEGENERACY_FLOOR = 1e-12  # increment constant over max(1, |moments| to k)
 NAME_MAX = 255              # bytes in a file name on Linux and macOS
+
+# perfbench/tracer.py wraps this name, which held the property suite; it
+# goes once the tracer stops wrapping it (ROADMAP item 8)
+property_suite = None
 
 
 @dataclass(frozen=True)
@@ -69,12 +77,14 @@ def expected_decay_slope(dimension: int, k: int) -> float:
 
 
 _CHECKS = ("rate", "sandwich", "heat", "vanishing_heat",
-           "vanishing_low_frequency", "properties")
+           "vanishing_low_frequency")
+# a config that still names the property suite fails rather than passes
+_REMOVED = ("was removed: the identities of build_expansion hold for every "
+            "datum, so the test suite checks them, not a campaign")
 _CASE_KEYS = {"name", "data", "k_values", "checks", "gammas", "ells"}
 _CURVES = {"rate": "norms", "sandwich": "ratios"}  # check: curve label
 # the campaign settings a config may leave out, at their defaults
-_SETTINGS = {"quad_tol": 1e-9, "rate_tolerance": 0.05,
-             "property_tolerance": 1e-12, "decay_fraction": 0.1,
+_SETTINGS = {"quad_tol": 1e-9, "rate_tolerance": 0.05, "decay_fraction": 0.1,
              "t_grid": {"t_min": 100.0, "t_max": 1.0e4, "points": 9},
              "vanishing_t_grid": {"t_min": 1.0, "t_max": 1.0e4, "points": 17}}
 _CAMPAIGN_KEYS = {"seed", "cases", *_SETTINGS}
@@ -92,7 +102,7 @@ class Case:
     name: str
     u0: InitialDatum
     u1: InitialDatum
-    checks: tuple[str, ...] = ("rate", "sandwich", "heat", "properties")
+    checks: tuple[str, ...] = ("rate", "sandwich", "heat")
     k_values: tuple[int, ...] = (0,)
     gammas: tuple[float, ...] = (0.0,)
     ells: tuple[float, ...] = (0.0,)
@@ -142,11 +152,6 @@ class Case:
     def solution(self) -> SpectralSolution:
         return SpectralSolution(u0=self.u0, u1=self.u1)
 
-    @property
-    def property_order(self) -> int:
-        """The highest order the property suite checks."""
-        return max(self.k_values, default=0) + 2
-
     @cached_property
     def moment_order(self) -> int:
         """The largest moment order any of the checks reads."""
@@ -155,8 +160,6 @@ class Case:
             orders += self.k_values
         if "vanishing_heat" in self.checks:
             orders += [math.floor(g) for g in self.gammas]
-        if "properties" in self.checks:
-            orders.append(self.property_order)
         return max(orders)
 
     @property
@@ -456,23 +459,6 @@ def heat_comparison(case: Case, k: int, grid: TimeGrid, tol=1e-9):
             "empirical_delta": delta}, (ts, ratios)
 
 
-def property_suite(case: Case, tolerance=1e-12):
-    """Run the three polynomial identities on the exact coefficients of the
-    case's polynomials, for every order up to its ``property_order``, and
-    return their summary entries."""
-    reports = []
-    for k in range(case.property_order + 1):
-        b_k = case.expansion("B", k)
-        reports.append(check_property_A(case.expansion("A", k),
-                                        case.expansion("A", k - 1), b_k,
-                                        tolerance))
-        if k >= 2:
-            reports.append(check_property_B(b_k, case.expansion("B", k - 2),
-                                            case.expansion("C", k), tolerance))
-        reports.append(check_property_C(b_k, tolerance))
-    return [{"case": case.name, **rep} for rep in reports]
-
-
 # ---------------------------------------------------------------------------
 # Campaign driver
 
@@ -492,7 +478,7 @@ def default_config() -> dict:
                                 "amplitude": 0.4}},
                 "k_values": [0],
                 "checks": ["rate", "sandwich", "heat", "vanishing_heat",
-                           "vanishing_low_frequency", "properties"],
+                           "vanishing_low_frequency"],
                 "gammas": [0.0, 0.5, 2.0, 2.5],
                 "ells": [0.0],
             },
@@ -502,7 +488,7 @@ def default_config() -> dict:
                          "u0": {"family": "box", "half_width": 1.0},
                          "u1": {"family": "zero"}},
                 "k_values": [0, 2],
-                "checks": ["rate", "sandwich", "heat", "properties"],
+                "checks": ["rate", "sandwich", "heat"],
             },
             {
                 "name": "shifted-gauss-2d",
@@ -513,7 +499,7 @@ def default_config() -> dict:
                                          "dimension": 2}},
                          "u1": {"family": "zero"}},
                 "k_values": [1],
-                "checks": ["rate", "sandwich", "heat", "properties"],
+                "checks": ["rate", "sandwich", "heat"],
             },
         ],
     }
@@ -537,7 +523,6 @@ class Campaign:
     vanishing_grid: TimeGrid
     tol: float
     rate_tol: float
-    prop_tol: float
     fraction: float
     cases: tuple[Case, ...]
 
@@ -547,6 +532,8 @@ def validate_config(cfg: dict) -> Campaign:
     parse it; every violation raises ConfigError."""
     if not isinstance(cfg, dict) or not isinstance(cfg.get("cases"), list):
         raise ConfigError('campaign config must be an object with a "cases" list')
+    if "property_tolerance" in cfg:
+        raise ConfigError(f"the 'property_tolerance' setting {_REMOVED}")
     check_keys(cfg, _CAMPAIGN_KEYS, "the campaign")
 
     def setting(key, valid=lambda x: x > 0, need="must be a finite number > 0"):
@@ -560,7 +547,6 @@ def validate_config(cfg: dict) -> Campaign:
         vanishing_grid=_grid(cfg, "vanishing_t_grid"),
         tol=setting("quad_tol"),
         rate_tol=setting("rate_tolerance"),
-        prop_tol=setting("property_tolerance"),
         fraction=setting("decay_fraction", lambda x: 0 < x <= 1,
                          "must be a finite number in (0, 1]"),
         cases=tuple(Case.from_config(case) for case in cfg["cases"]))
@@ -579,6 +565,8 @@ def _grid(cfg, key) -> TimeGrid:
 
 
 def _known_check(name, what):
+    if name == "properties":
+        raise ConfigError(f"the 'properties' check {_REMOVED}")
     if name not in _CHECKS:
         raise ConfigError(f"unknown check {name!r}")
     return name
@@ -622,8 +610,6 @@ def run_report(cfg: dict, out_dir) -> dict:
                 case, run.vanishing_grid, variant="low_frequency", k=k,
                 ell=ell, **shared)[0]
                 for k, ell in itertools.product(case.k_values, case.ells)]
-        if "properties" in case.checks:
-            entries += property_suite(case, run.prop_tol)
         for (check, k), curve in curves.items():
             if curve is not None:
                 label, name = case.curve_file(check, k)

@@ -29,6 +29,9 @@ number the package computes another way:
   against the formatter that formats each distinct value once;
 * the heat partial sum P_m built from one moment table, against the
   Case's heat-vanishing head and tail, which read its own C_j;
+* the three identities of ``build_expansion`` (additivity, the recurrence
+  and homogeneity) on canonical coefficients, against the builder's
+  layers: gaps that read 0, or the rounding of a sum, on every table;
 * grid suprema of the Taylor-remainder and symbol-gap ratios, the
   boundedness proxies for the two key estimates behind the expansions.
 """
@@ -43,11 +46,11 @@ from scipy import integrate
 
 from dampex import (Box, ExpansionPolynomial, Gaussian, GaussianMonomial,
                     InitialDatum, InsufficientOrderError, LowFrequencySymbol,
-                    MomentTable, Shifted, SpectralSolution, SumDatum,
+                    MomentTable, Shifted, SpectralSolution, SumDatum, Term,
                     build_expansion, combine, gaussian_monomial_integral,
                     moment_table, quadrature, stable_heat_difference,
                     weighted_l1_norm)
-from dampex.indices import indices_of_degree
+from dampex.indices import degree, indices_of_degree
 from dampex.norms import radial_gaussian_integral
 from dampex.quadrature import (_LEVEL_SIZES, QUAD_LIMIT, TRUNCATION_CAP,
                                TRUNCATION_FLOOR, TRUNCATION_GROWTH, _on_shells,
@@ -458,6 +461,65 @@ def format_rows_row_loop(t, coords, row) -> str:
     head = repr(t)
     return "".join([f"{head},{c},{re!r},{im!r}\n" for c, re, im
                     in zip(coords, row.real.tolist(), row.imag.tolist())])
+
+
+# ---------------------------------------------------------------------------
+# The identities of build_expansion, on canonical coefficients
+
+# the largest gap each identity may read: additivity and homogeneity add
+# no two canonical sums, so they hold exactly; the recurrence reads the
+# rounding of |xi|^2 B_{k-2} + C_k against B_k's own sums
+IDENTITY_TOLERANCE = {"additivity": 0.0, "recurrence": 1e-12,
+                      "homogeneity": 0.0}
+
+
+def coefficient_gap(lhs: ExpansionPolynomial, *rhs) -> float:
+    """max |canonical coefficient of lhs - the sum of those of rhs| over
+    the monomials, relative to max(1, max |canonical coefficient of lhs|)."""
+    diff = dict(lhs.canonical)
+    for poly in rhs:
+        for mono, c in poly.canonical:
+            diff[mono] = diff.get(mono, 0.0) - c
+    return max(map(abs, diff.values()), default=0.0) / _coefficient_scale(lhs)
+
+
+def off_degree_gap(poly: ExpansionPolynomial) -> float:
+    """The largest |canonical coefficient| of a degree other than the
+    polynomial's order, relative as in ``coefficient_gap``: 0 exactly when
+    poly(xi/c) = c^{-order} poly(xi) for every c > 0."""
+    off = [abs(c) for mono, c in poly.canonical if degree(mono) != poly.order]
+    return max(off, default=0.0) / _coefficient_scale(poly)
+
+
+def _coefficient_scale(poly: ExpansionPolynomial) -> float:
+    return max([1.0] + [abs(c) for _, c in poly.canonical])
+
+
+def raised(poly: ExpansionPolynomial) -> ExpansionPolynomial:
+    """|xi|^2 poly, term by term."""
+    return ExpansionPolynomial(
+        kind=poly.kind, order=poly.order + 2, dimension=poly.dimension,
+        terms=tuple(Term(t.coefficient, t.radial_power + 2, t.monomial)
+                    for t in poly.terms))
+
+
+def identity_gaps(table: MomentTable, order: int) -> list:
+    """(identity, k, gap) for every k <= order, in order of k: additivity
+    A_k = A_{k-1} + B_k, the recurrence B_k = |xi|^2 B_{k-2} + C_k from
+    k = 2 on, and the homogeneity of B_k, each compared on the canonical
+    coefficients of ``build_expansion``'s polynomials."""
+    gaps = []
+    for k in range(order + 1):
+        b_k = build_expansion("B", k, table)
+        gaps.append(("additivity", k, coefficient_gap(
+            build_expansion("A", k, table), build_expansion("A", k - 1, table),
+            b_k)))
+        if k >= 2:
+            gaps.append(("recurrence", k, coefficient_gap(
+                b_k, raised(build_expansion("B", k - 2, table)),
+                build_expansion("C", k, table))))
+        gaps.append(("homogeneity", k, off_degree_gap(b_k)))
+    return gaps
 
 
 # ---------------------------------------------------------------------------

@@ -918,15 +918,15 @@ def test_orders_whose_factorial_overflows_exit_2(datum_cfg, pair_cfg, tmp_path,
 
 @pytest.mark.parametrize("data, key, value", [
     ({"family": "box", "half_width": 1.0}, "k_values", [200]),
-    # property order 171 = k + 2
-    ({"family": "box", "half_width": 1.0}, "k_values", [169]),
+    # rate, sandwich and heat read moments to order k: 170 is the last
+    ({"family": "box", "half_width": 1.0}, "k_values", [171]),
     ({"family": "gaussian", "scale": 1.0}, "gammas", [171.0])])
 def test_report_rejects_moment_orders_that_overflow(tmp_path, capsys, data,
                                                     key, value):
     case = {"name": "c", "data": {"dimension": 1, "u0": data,
                                   "u1": {"family": "zero"}},
             "k_values": [0], "gammas": [0.0],
-            "checks": ["rate", "vanishing_heat", "properties"], key: value}
+            "checks": ["rate", "vanishing_heat"], key: value}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"cases": [case]}), encoding="utf-8")
     out_dir = tmp_path / "report"
@@ -959,7 +959,7 @@ def test_report_runs_wide_data(tmp_path):
     case = {"name": "wide", "data": {"dimension": 1,
                                      "u0": {"family": "box", "half_width": 1000.0},
                                      "u1": {"family": "zero"}},
-            "gammas": [0.0, 2.0], "checks": ["vanishing_heat", "properties"]}
+            "gammas": [0.0, 2.0], "checks": ["vanishing_heat"]}
     cfg = {"vanishing_t_grid": {"t_min": 1e6, "t_max": 1e9, "points": 7},
            "cases": [case]}
     cfg_path = tmp_path / "cfg.json"
@@ -1102,8 +1102,7 @@ def test_bad_datum_exits_2_before_output(tmp_path, capsys, command, datum,
     ("case", "ells", ["x"]), ("case", "ells", [float("inf")]),
     ("top", "seed", "abc"), ("top", "seed", 1.5), ("top", "seed", True),
     ("top", "seed", -1), ("top", "quad_tol", -1), ("top", "quad_tol", 0),
-    ("top", "rate_tolerance", float("nan")),
-    ("top", "property_tolerance", float("inf")),
+    ("top", "rate_tolerance", float("nan")), ("top", "quad_tol", float("inf")),
     ("top", "decay_fraction", 5), ("top", "decay_fraction", 0),
     ("top", "t_grid", {"t_min": 100.0, "t_max": 1e3, "points": 2.5}),
     ("top", "vanishing_t_grid", {"t_min": 1.0, "t_max": float("nan"),
@@ -1123,7 +1122,6 @@ def test_bad_datum_exits_2_before_output(tmp_path, capsys, command, datum,
     *(pytest.param(where, key, value, id=f"{key}-1e400") for where, key, value in [
         ("case", "gammas", [10 ** 400]), ("case", "ells", [10 ** 400]),
         ("top", "quad_tol", 10 ** 400), ("top", "rate_tolerance", 10 ** 400),
-        ("top", "property_tolerance", 10 ** 400),
         ("top", "decay_fraction", 10 ** 400),
         ("top", "t_grid", {"t_min": 10 ** 400, "t_max": 10 ** 401, "points": 3}),
         ("top", "vanishing_t_grid", {"t_min": 1.0, "t_max": 10 ** 400,
@@ -1144,7 +1142,7 @@ def test_report_rejects_bad_config_values_before_output(tmp_path, capsys,
                                   "u0": {"family": "gaussian", "scale": 1.0},
                                   "u1": {"family": "zero"}},
             "k_values": [0], "gammas": [0.0], "ells": [0.0],
-            "checks": ["rate", "vanishing_heat", "properties"]}
+            "checks": ["rate", "vanishing_heat"]}
     cfg = {"t_grid": {"t_min": 100.0, "t_max": 1e3, "points": 3},
            "vanishing_t_grid": {"t_min": 1.0, "t_max": 1e2, "points": 3},
            "cases": [case]}
@@ -1161,6 +1159,37 @@ def test_report_rejects_bad_config_values_before_output(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("config error: ")
     assert key in captured.err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("case", "checks", ["rate", "properties"]),
+    ("top", "property_tolerance", 1e-12),
+    # a bad number under the removed key is refused for the removal too
+    ("top", "property_tolerance", float("inf")),
+    ("top", "property_tolerance", 10 ** 400)],
+    ids=["properties-check", "property_tolerance-1e-12",
+         "property_tolerance-inf", "property_tolerance-1e400"])
+def test_report_refuses_the_removed_property_suite(tmp_path, capsys, where,
+                                                   key, value):
+    # the identities it checked hold for every datum; a config that still
+    # asks for them must not read as a pass
+    case = {"name": "g", "data": {"dimension": 1,
+                                  "u0": {"family": "gaussian", "scale": 1.0},
+                                  "u1": {"family": "zero"}},
+            "k_values": [0], "checks": ["rate"]}
+    cfg = {"t_grid": {"t_min": 100.0, "t_max": 1e3, "points": 3},
+           "cases": [case]}
+    {"top": cfg, "case": case}[where][key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out_dir = tmp_path / "report"
+    assert main(["report", "--config", str(cfg_path),
+                 "--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ")
+    name = "properties" if key == "checks" else key
+    assert f"the '{name}' " in captured.err and "was removed" in captured.err
     assert not out_dir.exists()
 
 
@@ -1185,7 +1214,7 @@ def test_report_rejects_repeated_case_names_before_output(tmp_path, capsys):
 @pytest.mark.parametrize("name, checks, code", [
     ("é" * 120 + "x", ["rate", "sandwich"], 0),
     ("é" * 120 + "xx", ["rate", "sandwich"], 2),
-    ("n" * 300, ["heat", "properties"], 0)],
+    ("n" * 300, ["heat"], 0)],
     ids=["255-bytes", "256-bytes", "no-curve-file"])
 def test_curve_file_names_may_take_255_bytes(tmp_path, capsys, name, checks,
                                              code):

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dampex import (Box, Case, Gaussian, InsufficientOrderError, Shifted,
-                    build_expansion, check_property_A, check_property_B,
-                    check_property_C, combine, moment_table,
-                    property_suite, zero_datum)
+from dampex import (Box, Gaussian, InsufficientOrderError, MomentTable,
+                    Shifted, build_expansion, combine, moment_table,
+                    zero_datum)
 from dampex.expansion import ExpansionPolynomial, Term, series_ball
-from dampex.indices import degree, indices_of_degree
+from dampex.indices import degree, indices_of_degree, indices_up_to
 from dampex.initial_data import GaussianMonomial
 
 from conftest import catalog_1d, catalog_2d, catalog_3d, catalog_families
-from oracles import heat_partial_sum
+from oracles import (IDENTITY_TOLERANCE, coefficient_gap, heat_partial_sum,
+                     identity_gaps, off_degree_gap, raised)
 
 
 def _sample(dimension, count=100, seed=7, radius=2.0):
@@ -27,16 +27,24 @@ def _sample(dimension, count=100, seed=7, radius=2.0):
     return g * (radius * rng.random(count) ** (1.0 / dimension))[:, None]
 
 
-def _check_A(table, k, tolerance=1e-12):
-    return check_property_A(build_expansion("A", k, table),
-                            build_expansion("A", k - 1, table),
-                            build_expansion("B", k, table), tolerance)
+def _additivity_gap(table, k):
+    """A_k against A_{k-1} + B_k, coefficient by canonical coefficient."""
+    return coefficient_gap(build_expansion("A", k, table),
+                           build_expansion("A", k - 1, table),
+                           build_expansion("B", k, table))
 
 
-def _check_B(table, k, tolerance=1e-12):
-    return check_property_B(build_expansion("B", k, table),
-                            build_expansion("B", k - 2, table),
-                            build_expansion("C", k, table), tolerance)
+def _recurrence_gap(table, k):
+    """B_k against |xi|^2 B_{k-2} + C_k, coefficient by canonical
+    coefficient."""
+    return coefficient_gap(build_expansion("B", k, table),
+                           raised(build_expansion("B", k - 2, table)),
+                           build_expansion("C", k, table))
+
+
+def _assert_identities_hold(table, order, label):
+    for name, k, gap in identity_gaps(table, order):
+        assert gap <= IDENTITY_TOLERANCE[name], (label, name, k, gap)
 
 
 class TestBuilders:
@@ -112,16 +120,15 @@ class TestIdentities:
         k_max = 6 if v.dimension < 3 else 4
         table = moment_table(v, k_max)
         for k in range(k_max + 1):
-            rep = _check_A(table, k, tolerance=1e-12)
-            assert rep["status"] == "pass", (k, rep["max_deviation"])
+            assert _additivity_gap(table, k) == 0.0, k
 
     @pytest.mark.parametrize("v", catalog_1d() + catalog_2d(),
                              ids=lambda v: f"{v.family}{v.dimension}d")
     def test_recurrence_up_to_order_six(self, v):
         table = moment_table(v, 6)
         for k in range(2, 7):
-            rep = _check_B(table, k, tolerance=1e-12)
-            assert rep["status"] == "pass", (k, rep["max_deviation"])
+            gap = _recurrence_gap(table, k)
+            assert gap <= IDENTITY_TOLERANCE["recurrence"], (k, gap)
 
     def test_recurrence_with_only_mass(self):
         # with just M_0 both sides of the order-two recurrence are M_0 |xi|^2
@@ -138,20 +145,47 @@ class TestIdentities:
     def test_homogeneity_specific_scale(self, gaussian_1d):
         table = moment_table(gaussian_1d, 2)
         b0 = build_expansion("B", 0, table)
-        assert check_property_C(b0, tolerance=1e-13)["status"] == "pass"
+        assert off_degree_gap(b0) == 0.0
         pts = _sample(1, 20)
         assert np.array_equal(b0(pts / 2.0), b0(pts))
 
     def test_homogeneity_requires_increment_kind(self, gaussian_1d):
+        # a profile keeps the increments of lower orders, and the gap sees
+        # their degrees
         table = moment_table(gaussian_1d, 2)
-        a = build_expansion("A", 2, table)
-        with pytest.raises(ValueError):
-            check_property_C(a)
+        assert off_degree_gap(build_expansion("A", 2, table)) > 0.1
+        assert off_degree_gap(build_expansion("B", 2, table)) == 0.0
 
     def test_zero_data_identities_hold_vacuously(self):
         table = moment_table(zero_datum(2), 4)
-        assert _check_A(table, 2)["max_deviation"] == 0.0
-        assert _check_B(table, 2)["max_deviation"] == 0.0
+        assert _additivity_gap(table, 2) == 0.0
+        assert _recurrence_gap(table, 2) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_catalog_family_to_order_eight(self, n):
+        for v in catalog_families(n):
+            _assert_identities_hold(moment_table(v, 8), 8, v)
+
+
+@st.composite
+def _moment_tables(draw, max_order=8):
+    """A table of drawn moments in 1-3 D, its zeros flagged exact or not."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(0, max_order))
+    indices = indices_up_to(n, order)
+    values = draw(st.lists(st.floats(-1e6, 1e6, allow_subnormal=False),
+                           min_size=len(indices), max_size=len(indices)))
+    entries = dict(zip(indices, values))
+    zeros = (frozenset(a for a, m in entries.items() if m == 0.0)
+             if draw(st.booleans()) else frozenset())
+    return MomentTable(dimension=n, order=order, entries=entries,
+                       exact_zeros=zeros)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(table=_moment_tables())
+def test_identities_hold_on_random_moment_tables(table):
+    _assert_identities_hold(table, table.order, table.order)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -164,8 +198,7 @@ def test_homogeneity_for_random_scales(c, k, seed):
                 dilation=1.0)
     table = moment_table(v, 4)
     poly = build_expansion("B", k, table)
-    rep = check_property_C(poly, tolerance=1e-12)
-    assert rep["status"] == "pass", rep["max_deviation"]
+    assert off_degree_gap(poly) == 0.0
     pts = _sample(2, 25, seed=seed)
     bound = sum(abs(t.coefficient) for t in poly.terms) * (2.0 / c) ** k
     assert np.max(np.abs(poly(pts / c) - c ** -k * poly(pts))) <= 1e-13 * bound
@@ -219,18 +252,18 @@ class TestCoefficientChecks:
                     want = complex(*map(float, exact.get(mono, (0, 0))))
                     assert abs(got.get(mono, 0.0) - want) <= 1e-15 * scale
             # the identities hold exactly on the coefficients, so the
-            # checks see only the float sums' rounding
+            # float comparisons see only the float sums' rounding
             b_k = polys["B"]
             assert _exact(polys["A"]) == _exact_sum(
                 _exact(build_expansion("A", k - 1, table)), _exact(b_k))
-            assert _check_A(table, k)["max_deviation"] <= 1e-15, k
+            assert _additivity_gap(table, k) == 0.0, k
             if k >= 2:
                 assert _exact(b_k) == _exact_sum(
                     _exact(build_expansion("B", k - 2, table), raise_by=1),
                     _exact(polys["C"]))
-                assert _check_B(table, k)["max_deviation"] <= 1e-15, k
+                assert _recurrence_gap(table, k) <= 1e-15, k
             assert all(sum(mono) == k for mono in _exact(b_k))
-            assert check_property_C(b_k)["max_deviation"] == 0.0, k
+            assert off_degree_gap(b_k) == 0.0, k
 
     def test_nudged_profile_fails_additivity(self):
         table = moment_table(Box(dimension=2, half_width=1.0), 4)
@@ -240,11 +273,10 @@ class TestCoefficientChecks:
             kind="A", order=4, dimension=2,
             terms=(Term(first.coefficient * (1 + 1e-6), first.radial_power,
                         first.monomial), *rest))
-        rep = check_property_A(nudged, build_expansion("A", 3, table),
-                               build_expansion("B", 4, table))
-        assert _check_A(table, 4)["status"] == "pass"
-        assert rep["status"] == "fail"
-        assert rep["max_deviation"] > 1e5 * rep["tolerance"]
+        gap = coefficient_gap(nudged, build_expansion("A", 3, table),
+                              build_expansion("B", 4, table))
+        assert _additivity_gap(table, 4) == 0.0
+        assert gap > 1e-7
 
     def test_increment_missing_a_flat_term_fails_the_recurrence(self):
         table = moment_table(Box(dimension=2, half_width=1.0), 4)
@@ -254,10 +286,10 @@ class TestCoefficientChecks:
         missing = ExpansionPolynomial(
             kind="B", order=4, dimension=2,
             terms=tuple(t for t in b_k.terms if t is not flat[0]))
-        rep = check_property_B(missing, build_expansion("B", 2, table),
-                               build_expansion("C", 4, table))
-        assert rep["status"] == "fail"
-        assert rep["max_deviation"] > 1e5 * rep["tolerance"]
+        gap = coefficient_gap(missing, raised(build_expansion("B", 2, table)),
+                              build_expansion("C", 4, table))
+        assert _recurrence_gap(table, 4) <= IDENTITY_TOLERANCE["recurrence"]
+        assert gap > 1e-7
 
     def test_increment_with_a_term_of_degree_k_plus_one_fails_homogeneity(self):
         table = moment_table(Box(dimension=2, half_width=1.0), 4)
@@ -265,10 +297,8 @@ class TestCoefficientChecks:
         stray = ExpansionPolynomial(
             kind="B", order=4, dimension=2,
             terms=(*b_k.terms, Term(0.5, 2, (3, 0))))
-        rep = check_property_C(stray)
-        assert check_property_C(b_k)["max_deviation"] == 0.0
-        assert rep["status"] == "fail"
-        assert rep["max_deviation"] > 1e5 * rep["tolerance"]
+        assert off_degree_gap(b_k) == 0.0
+        assert off_degree_gap(stray) > 1e-7
 
     def test_single_points_must_match_the_dimension(self, gaussian_1d):
         poly = build_expansion("A", 2, moment_table(gaussian_1d, 2))
@@ -282,21 +312,19 @@ class TestCoefficientChecks:
                 poly(np.ones(shape))
         assert poly(np.ones((2, 3, 2))).shape == (2, 3)
 
-    def test_property_suite_evaluates_no_polynomial(self, monkeypatch):
+    def test_identity_gaps_evaluate_no_polynomial(self, monkeypatch):
         def refuse(self, xi):
-            raise AssertionError("the property suite evaluated a polynomial")
+            raise AssertionError("an identity evaluated a polynomial")
 
         monkeypatch.setattr(ExpansionPolynomial, "__call__", refuse)
         v = Shifted(base=Gaussian(dimension=2, scale=1.0), center=(0.4, -0.3),
                     dilation=1.0)
-        case = Case("shifted", v, zero_datum(2), checks=("properties",),
-                    k_values=(2,))
-        reports = property_suite(case)
+        gaps = identity_gaps(moment_table(v, 4), 4)
         # additivity and homogeneity at k = 0..4, the recurrence from k = 2
-        assert [(r["name"], r["k"]) for r in reports if r["k"] == 2] == [
+        assert [(name, k) for name, k, _ in gaps if k == 2] == [
             ("additivity", 2), ("recurrence", 2), ("homogeneity", 2)]
-        assert len(reports) == 13
-        assert all(r["status"] == "pass" for r in reports)
+        assert len(gaps) == 13
+        assert all(gap <= IDENTITY_TOLERANCE[name] for name, _, gap in gaps)
 
 
 class TestStructure:

@@ -13,8 +13,8 @@ from dampex import (Box, Case, ConfigError, Gaussian,
                     Shifted, SpectralSolution, TimeGrid, build_expansion,
                     default_config, expected_decay_slope,
                     fit_decay_rate, heat_comparison, moment_table,
-                    property_suite, run_report, sandwich_check,
-                    vanishing_limit_check, zero_datum)
+                    run_report, sandwich_check, vanishing_limit_check,
+                    zero_datum)
 from dampex.cli import main
 from dampex.experiments import load_config, validate_config
 
@@ -208,7 +208,8 @@ class TestVanishingChecks:
                                   TimeGrid(1.0, 10.0, 3), variant="bogus")
 
     def test_gamma_outside_the_case_reads_its_own_moments(self):
-        # the default checks read moments to order 2; floor(3.0) is past it
+        # the default checks read moments to order max k = 0; floor(3.0)
+        # is past it
         v = Shifted(base=Gaussian(dimension=1, scale=1.0), center=(0.5,),
                     dilation=1.0)
         grid = TimeGrid(1.0, 1e4, 5)
@@ -216,7 +217,7 @@ class TestVanishingChecks:
             _case(v, checks=("vanishing_heat",), gammas=(3.0,)), grid,
             variant="heat", gamma=3.0)
         unlisted = _case(v)
-        assert unlisted.table.order == 2
+        assert unlisted.table.order == 0
         assert np.array_equal(vanishing_limit_check(
             unlisted, grid, variant="heat", gamma=3.0)[1][1], listed[1][1])
 
@@ -366,17 +367,6 @@ class TestHeatComparison:
         assert rep["relative_gap"] == 0.0
 
 
-class TestPropertySuite:
-    def test_all_pass_for_catalog_case(self):
-        v = Shifted(base=Gaussian(dimension=2, scale=1.0), center=(0.4, -0.3),
-                    dilation=1.0)
-        case = _case(v, checks=("properties",), k_values=(2,))
-        assert case.property_order == 4
-        reports = property_suite(case)
-        assert reports and all(r["status"] == "pass" for r in reports)
-        assert all(r["case"] == "case" for r in reports)
-
-
 @pytest.fixture(scope="module")
 def small_config():
     return {
@@ -389,8 +379,7 @@ def small_config():
                 "u0": {"family": "gaussian", "scale": 1.0},
                 "u1": {"family": "zero"}},
              "k_values": [0],
-             "checks": ["rate", "sandwich", "heat", "vanishing_heat",
-                        "properties"],
+             "checks": ["rate", "sandwich", "heat", "vanishing_heat"],
              "gammas": [0.0]},
         ],
     }
@@ -446,7 +435,7 @@ class TestRunReport:
                                    "u0": {"family": "gaussian"},
                                    "u1": {"family": "zero"}},
                           "k_values": [],
-                          "checks": ["rate", "sandwich", "properties"]}]}
+                          "checks": ["rate", "sandwich"]}]}
         summary = run_report(cfg, tmp_path / "nok")
         assert summary["passed"]
 
@@ -493,6 +482,16 @@ class TestRunReport:
     def test_default_config_is_valid(self):
         validate_config(default_config())
 
+    def test_rate_sandwich_and_heat_read_moments_to_order_k(self):
+        # k = 170 is the last order whose factorial is a float
+        run = validate_config({"cases": [{
+            "name": "top",
+            "data": {"dimension": 1,
+                     "u0": {"family": "box", "half_width": 1.0},
+                     "u1": {"family": "zero"}},
+            "k_values": [170], "checks": ["rate", "sandwich", "heat"]}]})
+        assert run.cases[0].moment_order == 170
+
     def test_left_out_settings_take_the_default_config_values(self):
         # one table holds the defaults; a caller that changes the config it
         # got changes neither the next one nor what a bare campaign reads
@@ -513,6 +512,15 @@ class TestRunReport:
             case = cfg["cases"][0]
             {"top": cfg, "case": case, "pair": case["data"]}[where][key] = 1
         assert self._schema_and_code_accept(cfg) == (where is None,) * 2
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("top", "property_tolerance", 1e-12),
+        ("case", "checks", ["rate", "properties"])])
+    def test_schema_and_validation_refuse_the_property_suite(self, where, key,
+                                                             value):
+        cfg = default_config()
+        {"top": cfg, "case": cfg["cases"][0]}[where][key] = value
+        assert self._schema_and_code_accept(cfg) == (False, False)
 
     @pytest.mark.parametrize("where, key, value", [
         ("datum", "scale", "1.0"), ("datum", "scale", True),
@@ -591,8 +599,7 @@ class TestFailVerdicts:
         self._shrink(monkeypatch, "residual_curve")
         self._shrink(monkeypatch, "vanishing_curve")
         summary = run_report(small_config, tmp_path / "out")
-        statuses = {e["check"]: e["status"] for e in summary["entries"]
-                    if e["check"] != "property"}
+        statuses = {e["check"]: e["status"] for e in summary["entries"]}
         assert statuses == {"rate": "pass", "sandwich": "fail",
                             "heat": "fail", "vanishing_heat": "pass"}
         assert summary["n_failed"] == 2 and not summary["passed"]
@@ -649,8 +656,18 @@ class TestCampaignState:
     # gauss-1d and box-1d by 1.8e-16 and the vanishing_heat
     # terminal_fraction and peak_fraction at gamma 2 and 2.5 by 1.6e-16;
     # shifted-gauss-2d kept its bytes, and no status moved
+    # (ce31987dc4926c46…).  The property suite left the campaign: its 30
+    # entries and "properties" in the three cases' echoed checks went, as
+    # did property_tolerance from the echoed settings; the 17 other entries
+    # and every curve file kept their bytes (DEFAULT_VERDICTS_SHA256)
     DEFAULT_SUMMARY_SHA256 = (
-        "ce31987dc4926c46bcda2bf1ec89093d8acbb13d555a33f381327d4c2eec18a1")
+        "473b4cf68228a1038af50aa76e79b8df45cf7bd70d37e6e09ebae2e2b538973a")
+    # sha256 of the default campaign's entries other than the property
+    # suite's (json.dumps, indent 2, sorted keys), then each curve file's
+    # name and bytes in name order, as the campaign wrote them before the
+    # property suite left it: no verdict and no curve moved with it
+    DEFAULT_VERDICTS_SHA256 = (
+        "fa0e2de9c262031db7f75ca7439a8aab56c4badfccd3747b6e754b645e31e61e")
 
     def test_two_campaigns_do_the_same_quadrature_work(self, tmp_path,
                                                       quadratures):
@@ -707,10 +724,15 @@ class TestCampaignState:
         # ball grows the case's one table, and the heat-vanishing head and
         # tail and both heat constants read the case's C_j: twelve tables
         # and twelve polynomials fewer than when the ball grew private
-        # tables and each of those built its own C_j
+        # tables and each of those built its own C_j.  Without the property
+        # suite, whose A, B and C to order max k + 2 went (61 -> 42
+        # polynomials), a case's first table reaches its largest k only,
+        # and the series balls of box-1d and shifted-gauss-2d each double
+        # it once more (8 -> 10 tables; gauss-1d's first table already
+        # reached order 2 for its largest gamma)
         counts = self._count_builds(monkeypatch)
         run_report(default_config(), tmp_path / "out")
-        assert counts == {"moment_table": 8, "build_expansion": 61}
+        assert counts == {"moment_table": 10, "build_expansion": 42}
 
     def test_the_case_table_grows_without_moving_a_polynomial(self, grid):
         # A_{-1} reads no moments, so either curve may be a fresh case's
@@ -723,11 +745,11 @@ class TestCampaignState:
             assert len(norms) == len(ts) and np.all(norms > 0)
         # polynomials built before the series ball grew the table keep
         # the terms a table to the grown order gives them
-        case = _case(v, checks=("heat", "properties"), k_values=(1,))
+        case = _case(v, checks=("heat",), k_values=(1,))
         built = {(kind, k): case.expansion(kind, k)
                  for kind in ("A", "B", "C")
                  for k in range(-1 if kind == "A" else 0,
-                                case.property_order + 1)}
+                                case.moment_order + 1)}
         start = case.table.order
         case.vanishing_curve(0, 0.0, grid, 1e-9)
         grown = case.table.order
@@ -795,6 +817,19 @@ class TestCampaignState:
         # each (case, kind, order) polynomial is built once per campaign
         assert builds and max(builds.values()) == 1
         assert summary["passed"]
+
+    def test_default_verdicts_and_curves_keep_their_bytes(self, tmp_path):
+        import hashlib
+        out = tmp_path / "out"
+        entries = run_report(default_config(), out)["entries"]
+        assert len(entries) == 17
+        assert all(e["check"] != "property" for e in entries)
+        digest = hashlib.sha256(
+            json.dumps(entries, indent=2, sort_keys=True).encode())
+        for path in sorted(out.glob("*.csv")):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == self.DEFAULT_VERDICTS_SHA256
 
 
 def _read_curve(case, key, tol):

@@ -51,8 +51,8 @@ call reads the same points, heat weights and transforms.
 One record holds a quadrature result: ``quadrature.QuadResult`` is the only
 dataclass with an ``error_estimate`` field, so no re-wrap drops ``stalled``.
 
-Each check writes its own summary entry: only the four checks and the
-property-entry helper hold a dict display with a ``"status"`` key.
+Each check writes its own summary entry: only the four checks hold a
+dict display with a ``"status"`` key.
 
 One rule stops the truncation probe: ``quadrature.truncation_radius``
 tests the floor once, over one list of candidate radii.
@@ -662,8 +662,7 @@ def test_each_check_writes_its_own_status():
                  ast.parse(path.read_text(encoding="utf-8")))}
     checks = {"fit_decay_rate", "sandwich_check", "heat_comparison",
               "vanishing_limit_check"}
-    assert found == ({("experiments", name) for name in checks}
-                     | {("expansion", "_property_entry")})
+    assert found == {("experiments", name) for name in checks}
 
 
 def test_status_guard_sees_dict_displays_with_the_key_only():
