@@ -312,7 +312,8 @@ class TestCoefficientChecks:
                 poly(np.ones(shape))
         assert poly(np.ones((2, 3, 2))).shape == (2, 3)
 
-    def test_identity_gaps_evaluate_no_polynomial(self, monkeypatch):
+    def test_property_suite_evaluates_no_polynomial(self, monkeypatch):
+        """The identities (``identity_gaps``) compare coefficients only."""
         def refuse(self, xi):
             raise AssertionError("an identity evaluated a polynomial")
 

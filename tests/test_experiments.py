@@ -18,6 +18,8 @@ from dampex import (Box, Case, ConfigError, Gaussian,
 from dampex.cli import main
 from dampex.experiments import load_config, validate_config
 
+from oracles import IDENTITY_TOLERANCE, identity_gaps
+
 
 def _case(v, **options):
     """A case for datum ``v`` (u1 = 0) with the given checks and orders."""
@@ -365,6 +367,20 @@ class TestHeatComparison:
         assert rep["increment_constant"] == 0.0
         assert rep["heat_constant"] == 0.0
         assert rep["relative_gap"] == 0.0
+
+
+class TestPropertySuite:
+    def test_all_pass_for_catalog_case(self):
+        """Every identity holds on a catalog case's own table, grown to
+        order max k + 2."""
+        v = Shifted(base=Gaussian(dimension=2, scale=1.0), center=(0.4, -0.3),
+                    dilation=1.0)
+        case = _case(v, k_values=(2,))
+        table = case.table_to(max(case.k_values) + 2)
+        assert table.order == 4
+        gaps = identity_gaps(table, 4)
+        assert len(gaps) == 13
+        assert all(gap <= IDENTITY_TOLERANCE[name] for name, _, gap in gaps)
 
 
 @pytest.fixture(scope="module")
