@@ -66,6 +66,24 @@ def _parse_region(text, dimension):
                       "ball:r | annulus:a,b | ext:r | full")
 
 
+def _grid_axis(lo, hi, count):
+    """``count`` points from ``lo`` to ``hi``, built from both ends with
+    numpy's one step (hi - lo) / (count - 1): the points below the middle
+    are ``np.linspace(lo, hi, count)``'s, each one above it is the same
+    multiple of the step taken back from ``hi``, and an odd count's middle
+    point is (lo + hi) / 2.  So an axis with lo = -hi is the exact negation
+    of its reverse, with 0.0 in the middle, and points that mirror each
+    other get the same text."""
+    axis = np.linspace(lo, hi, count)
+    half = count // 2
+    axis[count - half:] = np.linspace(hi, lo, count)[:half][::-1]
+    if count > 1 and count % 2:
+        # halved first, so the sum stays in the floats; the same double as
+        # (lo + hi) / 2 unless a bound is subnormal
+        axis[half] = lo / 2 + hi / 2
+    return axis
+
+
 def _parse_xi_grid(text, dimension):
     kind, _, rest = text.partition(":")
     if kind != "lin":
@@ -75,7 +93,12 @@ def _parse_xi_grid(text, dimension):
         lo, hi = (number(float(b), f"xi grid {text!r} bound",
                          need="bounds must be finite") for b in (lo, hi))
         count = int(count)
-        axis = np.linspace(lo, hi, count)
+        axis = _grid_axis(lo, hi, count)
+        # finite bounds can still take the step (hi - lo) / (count - 1), and
+        # with it nan or inf, into the points; the largest |point| is nan or
+        # inf then
+        number(float(np.abs(axis).max(initial=0.0)),
+               f"xi grid {text!r} point", need="points must be finite")
         grids = np.meshgrid(*([axis] * dimension), indexing="ij")
         return axis, np.stack([g.ravel() for g in grids], axis=-1)
     except ValueError as exc:

@@ -187,13 +187,28 @@ def test_solve_regular_representation_covers_band(pair_cfg, tmp_path):
     assert rc == 0
 
 
+def _reference_axis(grid):
+    """The axis of ``lin:lo,hi,count`` point by point, from both ends with
+    the one step (hi - lo) / (count - 1): lo + i * step below the middle,
+    hi - i * step at index count - 1 - i above it, and (lo + hi) / 2 in the
+    middle of an odd count; [] and [lo] for counts 0 and 1."""
+    lo, hi, count = grid.partition(":")[2].split(",")
+    lo, hi, count = float(lo), float(hi), int(count)
+    if count < 2:
+        return [lo][:count]
+    step = (hi - lo) / (count - 1)
+    half = count // 2
+    middle = [(lo + hi) / 2] if count % 2 else []
+    return ([lo + i * step for i in range(half)] + middle
+            + [hi - i * step for i in reversed(range(half))])
+
+
 def _reference_solve_csv(pair, ts, grid, rep):
     """The ``solve`` CSV as the original row loop wrote it: one ``evaluate``
     call per time, every coordinate and value formatted row by row."""
     u0, u1 = pair_from_config(pair)
     sol = SpectralSolution(u0=u0, u1=u1)
-    lo, hi, count = grid.partition(":")[2].split(",")
-    axis = np.linspace(float(lo), float(hi), int(count))
+    axis = np.array(_reference_axis(grid))
     grids = np.meshgrid(*([axis] * sol.dimension), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     rows = ["t," + ",".join(f"xi{j + 1}" for j in range(sol.dimension))
@@ -258,14 +273,14 @@ def test_solve_csv_is_byte_identical_to_the_row_loop(dimension, rep, tmp_path,
 # -0.0 in the im column.  evaluate takes the real transforms as complex, so
 # every form keeps these bytes
 _PINNED_SOLVE_SHA256 = {
-    (1, "2.1"): "e247b5b95a522c42b34a70f5c26af8daf0234307aa2d08de69d5557c27663709",
-    (1, "2.2"): "d8f46dd49ddd4d68c5c5a3210c75fb1285e42c40737bb3f2a7cceb3f5d64b776",
-    (1, "2.3"): "01fbdddd40a533dbc46f3026703f2d1be422693068d4c030386d5d5a39ac8a14",
-    (1, "2.4"): "b3556fe446aa237850579acc5673147a78ca172ac24333b76231120c937a224a",
-    (2, "2.1"): "6d5bd6837f34727ae0228d1878f68dc04b32820b1aacb21b0d5adcc08c6cfcf3",
-    (2, "2.2"): "a867a8f8bb558b5356f54e08f98ee774d5d7817b82d9f0144169ca1d3baf8d0d",
-    (2, "2.3"): "0a46364a7c3ffd9106bb0f650d9d3c7c0157944cd96dd45630cc2346c5a9019e",
-    (2, "2.4"): "1ae6b5e7a898c8ce13b547fb36c522b0cdb780ea5662e1ea8854c1197456c5a3",
+    (1, "2.1"): "e8660f4517c1cd5bfc0663ab65c16bb6377186e6324a30d85b5554a6a15d7996",
+    (1, "2.2"): "d3409bf8014ff130feaaac5cbcfeb9adf68dacfa0c4469037b2adcd470d65fbb",
+    (1, "2.3"): "9ae6a0785df4341d45fcee6dc3629c5a7bf7ba498978955af67a07e2db30adc9",
+    (1, "2.4"): "a6cc299a59cbb7692f413b40599ac3b71a7797ca48e15cff7c3326ff1270c87b",
+    (2, "2.1"): "c9e9c4f5ea8a21d7486562a9ae9b63b8f46698992a7d7ed332fc9b0f0c4c2ee2",
+    (2, "2.2"): "bb5c3d29e9cbf80b0a49768b334e225e956bf6b9415f3d733bf393bfcce04b09",
+    (2, "2.3"): "918dcde2ce8d71c9495dbf67137a91a863aea4342c881720d2e5ae485e6e8af7",
+    (2, "2.4"): "b393bd7491d3a0fc168ce12cd09ef1964a312dc029c1dfe261387db146ceaf9a",
 }
 
 
@@ -286,6 +301,67 @@ def test_solve_bytes_of_phase_free_data_are_pinned(dimension, rep, tmp_path):
     assert (b",-0.0\n" in data) == (rep in ("2.1", "2.3"))
     assert (hashlib.sha256(data).hexdigest()
             == _PINNED_SOLVE_SHA256[dimension, rep])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+# np.linspace puts 2.2e-16, not 0.0, in the middle of lin:-1.7,1.7,47
+@pytest.mark.parametrize("grid", [
+    "lin:-2,2,41", "lin:-2.345,2.345,316", "lin:-1.7,1.7,46", "lin:2,-2,8",
+    "lin:-3e-300,3e-300,5", "lin:-1.7,1.7,47"])
+def test_the_grid_axis_is_the_negation_of_its_reverse(grid):
+    lo, hi, count = grid.partition(":")[2].split(",")
+    lo, hi, count = float(lo), float(hi), int(count)
+    axis = cli._parse_xi_grid(grid, 1)[0]
+    half = count // 2
+    assert np.array_equal(_bits(axis), _bits(_reference_axis(grid)))
+    # bitwise: each point above the middle negates its mirror, and an odd
+    # count's middle is +0.0
+    assert np.array_equal(_bits(axis[count - half:]), _bits(-axis[:half][::-1]))
+    if count % 2:
+        assert _bits(axis[half]) == _bits(0.0)
+    # below the middle, numpy's bits; everywhere within 2 ulp of them
+    linspace = np.linspace(lo, hi, count)
+    assert np.array_equal(_bits(axis[:half]), _bits(linspace[:half]))
+    assert (np.abs(axis - linspace)
+            <= 2 * np.spacing(max(abs(lo), abs(hi)))).all()
+
+
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_a_grid_of_up_to_two_points_is_its_bounds(count):
+    axis, pts = cli._parse_xi_grid(f"lin:-1.3,2.9,{count}", 2)
+    assert axis.tolist() == [-1.3, 2.9][:count]
+    assert pts.shape == (count ** 2, 2)
+
+
+@pytest.mark.parametrize("u0", [
+    {"family": "gaussian", "scale": 0.8, "amplitude": 1.1},
+    {"family": "box", "half_width": 0.7, "amplitude": -0.6}],
+    ids=["gaussian", "box"])
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_mirrored_points_of_even_data_write_the_same_values(dimension, u0,
+                                                            tmp_path):
+    # the rows at xi and at each single-axis sign flip of xi hold the same
+    # re,im text; swapping two axes may move the last bit of a product, so
+    # swaps are not compared
+    cfg = tmp_path / "pair.json"
+    cfg.write_text(json.dumps({
+        "dimension": dimension, "u0": u0,
+        "u1": {"family": "gaussian", "scale": 0.7, "amplitude": 1.3}}),
+        encoding="utf-8")
+    out = tmp_path / "sol.csv"
+    ts = [0.0, 0.37, 5.0, 720.0]
+    assert main(["solve", "--data", str(cfg), "--t", ",".join(map(repr, ts)),
+                 "--xi-grid", "lin:-2.1,2.1,15", "--out", str(out)]) == 0
+    values = np.array(
+        [line.split(",", 1 + dimension)[-1]
+         for line in out.read_text().splitlines()[1:]],
+        dtype=object).reshape((len(ts),) + (15,) * dimension)
+    assert len(set(values.ravel().tolist())) > 15
+    for j in range(dimension):
+        assert (values == np.flip(values, axis=1 + j)).all()
 
 
 def _count_forks(monkeypatch):
@@ -473,23 +549,29 @@ def test_solve_forked_into_an_in_memory_output(tmp_path, monkeypatch):
     assert len(forks) == 1
 
 
-def test_solve_holds_its_values_and_a_bounded_text(tmp_path, monkeypatch):
-    # the benchmark's warm-up request, 46**3 points at three times, on the
-    # forked path: the values take 4.5 MiB, and with the text of this
-    # process's points and a few chunks the peak stays within 20 MiB; a
-    # half-block of text per time took it to 31 MiB
+def _warm_up_argv(tmp_path):
+    """The ``solve`` argv of the benchmark's warm-up request: a 3-D Gaussian
+    pair on 46**3 points at three times, written to ``sol.csv``."""
     cfg = tmp_path / "radial.json"
     cfg.write_text(json.dumps({
         "dimension": 3,
         "u0": {"family": "gaussian", "scale": 0.86, "amplitude": 1.3},
         "u1": {"family": "gaussian", "scale": 0.69, "amplitude": 1.19}}),
         encoding="utf-8")
+    return ["solve", "--data", str(cfg), "--t", "0.48,3.9,42.0",
+            "--xi-grid", "lin:-2.1,2.1,46", "--out", str(tmp_path / "sol.csv")]
+
+
+def test_solve_holds_its_values_and_a_bounded_text(tmp_path, monkeypatch):
+    # the benchmark's warm-up request, 46**3 points at three times, on the
+    # forked path: the values take 4.5 MiB, and with the text of this
+    # process's points and a few chunks the peak stays within 20 MiB; a
+    # half-block of text per time took it to 31 MiB
     forks = _count_forks(monkeypatch)
     out = tmp_path / "sol.csv"
     tracemalloc.start()
     try:
-        assert main(["solve", "--data", str(cfg), "--t", "0.48,3.9,42.0",
-                     "--xi-grid", "lin:-2.1,2.1,46", "--out", str(out)]) == 0
+        assert main(_warm_up_argv(tmp_path)) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -575,6 +657,20 @@ def test_solve_formats_each_distinct_value_once(tmp_path, monkeypatch):
         assert (4 * distinct < 2 * rows) == shared
 
 
+def test_solve_formats_the_mirrored_values_of_even_data_once(tmp_path,
+                                                             monkeypatch):
+    # the warm-up request on one CPU: 46 axis values, 3 heads and each
+    # distinct value of each time.  Its points at each sign flip of their
+    # coordinates share one value, which the mirrored axis keeps exact; an
+    # axis of np.linspace alone made 16,705 calls
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    reprs = []
+    monkeypatch.setattr(cli, "repr", lambda v: reprs.append(v) or repr(v),
+                        raising=False)
+    assert main(_warm_up_argv(tmp_path)) == 0
+    assert len(reprs) == 7054
+
+
 @pytest.mark.parametrize("forked", [True, False])
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_solve_on_an_empty_grid_writes_the_header_alone(dimension, forked,
@@ -649,6 +745,23 @@ def test_solve_rejects_non_finite_grid_bounds(pair_cfg, tmp_path, capsys,
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "bounds must be finite" in captured.err
+
+
+@pytest.mark.parametrize("grid", ["lin:-1e308,1e308,3", "lin:1e308,-1e308,2",
+                                  "lin:-1.5e308,1.5e308,4"])
+def test_solve_rejects_a_grid_whose_step_overflows(pair_cfg, tmp_path, capsys,
+                                                   grid):
+    # finite bounds, but (hi - lo) / (count - 1) leaves the floats, and the
+    # points with it
+    out = tmp_path / "x.csv"
+    argv = ["solve", "--data", pair_cfg, "--t", "1.0", "--xi-grid", grid]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    message = (f"config error: bad xi grid {grid!r} point nan: points must "
+               "be finite\n")
+    assert capsys.readouterr().err == message
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 def test_solve_output_failing_under_a_blocked_child_exits_2(tmp_path, capsys,
