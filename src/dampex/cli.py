@@ -113,19 +113,23 @@ def _too_large(text, count, dimension):
             "points")
 
 
-def _grid_coordinates(axis, dimension, rows):
-    """The CSV text of the points of ``_parse_xi_grid`` at the indices
-    ``rows`` of its ``ij`` order (first axis slowest).  Each axis value is
-    formatted once, and the text of the first ``dimension - 1`` coordinates
-    once per distinct head."""
+def _grid_coordinates(axis, dimension, runs):
+    """The CSV text of the points of ``_parse_xi_grid`` in the runs ``runs``,
+    (start, stop) pairs of indices of its ``ij`` order (first axis
+    slowest), run after run.  Each axis value is formatted once, and the
+    text of the first ``dimension - 1`` coordinates once per distinct
+    head."""
     values = [repr(c) for c in axis.tolist()]
     heads = [""]
     for _ in range(dimension - 1):
         heads = [f"{head}{c}," for head in heads for c in values]
-    head, last = np.divmod(rows, len(values))
-    heads = np.array(heads, dtype=object)[head].tolist()
-    return [h + c for h, c in
-            zip(heads, np.array(values, dtype=object)[last].tolist())]
+    heads, values = (np.array(text, dtype=object) for text in (heads, values))
+    coords = []
+    for start, stop in runs:
+        head, last = np.divmod(np.arange(start, stop), len(values))
+        coords += [h + c for h, c in
+                   zip(heads[head].tolist(), values[last].tolist())]
+    return coords
 
 
 def cmd_moments(args):
@@ -172,11 +176,11 @@ def cmd_solve(args):
                 # on a full pipe ends with BrokenPipeError
                 stack.callback(os.waitpid, child[0], 0)
                 pipe = stack.enter_context(open(child[1], "rb"))
-            # alone this process formats every chunk, with a child the even
-            # ones, and the child the odd ones
+            # alone this process formats every run, with a child the runs
+            # of the even folded chunks, and the child those of the odd ones
             step = 1 if pipe is None else 2
             coords = _grid_coordinates(
-                axis, sol.dimension, _chunk_rows(vals.shape[1], 0, step))
+                axis, sol.dimension, _own_runs(vals.shape[1], step, 0))
         except MemoryError as exc:
             raise ConfigError(_too_large(args.xi_grid, len(axis),
                                          sol.dimension)) from exc
@@ -200,80 +204,108 @@ def _evaluate(sol, ts, pts, rep):
     return vals
 
 
-def _chunk_rows(size, first, step):
-    """The indices of the rows of every ``step``-th chunk from chunk
-    ``first`` on, of a time of ``size`` rows; chunk i holds the CHUNK_ROWS
-    rows from i * CHUNK_ROWS on."""
-    index = np.arange(size)
-    return index[index // CHUNK_ROWS % step == first]
+def _runs(size, step):
+    """The runs of rows of a time of ``size`` rows, as (owner, start, stop)
+    in grid order, empty runs left out.  Row r lies in folded chunk
+    min(r, size - 1 - r) // CHUNK_ROWS, so chunk k is a run of up to
+    CHUNK_ROWS rows of the lower half and the run of the upper half that
+    mirrors it; the process ``k % step`` owns both, 0 this one and 1 the
+    child."""
+    half = (size + 1) // 2
+    starts = range(0, half, CHUNK_ROWS)
+    low = [(k % step, a, min(a + CHUNK_ROWS, half))
+           for k, a in enumerate(starts)]
+    high = [(k % step, max(size - a - CHUNK_ROWS, half), size - a)
+            for k, a in enumerate(starts)]
+    return [run for run in low + high[::-1] if run[1] < run[2]]
 
 
-def _format_rows(t, coords, row):
-    """The CSV rows of the values ``row`` at time ``t`` and the points
-    whose text is ``coords``, yielded CHUNK_ROWS rows at a time, each chunk
-    built by one ``%`` over a row template.
+def _own_runs(size, step, owner):
+    """(start, stop) of each run of ``_runs(size, step)`` that ``owner``
+    formats, in grid order."""
+    return [(a, b) for who, a, b in _runs(size, step) if who == owner]
 
-    When at most half of the re and im values of ``row`` are distinct
-    doubles, as for radially symmetric or box data, each distinct one is
-    formatted once and its text gathered into every place it takes;
-    otherwise ``%r`` formats every value.  The rule is applied once over
-    all of ``row``, one process's rows of one time.  Values are told apart
-    by their bits, so ``0.0`` and ``-0.0`` keep their own text.  Both ways
-    give the bytes of ``repr`` per value."""
+
+def _format_rows(t, runs, coords, row):
+    """The CSV rows of the values of ``row``, a time's values, at time ``t``
+    in the runs ``runs`` of (start, stop) indices, whose points' text is
+    ``coords``; yielded one run at a time, each built by one ``%`` over a
+    row template.
+
+    One rule decides over all the runs, one process's rows of one time.
+    The distinct doubles among their re and im values are found by their
+    bits, so ``0.0`` and ``-0.0`` keep their own text, and then folded:
+    each v < 0 takes the text ``"-" + repr(-v)``, which is ``repr(v)``; a
+    NaN is not < 0, so it stays ``nan`` whatever its sign.
+    When at most half of the values are distinct after the fold, as for
+    radially symmetric or box data and for the conjugate values real data
+    take at mirrored points, each folded value is formatted once and its
+    text gathered into every place it takes; otherwise ``%r`` formats every
+    value.  Both ways give the bytes of ``repr`` per value."""
     if not coords:
         return
     head = repr(t)
+    row = np.concatenate([row[a:b] for a, b in runs])
     # flattened before np.unique, whose inverse took the input's shape in
     # numpy 2.0
     pairs = np.stack([row.real, row.imag], axis=-1).ravel()
-    # a sort and a count of changes decide, and only a gather needs the
-    # inverse; the sorted copy goes before either branch builds its values
-    ranked = np.sort(pairs.view(np.int64))
-    distinct = 1 + np.count_nonzero(ranked[1:] != ranked[:-1])
+    bits = pairs.view(np.int64)
+    # a sort and a mask find the distinct values (np.unique without an
+    # inverse took ten times as long), so only they are folded; the inverse
+    # over all values is taken on the shared-text branch alone
+    ranked = np.sort(bits)
+    signed = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
     del ranked
-    if 2 * distinct <= pairs.size:
-        bits, where = np.unique(pairs.view(np.int64), return_inverse=True)
-        texts = np.array([repr(v) for v in bits.view(np.float64).tolist()],
-                         dtype=object)
-        spec, values = "%s", texts[where]
+    signed = signed.view(np.float64)
+    negative = signed < 0
+    folded, index = np.unique(
+        np.where(negative, -signed, signed).view(np.int64),
+        return_inverse=True)
+    if 2 * folded.size <= pairs.size:
+        texts = np.array([repr(v) for v in folded.view(np.float64).tolist()],
+                         dtype=object)[index]
+        texts[negative] = "-" + texts[negative]
+        spec, values = "%s", texts[np.unique(bits, return_inverse=True)[1]]
     else:
         spec, values = "%r", pairs
     cell = f",{spec},{spec}\n"
-    for start in range(0, len(coords), CHUNK_ROWS):
-        block = coords[start:start + CHUNK_ROWS]
-        yield ((head + "," + (cell + head + ",").join(block) + cell)
-               % tuple(values[2 * start:2 * (start + len(block))].tolist()))
+    start = 0
+    for a, b in runs:
+        stop = start + b - a
+        yield ((head + "," + (cell + head + ",").join(coords[start:stop])
+                + cell) % tuple(values[2 * start:2 * stop].tolist()))
+        start = stop
 
 
 def _write_rows(handle, pipe, step, ts, vals, axis, dimension, coords):
-    """Write the rows of every time, chunk by chunk in grid order.
+    """Write the rows of every time, run by run in grid order.
 
-    This process formats every ``step``-th chunk from the first, whose
-    points' text is ``coords``; with a child's ``pipe`` it copies each other
-    chunk from there as bytes.  After EOF or a short chunk it formats the
-    child's chunks itself, each from the text of its own points.  Every
-    chunk comes from ``_format_rows``, so the bytes are those of one
+    This process formats the runs it owns in ``_runs(size, step)``, whose
+    points' text is ``coords``; with a child's ``pipe`` it copies each of
+    the child's runs from there as bytes.  After EOF or a short run it
+    formats the child's runs itself, each from the text of its own points.
+    Every run comes from ``_format_rows``, so the bytes are those of one
     process."""
-    size = vals.shape[1]
-    rows = _chunk_rows(size, 0, step)
+    runs = _runs(vals.shape[1], step)
+    own = _own_runs(vals.shape[1], step, 0)
     buffer = bytearray()
     for t, row in zip(ts, vals):
-        own = _format_rows(t, coords, row[rows])
-        for i in range(-(-size // CHUNK_ROWS)):
-            if i % step == 0:
-                handle.write(next(own))
+        texts = _format_rows(t, own, coords, row)
+        for who, a, b in runs:
+            if who == 0:
+                handle.write(next(texts))
             elif pipe is None or not _copy_chunk(pipe, handle, buffer):
                 pipe = None
-                lost = np.arange(size)[i * CHUNK_ROWS:(i + 1) * CHUNK_ROWS]
                 handle.write("".join(_format_rows(
-                    t, _grid_coordinates(axis, dimension, lost), row[lost])))
+                    t, [(a, b)], _grid_coordinates(axis, dimension, [(a, b)]),
+                    row)))
 
 
 def _fork_formatter(ts, vals, axis, dimension):
-    """(pid, pipe read end) of a child that formats the odd row chunks of
-    every time and sends each, length-prefixed, as soon as it is
-    formatted; None without two usable CPUs or when the fork fails.  The
-    child builds the text of its own points only."""
+    """(pid, pipe read end) of a child that formats the runs of the odd
+    folded chunks of every time and sends each, length-prefixed, as soon as
+    it is formatted; None without two usable CPUs or when the fork fails.
+    The child builds the text of its own points only."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2):
         return None
@@ -294,11 +326,11 @@ def _fork_formatter(ts, vals, axis, dimension):
     status = 1
     try:
         os.close(read_end)
-        rows = _chunk_rows(vals.shape[1], 1, 2)
-        coords = _grid_coordinates(axis, dimension, rows)
+        runs = _own_runs(vals.shape[1], 2, 1)
+        coords = _grid_coordinates(axis, dimension, runs)
         with open(write_end, "wb") as pipe:
             for t, row in zip(ts, vals):
-                for text in _format_rows(t, coords, row[rows]):
+                for text in _format_rows(t, runs, coords, row):
                     chunk = text.encode()
                     pipe.write(len(chunk).to_bytes(8, "little"))
                     pipe.write(chunk)

@@ -14,12 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dampex import cli
+from dampex import Gaussian, cli
 from dampex.cli import main
 from dampex.experiments import default_config
 from dampex.initial_data import pair_from_config
 from dampex.quadrature import QuadResult
 from dampex.spectral import REPRESENTATIONS, SpectralSolution
+from conftest import catalog_families
 from oracles import format_rows_row_loop
 
 
@@ -364,6 +365,25 @@ def test_mirrored_points_of_even_data_write_the_same_values(dimension, u0,
         assert (values == np.flip(values, axis=1 + j)).all()
 
 
+@pytest.mark.parametrize("count", [15, 16])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_real_data_take_conjugate_values_at_mirrored_points(dimension, count):
+    # row size - 1 - r of a grid with lo = -hi is the point -xi of row r,
+    # and real data take the conjugate value there to the bit (== ignores
+    # only the sign of a zero).  solve gives each row and its mirror to one
+    # process, whose distinct-value rule then formats the pair's values
+    # once; a transform that broke this would keep the bytes but lose the
+    # speed
+    pts = cli._parse_xi_grid(f"lin:-2.1,2.1,{count}", dimension)[1]
+    assert np.array_equal(pts[::-1], -pts)
+    gauss = Gaussian(dimension=dimension, scale=0.7, amplitude=1.3)
+    for datum in catalog_families(dimension):
+        for u0, u1 in ((datum, gauss), (gauss, datum)):
+            vals = cli._evaluate(SpectralSolution(u0=u0, u1=u1),
+                                 _SOLVE_TIMES, pts, "2.4")
+            assert np.array_equal(vals[:, ::-1], np.conj(vals)), datum
+
+
 def _count_forks(monkeypatch):
     """Let ``cmd_solve`` see two usable CPUs and record its forks."""
     forks, fork = [], os.fork
@@ -404,7 +424,8 @@ def test_solve_formats_the_rows_of_a_failed_child(tmp_path, capsys,
                                                   monkeypatch):
     pair, cfg = _solve_pair(3, tmp_path)
     forks = _count_forks(monkeypatch)
-    # 343 rows a time in chunks of 64, so the child's share is 3 chunks
+    # 343 rows a time in chunks of 64: the child owns folded chunk 1, rows
+    # 64-127 and their mirrors 215-278
     monkeypatch.setattr(cli, "CHUNK_ROWS", 64)
     me, format_rows = os.getpid(), cli._format_rows
 
@@ -482,12 +503,17 @@ def test_solve_bytes_at_chunk_edges(dimension, rows, phase, forked, tmp_path,
 def test_solve_writes_the_rows_of_a_child_that_dies_midway(sent, tmp_path,
                                                            capsys,
                                                            monkeypatch):
-    # 7 x 7 rows a time in chunks of 10: the child takes chunks 1 and 3 of
-    # each of the two times, and dies after sending its 0th chunk (within
-    # the first time) or its 1st (between the times)
+    # 7 x 7 rows a time in chunks of 10: the child owns folded chunk 1, rows
+    # 10-19 and their mirrors 29-38, of each of the two times, and dies
+    # after sending its 0th run (within the first time) or its 1st (between
+    # the times)
     pair, cfg = _solve_pair(2, tmp_path)
-    forks = _count_forks(monkeypatch)
     monkeypatch.setattr(cli, "CHUNK_ROWS", 10)
+    argv = ["solve", "--data", cfg, "--t", "0.37,5.0", "--xi-grid",
+            "lin:-1.5,1.5,7"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    alone = _solve_outputs(argv, tmp_path, capsys)
+    forks = _count_forks(monkeypatch)
     me, format_rows = os.getpid(), cli._format_rows
     sent_by_child, calls = [], []
 
@@ -502,15 +528,65 @@ def test_solve_writes_the_rows_of_a_child_that_dies_midway(sent, tmp_path,
             yield text
 
     monkeypatch.setattr(cli, "_format_rows", dying)
-    argv = ["solve", "--data", cfg, "--t", "0.37,5.0", "--xi-grid",
-            "lin:-1.5,1.5,7"]
     expected = _reference_solve_csv(pair, [0.37, 5.0], "lin:-1.5,1.5,7",
                                     "auto")
-    assert _solve_outputs(argv, tmp_path, capsys) == (expected, expected)
+    assert alone == _solve_outputs(argv, tmp_path, capsys) == (expected,
+                                                               expected)
     assert len(forks) == 2
-    # per run: this process's rows of each time, then each chunk the child
+    # per run: this process's rows of each time, then each run the child
     # did not send, formatted on its own
     assert len(calls) == 2 * (2 + 4 - (sent + 1))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 9, 10, 11, 19, 20, 21, 49, 64, 99])
+@pytest.mark.parametrize("chunk", [1, 3, 10])
+def test_runs_pair_each_row_with_its_mirror(size, chunk, monkeypatch):
+    monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
+    for step in (1, 2):
+        runs = cli._runs(size, step)
+        # every row once in grid order, in runs of 1 to CHUNK_ROWS rows
+        assert [r for _, a, b in runs for r in range(a, b)] == list(
+            range(size))
+        assert all(0 < b - a <= chunk for _, a, b in runs)
+        # row r and its mirror belong to folded chunk
+        # min(r, size - 1 - r) // CHUNK_ROWS and so to one process
+        owner = {r: who for who, a, b in runs for r in range(a, b)}
+        assert all(owner[r] == owner[size - 1 - r]
+                   == min(r, size - 1 - r) // chunk % step
+                   for r in range(size))
+        for who in range(step):
+            assert cli._own_runs(size, step, who) == [
+                (a, b) for w, a, b in runs if w == who]
+
+
+# shifted 2-D grids in chunks of 10 rows: 7**2 = 49 rows a time (odd, the
+# middle row in a run of 5 and its neighbours above in one of 4), 8**2 = 64
+# (even, the middle runs 2 rows each, the child's) and 3**2 = 9 (one folded
+# chunk, so the child owns no run)
+@pytest.mark.parametrize("count, runs", [
+    (7, [(0, 0, 10), (1, 10, 20), (0, 20, 25), (0, 25, 29), (1, 29, 39),
+         (0, 39, 49)]),
+    (8, [(0, 0, 10), (1, 10, 20), (0, 20, 30), (1, 30, 32), (1, 32, 34),
+         (0, 34, 44), (1, 44, 54), (0, 54, 64)]),
+    (3, [(0, 0, 5), (0, 5, 9)])], ids=["odd", "even", "below-a-chunk"])
+def test_the_folded_split_writes_the_one_cpu_bytes(count, runs, tmp_path,
+                                                   capsys, monkeypatch):
+    pair, cfg = _solve_pair(2, tmp_path)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 10)
+    assert cli._runs(count ** 2, 2) == runs
+    ts = [0.0, 0.37, 5.0]
+    grid = f"lin:-1.5,1.5,{count}"
+    argv = ["solve", "--data", cfg, "--t", ",".join(map(repr, ts)),
+            "--xi-grid", grid]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    alone = _solve_outputs(argv, tmp_path, capsys)
+    forks = _count_forks(monkeypatch)
+    expected = _reference_solve_csv(pair, ts, grid, "auto")
+    assert alone == _solve_outputs(argv, tmp_path, capsys) == (expected,
+                                                               expected)
+    assert len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -588,23 +664,42 @@ def _row(re, im):
     return row
 
 
-_NANS = np.array([0x7FF8000000000001, 0x7FF8000000000002],
+_NANS = np.array([0x7FF8000000000001, 0x7FF8000000000002,
+                  0xFFF8000000000001, 0xFFF8000000000002],
                  dtype=np.uint64).view(np.float64)
 # (re, im) of each crafted block, and whether at most half of its values are
-# distinct, so each distinct one is formatted once
+# distinct once each v < 0 is folded onto -v, so each distinct folded one
+# is formatted once; NaNs and -0.0 are not < 0 and keep their own text
 _CRAFTED_ROWS = {
     "all-equal": ([0.5] * 6, [0.5] * 6, True),
     "all-distinct": ([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], False),
     "half-distinct": ([1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0], True),
     "one-over-half": ([1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 5.0], False),
     "signed-zeros": ([0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, 0.0, -0.0], True),
+    "mixed-zeros": ([0.0, -0.0, -3.0, 3.0], [-0.0, 0.0, -0.0, 0.0], True),
     "nan-payloads": ([_NANS[0], _NANS[1], _NANS[0]],
                      [_NANS[1], _NANS[0], _NANS[1]], True),
+    # NaNs with the sign bit set write nan, never -nan
+    "signed-nans": ([_NANS[2], _NANS[2], _NANS[0]],
+                    [-2.0, _NANS[2], 2.0], True),
     "extremes": ([np.inf, -np.inf, 5e-324, 1e16, 1e-05],
-                 [1e-05, 1e16, -5e-324, -np.inf, np.inf], False),
+                 [1e-05, 1e16, -5e-324, -np.inf, np.inf], True),
+    "subnormal-infinite": ([5e-324, -5e-324, np.inf, -np.inf],
+                           [-0.0, 0.0, -5e-324, np.inf], True),
+    # the values of real data at xi and -xi: re mirrored, im negated
+    "conjugate-mirror": ([0.3, -1.7, 2.5, 2.5, -1.7, 0.3],
+                         [0.9, -0.2, 1e-300, -1e-300, 0.2, -0.9], True),
     "one-point": ([0.25], [-0.0], False),
     "empty": ([], [], True),
 }
+
+
+def _folded_distinct(values):
+    """The number of distinct doubles among ``values`` once each v < 0 is
+    folded onto -v, told apart by their bits."""
+    values = np.asarray(values, dtype=float).ravel()
+    return np.unique(np.where(values < 0, -values, values)
+                     .view(np.int64)).size
 
 
 @pytest.mark.parametrize("name", sorted(_CRAFTED_ROWS))
@@ -616,45 +711,56 @@ def test_format_rows_writes_the_bytes_of_the_row_loop(name, monkeypatch):
     reprs = []
     monkeypatch.setattr(cli, "repr", lambda v: reprs.append(v) or repr(v),
                         raising=False)
-    text = "".join(cli._format_rows(0.37, coords, row))
+    # up to two runs, and one rule over both
+    half = len(re) // 2
+    runs = [run for run in ((0, half), (half, len(re))) if run[0] < run[1]]
+    texts = list(cli._format_rows(0.37, runs, coords, row))
+    text = "".join(texts)
     assert text == format_rows_row_loop(0.37, coords, row)
-    distinct = len(set(np.array(re + im).view(np.int64).tolist()))
-    # the head, and each distinct value on the shared-text branch
+    assert len(texts) == len(runs)
+    distinct = _folded_distinct(re + im)
+    assert (2 * distinct <= 2 * len(re)) == shared
+    # the head, and each distinct folded value on the shared-text branch
     assert len(reprs) == (1 + distinct * shared if coords else 0)
-    assert (text.count("\n"), text.count("nan")) == (
-        len(re), 2 * len(re) * (name == "nan-payloads"))
+    nans = int(np.isnan(np.array(re + im, dtype=float)).sum())
+    assert (text.count("\n"), text.count("nan")) == (len(re), nans)
+    assert "-nan" not in text
 
 
 def test_solve_formats_each_distinct_value_once(tmp_path, monkeypatch):
     # a radial pair repeats each value at the points of one radius; the
-    # shifted pair of _solve_pair repeats too few and takes %r
+    # shifted pair of _solve_pair takes conjugate values at xi and -xi,
+    # which lin:-2,2,41 holds both of, but not lin:-2,1.5,41, so there it
+    # repeats too few and takes %r
     radial = {"dimension": 2, "u0": {"family": "gaussian", "scale": 1.0},
               "u1": {"family": "gaussian", "scale": 0.7, "amplitude": 1.3}}
     cfg = tmp_path / "radial.json"
     cfg.write_text(json.dumps(radial), encoding="utf-8")
     shifted, shifted_cfg = _solve_pair(2, tmp_path)
-    grid, ts = "lin:-2,2,41", [0.37, 5.0]
+    ts = [0.37, 5.0]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     reprs = []
     monkeypatch.setattr(cli, "repr", lambda v: reprs.append(v) or repr(v),
                         raising=False)
-    rows = len(ts) * 41 ** 2
-    for pair, path, shared in ((radial, str(cfg), True),
-                               (shifted, shifted_cfg, False)):
+    for pair, path, grid, shared in (
+            (radial, str(cfg), "lin:-2,2,41", True),
+            (shifted, shifted_cfg, "lin:-2,2,41", True),
+            (shifted, shifted_cfg, "lin:-2,1.5,41", False)):
         u0, u1 = pair_from_config(pair)
         vals = SpectralSolution(u0=u0, u1=u1).evaluate(
             np.asarray(ts), cli._parse_xi_grid(grid, 2)[1], rep="2.4")
-        distinct = sum(np.unique(np.stack([row.real, row.imag], axis=-1)
-                                 .view(np.int64)).size for row in vals)
+        distinct = [_folded_distinct(np.stack([row.real, row.imag], axis=-1))
+                    for row in vals]
         reprs.clear()
         out = tmp_path / "sol.csv"
         assert main(["solve", "--data", path, "--t", "0.37,5.0",
                      "--xi-grid", grid, "--out", str(out)]) == 0
         assert out.read_bytes() == _reference_solve_csv(pair, ts, grid, "auto")
         # 41 axis values, one head per time and, on the shared-text branch,
-        # each distinct value of each time
-        assert len(reprs) == 41 + len(ts) + distinct * shared
-        assert (4 * distinct < 2 * rows) == shared
+        # each distinct folded value of each time
+        assert len(reprs) == 41 + len(ts) + sum(distinct) * shared
+        # per time, at most half of its 2 * 41**2 values distinct
+        assert [2 * d <= 2 * 41 ** 2 for d in distinct] == [shared] * len(ts)
 
 
 def test_solve_formats_the_mirrored_values_of_even_data_once(tmp_path,
@@ -669,6 +775,23 @@ def test_solve_formats_the_mirrored_values_of_even_data_once(tmp_path,
                         raising=False)
     assert main(_warm_up_argv(tmp_path)) == 0
     assert len(reprs) == 7054
+
+
+def test_solve_formats_the_conjugate_values_of_shifted_data_once(tmp_path,
+                                                                  monkeypatch):
+    # a shifted 2-D pair on one CPU, 46**2 points at three times: 46 axis
+    # values, 3 heads and each distinct folded value of each time.  Its
+    # values at xi and -xi are conjugates, so the values of each mirrored
+    # pair of rows fold onto two; without the fold each time has more than
+    # half its values distinct, takes %r, and the count is 49
+    _, cfg = _solve_pair(2, tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    reprs = []
+    monkeypatch.setattr(cli, "repr", lambda v: reprs.append(v) or repr(v),
+                        raising=False)
+    assert main(["solve", "--data", cfg, "--t", "0.48,3.9,42.0", "--xi-grid",
+                 "lin:-2.1,2.1,46", "--out", str(tmp_path / "sol.csv")]) == 0
+    assert len(reprs) == 6361
 
 
 @pytest.mark.parametrize("forked", [True, False])
@@ -766,9 +889,9 @@ def test_solve_rejects_a_grid_whose_step_overflows(pair_cfg, tmp_path, capsys,
 
 def test_solve_output_failing_under_a_blocked_child_exits_2(tmp_path, capsys,
                                                              monkeypatch):
-    # the child's chunk of a time, 4,096 rows, is far more than a pipe
-    # holds, so it is still writing when the output fails; closing the pipe
-    # must end it
+    # the child's runs, 2,009 rows a time, are more than a pipe holds, so
+    # it is still writing when the output fails; closing the pipe must end
+    # it
     class FailingOutput:
         def __init__(self):
             self.writes = 0
